@@ -4,8 +4,8 @@ A scenario is one JSON file with three blocks. The topology block
 builds the world: LANs, accounts, Wi-Fi networks, devices, phones, and
 adversaries. The action block fires admin and attacker moves at given
 virtual times. The assertion block is judged against the finished
-trace. Running a scenario is therefore: build, schedule, drain the
-scheduler, write the trace as JSON lines, evaluate.
+trace. Running a scenario is therefore: validate, build, schedule, drain
+the scheduler, write the trace as JSON lines, evaluate those lines.
 
 Four assertion kinds cover everything the built-ins need:
 
@@ -21,7 +21,8 @@ from --seed, else the ECHO_TESTBED_SEED environment variable, else the
 scenario file; identical seeds give byte-identical traces.
 
 `assert` reruns the engine against any saved trace with no simulation
-involved, which keeps verdicts reproducible after the fact.
+involved, parsing it exactly as `run` does, which keeps verdicts
+reproducible after the fact.
 """
 
 from __future__ import annotations
@@ -35,12 +36,13 @@ import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .calling import DEFAULT_ANSWER_DELAY_MS, DEFAULT_FRAME_COUNT
 from .client import CompanionApp, Eavesdropper, Hijacker, WifiCredential
 from .cloud import CloudServices
 from .device import EchoDevice, WifiNetwork, WifiNetworkTable
-from .netsim import BudgetExceeded, NetError, Network
+from .netsim import TRACE_LAYERS, BudgetExceeded, NetError, Network, parse_jsonl
 
 SCENARIO_BUDGET = 100_000   # every built-in quiesces well inside this
 
@@ -65,86 +67,170 @@ class ScenarioError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Loading and validation
+# Validation: SCHEMA is the one description of a scenario file. Everything
+# past validate_scenario and validate_assertion trusts what they let through.
 
-def _require(obj: dict, key: str, kind, where: str):
-    if key not in obj:
-        raise ScenarioError(f"{where}: missing {key!r}")
-    val = obj[key]
-    if not isinstance(val, kind):
-        raise ScenarioError(f"{where}: {key!r} must be {kind.__name__}")
-    return val
+class Field(NamedTuple):
+    type: str                 # a key of _TYPES
+    required: bool = False
+    values: tuple = ()        # allowed values, when not empty
+    ref: str = ""             # topology section that must name the value
 
 
-ASSERTION_KINDS = ("subsequence", "count", "absent", "locality")
+def _is_strings(val) -> bool:
+    return isinstance(val, list) and all(isinstance(s, str) for s in val)
 
-_FILTER_KEYS = ("layer", "lan", "summary", "src", "dst")
 
-_OP_KEYS = {
-    "enter_setup": ("device",),
-    "start_pairing": ("client", "device"),
-    "tap_pairing": ("attacker", "device"),
-    "deregister": ("device",),
-    "connect_avs": ("device",),
-    "replay_negotiation": ("device",),
-    "refresh": ("device",),
-    "start_call": ("device", "callee"),
-    "end_call": ("device",),
-    "replay_invite": ("device",),
+_TYPES = {   # type -> (check, what the message says a value must be)
+    "string": (lambda v: isinstance(v, str), "a string"),
+    "count": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
+    "flag": (lambda v: isinstance(v, bool), "true or false"),
+    "strings": (_is_strings, "a list of strings"),
+    "steps": (lambda v: isinstance(v, list) and all(
+        _is_strings(s) and len(s) == 2 and s[0] in ("*", *TRACE_LAYERS) for s in v),
+        "a list of [layer, summary-pattern] pairs"),
+    "object": (lambda v: isinstance(v, dict), "an object"),
+    "list": (lambda v: isinstance(v, list), "a list"),
 }
+
+_STR, _REQ_STR = Field("string"), Field("string", True)
+
+TOPOLOGY_SECTIONS = {   # section -> (field that names an entry, what an entry is)
+    "lans": ("name", "LAN"),
+    "accounts": ("id", "account"),
+    "wifi": ("ssid", "Wi-Fi network"),
+    "devices": ("serial", "device"),
+    "clients": ("name", "client"),
+    "attackers": ("name", "attacker"),
+}
+
+_DEVICE = {
+    "serial": _REQ_STR, "host": _STR, "state": _STR,
+    "visible_wifi": Field("strings", ref="wifi"),
+    "intercom": Field("flag"), "answer_delay_ms": Field("count"),
+    "frame_count": Field("count"), "auto_bye": Field("flag"),
+}
+_OPS = {   # op -> its fields besides op, at and device
+    "start_pairing": {"client": Field("string", True, ref="clients")},
+    "tap_pairing": {"attacker": Field("string", True, ref="attackers")},
+    "start_call": {"callee": _REQ_STR,
+                   "call_type": Field("string", values=("call", "intercom"))},
+    **dict.fromkeys(("enter_setup", "deregister", "connect_avs", "replay_negotiation",
+                     "refresh", "end_call", "replay_invite"), {}),
+}
+_FILTERS = {
+    "layer": Field("string", values=TRACE_LAYERS), "lan": _STR, "summary": _STR,
+    "src": _STR, "dst": _STR, "secured": Field("flag"),
+}
+
+# record -> (switch, variants). The value of the switch field picks the
+# variant, that is the set of fields the record may have; an absent optional
+# switch picks the first variant. A record without a switch has one variant.
+SCHEMA = {
+    "scenario": ("", {"": {
+        "name": _REQ_STR, "description": _STR, "seed": _STR,
+        "topology": Field("object"), "actions": Field("list"),
+        "assertions": Field("list")}}),
+    "topology": ("", {"": {section: Field("list") for section in TOPOLOGY_SECTIONS}}),
+    "lans": ("", {"": {"name": _REQ_STR, "prefix": _REQ_STR,
+                       "nat": Field("flag"), "isolated": Field("flag")}}),
+    "accounts": ("", {"": {"id": _REQ_STR, "password": _REQ_STR}}),
+    "wifi": ("", {"": {"ssid": _REQ_STR, "lan": Field("string", True, ref="lans"),
+                       "passphrase": _REQ_STR}}),
+    "devices": ("state", {
+        "factory": {**_DEVICE, "registered_to": Field("string", ref="accounts")},
+        "paired": {**_DEVICE, "account": Field("string", True, ref="accounts"),
+                   "lan": Field("string", True, ref="lans")}}),
+    "clients": ("", {"": {
+        "name": _REQ_STR, "account": Field("string", True, ref="accounts"),
+        "wifi": Field("string", True, ref="wifi"), "lan": Field("string", ref="lans")}}),
+    "attackers": ("kind", {
+        "eavesdropper": {"name": _REQ_STR, "kind": _REQ_STR},
+        "hijacker": {"name": _REQ_STR, "kind": _REQ_STR,
+                     "account": Field("string", True, ref="accounts"),
+                     "uplink": Field("string", ref="lans")}}),
+    "actions": ("op", {op: {"op": _REQ_STR, "at": Field("count"),
+                            "device": Field("string", True, ref="devices"), **extra}
+                       for op, extra in _OPS.items()}),
+    "assertions": ("kind", {   # "locality" takes exactly one of lans and via
+        "subsequence": {"kind": _REQ_STR, "events": Field("steps", True), "lan": _STR},
+        "count": {"kind": _REQ_STR, "equals": Field("count", True), **_FILTERS},
+        "absent": {"kind": _REQ_STR, "pattern": _REQ_STR, **_FILTERS},
+        "locality": {"kind": _REQ_STR, "lans": Field("strings"), "via": _STR, **_FILTERS},
+    }),
+}
+
+_REQUIRED = {(record, variant): tuple(k for k, spec in fields.items() if spec.required)
+             for record, (_, variants) in SCHEMA.items()
+             for variant, fields in variants.items()}
+
+
+def _check_record(obj, record: str, where: str, refs: list | None = None) -> None:
+    """Check obj against SCHEMA[record]; add its references to refs."""
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{where}: must be an object")
+    switch, variants = SCHEMA[record]
+    variant = next(iter(variants))
+    if switch and switch in obj:
+        variant = obj[switch]
+        if not isinstance(variant, str) or variant not in variants:
+            raise ScenarioError(f"{where}: unknown {switch} {variant!r}; "
+                                f"expected one of {', '.join(variants)}")
+    for key in _REQUIRED[record, variant]:
+        if key not in obj:
+            raise ScenarioError(f"{where}: missing {key!r}")
+    fields = variants[variant]
+    for key, val in obj.items():
+        spec = fields.get(key)
+        if spec is None:
+            raise ScenarioError(f"{where}: unexpected field {key!r}")
+        check, what = _TYPES[spec.type]
+        if not check(val):
+            raise ScenarioError(f"{where}: {key!r} must be {what}")
+        if spec.values and val not in spec.values:
+            raise ScenarioError(f"{where}: unknown {key} {val!r}; "
+                                f"expected one of {', '.join(spec.values)}")
+        if spec.ref and refs is not None:
+            refs.append((where, spec, val))
 
 
 def validate_assertion(rule, where: str = "assertion") -> None:
-    if not isinstance(rule, dict):
-        raise ScenarioError(f"{where}: must be an object")
-    kind = _require(rule, "kind", str, where)
-    if kind not in ASSERTION_KINDS:
-        raise ScenarioError(f"{where}: unknown kind {kind!r}")
-    if kind == "subsequence":
-        steps = _require(rule, "events", list, where)
-        for step in steps:
-            if (not isinstance(step, list) or len(step) != 2
-                    or not all(isinstance(s, str) for s in step)):
-                raise ScenarioError(f"{where}: each step is [layer, pattern]")
-    elif kind == "count":
-        _require(rule, "equals", int, where)
-    elif kind == "absent":
-        _require(rule, "pattern", str, where)
-    elif kind == "locality":
-        has_lans = isinstance(rule.get("lans"), list)
-        has_via = isinstance(rule.get("via"), str)
-        if has_lans == has_via:
-            raise ScenarioError(f"{where}: needs exactly one of 'lans' or 'via'")
+    _check_record(rule, "assertions", where)
+    if rule["kind"] == "locality" and ("lans" in rule) == ("via" in rule):
+        raise ScenarioError(f"{where}: needs exactly one of 'lans' or 'via'")
 
 
 def validate_scenario(scn) -> None:
-    if not isinstance(scn, dict):
-        raise ScenarioError("scenario: top level must be an object")
-    _require(scn, "name", str, "scenario")
+    """Raise ScenarioError naming the first field that breaks SCHEMA."""
+    _check_record(scn, "scenario", "scenario")
     where = f"scenario {scn['name']!r}"
     topo = scn.get("topology", {})
-    if not isinstance(topo, dict):
-        raise ScenarioError(f"{where}: topology must be an object")
-    for section in ("lans", "accounts", "wifi", "devices", "clients", "attackers"):
-        if not isinstance(topo.get(section, []), list):
-            raise ScenarioError(f"{where}: topology.{section} must be a list")
+    _check_record(topo, "topology", f"{where} topology")
+    refs: list[tuple[str, Field, object]] = []
+    for section in TOPOLOGY_SECTIONS:
+        for i, entry in enumerate(topo.get(section, [])):
+            _check_record(entry, section, f"{where} {section}[{i}]", refs)
+    for i, entry in enumerate(topo.get("wifi", [])):
+        try:   # the phone refuses to provision a credential outside these rules
+            WifiCredential(ssid=entry["ssid"], passphrase=entry["passphrase"]).validate()
+        except ValueError as exc:
+            raise ScenarioError(f"{where} wifi[{i}]: {exc}") from None
     for i, act in enumerate(scn.get("actions", [])):
-        spot = f"{where} action[{i}]"
-        if not isinstance(act, dict):
-            raise ScenarioError(f"{spot}: must be an object")
-        op = _require(act, "op", str, spot)
-        if op not in _OP_KEYS:
-            raise ScenarioError(f"{spot}: unknown op {op!r}")
-        if not isinstance(act.get("at", 0), int) or act.get("at", 0) < 0:
-            raise ScenarioError(f"{spot}: 'at' must be a non-negative integer")
-        for key in _OP_KEYS[op]:
-            _require(act, key, str, spot)
+        _check_record(act, "actions", f"{where} action[{i}]", refs)
     for i, rule in enumerate(scn.get("assertions", [])):
         validate_assertion(rule, f"{where} assertion[{i}]")
+    names = {section: {entry[key] for entry in topo.get(section, [])}
+             for section, (key, _) in TOPOLOGY_SECTIONS.items()}
+    names["lans"].add("cloud")   # build_world always adds it
+    for spot, spec, val in refs:
+        for name in val if spec.type == "strings" else [val]:
+            if name not in names[spec.ref]:
+                raise ScenarioError(
+                    f"{spot}: no {TOPOLOGY_SECTIONS[spec.ref][1]} named {name!r}")
 
 
 def load_scenario(ref: str) -> dict:
-    """Load a built-in by name or any scenario file by path."""
+    """Load a built-in by name or any scenario file by path, unvalidated."""
     if ref in BUILTINS:
         text = (resources.files(__package__) / "scenarios" / f"{ref}.json") \
             .read_text(encoding="utf-8")
@@ -153,13 +239,14 @@ def load_scenario(ref: str) -> dict:
         if not path.is_file():
             raise ScenarioError(
                 f"unknown scenario {ref!r}; built-ins: {', '.join(BUILTINS)}")
-        text = path.read_text(encoding="utf-8")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ScenarioError(f"{ref}: cannot read ({exc})") from exc
     try:
-        scn = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ScenarioError(f"{ref}: not valid JSON ({exc})") from exc
-    validate_scenario(scn)
-    return scn
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +271,7 @@ def _component_rng(seed: str, label: str) -> random.Random:
 
 
 def build_world(scn: dict, seed: str) -> World:
+    """Build the topology of a scenario that validate_scenario accepted."""
     topo = scn.get("topology", {})
     net = Network()
     net.add_lan("cloud", "10.0.0")
@@ -191,151 +279,91 @@ def build_world(scn: dict, seed: str) -> World:
     world = World(network=net, cloud=cloud)
 
     for entry in topo.get("lans", []):
-        net.add_lan(_require(entry, "name", str, "lan"),
-                    _require(entry, "prefix", str, "lan"),
-                    nat=bool(entry.get("nat", False)),
-                    isolated=bool(entry.get("isolated", False)))
+        net.add_lan(entry["name"], entry["prefix"], nat=entry.get("nat", False),
+                    isolated=entry.get("isolated", False))
 
     for entry in topo.get("accounts", []):
-        account = _require(entry, "id", str, "account")
-        password = _require(entry, "password", str, "account")
-        cloud.provision_account(account, password)
-        world.accounts[account] = password
+        cloud.provision_account(entry["id"], entry["password"])
+        world.accounts[entry["id"]] = entry["password"]
 
     for entry in topo.get("wifi", []):
-        ssid = _require(entry, "ssid", str, "wifi")
-        world.wifi[ssid] = WifiNetwork(
-            ssid=ssid, lan_name=_require(entry, "lan", str, "wifi"),
-            passphrase=_require(entry, "passphrase", str, "wifi"))
+        world.wifi[entry["ssid"]] = WifiNetwork(
+            ssid=entry["ssid"], lan_name=entry["lan"], passphrase=entry["passphrase"])
 
     for entry in topo.get("devices", []):
-        serial = _require(entry, "serial", str, "device")
-        visible = entry.get("visible_wifi")
-        names = list(world.wifi) if visible is None else visible
-        try:
-            table = WifiNetworkTable([world.wifi[n] for n in names])
-        except KeyError as exc:
-            raise ScenarioError(f"device {serial}: unknown wifi {exc}") from exc
+        serial = entry["serial"]
+        visible = entry.get("visible_wifi", world.wifi)   # default: every SSID
         dev = EchoDevice(
-            net, serial, _component_rng(seed, f"device:{serial}"), table,
+            net, serial, _component_rng(seed, f"device:{serial}"),
+            WifiNetworkTable([world.wifi[ssid] for ssid in visible]),
             name=entry.get("host"),
-            intercom=bool(entry.get("intercom", True)),
-            answer_delay_ms=int(entry.get("answer_delay_ms",
-                                          DEFAULT_ANSWER_DELAY_MS)),
-            frame_count=int(entry.get("frame_count", DEFAULT_FRAME_COUNT)),
-            auto_bye=bool(entry.get("auto_bye", True)))
+            intercom=entry.get("intercom", True),
+            answer_delay_ms=entry.get("answer_delay_ms", DEFAULT_ANSWER_DELAY_MS),
+            frame_count=entry.get("frame_count", DEFAULT_FRAME_COUNT),
+            auto_bye=entry.get("auto_bye", True))
         cloud.provision_factory(serial, dev.cert, dev.device_secret)
-        state = entry.get("state", "factory")
-        if state == "paired":
-            grant = cloud.provision_grant(
-                serial, _require(entry, "account", str, f"device {serial}"))
-            dev.provision_paired(_require(entry, "lan", str, f"device {serial}"),
-                                 grant)
-        elif state != "factory":
-            raise ScenarioError(f"device {serial}: unknown state {state!r}")
-        if entry.get("registered_to"):
-            if state == "paired":
-                raise ScenarioError(
-                    f"device {serial}: registered_to is for factory devices")
+        if entry.get("state") == "paired":
+            dev.provision_paired(entry["lan"],
+                                 cloud.provision_grant(serial, entry["account"]))
+        elif "registered_to" in entry:
             # the registry remembers a past owner; the device itself holds
             # nothing, as after a factory reset
             cloud.provision_grant(serial, entry["registered_to"])
         world.devices[serial] = dev
 
     for entry in topo.get("clients", []):
-        name = _require(entry, "name", str, "client")
-        account = _require(entry, "account", str, f"client {name}")
-        if account not in world.accounts:
-            raise ScenarioError(f"client {name}: unknown account {account!r}")
-        wifi_name = _require(entry, "wifi", str, f"client {name}")
-        w = world.wifi.get(wifi_name)
-        if w is None:
-            raise ScenarioError(f"client {name}: unknown wifi {wifi_name!r}")
+        name, account = entry["name"], entry["account"]
+        w = world.wifi[entry["wifi"]]
         app = CompanionApp(net, name, account, world.accounts[account],
                            WifiCredential(ssid=w.ssid, passphrase=w.passphrase),
                            _component_rng(seed, f"client:{name}"))
-        if entry.get("lan"):
+        if "lan" in entry:
             app.join_home(entry["lan"])
         world.clients[name] = app
 
     for entry in topo.get("attackers", []):
-        name = _require(entry, "name", str, "attacker")
-        kind = _require(entry, "kind", str, f"attacker {name}")
-        if kind == "eavesdropper":
-            atk: Eavesdropper = Eavesdropper(net, name)
-        elif kind == "hijacker":
-            account = _require(entry, "account", str, f"attacker {name}")
-            if account not in world.accounts:
-                raise ScenarioError(f"attacker {name}: unknown account {account!r}")
-            atk = Hijacker(net, name, account, world.accounts[account])
-            if entry.get("uplink"):
+        name = entry["name"]
+        if entry["kind"] == "hijacker":
+            atk: Eavesdropper = Hijacker(net, name, entry["account"],
+                                         world.accounts[entry["account"]])
+            if "uplink" in entry:
                 atk.bring_uplink(entry["uplink"])
         else:
-            raise ScenarioError(f"attacker {name}: unknown kind {kind!r}")
+            atk = Eavesdropper(net, name)
         world.attackers[name] = atk
 
     return world
 
 
 def _bind_action(world: World, act: dict, idx: int):
-    """Resolve one action's referents now; return the closure to schedule."""
+    """Resolve one validated action's referents now; return the closure to
+    schedule."""
     op = act["op"]
-    label = f"action[{idx}] {op}"
+    dev = world.devices[act["device"]]
+    if op in ("start_pairing", "tap_pairing"):
+        join = (world.clients[act["client"]].start_pairing if op == "start_pairing"
+                else world.attackers[act["attacker"]].join)
 
-    def need(table: dict, key: str, what: str):
-        ref = act.get(key)
-        obj = table.get(ref)
-        if obj is None:
-            raise ScenarioError(f"{label}: no {what} named {ref!r}")
-        return obj
-
-    if op in ("enter_setup", "connect_avs", "replay_negotiation"):
-        dev = need(world.devices, "device", "device")
-        return {"enter_setup": dev.enter_setup,
-                "connect_avs": dev.connect_avs,
-                "replay_negotiation": dev.replay_negotiation}[op]
-    if op == "start_pairing":
-        dev = need(world.devices, "device", "device")
-        client = need(world.clients, "client", "client")
-
-        def start():
+        def join_setup():
             if dev.pairing is None:
-                raise ScenarioError(f"{label}: {dev.serial} is not in setup mode")
-            client.start_pairing(dev.pairing)
-        return start
-    if op == "tap_pairing":
-        dev = need(world.devices, "device", "device")
-        attacker = need(world.attackers, "attacker", "attacker")
-
-        def tap():
-            if dev.pairing is None:
-                raise ScenarioError(f"{label}: {dev.serial} is not in setup mode")
-            attacker.join(dev.pairing)
-        return tap
-    if op == "deregister":
-        dev = need(world.devices, "device", "device")
-        return lambda: world.cloud.deregister_device(dev.serial)
-    if op == "refresh":
-        dev = need(world.devices, "device", "device")
-        return lambda: world.cloud.refresh(dev.serial)
+                raise ScenarioError(f"action[{idx}] {op}: {dev.serial} is not in setup mode")
+            join(dev.pairing)
+        return join_setup
     if op == "start_call":
-        dev = need(world.devices, "device", "device")
-        callee = act["callee"]
-        call_type = act.get("call_type", "call")
+        callee, call_type = act["callee"], act.get("call_type", "call")
         return lambda: world.cloud.start_call(dev.serial, callee, call_type)
-    if op == "end_call":
-        dev = need(world.devices, "device", "device")
-        return lambda: world.cloud.end_call(dev.serial)
-    if op == "replay_invite":
-        dev = need(world.devices, "device", "device")
-        return dev.comms.replay_last_invite
-    raise ScenarioError(f"{label}: unknown op")   # unreachable after validation
+    return {"enter_setup": dev.enter_setup,
+            "connect_avs": dev.connect_avs,
+            "replay_negotiation": dev.replay_negotiation,
+            "replay_invite": dev.comms.replay_last_invite,
+            "deregister": lambda: world.cloud.deregister_device(dev.serial),
+            "refresh": lambda: world.cloud.refresh(dev.serial),
+            "end_call": lambda: world.cloud.end_call(dev.serial)}[op]
 
 
 def _schedule_actions(world: World, actions: list) -> None:
     for idx, act in enumerate(actions):
-        world.network.scheduler.at(int(act.get("at", 0)),
-                                   _bind_action(world, act, idx))
+        world.network.scheduler.at(act.get("at", 0), _bind_action(world, act, idx))
 
 
 # ---------------------------------------------------------------------------
@@ -349,16 +377,12 @@ class Verdict:
 
 
 def _matches(ev: dict, rule: dict) -> bool:
-    for key in ("layer", "lan", "src", "dst"):
+    for key in ("layer", "lan", "src", "dst", "secured"):
         want = rule.get(key)
-        if want is not None and ev.get(key) != want:
+        if want is not None and ev[key] != want:
             return False
-    if rule.get("secured") is not None and ev.get("secured") != rule["secured"]:
-        return False
     pat = rule.get("summary")
-    if pat is not None and not fnmatch.fnmatchcase(ev.get("summary", ""), pat):
-        return False
-    return True
+    return pat is None or fnmatch.fnmatchcase(ev["summary"], pat)
 
 
 def _eval_subsequence(events: list[dict], rule: dict) -> Verdict:
@@ -387,7 +411,7 @@ def _eval_subsequence(events: list[dict], rule: dict) -> Verdict:
 def _eval_count(events: list[dict], rule: dict) -> Verdict:
     hits = [ev for ev in events if _matches(ev, rule)]
     want = rule["equals"]
-    what = {k: rule[k] for k in (*_FILTER_KEYS, "secured") if rule.get(k) is not None}
+    what = {k: rule[k] for k in _FILTERS if rule.get(k) is not None}
     if len(hits) == want:
         return Verdict("count", True, f"{what} == {want}")
     seqs = [ev.get("seq") for ev in hits[:5]]
@@ -440,7 +464,7 @@ _EVALUATORS = {
 
 
 def evaluate_assertion(events: list[dict], rule: dict) -> Verdict:
-    validate_assertion(rule)
+    """Judge one assertion that validate_assertion accepted."""
     return _EVALUATORS[rule["kind"]](events, rule)
 
 
@@ -464,16 +488,17 @@ class RunResult:
 
 
 def run_scenario(scn: dict, seed: str | None = None) -> RunResult:
-    """Build, run to quiescence, evaluate. Raises ScenarioError only for
-    setup problems; runtime failures come back as exit_code 2 with the
-    partial trace attached."""
-    name = scn.get("name", "scenario")
+    """Validate, build, run to quiescence, evaluate. Raises ScenarioError
+    only for an invalid scenario or a setup problem; runtime failures come
+    back as exit_code 2 with the partial trace attached."""
+    validate_scenario(scn)
+    name = scn["name"]
     if seed is None:
-        seed = str(scn.get("seed", name))
+        seed = scn.get("seed", name)
     try:
         world = build_world(scn, seed)
         _schedule_actions(world, scn.get("actions", []))
-    except (NetError, ValueError, KeyError) as exc:
+    except (NetError, ValueError) as exc:
         raise ScenarioError(f"{name}: setup failed: {exc}") from exc
 
     error = None
@@ -482,16 +507,16 @@ def run_scenario(scn: dict, seed: str | None = None) -> RunResult:
     except (BudgetExceeded, NetError, ScenarioError) as exc:
         error = f"{type(exc).__name__}: {exc}"
 
-    events = [json.loads(ev.to_json()) for ev in world.network.trace.events]
+    # judge the very bytes that `run` writes and `assert` reads back
+    jsonl = world.network.trace.jsonl()
+    events = parse_jsonl(jsonl)
     verdicts = evaluate_all(events, scn.get("assertions", []))
     if error is not None:
         exit_code = 2
     else:
         exit_code = 0 if all(v.ok for v in verdicts) else 1
-    return RunResult(name=name, seed=seed, exit_code=exit_code,
-                     verdicts=verdicts, events=events,
-                     jsonl=world.network.trace.jsonl(), world=world,
-                     error=error)
+    return RunResult(name=name, seed=seed, exit_code=exit_code, verdicts=verdicts,
+                     events=events, jsonl=jsonl, world=world, error=error)
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +532,11 @@ def cmd_run(args) -> int:
         scn = load_scenario(args.scenario)
         seed = args.seed or os.environ.get(SEED_ENV)
         result = run_scenario(scn, seed=seed)
-    except ScenarioError as exc:
+        trace_path = Path(args.trace) if args.trace else Path(f"{result.name}.trace.jsonl")
+        trace_path.write_text(result.jsonl, encoding="utf-8")
+    except (OSError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    trace_path = Path(args.trace) if args.trace else Path(f"{result.name}.trace.jsonl")
-    trace_path.write_text(result.jsonl, encoding="utf-8")
     _print_verdicts(result.verdicts)
     passed = sum(v.ok for v in result.verdicts)
     print(f"{result.name}: seed={result.seed} events={len(result.events)} "
@@ -531,6 +556,7 @@ def cmd_list(args) -> int:
 def cmd_explain(args) -> int:
     try:
         scn = load_scenario(args.name)
+        validate_scenario(scn)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -555,8 +581,14 @@ def cmd_explain(args) -> int:
 
 def cmd_assert(args) -> int:
     try:
-        lines = Path(args.trace).read_text(encoding="utf-8").splitlines()
-        events = [json.loads(line) for line in lines if line.strip()]
+        data = Path(args.trace).read_bytes()
+        try:
+            events = parse_jsonl(data.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ScenarioError(f"{args.trace}: line {line}: not UTF-8") from None
+        except ValueError as exc:
+            raise ScenarioError(f"{args.trace}: {exc}") from None
         rules = json.loads(Path(args.assertions).read_text(encoding="utf-8"))
         if isinstance(rules, dict):
             rules = rules.get("assertions", [])
@@ -564,7 +596,7 @@ def cmd_assert(args) -> int:
             raise ScenarioError("assertions file: expected a list")
         for i, rule in enumerate(rules):
             validate_assertion(rule, f"assertion[{i}]")
-    except (OSError, json.JSONDecodeError, ScenarioError) as exc:
+    except (OSError, ValueError, RecursionError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     verdicts = evaluate_all(events, rules)

@@ -277,12 +277,6 @@ class Eavesdropper:
             self.link_code = code
             self.network.note(self.host, "sys", f"eavesdrop:link-code:{code}")
 
-    @property
-    def recovered_passphrase(self) -> str | None:
-        """What the captured material yields without the device's private
-        key: nothing."""
-        return None
-
 
 class Hijacker(Eavesdropper):
     """Eavesdropper with an uplink and an account of its own."""

@@ -557,6 +557,7 @@ def srtp_unprotect(ctx: SrtpContext, packet: bytes) -> bytes:
     tag = packet[-SRTP_TAG_LEN:]
     seq32, _, ssrc = _RTP_HEADER.unpack(header)
     if ssrc != ctx.ssrc:
+        ctx.auth_failures += 1
         raise CryptoError(f"unknown ssrc {ssrc:#x}")
     expected = hmac_mod.new(ctx.auth_key, header + ciphertext,
                             hashlib.sha256).digest()[:SRTP_TAG_LEN]

@@ -54,9 +54,6 @@ class WifiNetworkTable:
     def __init__(self, networks: list[WifiNetwork] | None = None):
         self.networks = list(networks or [])
 
-    def add(self, net: WifiNetwork) -> None:
-        self.networks.append(net)
-
     def scan(self) -> list[dict]:
         return [{"ssid": n.ssid, "security": n.security, "signal": n.signal}
                 for n in self.networks]

@@ -120,18 +120,39 @@ class TraceLog:
     def jsonl(self) -> str:
         return "\n".join(ev.to_json() for ev in self.events) + ("\n" if self.events else "")
 
-    def find(self, layer: str | None = None, lan: str | None = None,
-             summary_prefix: str | None = None) -> list[TraceEvent]:
-        out = []
-        for ev in self.events:
-            if layer is not None and ev.layer != layer:
-                continue
-            if lan is not None and ev.lan != lan:
-                continue
-            if summary_prefix is not None and not ev.summary.startswith(summary_prefix):
-                continue
-            out.append(ev)
-        return out
+
+_LAYERS = frozenset(TRACE_LAYERS)
+
+
+def parse_jsonl(text: str) -> list[dict]:
+    """Read a trace in the format TraceLog.jsonl writes back into event dicts.
+
+    Blank lines are skipped. Any other line that is not one event object,
+    with exactly the TraceEvent fields and their types, raises ValueError
+    naming its 1-based line number.
+    """
+    events = []
+    for lineno, line in enumerate(text.split("\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            ev = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"line {lineno}: not JSON ({exc.msg})") from None
+        except RecursionError:
+            raise ValueError(f"line {lineno}: nested too deeply") from None
+        try:   # the eight TraceEvent fields, and nothing else but a payload
+            ok = (type(ev["seq"]) is type(ev["t_ms"]) is int
+                  and type(ev["secured"]) is bool and ev["layer"] in _LAYERS
+                  and type(ev["src"]) is type(ev["dst"]) is str
+                  and type(ev["lan"]) is type(ev["summary"]) is str
+                  and (len(ev) == 8 or len(ev) == 9 and type(ev.get("payload")) is dict))
+        except (KeyError, TypeError):   # not an object, or a field missing
+            ok = False
+        if not ok:
+            raise ValueError(f"line {lineno}: not a trace event")
+        events.append(ev)
+    return events
 
 
 # ---------------------------------------------------------------------------

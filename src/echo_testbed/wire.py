@@ -8,13 +8,7 @@ Five codecs live here:
   * a SIP subset (headers are an ordered, repeatable list; unknown headers
     are carried verbatim),
   * an SDP subset with ICE-style candidates and a single SDES crypto line,
-  * the JSON control-message envelope used on the voice-service connection,
-    plus the length-prefixed frame layer it rides in:
-
-        ┌──────────────┬──────────────┬───────────────┐
-        │ stream (4B)  │ length (4B)  │ payload bytes │
-        │ u32 BE       │ u32 BE       │               │
-        └──────────────┴──────────────┴───────────────┘
+  * the JSON control-message envelope used on the voice-service connection.
 
 All parsers are pure functions over complete byte buffers (the transport
 delivers whole messages) and raise WireError on malformed input; they never
@@ -26,7 +20,6 @@ from __future__ import annotations
 import base64
 import json
 import re
-import struct
 from dataclasses import dataclass, field
 
 
@@ -42,22 +35,10 @@ HTTP_VERSION = "HTTP/1.1"
 _TOKEN_RE = re.compile(r"^[!#$%&'*+\-.^_`|~0-9A-Za-z]+$")
 
 
-@dataclass
-class HttpMessage:
-    """One complete HTTP request or response.
+class _HeaderLookup:
+    """Header access shared by HttpMessage and SipMessage."""
 
-    Headers are an ordered list of (name, value) pairs; lookup is
-    case-insensitive but serialization preserves the stored order and
-    spelling. Content-Length is forced to the body length on serialize.
-    """
-
-    kind: str  # "request" | "response"
-    method: str | None = None
-    path: str | None = None
-    status: int | None = None
-    reason: str | None = None
-    headers: list[tuple[str, str]] = field(default_factory=list)
-    body: bytes = b""
+    headers: list[tuple[str, str]]
 
     def header(self, name: str) -> str | None:
         """First header value matching name, case-insensitively."""
@@ -75,6 +56,24 @@ class HttpMessage:
                 self.headers[i] = (key, value)
                 return
         self.headers.append((name, value))
+
+
+@dataclass
+class HttpMessage(_HeaderLookup):
+    """One complete HTTP request or response.
+
+    Headers are an ordered list of (name, value) pairs; lookup is
+    case-insensitive but serialization preserves the stored order and
+    spelling. Content-Length is forced to the body length on serialize.
+    """
+
+    kind: str  # "request" | "response"
+    method: str | None = None
+    path: str | None = None
+    status: int | None = None
+    reason: str | None = None
+    headers: list[tuple[str, str]] = field(default_factory=list)
+    body: bytes = b""
 
 
 def _parse_headers(lines: list[str]) -> list[tuple[str, str]]:
@@ -269,7 +268,7 @@ _CSEQ_RE = re.compile(r"^\d+ [A-Z]+$")
 
 
 @dataclass
-class SipMessage:
+class SipMessage(_HeaderLookup):
     """One SIP request or response with order-preserving headers."""
 
     kind: str  # "request" | "response"
@@ -279,25 +278,6 @@ class SipMessage:
     reason: str | None = None
     headers: list[tuple[str, str]] = field(default_factory=list)
     body: bytes = b""
-
-    def header(self, name: str) -> str | None:
-        lower = name.lower()
-        for key, value in self.headers:
-            if key.lower() == lower:
-                return value
-        return None
-
-    def header_values(self, name: str) -> list[str]:
-        lower = name.lower()
-        return [v for k, v in self.headers if k.lower() == lower]
-
-    def set_header(self, name: str, value: str) -> None:
-        lower = name.lower()
-        for i, (key, _) in enumerate(self.headers):
-            if key.lower() == lower:
-                self.headers[i] = (key, value)
-                return
-        self.headers.append((name, value))
 
     @property
     def cseq_method(self) -> str:
@@ -382,14 +362,6 @@ class SdpBody:
     crypto_suite: str
     key_salt: bytes  # 32-byte master key + 14-byte master salt
 
-    @property
-    def master_key(self) -> bytes:
-        return self.key_salt[:SRTP_KEY_LEN]
-
-    @property
-    def master_salt(self) -> bytes:
-        return self.key_salt[SRTP_KEY_LEN:]
-
 
 def _check_sdp(body: SdpBody) -> None:
     if len(body.key_salt) != SRTP_KEY_LEN + SRTP_SALT_LEN:
@@ -465,7 +437,7 @@ def sdp_decode(data: bytes) -> SdpBody:
 
 
 # ---------------------------------------------------------------------------
-# Control-message envelope and frame layer
+# Control-message envelope
 
 # The command pairs the testbed's own nodes exchange. Anything outside this
 # set still decodes, flagged unknown, since the real command plane is larger
@@ -521,22 +493,3 @@ def control_decode(data: bytes) -> ControlMessage:
     return ControlMessage(interface=interface, name=name,
                           payload=obj.get("payload"), unknown=unknown)
 
-
-FRAME_HEADER = struct.Struct(">II")
-
-
-def frame_encode(stream_id: int, payload: bytes) -> bytes:
-    """One multiplexed frame: u32 stream id + u32 length + payload."""
-    if not 0 <= stream_id < 2 ** 32:
-        raise WireError(f"stream id out of range: {stream_id}")
-    return FRAME_HEADER.pack(stream_id, len(payload)) + payload
-
-
-def frame_decode(data: bytes) -> tuple[int, bytes]:
-    if len(data) < FRAME_HEADER.size:
-        raise WireError("frame too short")
-    stream_id, length = FRAME_HEADER.unpack_from(data)
-    payload = data[FRAME_HEADER.size:]
-    if len(payload) != length:
-        raise WireError(f"frame length mismatch: declared {length}, got {len(payload)}")
-    return stream_id, payload

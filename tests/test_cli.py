@@ -1,14 +1,15 @@
 """Scenario loading, the assertion engine, and the command-line surface."""
 
+import copy
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from echo_testbed.cli import (
     BUILTINS,
     ScenarioError,
     Verdict,
-    build_world,
     evaluate_all,
     evaluate_assertion,
     load_scenario,
@@ -17,6 +18,7 @@ from echo_testbed.cli import (
     validate_assertion,
     validate_scenario,
 )
+from echo_testbed.netsim import TraceEvent
 
 
 def _ev(seq, layer, summary, *, lan="home-a", src="a", dst="b",
@@ -137,6 +139,15 @@ def test_malformed_assertions_rejected():
         {"kind": "subsequence", "events": [["oobe"]]},  # step not a pair
         {"kind": "locality", "layer": "media"},         # neither lans nor via
         {"kind": "locality", "lans": ["x"], "via": "y"},
+        {"kind": "count", "equals": True},              # bool is not an int
+        {"kind": "count", "equals": -1},
+        {"kind": "count", "equals": 1, "summary": 7},   # filters are strings
+        {"kind": "count", "equals": 1, "layer": "htpp"},
+        {"kind": "count", "equals": 1, "secured": "yes"},
+        {"kind": "count", "equals": 1, "typo": 1},      # unknown field
+        {"kind": "subsequence", "events": [["htpp", "x"]]},
+        {"kind": "subsequence", "events": [["sip", "x"]], "layer": "sip"},
+        {"kind": "locality", "lans": "home-a"},
         "not-an-object",
     ):
         with pytest.raises(ScenarioError):
@@ -178,6 +189,9 @@ def test_unknown_name_and_bad_json_raise(tmp_path):
     p.write_text("{nope")
     with pytest.raises(ScenarioError, match="not valid JSON"):
         load_scenario(str(p))
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ScenarioError, match="not valid JSON"):
+        load_scenario(str(p))
 
 
 def test_validate_rejects_bad_shapes():
@@ -189,9 +203,73 @@ def test_validate_rejects_bad_shapes():
         {"name": "x", "actions": [{"op": "refresh"}]},            # missing device
         {"name": "x", "actions": [{"op": "refresh", "device": "d", "at": -5}]},
         {"name": "x", "assertions": [{"kind": "count"}]},
+        {"name": "x", "assertions": 5},
+        {"name": "x", "actions": 5},
+        {"name": "x", "assertions": [{"kind": "count", "summary": 7, "equals": 1}]},
+        {"name": "x", "assertions": [{"kind": "count", "equals": True}]},
+        {"name": 5},
+        {"name": "x", "seed": 5},
+        {"name": "x", "nickname": "y"},                     # unknown field
+        {"name": "x", "topology": {"lans": 5}},
+        {"name": "x", "topology": {"phones": []}},
+        {"name": "x", "topology": {"lans": [{"name": "a", "prefix": "10.1.1",
+                                             "nat": "no"}]}},
+        {"name": "x", "topology": {"devices": [{"serial": "d", "state": "broken"}]}},
+        {"name": "x", "topology": {"devices": [{"serial": "d", "frame_count": "6"}]}},
+        {"name": "x", "topology": {"devices": [{"serial": "d", "answer_delay_ms": -1}]}},
+        {"name": "x", "topology": {"devices": [{"serial": "d"}]},
+         "actions": [{"op": "start_call", "device": "d", "callee": "tel:+1",
+                      "call_type": "bogus"}]},
+        {"name": "x", "topology": {"devices": [{"serial": "d"}]},
+         "actions": [{"op": "refresh", "device": "d", "at": True}]},
+        {"name": "x", "topology": {"lans": [{"name": "a", "prefix": "10.1.1"}],
+                                   "wifi": [{"ssid": "n", "lan": "a",
+                                             "passphrase": "short"}]}},
     ):
         with pytest.raises(ScenarioError):
             validate_scenario(scn)
+
+
+def test_validate_scenario_checks_references():
+    def broken(section, entry, **over):
+        scn = _mini(**over)
+        scn["topology"].setdefault(section, []).append(entry)
+        return scn
+
+    for scn, complaint in (
+        (broken("clients", {"name": "ph", "account": "nobody", "wifi": "Net"}),
+         "no account named 'nobody'"),
+        (broken("attackers", {"name": "m", "kind": "gremlin"}), "unknown kind"),
+        (broken("devices", {"serial": "d2", "state": "paired", "account": "a1",
+                            "lan": "home-a", "registered_to": "a1"}),
+         "registered_to"),
+        (broken("devices", {"serial": "d2", "state": "paired", "account": "a1",
+                            "lan": "no-such-lan"}), "no LAN named 'no-such-lan'"),
+        (broken("devices", {"serial": "d2", "registered_to": "nobody"}),
+         "no account named 'nobody'"),
+        (broken("devices", {"serial": "d2", "visible_wifi": ["Gone"]}),
+         "no Wi-Fi network named 'Gone'"),
+        (broken("wifi", {"ssid": "Net", "lan": "nowhere", "passphrase": "longenough"}),
+         "no LAN named 'nowhere'"),
+        (broken("attackers", {"name": "m", "kind": "hijacker", "account": "a1",
+                              "uplink": "cell"}), "no LAN named 'cell'"),
+        (broken("attackers", {"name": "m", "kind": "hijacker"}), "missing 'account'"),
+        (broken("attackers", {"name": "m", "kind": "eavesdropper"},
+                actions=[{"op": "tap_pairing", "attacker": "x",
+                          "device": "EK-TEST-0009"}]), "no attacker named 'x'"),
+        (_mini(actions=[{"op": "start_pairing", "client": "ph",
+                         "device": "EK-TEST-0009"}]), "no client named 'ph'"),
+        (_mini(actions=[{"op": "refresh", "device": "ghost"}]),
+         "no device named 'ghost'"),
+    ):
+        with pytest.raises(ScenarioError, match=complaint):
+            validate_scenario(scn)
+    # the fabric's own LAN may be named without being declared
+    scn = broken("clients", {"name": "ph", "account": "a1", "wifi": "Net",
+                             "lan": "cloud"})
+    scn["topology"]["wifi"] = [{"ssid": "Net", "lan": "home-a",
+                                "passphrase": "longenough"}]
+    validate_scenario(scn)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +303,15 @@ def test_run_scenario_passes_and_traces():
     assert lines == result.events
 
 
+def test_run_scenario_serializes_each_event_once(monkeypatch):
+    calls = []
+    to_json = TraceEvent.to_json
+    monkeypatch.setattr(TraceEvent, "to_json",
+                        lambda ev: calls.append(ev.seq) or to_json(ev))
+    result = run_scenario(load_scenario("pair"))
+    assert sorted(calls) == [ev["seq"] for ev in result.events]
+
+
 def test_run_scenario_failing_assertion_exits_1():
     scn = _mini(assertions=[{"kind": "count", "layer": "sip",
                              "summary": "no-such-thing", "equals": 9}])
@@ -246,7 +333,7 @@ def test_run_scenario_seed_override_beats_file_seed():
 
 def test_setup_errors_raise_scenario_error():
     scn = _mini()
-    scn["topology"]["devices"][0]["lan"] = "no-such-lan"
+    scn["topology"]["lans"].append({"name": "home-a", "prefix": "192.168.78"})
     with pytest.raises(ScenarioError, match="setup failed"):
         run_scenario(scn)
     scn2 = _mini(actions=[{"op": "refresh", "device": "ghost"}])
@@ -278,22 +365,6 @@ def test_start_pairing_without_setup_mode_is_a_runtime_error():
     result = run_scenario(scn)
     assert result.exit_code == 2
     assert "not in setup mode" in result.error
-
-
-def test_build_world_validates_references():
-    scn = _mini()
-    scn["topology"]["clients"] = [{"name": "ph", "account": "nobody",
-                                   "wifi": "Net"}]
-    with pytest.raises(ScenarioError):
-        build_world(scn, "s")
-    scn2 = _mini()
-    scn2["topology"]["attackers"] = [{"name": "m", "kind": "gremlin"}]
-    with pytest.raises(ScenarioError, match="unknown kind"):
-        build_world(scn2, "s")
-    scn3 = _mini()
-    scn3["topology"]["devices"][0]["registered_to"] = "a1"
-    with pytest.raises(ScenarioError, match="registered_to"):
-        build_world(scn3, "s")
 
 
 def test_world_builds_reproducibly_with_distinct_keys():
@@ -377,3 +448,131 @@ def test_cli_requires_a_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("scn", [
+    pytest.param(_mini(assertions=5), id="assertions-int"),
+    pytest.param(_mini(actions=5), id="actions-int"),
+    pytest.param(_mini(assertions=[{"kind": "count", "summary": 7, "equals": 1}]),
+                 id="summary-int"),
+    pytest.param(_mini(actions=[{"op": "start_call", "device": "EK-TEST-0009",
+                                 "callee": "tel:+15551230100", "call_type": "bogus"}]),
+                 id="call-type-bogus"),
+    pytest.param(_mini(topology={"lans": [{"name": "home-a", "prefix": "192.168.77",
+                                           "nat": "no"}]}), id="nat-string"),
+    pytest.param(_mini(assertions=[{"kind": "count", "equals": True}]), id="equals-bool"),
+])
+def test_cli_run_refuses_an_invalid_scenario(tmp_path, capsys, scn):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scn))
+    assert main(["run", str(path), "--trace", str(tmp_path / "t.jsonl")]) == 2
+    assert capsys.readouterr().err.startswith("error: scenario")
+    assert not (tmp_path / "t.jsonl").exists()
+
+
+EVENT = (b'{"dst":"b","lan":"home-a","layer":"sip","secured":false,"seq":0,'
+         b'"src":"a","summary":"INVITE","t_ms":0}')
+
+
+@pytest.mark.parametrize("trace, line", [
+    pytest.param(b"5\n", 1, id="number"),
+    pytest.param(b"[1,2]\n", 1, id="list"),
+    pytest.param(b'{"layer":"sip","summary":7}\n', 1, id="int-summary"),
+    pytest.param(b"\xff\xfe", 1, id="not-utf8"),
+    pytest.param(EVENT + b"\n\n5\n", 3, id="number-after-blank"),
+    pytest.param(EVENT + b"\n" + EVENT + b"\xff\n", 2, id="not-utf8-line-2"),
+    pytest.param(EVENT + b"\n" + EVENT.replace(b'"seq":0', b'"seq":true') + b"\n", 2,
+                 id="bool-seq"),
+    pytest.param(EVENT.replace(b'"layer":"sip"', b'"layer":"smtp"') + b"\n", 1,
+                 id="unknown-layer"),
+    pytest.param(EVENT.replace(b"}", b',"extra":1}') + b"\n", 1, id="extra-field"),
+    pytest.param(EVENT.replace(b"}", b',"payload":[1]}') + b"\n", 1, id="list-payload"),
+    pytest.param(EVENT[:-5] + b"\n", 1, id="truncated"),
+    pytest.param(EVENT + b"\n" + b"[" * 100_000 + b"]" * 100_000, 2, id="nested-too-deeply"),
+])
+@pytest.mark.parametrize("rule", [
+    pytest.param({"kind": "count", "equals": 1}, id="count"),
+    pytest.param({"kind": "count", "layer": "sip", "equals": 1}, id="count-layer"),
+])
+def test_cli_assert_rejects_malformed_trace_lines(tmp_path, capsys, trace, line, rule):
+    path, rules = tmp_path / "t.jsonl", tmp_path / "rules.json"
+    path.write_bytes(trace)
+    rules.write_text(json.dumps([rule]))
+    assert main(["assert", str(path), str(rules)]) == 2
+    assert f"line {line}:" in capsys.readouterr().err
+
+
+def test_cli_assert_accepts_a_well_formed_trace(tmp_path):
+    path, rules = tmp_path / "t.jsonl", tmp_path / "rules.json"
+    path.write_bytes(EVENT + b"\n\n" + EVENT.replace(b"}", b',"payload":{"a":1}}'))
+    rules.write_text(json.dumps([{"kind": "count", "layer": "sip", "equals": 2}]))
+    assert main(["assert", str(path), str(rules)]) == 0
+
+
+# ---------------------------------------------------------------------------
+# no input gives a traceback: random damage to the built-ins and to traces
+
+BUILTIN_SCENARIOS = [load_scenario(name) for name in BUILTINS]
+ODD_VALUES = (5, -1, 2.5, True, None, "", "x", [], [1], {}, {"a": 1})
+
+
+def _slots(node):
+    """Every (container, key) pair that holds a value, depth first."""
+    keys = list(node) if isinstance(node, dict) else range(len(node))
+    for key in keys:
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from _slots(node[key])
+
+
+@st.composite
+def damaged(draw, originals):
+    """A deep copy of one of originals with one to three random faults."""
+    root = copy.deepcopy(draw(st.sampled_from(originals)))
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_slots(root))
+        if not slots:
+            break
+        parent, key = draw(st.sampled_from(slots))
+        how = draw(st.sampled_from(("swap", "delete", "rename")))
+        if how == "swap":
+            parent[key] = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+        elif how == "delete":
+            del parent[key]
+        elif isinstance(parent[key], str):
+            # a renamed LAN, account, device... leaves its referents dangling
+            parent[key] += "-renamed"
+    return root
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scn=damaged(BUILTIN_SCENARIOS))
+def test_cli_run_never_raises_on_damaged_scenarios(tmp_path_factory, scn):
+    work = tmp_path_factory.mktemp("run")
+    path = work / "scenario.json"
+    path.write_text(json.dumps(scn))
+    assert main(["run", str(path), "--trace", str(work / "t.jsonl")]) in (0, 1, 2)
+
+
+def _trace_line(event_text: str):
+    event = json.loads(event_text)
+    garbage = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=8), inner, max_size=3), max_leaves=6)
+    bad_field = st.builds(lambda key, value: json.dumps({**event, key: value}),
+                          st.sampled_from(sorted(event)), garbage)
+    return st.one_of(st.just(event_text), bad_field, garbage.map(json.dumps),
+                     st.text(max_size=20)).map(str.encode) | st.binary(max_size=20)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(lines=st.lists(_trace_line(EVENT.decode()), max_size=6),
+       rules=damaged([scn["assertions"] for scn in BUILTIN_SCENARIOS]))
+def test_cli_assert_never_raises_on_damaged_traces(tmp_path_factory, lines, rules):
+    work = tmp_path_factory.mktemp("assert")
+    trace, rules_path = work / "t.jsonl", work / "rules.json"
+    trace.write_bytes(b"\n".join(lines))
+    rules_path.write_text(json.dumps(rules))
+    assert main(["assert", str(trace), str(rules_path)]) in (0, 1, 2)

@@ -412,6 +412,7 @@ class TestSrtp:
         rx = srtp_derive(bytes(range(32)), bytes(range(14)), ssrc=0xDEAD)
         with pytest.raises(CryptoError, match="ssrc"):
             srtp_unprotect(rx, srtp_protect(tx, bytes(160)))
+        assert rx.auth_failures == 1
 
     @settings(max_examples=50, deadline=None)
     @given(payload=st.binary(min_size=1, max_size=400))

@@ -292,7 +292,8 @@ class TestPairingNetwork:
         dev = net.add_host("device")
         pair = PairingNetwork(net, dev, "Amazon-ABC")
         assert pair.owner_addr.endswith(".1")
-        announces = net.trace.find(layer="sys", summary_prefix="announce:")
+        announces = [ev for ev in net.trace.events
+                     if ev.layer == "sys" and ev.summary.startswith("announce:")]
         assert len(announces) == 1
         assert announces[0].summary == "announce:Amazon-ABC"
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from echo_testbed.wire import (
-    FRAME_HEADER,
     KNOWN_COMMANDS,
     MANDATORY_SIP_HEADERS,
     SDES_SUITE,
@@ -21,8 +20,6 @@ from echo_testbed.wire import (
     WireError,
     control_decode,
     control_encode,
-    frame_decode,
-    frame_encode,
     http_parse,
     http_serialize,
     oobe_decode,
@@ -205,7 +202,8 @@ class TestSip:
         raw = SAMPLE_INVITE.replace(b"Via: SIP/2.0/TCP 10.0.0.2\r\n",
                                     b"Via: SIP/2.0/TCP proxy\r\nVia: SIP/2.0/TCP 10.0.0.2\r\n")
         msg = sip_parse(raw)
-        assert msg.header_values("Via") == ["SIP/2.0/TCP proxy", "SIP/2.0/TCP 10.0.0.2"]
+        vias = [value for name, value in msg.headers if name == "Via"]
+        assert vias == ["SIP/2.0/TCP proxy", "SIP/2.0/TCP 10.0.0.2"]
 
     def test_mandatory_header_tuple(self):
         assert MANDATORY_SIP_HEADERS == ("Via", "From", "To", "Call-ID", "CSeq")
@@ -226,8 +224,6 @@ class TestSdp:
         body = self.make_body()
         back = sdp_decode(sdp_encode(body))
         assert back == body
-        assert back.master_key == bytes(range(32))
-        assert back.master_salt == bytes(range(32, 46))
 
     def test_candidate_order_preserved(self):
         back = sdp_decode(sdp_encode(self.make_body()))
@@ -277,29 +273,3 @@ class TestControl:
     def test_bad_json_rejected(self):
         with pytest.raises(WireError):
             control_decode(b"\xff\xfe")
-
-
-# ---------------------------------------------------------------------------
-# Frame layer
-
-class TestFrame:
-    def test_layout_frozen(self):
-        raw = frame_encode(7, b"abc")
-        assert raw == b"\x00\x00\x00\x07\x00\x00\x00\x03abc"
-        assert FRAME_HEADER.size == 8
-
-    def test_decode(self):
-        assert frame_decode(frame_encode(1, b"xy")) == (1, b"xy")
-
-    def test_trailing_bytes_rejected(self):
-        with pytest.raises(WireError):
-            frame_decode(frame_encode(1, b"xy") + b"tail")
-
-    def test_truncated_rejected(self):
-        with pytest.raises(WireError):
-            frame_decode(b"\x00\x00\x00\x01\x00\x00\x00\x05ab")
-
-    @given(stream_id=st.integers(min_value=0, max_value=2**32 - 1),
-           payload=st.binary(max_size=200))
-    def test_round_trip_property(self, stream_id, payload):
-        assert frame_decode(frame_encode(stream_id, payload)) == (stream_id, payload)
