@@ -32,9 +32,11 @@ import fnmatch
 import json
 import os
 import random
+import re
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -207,9 +209,14 @@ def validate_scenario(scn) -> None:
     topo = scn.get("topology", {})
     _check_record(topo, "topology", f"{where} topology")
     refs: list[tuple[str, Field, object]] = []
-    for section in TOPOLOGY_SECTIONS:
+    names: dict[str, set] = {}
+    for section, (key, what) in TOPOLOGY_SECTIONS.items():
+        seen = names[section] = set()
         for i, entry in enumerate(topo.get(section, [])):
             _check_record(entry, section, f"{where} {section}[{i}]", refs)
+            if entry[key] in seen:   # a later entry would replace the earlier
+                raise ScenarioError(f"{where} {section}[{i}]: duplicate {what} {entry[key]!r}")
+            seen.add(entry[key])
     for i, entry in enumerate(topo.get("wifi", [])):
         try:   # the phone refuses to provision a credential outside these rules
             WifiCredential(ssid=entry["ssid"], passphrase=entry["passphrase"]).validate()
@@ -219,8 +226,6 @@ def validate_scenario(scn) -> None:
         _check_record(act, "actions", f"{where} action[{i}]", refs)
     for i, rule in enumerate(scn.get("assertions", [])):
         validate_assertion(rule, f"{where} assertion[{i}]")
-    names = {section: {entry[key] for entry in topo.get(section, [])}
-             for section, (key, _) in TOPOLOGY_SECTIONS.items()}
     names["lans"].add("cloud")   # build_world always adds it
     for spot, spec, val in refs:
         for name in val if spec.type == "strings" else [val]:
@@ -376,17 +381,34 @@ class Verdict:
     detail: str
 
 
-def _matches(ev: dict, rule: dict) -> bool:
-    for key in ("layer", "lan", "src", "dst", "secured"):
-        want = rule.get(key)
-        if want is not None and ev[key] != want:
-            return False
+_EQUALITY_FILTERS = tuple(k for k in _FILTERS if k != "summary")
+_encode_payload = json.JSONEncoder(sort_keys=True).encode   # json.dumps(p, sort_keys=True)
+
+
+def _glob(pat: str):
+    """A test of a string, compiled once, that agrees with fnmatch.fnmatchcase."""
+    if any(c in pat for c in "*?["):
+        return re.compile(fnmatch.translate(pat)).match
+    return pat.__eq__
+
+
+def _select(events: list[dict], rule: dict) -> list[dict]:
+    """The events that pass every filter of rule, in trace order."""
+    keys = [k for k in _EQUALITY_FILTERS if rule.get(k) is not None]
+    if keys:
+        get = itemgetter(*keys)
+        want = get(rule)
+        events = [ev for ev in events if get(ev) == want]
     pat = rule.get("summary")
-    return pat is None or fnmatch.fnmatchcase(ev["summary"], pat)
+    if pat is not None:
+        match = _glob(pat)
+        events = [ev for ev in events if match(ev["summary"])]
+    return events
 
 
 def _eval_subsequence(events: list[dict], rule: dict) -> Verdict:
     steps = rule["events"]
+    tests = [(layer, _glob(pat)) for layer, pat in steps]
     lan = rule.get("lan")
     idx = 0
     last_seq = None
@@ -395,9 +417,8 @@ def _eval_subsequence(events: list[dict], rule: dict) -> Verdict:
             break
         if lan is not None and ev.get("lan") != lan:
             continue
-        layer, pat = steps[idx]
-        if (layer == "*" or ev.get("layer") == layer) \
-                and fnmatch.fnmatchcase(ev.get("summary", ""), pat):
+        layer, match = tests[idx]
+        if (layer == "*" or ev.get("layer") == layer) and match(ev.get("summary", "")):
             idx += 1
             last_seq = ev.get("seq")
     if idx == len(steps):
@@ -409,7 +430,7 @@ def _eval_subsequence(events: list[dict], rule: dict) -> Verdict:
 
 
 def _eval_count(events: list[dict], rule: dict) -> Verdict:
-    hits = [ev for ev in events if _matches(ev, rule)]
+    hits = _select(events, rule)
     want = rule["equals"]
     what = {k: rule[k] for k in _FILTERS if rule.get(k) is not None}
     if len(hits) == want:
@@ -421,23 +442,20 @@ def _eval_count(events: list[dict], rule: dict) -> Verdict:
 
 def _eval_absent(events: list[dict], rule: dict) -> Verdict:
     needle = rule["pattern"]
-    scanned = 0
-    for ev in events:
-        if not _matches(ev, rule):
-            continue
-        scanned += 1
+    hits = _select(events, rule)
+    for ev in hits:
         hay = ev.get("summary", "")
         if ev.get("payload") is not None:
-            hay += json.dumps(ev["payload"], sort_keys=True)
+            hay += _encode_payload(ev["payload"])
         if needle in hay:
             return Verdict("absent", False,
                            f"{needle!r} present at seq={ev.get('seq')} "
                            f"({ev.get('layer')} {ev.get('summary')})")
-    return Verdict("absent", True, f"{needle!r} absent from {scanned} events")
+    return Verdict("absent", True, f"{needle!r} absent from {len(hits)} events")
 
 
 def _eval_locality(events: list[dict], rule: dict) -> Verdict:
-    hits = [ev for ev in events if _matches(ev, rule)]
+    hits = _select(events, rule)
     if "lans" in rule:
         allowed = set(rule["lans"])
         bad = [ev for ev in hits if ev.get("lan") not in allowed]
@@ -469,7 +487,14 @@ def evaluate_assertion(events: list[dict], rule: dict) -> Verdict:
 
 
 def evaluate_all(events: list[dict], rules: list) -> list[Verdict]:
-    return [evaluate_assertion(events, rule) for rule in rules]
+    """Judge rules in order, one evaluate_assertion each. A rule with a layer
+    filter (never a subsequence) is handed only that layer's events."""
+    by_layer: dict[str, list[dict]] = {}
+    for ev in events:
+        by_layer.setdefault(ev["layer"], []).append(ev)
+    return [evaluate_assertion(events if rule.get("layer") is None
+                               else by_layer.get(rule["layer"], []), rule)
+            for rule in rules]
 
 
 # ---------------------------------------------------------------------------

@@ -538,13 +538,18 @@ def srtp_protect(ctx: SrtpContext, payload: bytes) -> bytes:
 
 
 def _recover_index(ctx: SrtpContext, seq32: int) -> int:
-    # 32-bit sequence plus a rollover count; flows are near-monotonic, so a
-    # large backwards jump means the counter wrapped.
+    # 32-bit sequence plus a rollover count, guessed as in RFC 3711 3.3.1:
+    # flows are near-monotonic, so a large backwards jump means the counter
+    # has wrapped, and a large forward jump is a late packet from before
+    # the wrap.
+    roc = ctx.recv_roc
     if ctx.recv_highest >= 0:
         last32 = ctx.recv_highest & 0xFFFFFFFF
-        if seq32 < last32 and last32 - seq32 > 0x80000000:
-            return ((ctx.recv_roc + 1) << 32) | seq32
-    return (ctx.recv_roc << 32) | seq32
+        if last32 - seq32 > 0x80000000:
+            roc += 1
+        elif seq32 - last32 > 0x80000000 and roc > 0:
+            roc -= 1
+    return (roc << 32) | seq32
 
 
 def srtp_unprotect(ctx: SrtpContext, packet: bytes) -> bytes:

@@ -32,6 +32,8 @@ HOP_MS = 1   # delivery latency within one LAN
 WAN_MS = 2   # delivery latency across LANs
 
 EVENT_BUDGET = 1_000_000
+HOSTS_PER_LAN = 254     # one /24: .1 to .254
+SETUP_NETWORKS = 20     # concurrent setup-mode networks, 192.168.11-30
 
 TRACE_LAYERS = ("http", "oobe", "sip", "sdp", "control", "media", "sys")
 
@@ -82,6 +84,9 @@ class Scheduler:
 # ---------------------------------------------------------------------------
 # Trace
 
+_encode_event = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+
+
 @dataclass(frozen=True)
 class TraceEvent:
     seq: int
@@ -100,7 +105,7 @@ class TraceEvent:
                "summary": self.summary}
         if self.payload is not None:
             obj["payload"] = self.payload
-        return json.dumps(obj, separators=(",", ":"), sort_keys=True)
+        return _encode_event(obj)
 
 
 class TraceLog:
@@ -170,8 +175,8 @@ class Lan:
         n = 1
         while f"{self.prefix}.{n}" in self.assignments:
             n += 1
-        if n > 254:
-            raise NetError(f"LAN {self.name} is full")
+        if n > HOSTS_PER_LAN:
+            raise NetError(f"LAN {self.name} is full: {HOSTS_PER_LAN} hosts per LAN")
         return f"{self.prefix}.{n}"
 
 
@@ -309,7 +314,7 @@ class Network:
         self.dns: dict[str, str] = {}
         self.channels: list[Channel] = []
         self._next_cid = 1
-        self._pairing_prefixes = [f"192.168.{n}" for n in range(11, 31)]
+        self._pairing_prefixes = [f"192.168.{n}" for n in range(11, 11 + SETUP_NETWORKS)]
 
     # -- topology construction
 
@@ -441,7 +446,7 @@ class PairingNetwork:
 
     def __init__(self, network: Network, owner: Host, ssid: str):
         if not network._pairing_prefixes:
-            raise NetError("no pairing prefixes left")
+            raise NetError(f"no pairing prefixes left: {SETUP_NETWORKS} concurrent setup networks")
         self.network = network
         self.owner = owner
         self.ssid = ssid

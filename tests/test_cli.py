@@ -1,11 +1,13 @@
 """Scenario loading, the assertion engine, and the command-line surface."""
 
 import copy
+import fnmatch
 import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from echo_testbed import cli
 from echo_testbed.cli import (
     BUILTINS,
     ScenarioError,
@@ -163,6 +165,183 @@ def test_evaluate_all_preserves_order():
     assert all(isinstance(v, Verdict) for v in verdicts)
 
 
+def test_evaluate_all_calls_evaluate_assertion_once_per_rule_in_order(monkeypatch):
+    # the benchmark's per-kind spans wrap cli.evaluate_assertion
+    seen = []
+    real = cli.evaluate_assertion
+    monkeypatch.setattr(cli, "evaluate_assertion",
+                        lambda events, rule: seen.append((rule, events)) or real(events, rule))
+    rules = [
+        {"kind": "count", "layer": "oobe", "equals": 2},
+        {"kind": "subsequence", "events": [["oobe", "ping"], ["sys", "phone:*"]]},
+        {"kind": "absent", "pattern": "AB12C", "layer": "sys"},
+        {"kind": "locality", "layer": "sdp", "via": "relay"},
+        {"kind": "count", "summary": "ping*", "equals": 2},
+        {"kind": "count", "layer": "oobe", "equals": 2},
+    ]
+    verdicts = evaluate_all(SAMPLE, rules)
+    assert [id(rule) for rule, _ in seen] == [id(rule) for rule in rules]
+    assert [v.ok for v in verdicts] == [True, True, False, True, True, True]
+    for rule, events in seen:   # a layer filter is applied before the call
+        assert events == [ev for ev in SAMPLE
+                          if rule.get("layer") in (None, ev["layer"])]
+
+
+# ---------------------------------------------------------------------------
+# the engine against a naive oracle: every filter read again for every
+# event, one json.dumps per payload, as the engine did before it compiled
+# its rules
+
+def _oracle_matches(ev, rule):
+    for key in ("layer", "lan", "src", "dst", "secured"):
+        want = rule.get(key)
+        if want is not None and ev[key] != want:
+            return False
+    pat = rule.get("summary")
+    return pat is None or fnmatch.fnmatchcase(ev["summary"], pat)
+
+
+def _oracle(events, rule):
+    kind = rule["kind"]
+    if kind == "subsequence":
+        steps, lan, idx, last_seq = rule["events"], rule.get("lan"), 0, None
+        for ev in events:
+            if idx < len(steps) and lan in (None, ev["lan"]) \
+                    and steps[idx][0] in ("*", ev["layer"]) \
+                    and fnmatch.fnmatchcase(ev["summary"], steps[idx][1]):
+                idx, last_seq = idx + 1, ev["seq"]
+        if idx == len(steps):
+            return Verdict(kind, True, f"all {len(steps)} steps found in order")
+        after = "start" if last_seq is None else f"seq={last_seq}"
+        return Verdict(kind, False,
+                       f"step {idx + 1}/{len(steps)} {steps[idx]} not found after {after}")
+    hits = [ev for ev in events if _oracle_matches(ev, rule)]
+    if kind == "count":
+        want = rule["equals"]
+        what = {k: rule[k] for k in ("layer", "lan", "summary", "src", "dst", "secured")
+                if k in rule}
+        if len(hits) == want:
+            return Verdict(kind, True, f"{what} == {want}")
+        return Verdict(kind, False, f"{what}: expected {want}, found {len(hits)} "
+                                    f"(seq {[ev['seq'] for ev in hits[:5]]})")
+    if kind == "absent":
+        needle = rule["pattern"]
+        for ev in hits:
+            hay = ev["summary"]
+            if "payload" in ev:
+                hay += json.dumps(ev["payload"], sort_keys=True)
+            if needle in hay:
+                return Verdict(kind, False, f"{needle!r} present at seq={ev['seq']} "
+                                            f"({ev['layer']} {ev['summary']})")
+        return Verdict(kind, True, f"{needle!r} absent from {len(hits)} events")
+    if "lans" in rule:
+        bad = [ev for ev in hits if ev["lan"] not in rule["lans"]]
+        place = f"LANs {sorted(set(rule['lans']))}"
+    else:
+        bad = [ev for ev in hits if rule["via"] not in (ev["src"], ev["dst"])]
+        place = f"host {rule['via']!r}"
+    if not bad:
+        return Verdict(kind, True, f"all {len(hits)} events within {place}")
+    ev = bad[0]
+    return Verdict(kind, False, f"{len(bad)}/{len(hits)} events outside {place}, first "
+                                f"seq={ev['seq']} on lan={ev['lan']} "
+                                f"({ev['src']} -> {ev['dst']})")
+
+
+EVENT_LAYERS = ("sip", "media", "sys")
+RULE_LAYERS = EVENT_LAYERS + ("oobe",)   # no event is on oobe
+LANS, HOSTS = ("home-a", "home-b", "cloud"), ("a", "b", "relay")
+SUMMARIES = st.lists(st.sampled_from(("a", "b", "B", "x", "x.", "+", "(", "*", "[", "]",
+                                      "-", "!", "{")), max_size=3).map("".join)
+PAYLOADS = st.none() | st.dictionaries(
+    st.sampled_from(("k", "hex", "a")),
+    st.integers(0, 2) | st.text(alphabet='abx{"k', max_size=3), max_size=2)
+EVENTS = st.lists(st.builds(
+    lambda layer, summary, lan, src, dst, secured, payload: _ev(
+        0, layer, summary, lan=lan, src=src, dst=dst, secured=secured, payload=payload),
+    st.sampled_from(EVENT_LAYERS), SUMMARIES, st.sampled_from(LANS), st.sampled_from(HOSTS),
+    st.sampled_from(HOSTS), st.booleans(), PAYLOADS), max_size=12).map(
+    lambda evs: [{**ev, "seq": i, "t_ms": i} for i, ev in enumerate(evs)])
+
+
+@st.composite
+def _pattern(draw, events):
+    """A summary glob: a random one, or one made from a summary in events by
+    turning characters into ?, *, classes, or the other case."""
+    if not events or draw(st.booleans()):
+        return draw(st.lists(st.sampled_from(
+            ("a", "x", ".", "+", "(", "*", "?", "[a-c]", "[!x]", "[", "]")),
+            max_size=3).map("".join))
+    return "".join(draw(st.sampled_from((c, c, "?", "*", f"[{c}]", f"[!{c}]", "[a-c]",
+                                         c.swapcase())))
+                   for c in draw(st.sampled_from(events))["summary"])
+
+
+@st.composite
+def _needle(draw, events):
+    """An absent pattern: often a slice of what one event is searched as,
+    the summary followed by the payload's json.dumps."""
+    if not events or draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(('x{"k', '"k": 1', "x.", "")))
+    ev = draw(st.sampled_from(events))
+    hay = ev["summary"] + (json.dumps(ev["payload"], sort_keys=True) if "payload" in ev else "")
+    start = draw(st.integers(0, len(hay)))
+    return hay[start:draw(st.integers(start, len(hay)))]
+
+
+def _rules(events):
+    filters = {"layer": st.sampled_from(RULE_LAYERS), "lan": st.sampled_from(LANS),
+               "summary": _pattern(events), "src": st.sampled_from(HOSTS),
+               "dst": st.sampled_from(HOSTS), "secured": st.booleans()}
+
+    def rule(kind, **fields):
+        return st.fixed_dictionaries({"kind": st.just(kind), **fields}, optional=filters)
+
+    return st.lists(st.one_of(
+        rule("count", equals=st.integers(0, 3)),
+        rule("absent", pattern=_needle(events)),
+        rule("locality", lans=st.lists(st.sampled_from(LANS), max_size=2)),
+        rule("locality", via=st.sampled_from(HOSTS)),
+        st.fixed_dictionaries(
+            {"kind": st.just("subsequence"),
+             "events": st.lists(st.tuples(st.sampled_from(("*",) + RULE_LAYERS),
+                                          _pattern(events)).map(list), max_size=3)},
+            optional={"lan": st.sampled_from(LANS)}),
+    ), max_size=6)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_engine_agrees_with_the_naive_oracle(data):
+    events = data.draw(EVENTS)
+    rules = data.draw(_rules(events))
+    for rule in rules:
+        validate_assertion(rule)
+    want = [_oracle(events, rule) for rule in rules]
+    assert [evaluate_assertion(events, rule) for rule in rules] == want
+    assert evaluate_all(events, rules) == want
+
+
+def test_oracle_cases_the_engine_must_get_right():
+    events = [_ev(0, "sys", "x", payload={"k": 1}), _ev(1, "sip", "a.b"),
+              _ev(2, "sip", "[b]"), _ev(3, "media", "A(1)+"), _ev(4, "sys", "e", payload={})]
+    for rule, ok in (
+        ({"kind": "absent", "pattern": 'x{"k'}, False),        # summary then payload
+        ({"kind": "absent", "pattern": '"k": 1'}, False),      # json.dumps spacing
+        ({"kind": "absent", "pattern": "e{}"}, False),         # an empty payload counts
+        ({"kind": "count", "summary": "a.b", "equals": 1}, True),
+        ({"kind": "count", "summary": "a?b", "equals": 1}, True),
+        ({"kind": "count", "summary": "a.c", "equals": 0}, True),
+        ({"kind": "count", "summary": "[[]b]", "equals": 1}, True),
+        ({"kind": "count", "summary": "[!a]*", "equals": 4}, True),
+        ({"kind": "count", "summary": "a(1)+", "equals": 0}, True),   # case-sensitive
+        ({"kind": "count", "summary": "A(1)+", "equals": 1}, True),
+        ({"kind": "count", "layer": "oobe", "equals": 0}, True),
+    ):
+        assert _oracle(events, rule).ok is ok
+        assert evaluate_all(events, [rule]) == [_oracle(events, rule)]
+
+
 # ---------------------------------------------------------------------------
 # scenario loading and validation
 
@@ -225,6 +404,14 @@ def test_validate_rejects_bad_shapes():
         {"name": "x", "topology": {"lans": [{"name": "a", "prefix": "10.1.1"}],
                                    "wifi": [{"ssid": "n", "lan": "a",
                                              "passphrase": "short"}]}},
+        {"name": "x", "topology": {"accounts": [{"id": "a", "password": "p"},
+                                                {"id": "a", "password": "q"}]}},
+        {"name": "x", "topology": {"devices": [{"serial": "EK-1", "host": "h1"},
+                                               {"serial": "EK-1", "host": "h2"}]}},
+        {"name": "x", "topology": {"lans": [{"name": "a", "prefix": "10.1.1"},
+                                            {"name": "a", "prefix": "10.1.2"}]}},
+        {"name": "x", "topology": {"attackers": [{"name": "m", "kind": "eavesdropper"},
+                                                 {"name": "m", "kind": "eavesdropper"}]}},
     ):
         with pytest.raises(ScenarioError):
             validate_scenario(scn)
@@ -261,6 +448,10 @@ def test_validate_scenario_checks_references():
                          "device": "EK-TEST-0009"}]), "no client named 'ph'"),
         (_mini(actions=[{"op": "refresh", "device": "ghost"}]),
          "no device named 'ghost'"),
+        (broken("accounts", {"id": "a1", "password": "other"}),
+         r"scenario 'mini' accounts\[1\]: duplicate account 'a1'"),
+        (broken("devices", {"serial": "EK-TEST-0009", "host": "box2"}),
+         r"devices\[1\]: duplicate device 'EK-TEST-0009'"),
     ):
         with pytest.raises(ScenarioError, match=complaint):
             validate_scenario(scn)
@@ -333,7 +524,7 @@ def test_run_scenario_seed_override_beats_file_seed():
 
 def test_setup_errors_raise_scenario_error():
     scn = _mini()
-    scn["topology"]["lans"].append({"name": "home-a", "prefix": "192.168.78"})
+    scn["topology"]["devices"].append({"serial": "EK-TEST-0010", "host": "box"})
     with pytest.raises(ScenarioError, match="setup failed"):
         run_scenario(scn)
     scn2 = _mini(actions=[{"op": "refresh", "device": "ghost"}])
@@ -461,6 +652,12 @@ def test_cli_requires_a_subcommand(capsys):
     pytest.param(_mini(topology={"lans": [{"name": "home-a", "prefix": "192.168.77",
                                            "nat": "no"}]}), id="nat-string"),
     pytest.param(_mini(assertions=[{"kind": "count", "equals": True}]), id="equals-bool"),
+    pytest.param(_mini(topology={"accounts": [{"id": "a", "password": "p"},
+                                              {"id": "a", "password": "q"}]}),
+                 id="duplicate-account"),
+    pytest.param(_mini(topology={"devices": [{"serial": "EK-1", "host": "h1"},
+                                             {"serial": "EK-1", "host": "h2"}]}),
+                 id="duplicate-serial"),
 ])
 def test_cli_run_refuses_an_invalid_scenario(tmp_path, capsys, scn):
     path = tmp_path / "scenario.json"

@@ -393,6 +393,18 @@ class TestSrtp:
         with pytest.raises(CryptoError, match="replay"):
             srtp_unprotect(rx, pkts[1])
 
+    def test_reorder_across_rollover(self):
+        # RFC 3711 3.3.1: a late packet from before the 32-bit wrap keeps
+        # the old rollover count; it must not be guessed 2^32 too high
+        tx, rx = self.contexts()
+        tx.send_index = 2**32 - 3
+        payloads = [bytes([i]) * 160 for i in range(8)]
+        pkts = [srtp_protect(tx, p) for p in payloads]
+        for i in (0, 3, 1, 4, 2, 6, 5, 7):   # 3 = index 2^32, the wrap
+            assert srtp_unprotect(rx, pkts[i]) == payloads[i]
+        assert rx.replay_drops == 0 and rx.auth_failures == 0
+        assert (rx.recv_highest, rx.recv_roc) == (2**32 + 4, 1)
+
     def test_stale_beyond_window_dropped(self):
         tx, rx = self.contexts()
         first = srtp_protect(tx, bytes(160))

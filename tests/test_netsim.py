@@ -104,6 +104,14 @@ class TestRouting:
         net.detach(a, "home")
         assert net.attach(c, "home") == "10.0.0.1"
 
+    def test_full_lan_names_the_limit(self):
+        net = Network()
+        net.add_lan("home", "10.0.0")
+        for i in range(254):
+            net.attach(net.add_host(f"h{i}"), "home")
+        with pytest.raises(NetError, match="LAN home is full: 254 hosts per LAN"):
+            net.attach(net.add_host("one-too-many"), "home")
+
     def test_outbound_through_nat_allowed(self):
         net, dev, api = two_lan_net()
         api.listen(443, lambda ep: None)
@@ -309,6 +317,13 @@ class TestPairingNetwork:
         pair.join(phone)
         with pytest.raises(NetError):
             net.open_channel(phone, api.addr("cloud"), 443)
+
+    def test_pool_exhaustion_names_the_limit(self):
+        net = Network()
+        for i in range(20):
+            PairingNetwork(net, net.add_host(f"dev{i}"), f"Amazon-{i}")
+        with pytest.raises(NetError, match="20 concurrent setup networks"):
+            PairingNetwork(net, net.add_host("dev20"), "Amazon-20")
 
     def test_teardown_frees_prefix_for_reuse(self):
         net = Network()
