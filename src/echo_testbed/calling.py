@@ -33,22 +33,19 @@ from dataclasses import dataclass
 from . import crypto, wire
 from .netsim import Endpoint, NetError, Network
 
-SIP_PORT = 443
 MEDIA_CADENCE_MS = 20
 DEFAULT_FRAME_COUNT = 6
 FRAME_LEN = 160
 DEFAULT_ANSWER_DELAY_MS = 400
 BYE_GRACE_MS = 60
 
-SIP_DOMAIN = "echo.example"
-
 
 def device_uri(serial: str) -> str:
-    return f"sip:dev-{serial}@{SIP_DOMAIN}"
+    return f"sip:dev-{serial}@{wire.DOMAIN}"
 
 
 def account_uri(account_id: str) -> str:
-    return f"sip:user-{account_id}@{SIP_DOMAIN}"
+    return f"sip:user-{account_id}@{wire.DOMAIN}"
 
 
 def make_sip_request(method: str, uri: str, *, from_uri: str, to_uri: str,
@@ -62,14 +59,14 @@ def make_sip_request(method: str, uri: str, *, from_uri: str, to_uri: str,
                            headers=hdrs, body=body)
 
 
-def make_sip_response(req: wire.SipMessage, status: int, reason: str, *,
+def make_sip_response(req: wire.SipMessage, status: int, *,
                       headers: list[tuple[str, str]] | None = None,
                       body: bytes = b"") -> wire.SipMessage:
     hdrs = [(k, v) for k, v in req.headers
             if k.lower() in ("via", "from", "to", "call-id", "cseq")]
     hdrs.extend(headers or [])
-    return wire.SipMessage(kind="response", status=status, reason=reason,
-                           headers=hdrs, body=body)
+    return wire.SipMessage(kind="response", status=status,
+                           reason=wire.SIP_STATUSES[status], headers=hdrs, body=body)
 
 
 def sip_summary(msg: wire.SipMessage) -> str:
@@ -78,17 +75,22 @@ def sip_summary(msg: wire.SipMessage) -> str:
     return f"{msg.status}-{msg.cseq_method}"
 
 
+def send_sip(chan: Endpoint, msg: wire.SipMessage, summary: str | None = None) -> None:
+    """Put one SIP message on chan and trace it by summary and Call-ID."""
+    chan.send(wire.sip_serialize(msg), layer="sip", summary=summary or sip_summary(msg),
+              payload={"call_id": msg.header("Call-ID")})
+
+
+def send_control(chan: Endpoint, interface: str, name: str, payload) -> None:
+    """Put one control message on chan and trace it by its qualified name."""
+    msg = wire.ControlMessage(interface=interface, name=name, payload=payload)
+    chan.send(wire.control_encode(msg), layer="control", summary=msg.qualified,
+              payload={"name": msg.qualified})
+
+
 def canary_payload(tag: str, seq: int) -> bytes:
     text = f"CANARY:{tag}:{seq}:"
     return (text.encode() + b"\x00" * FRAME_LEN)[:FRAME_LEN]
-
-
-def _shares_lan(host, addr: str) -> str | None:
-    prefix = addr.rsplit(".", 1)[0]
-    for lan_name, own in host.interfaces.items():
-        if own.rsplit(".", 1)[0] == prefix:
-            return lan_name
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +192,6 @@ class CommsEndpoint:
         self.last_invite: wire.SipMessage | None = None
         self._call_seq = 0
         self._media_port_next = 20000
-        self._sip_rx = b""
 
     # -- provisioning ------------------------------------------------------
 
@@ -201,11 +202,8 @@ class CommsEndpoint:
         self._send_control("ConfigureCommsRequest", {"serial": self.serial})
 
     def _send_control(self, name: str, payload: dict) -> None:
-        if self.control is None or self.control.closed:
-            return
-        msg = wire.ControlMessage(interface="SipClient", name=name, payload=payload)
-        self.control.send(wire.control_encode(msg), layer="control",
-                          summary=msg.qualified, payload={"name": msg.qualified})
+        if self.control is not None and not self.control.closed:
+            send_control(self.control, "SipClient", name, payload)
 
     def handle_control(self, msg: wire.ControlMessage) -> None:
         """Dispatch one SipClient.* message from the cloud channel."""
@@ -220,11 +218,11 @@ class CommsEndpoint:
 
     def _on_comms_config(self, cfg: dict) -> None:
         registrar_addr = cfg["registrar"]
-        self.sip = self.network.open_channel(self.host, registrar_addr, SIP_PORT,
+        self.sip = self.network.open_channel(self.host, registrar_addr, wire.TLS_PORT,
                                              secured=True)
         self.sip.handler = lambda _end, data: self._on_sip(data)
         reg = make_sip_request(
-            "REGISTER", f"sip:{SIP_DOMAIN}", from_uri=self.uri, to_uri=self.uri,
+            "REGISTER", f"sip:{wire.DOMAIN}", from_uri=self.uri, to_uri=self.uri,
             call_id=f"reg-{self.serial}", cseq=1, via=self._via(),
             headers=[("Contact", f"<sip:dev-{self.serial}@{self._via()}>"),
                      ("X-authtoken", self.auth_token_b64 or ""),
@@ -232,16 +230,11 @@ class CommsEndpoint:
         self._send_sip(reg)
 
     def _via(self) -> str:
-        for lan_name, addr in self.host.interfaces.items():
-            if not self.network.lans[lan_name].isolated:
-                return addr
-        return next(iter(self.host.interfaces.values()), "0.0.0.0")
+        return self.host.interfaces.get(self.network.uplink(self.host), "0.0.0.0")
 
     def _send_sip(self, msg: wire.SipMessage) -> None:
-        if self.sip is None or self.sip.closed:
-            return
-        self.sip.send(wire.sip_serialize(msg), layer="sip", summary=sip_summary(msg),
-                      payload={"call_id": msg.header("Call-ID")})
+        if self.sip is not None and not self.sip.closed:
+            send_sip(self.sip, msg)
 
     # -- outbound calls ----------------------------------------------------
 
@@ -342,8 +335,9 @@ class CommsEndpoint:
     def _dial_media(self, call: Call) -> Endpoint | None:
         peer_host = next((c for c in call.remote_sdp.candidates if c.kind == "host"), None)
         peer_relay = next((c for c in call.remote_sdp.candidates if c.kind == "relay"), None)
-        if call.role == "callee" and peer_host is not None \
-                and _shares_lan(self.host, peer_host.address):
+        peer_lan = self.network.lan_of(peer_host.address) if peer_host else None
+        if call.role == "callee" and peer_lan is not None \
+                and peer_lan.name in self.host.interfaces:
             # the caller dials us on this LAN; answer on that same channel
             self.network.note(self.host, "sys", "path:direct",
                               payload={"call_id": call.call_id})
@@ -406,20 +400,20 @@ class CommsEndpoint:
             self._on_cancel(msg, call_id)
         elif msg.method == "BYE":
             call = self.calls.get(call_id)
-            self._send_sip(make_sip_response(msg, 200, "OK"))
+            self._send_sip(make_sip_response(msg, 200))
             if call is not None and call.state != "closed":
                 self._teardown_call(call)
         else:
-            self._send_sip(make_sip_response(msg, 404, "Not Found"))
+            self._send_sip(make_sip_response(msg, 404))
 
     def _on_invite(self, msg: wire.SipMessage, call_id: str) -> None:
         if any(c.state in ("ringing", "established", "inviting") for c in self.calls.values()):
-            self._send_sip(make_sip_response(msg, 486, "Busy Here"))
+            self._send_sip(make_sip_response(msg, 486))
             return
         try:
             offer = wire.sdp_decode(msg.body)
         except wire.WireError:
-            self._send_sip(make_sip_response(msg, 404, "Not Found"))
+            self._send_sip(make_sip_response(msg, 404))
             return
         caller = (msg.header("From") or "").strip("<>")
         call = Call(call_id=call_id, role="callee", peer_uri=caller,
@@ -433,7 +427,7 @@ class CommsEndpoint:
             self._answer(call)
         else:
             call.state = "ringing"
-            self._send_sip(make_sip_response(msg, 180, "Ringing"))
+            self._send_sip(make_sip_response(msg, 180))
             self.network.scheduler.at(self.answer_delay_ms, self._answer_if_ringing, call)
 
     def _answer_if_ringing(self, call: Call) -> None:
@@ -444,17 +438,17 @@ class CommsEndpoint:
         call.local_sdp = self._build_sdp(call)
         call.state = "established"
         self._send_sip(make_sip_response(
-            call.invite, 200, "OK",
+            call.invite, 200,
             headers=[("Content-Type", "application/sdp")],
             body=wire.sdp_encode(call.local_sdp)))
         self._establish_media(call)
 
     def _on_cancel(self, msg: wire.SipMessage, call_id: str) -> None:
         call = self.calls.get(call_id)
-        self._send_sip(make_sip_response(msg, 200, "OK"))
+        self._send_sip(make_sip_response(msg, 200))
         if call is not None and call.state == "ringing":
             invite = call.invite
-            cancelled = make_sip_response(invite, 487, "Request Terminated")
+            cancelled = make_sip_response(invite, 487)
             self._send_sip(cancelled)
             call.state = "closed"
             if call.media_port is not None:

@@ -40,11 +40,17 @@ from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .calling import DEFAULT_ANSWER_DELAY_MS, DEFAULT_FRAME_COUNT
 from .client import CompanionApp, Eavesdropper, Hijacker, WifiCredential
-from .cloud import CloudServices
+from .cloud import CLOUD_LAN, CLOUD_PREFIX, CloudServices
 from .device import EchoDevice, WifiNetwork, WifiNetworkTable
-from .netsim import TRACE_LAYERS, BudgetExceeded, NetError, Network, parse_jsonl
+from .netsim import (
+    SETUP_PREFIXES,
+    TRACE_LAYERS,
+    BudgetExceeded,
+    NetError,
+    Network,
+    parse_jsonl,
+)
 
 SCENARIO_BUDGET = 100_000   # every built-in quiesces well inside this
 
@@ -83,11 +89,17 @@ def _is_strings(val) -> bool:
     return isinstance(val, list) and all(isinstance(s, str) for s in val)
 
 
+_OCTET = "(25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_PREFIX = re.compile(rf"{_OCTET}\.{_OCTET}\.{_OCTET}")
+
+
 _TYPES = {   # type -> (check, what the message says a value must be)
     "string": (lambda v: isinstance(v, str), "a string"),
     "count": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
     "flag": (lambda v: isinstance(v, bool), "true or false"),
     "strings": (_is_strings, "a list of strings"),
+    "prefix": (lambda v: isinstance(v, str) and _PREFIX.fullmatch(v) is not None,
+               "three dot-separated decimal octets 0-255, e.g. '192.168.50'"),
     "steps": (lambda v: isinstance(v, list) and all(
         _is_strings(s) and len(s) == 2 and s[0] in ("*", *TRACE_LAYERS) for s in v),
         "a list of [layer, summary-pattern] pairs"),
@@ -106,12 +118,12 @@ TOPOLOGY_SECTIONS = {   # section -> (field that names an entry, what an entry i
     "attackers": ("name", "attacker"),
 }
 
-_DEVICE = {
-    "serial": _REQ_STR, "host": _STR, "state": _STR,
-    "visible_wifi": Field("strings", ref="wifi"),
+_COMMS = {   # the device fields build_world hands to its CommsEndpoint
     "intercom": Field("flag"), "answer_delay_ms": Field("count"),
     "frame_count": Field("count"), "auto_bye": Field("flag"),
 }
+_DEVICE = {"serial": _REQ_STR, "host": _STR, "state": _STR,
+           "visible_wifi": Field("strings", ref="wifi"), **_COMMS}
 _OPS = {   # op -> its fields besides op, at and device
     "start_pairing": {"client": Field("string", True, ref="clients")},
     "tap_pairing": {"attacker": Field("string", True, ref="attackers")},
@@ -134,7 +146,7 @@ SCHEMA = {
         "topology": Field("object"), "actions": Field("list"),
         "assertions": Field("list")}}),
     "topology": ("", {"": {section: Field("list") for section in TOPOLOGY_SECTIONS}}),
-    "lans": ("", {"": {"name": _REQ_STR, "prefix": _REQ_STR,
+    "lans": ("", {"": {"name": _REQ_STR, "prefix": Field("prefix", True),
                        "nat": Field("flag"), "isolated": Field("flag")}}),
     "accounts": ("", {"": {"id": _REQ_STR, "password": _REQ_STR}}),
     "wifi": ("", {"": {"ssid": _REQ_STR, "lan": Field("string", True, ref="lans"),
@@ -217,6 +229,12 @@ def validate_scenario(scn) -> None:
             if entry[key] in seen:   # a later entry would replace the earlier
                 raise ScenarioError(f"{where} {section}[{i}]: duplicate {what} {entry[key]!r}")
             seen.add(entry[key])
+    taken = {CLOUD_PREFIX: "the cloud LAN", **dict.fromkeys(SETUP_PREFIXES, "setup networks")}
+    for i, lan in enumerate(topo.get("lans", [])):
+        if lan["prefix"] in taken:
+            raise ScenarioError(f"{where} lans[{i}]: 'prefix' {lan['prefix']!r} "
+                                f"is used by {taken[lan['prefix']]}")
+        taken[lan["prefix"]] = f"LAN {lan['name']!r}"
     for i, entry in enumerate(topo.get("wifi", [])):
         try:   # the phone refuses to provision a credential outside these rules
             WifiCredential(ssid=entry["ssid"], passphrase=entry["passphrase"]).validate()
@@ -226,7 +244,7 @@ def validate_scenario(scn) -> None:
         _check_record(act, "actions", f"{where} action[{i}]", refs)
     for i, rule in enumerate(scn.get("assertions", [])):
         validate_assertion(rule, f"{where} assertion[{i}]")
-    names["lans"].add("cloud")   # build_world always adds it
+    names["lans"].add(CLOUD_LAN)   # build_world always adds it
     for spot, spec, val in refs:
         for name in val if spec.type == "strings" else [val]:
             if name not in names[spec.ref]:
@@ -279,7 +297,7 @@ def build_world(scn: dict, seed: str) -> World:
     """Build the topology of a scenario that validate_scenario accepted."""
     topo = scn.get("topology", {})
     net = Network()
-    net.add_lan("cloud", "10.0.0")
+    net.add_lan(CLOUD_LAN, CLOUD_PREFIX)
     cloud = CloudServices(net, _component_rng(seed, "cloud"))
     world = World(network=net, cloud=cloud)
 
@@ -301,11 +319,7 @@ def build_world(scn: dict, seed: str) -> World:
         dev = EchoDevice(
             net, serial, _component_rng(seed, f"device:{serial}"),
             WifiNetworkTable([world.wifi[ssid] for ssid in visible]),
-            name=entry.get("host"),
-            intercom=entry.get("intercom", True),
-            answer_delay_ms=entry.get("answer_delay_ms", DEFAULT_ANSWER_DELAY_MS),
-            frame_count=entry.get("frame_count", DEFAULT_FRAME_COUNT),
-            auto_bye=entry.get("auto_bye", True))
+            name=entry.get("host"), **{k: entry[k] for k in _COMMS if k in entry})
         cloud.provision_factory(serial, dev.cert, dev.device_secret)
         if entry.get("state") == "paired":
             dev.provision_paired(entry["lan"],

@@ -25,12 +25,8 @@ from dataclasses import dataclass
 from . import crypto, wire
 from .netsim import Endpoint, NetError, Network, Observation, PairingNetwork
 
-OOBE_PORT = 8080
-TUNNEL_PORT = 443
 REG_POLL_MS = 200
 REG_POLL_MAX = 60
-
-API_NAME = "api.echo.example"
 
 
 @dataclass(frozen=True)
@@ -50,9 +46,8 @@ class WifiCredential:
             raise ValueError(f"unknown security mode {self.security!r}")
 
     def canonical_bytes(self) -> bytes:
-        return json.dumps({"ssid": self.ssid, "passphrase": self.passphrase,
-                           "security": self.security},
-                          sort_keys=True, separators=(",", ":")).encode()
+        return crypto.canonical_json({"ssid": self.ssid, "passphrase": self.passphrase,
+                                      "security": self.security})
 
     @classmethod
     def from_canonical_bytes(cls, data: bytes) -> "WifiCredential":
@@ -80,7 +75,6 @@ class CompanionApp:
         self.oobe: Endpoint | None = None
         self.tunnel: Endpoint | None = None
         self.device_cert: crypto.DeviceCertificate | None = None
-        self.device_serial: str | None = None
         self.link_code: str | None = None
         self.outcome: str | None = None   # set when the flow ends
         self._device_addr: str | None = None
@@ -96,7 +90,7 @@ class CompanionApp:
         if pairing.lan.name not in self.host.interfaces:
             pairing.join(self.host)
         self._device_addr = pairing.owner_addr
-        self.oobe = self.network.open_channel(self.host, self._device_addr, OOBE_PORT)
+        self.oobe = self.network.open_channel(self.host, self._device_addr, wire.OOBE_PORT)
         self.oobe.handler = lambda end, data: self._on_oobe(data)
         self._send_oobe("ping", {})
 
@@ -132,7 +126,6 @@ class CompanionApp:
         if not crypto.verify_certificate(self.device_cert):
             self._finish("bad-certificate")
             return
-        self.device_serial = args.get("serial")
         self._send_oobe("getScanList", {})
 
     def _after_getScanList(self, args: dict) -> None:
@@ -182,10 +175,11 @@ class CompanionApp:
 
     def _open_tunnel(self) -> None:
         self.tunnel = self.network.open_channel(self.host, self._device_addr,
-                                                TUNNEL_PORT, secured=True)
+                                                wire.TLS_PORT, secured=True)
         self.tunnel.handler = lambda end, data: self._on_tunnel(data)
         connect = wire.HttpMessage(kind="request", method="CONNECT",
-                                   path=f"{API_NAME}:443", headers=[], body=b"")
+                                   path=f"{wire.API_NAME}:{wire.TLS_PORT}",
+                                   headers=[], body=b"")
         self.tunnel.send(wire.http_serialize(connect), layer="http", summary="CONNECT")
 
     def _on_tunnel(self, data: bytes) -> None:
@@ -299,8 +293,8 @@ class Hijacker(Eavesdropper):
 
     def _race_registration(self, code: str) -> None:
         try:
-            addr = self.network.lookup(API_NAME, self.host)
-            chan = self.network.open_channel(self.host, addr, 443, secured=True)
+            addr = self.network.lookup(wire.API_NAME, self.host)
+            chan = self.network.open_channel(self.host, addr, wire.TLS_PORT, secured=True)
         except NetError:
             self.result = "no-route"
             return

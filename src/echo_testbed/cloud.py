@@ -20,18 +20,16 @@ decrypt any call it relays, and tests assert exactly that.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from . import crypto, wire
 from .calling import (
-    SIP_DOMAIN,
-    SIP_PORT,
     account_uri,
     device_uri,
     make_sip_request,
     make_sip_response,
-    sip_summary,
+    send_control,
+    send_sip,
 )
 from .netsim import Endpoint, NetError, Network
 
@@ -42,6 +40,9 @@ LINK_CODE_TTL_MS = 600_000
 AVS_FRESHNESS_MS = 30_000
 CALL_TOKEN_TTL_MS = 300_000
 GATEWAY_ANSWER_MS = 120
+
+CLOUD_LAN = "cloud"
+CLOUD_PREFIX = "10.0.0"
 
 API_HOST = "api"
 AVS_HOST = "avs"
@@ -101,10 +102,9 @@ class ProxyCall:
 
 
 class CloudServices:
-    def __init__(self, network: Network, rng, lan_name: str = "cloud"):
+    def __init__(self, network: Network, rng):
         self.network = network
         self.rng = rng
-        self.lan_name = lan_name
         self.keypair = crypto.keygen(rng)
 
         self.accounts: dict[str, str] = {}           # account id -> password
@@ -129,14 +129,13 @@ class CloudServices:
         self.hosts = {}
         for name in (API_HOST, AVS_HOST, SIP_HOST, RELAY_HOST, GATEWAY_HOST):
             host = network.add_host(name)
-            network.attach(host, lan_name)
+            network.attach(host, CLOUD_LAN)
             self.hosts[name] = host
-            network.register_name(f"{name}.{SIP_DOMAIN}",
-                                  host.addr(lan_name))
+            network.register_name(f"{name}.{wire.DOMAIN}", host.addr(CLOUD_LAN))
 
-        self.hosts[API_HOST].listen(443, self._accept_api)
-        self.hosts[AVS_HOST].listen(443, self._accept_avs)
-        self.hosts[SIP_HOST].listen(SIP_PORT, self._accept_sip)
+        self.hosts[API_HOST].listen(wire.TLS_PORT, self._accept_api)
+        self.hosts[AVS_HOST].listen(wire.TLS_PORT, self._accept_avs)
+        self.hosts[SIP_HOST].listen(wire.TLS_PORT, self._accept_sip)
 
     # -- scenario-facing administration -------------------------------------
 
@@ -294,11 +293,6 @@ class CloudServices:
             if end is chan:
                 del self.avs_sessions[serial]
 
-    def _avs_send(self, chan: Endpoint, interface: str, name: str, payload) -> None:
-        msg = wire.ControlMessage(interface=interface, name=name, payload=payload)
-        chan.send(wire.control_encode(msg), layer="control", summary=msg.qualified,
-                  payload={"name": msg.qualified})
-
     def _on_avs(self, chan: Endpoint, data: bytes) -> None:
         try:
             msg = wire.control_decode(data)
@@ -326,15 +320,12 @@ class CloudServices:
         if record is None or not record.registered:
             reason = "not-registered"
         if reason is None:
-            signed = json.dumps(
-                {"auth_token": p.get("auth_token"), "device_type": p.get("device_type"),
-                 "serial": serial, "timestamp": p.get("timestamp")},
-                sort_keys=True, separators=(",", ":")).encode()
             try:
                 sig = bytes.fromhex(p.get("signature", ""))
             except ValueError:
                 sig = b""
-            if not crypto.verify_detached(record.identity_pub, signed, sig):
+            if not crypto.verify_detached(record.identity_pub,
+                                          crypto.hello_signed_bytes(p), sig):
                 reason = "bad-signature"
         if reason is None:
             try:
@@ -354,26 +345,26 @@ class CloudServices:
         if reason is not None:
             self.network.note(AVS_HOST, "sys", f"avs:rejected:{reason}",
                               payload={"serial": serial})
-            self._avs_send(chan, "System", "NegotiationRejected", {"reason": reason})
+            send_control(chan, "System", "NegotiationRejected", {"reason": reason})
             return
         self._avs_last_ts[serial] = p["timestamp"]
         self.avs_sessions[serial] = chan
         self._avs_session_seq += 1
         self.network.note(AVS_HOST, "sys", f"avs:accepted:{serial}")
-        self._avs_send(chan, "System", "NegotiationAccepted",
-                       {"session": f"avs-{self._avs_session_seq}"})
+        send_control(chan, "System", "NegotiationAccepted",
+                     {"session": f"avs-{self._avs_session_seq}"})
 
     def _on_sipclient_control(self, chan: Endpoint, msg: wire.ControlMessage) -> None:
         payload = msg.payload or {}
         if msg.name == "ConfigureCommsRequest":
             serial = self._avs_serial_for(chan)
             if serial is None or payload.get("serial") != serial:
-                self._avs_send(chan, "SipClient", "ConfigureCommsResponse",
-                               {"error": "no negotiated session"})
+                send_control(chan, "SipClient", "ConfigureCommsResponse",
+                             {"error": "no negotiated session"})
                 return
             record = self.registry[serial]
-            self._avs_send(chan, "SipClient", "ConfigureCommsResponse", {
-                "registrar": self.hosts[SIP_HOST].addr(self.lan_name),
+            send_control(chan, "SipClient", "ConfigureCommsResponse", {
+                "registrar": self.hosts[SIP_HOST].addr(CLOUD_LAN),
                 "own_uri": device_uri(serial),
                 "user_uri": account_uri(record.account),
             })
@@ -394,31 +385,25 @@ class CloudServices:
             self.keypair, caller=device_uri(caller_serial), callee=callee,
             call_type=call_type, ttl=CALL_TOKEN_TTL_MS,
             now=self.network.scheduler.now, rng=self.rng)
-        self._avs_send(chan, "SipClient", "BeginCall",
-                       {"callee": callee, "call_type": call_type, "token": token.b64()})
+        send_control(chan, "SipClient", "BeginCall",
+                     {"callee": callee, "call_type": call_type, "token": token.b64()})
 
     def end_call(self, serial: str) -> None:
         chan = self.avs_sessions.get(serial)
         if chan is None:
             raise NetError(f"{serial} has no voice-service session")
-        self._avs_send(chan, "SipClient", "EndCall", {})
+        send_control(chan, "SipClient", "EndCall", {})
 
     def refresh(self, serial: str) -> None:
         chan = self.avs_sessions.get(serial)
         if chan is None:
             raise NetError(f"{serial} has no voice-service session")
-        self._avs_send(chan, "System", "Refresh", {})
+        send_control(chan, "System", "Refresh", {})
 
     # -- SIP registrar and proxy ------------------------------------------------
 
     def _accept_sip(self, chan: Endpoint) -> None:
         chan.handler = lambda end, data: self._on_sip(end, data)
-
-    def _sip_send(self, chan: Endpoint, msg: wire.SipMessage,
-                  summary: str | None = None) -> None:
-        chan.send(wire.sip_serialize(msg), layer="sip",
-                  summary=summary or sip_summary(msg),
-                  payload={"call_id": msg.header("Call-ID")})
 
     def _on_sip(self, chan: Endpoint, data: bytes) -> None:
         try:
@@ -432,7 +417,7 @@ class CloudServices:
                         "CANCEL": self._sip_cancel_from_client}
             handler = dispatch.get(msg.method)
             if handler is None:
-                self._sip_send(chan, make_sip_response(msg, 404, "Not Found"))
+                send_sip(chan, make_sip_response(msg, 404))
                 return
             handler(chan, msg)
         else:
@@ -445,7 +430,7 @@ class CloudServices:
                                             crypto.AuthToken.from_b64(token_b64))
         except crypto.CryptoError:
             self.network.note(SIP_HOST, "sys", "sip:bind-refused:bad-token")
-            self._sip_send(chan, make_sip_response(msg, 403, "Forbidden"))
+            send_sip(chan, make_sip_response(msg, 403))
             return
         serial = claims["serial"]
         record = self.registry.get(serial)
@@ -454,7 +439,7 @@ class CloudServices:
                 or record.account != claims["account"] \
                 or from_uri != device_uri(serial):
             self.network.note(SIP_HOST, "sys", "sip:bind-refused:identity")
-            self._sip_send(chan, make_sip_response(msg, 403, "Forbidden"))
+            send_sip(chan, make_sip_response(msg, 403))
             return
         binding = Binding(uri=device_uri(serial), serial=serial,
                           account=record.account,
@@ -469,7 +454,7 @@ class CloudServices:
                                 if b.serial != serial] + [binding]
         self.network.note(SIP_HOST, "sys", f"sip:bind:{binding.uri}",
                           payload={"account": record.account})
-        self._sip_send(chan, make_sip_response(msg, 200, "OK"))
+        send_sip(chan, make_sip_response(msg, 200))
 
     def _binding_for_chan(self, chan: Endpoint) -> Binding | None:
         for blist in self.bindings.values():
@@ -482,7 +467,7 @@ class CloudServices:
         caller = self._binding_for_chan(chan)
         call_id = msg.header("Call-ID") or ""
         if caller is None:
-            self._sip_send(chan, make_sip_response(msg, 403, "Forbidden"))
+            send_sip(chan, make_sip_response(msg, 403))
             return
         from_uri = (msg.header("From") or "").strip("<>")
         to_uri = (msg.header("To") or "").strip("<>")
@@ -495,12 +480,12 @@ class CloudServices:
                 self.keypair.public, token, from_uri, to_uri, now, self.nonce_cache):
             self.network.note(SIP_HOST, "sys", "call-token:rejected",
                               payload={"call_id": call_id})
-            self._sip_send(chan, make_sip_response(msg, 403, "Forbidden"))
+            send_sip(chan, make_sip_response(msg, 403))
             return
         if from_uri != caller.uri:
             self.network.note(SIP_HOST, "sys", "call-token:rejected",
                               payload={"call_id": call_id, "reason": "uri-spoof"})
-            self._sip_send(chan, make_sip_response(msg, 403, "Forbidden"))
+            send_sip(chan, make_sip_response(msg, 403))
             return
         self.network.note(SIP_HOST, "sys", "call-token:accepted",
                           payload={"call_id": call_id})
@@ -508,7 +493,7 @@ class CloudServices:
         try:
             offer = wire.sdp_decode(msg.body)
         except wire.WireError:
-            self._sip_send(chan, make_sip_response(msg, 404, "Not Found"))
+            send_sip(chan, make_sip_response(msg, 404))
             return
         call = ProxyCall(call_id=call_id, caller=caller, from_uri=from_uri,
                          to_uri=to_uri, call_type=token.call_type, invite=msg)
@@ -518,7 +503,7 @@ class CloudServices:
         if self._is_gateway_uri(to_uri):
             self.calls[call_id] = call
             call.gateway = True
-            self._sip_send(chan, make_sip_response(msg, 100, "Trying"))
+            send_sip(chan, make_sip_response(msg, 100))
             self.network.scheduler.at(GATEWAY_ANSWER_MS, self._gateway_answer, call)
             return
 
@@ -526,16 +511,16 @@ class CloudServices:
         if targets is None:
             self.network.note(SIP_HOST, "sys", "call-refused:drop-in-not-permitted",
                               payload={"call_id": call_id})
-            self._sip_send(chan, make_sip_response(msg, 403, "Forbidden"))
+            send_sip(chan, make_sip_response(msg, 403))
             return
         if not targets:
-            self._sip_send(chan, make_sip_response(msg, 404, "Not Found"))
+            send_sip(chan, make_sip_response(msg, 404))
             return
         self.calls[call_id] = call
-        self._sip_send(chan, make_sip_response(msg, 100, "Trying"))
+        send_sip(chan, make_sip_response(msg, 100))
         relay_port = self._relay_allocate(call_id)
         call.relay_port = relay_port
-        relay_addr = self.hosts[RELAY_HOST].addr(self.lan_name)
+        relay_addr = self.hosts[RELAY_HOST].addr(CLOUD_LAN)
         fwd_offer = wire.SdpBody(
             session_id=offer.session_id, media_port=offer.media_port,
             candidates=list(offer.candidates)
@@ -548,12 +533,12 @@ class CloudServices:
             fwd = make_sip_request(
                 "INVITE", target.uri, from_uri=from_uri, to_uri=to_uri,
                 call_id=call_id, cseq=1,
-                via=self.hosts[SIP_HOST].addr(self.lan_name),
+                via=self.hosts[SIP_HOST].addr(CLOUD_LAN),
                 headers=[("X-calltype", token.call_type),
                          ("Content-Type", "application/sdp")]
                 + ([("X-intercom", "yes")] if intercom else []),
                 body=wire.sdp_encode(fwd_offer))
-            self._sip_send(target.chan, fwd, summary="INVITE-leg")
+            send_sip(target.chan, fwd, summary="INVITE-leg")
 
     def _is_gateway_uri(self, uri: str) -> bool:
         return uri.startswith("tel:") or "@pstn." in uri or "@skype." in uri
@@ -589,16 +574,16 @@ class CloudServices:
         key_salt = self.rng.randbytes(wire.SRTP_KEY_LEN + wire.SRTP_SALT_LEN)
         answer = wire.SdpBody(
             session_id=f"gw-{call.call_id}", media_port=port,
-            candidates=[wire.Candidate("host", gateway_host.addr(self.lan_name), port)],
+            candidates=[wire.Candidate("host", gateway_host.addr(CLOUD_LAN), port)],
             crypto_suite=wire.SDES_SUITE, key_salt=key_salt)
         self.recorded_keys[call.call_id]["answer"] = key_salt
         call.state = "established"
         self.network.note(GATEWAY_HOST, "sys", f"gateway:answered:{call.call_id}")
-        resp = make_sip_response(call.invite, 200, "OK",
+        resp = make_sip_response(call.invite, 200,
                                  headers=[("Content-Type", "application/sdp"),
                                           ("X-leg", "gateway")],
                                  body=wire.sdp_encode(answer))
-        self._sip_send(call.caller.chan, resp)
+        send_sip(call.caller.chan, resp)
 
     def _gateway_media(self, port: int, end: Endpoint) -> None:
         def sink(_end, _data):
@@ -665,7 +650,7 @@ class CloudServices:
             # completion of a BYE we forwarded; relay it to the other party
             other = self._other_chan(call, chan)
             if other is not None:
-                self._sip_send(other, msg)
+                send_sip(other, msg)
             self._call_close(call)
         elif method == "CANCEL":
             pass  # 200 for our CANCEL; the 487 settles the leg
@@ -674,7 +659,7 @@ class CloudServices:
                              msg: wire.SipMessage) -> None:
         if msg.status == 180:
             leg.state = "ringing"
-            self._sip_send(call.caller.chan, msg)
+            send_sip(call.caller.chan, msg)
         elif msg.status == 200:
             if call.winner is None:
                 call.winner = leg
@@ -690,27 +675,26 @@ class CloudServices:
                         cancel = make_sip_request(
                             "CANCEL", other.binding.uri, from_uri=call.from_uri,
                             to_uri=call.to_uri, call_id=call.call_id, cseq=1,
-                            via=self.hosts[SIP_HOST].addr(self.lan_name))
-                        self._sip_send(other.binding.chan, cancel)
-                relay_addr = self.hosts[RELAY_HOST].addr(self.lan_name)
+                            via=self.hosts[SIP_HOST].addr(CLOUD_LAN))
+                        send_sip(other.binding.chan, cancel)
+                relay_addr = self.hosts[RELAY_HOST].addr(CLOUD_LAN)
                 fwd_answer = wire.SdpBody(
                     session_id=answer.session_id, media_port=answer.media_port,
                     candidates=list(answer.candidates)
                     + ([wire.Candidate("relay", relay_addr, call.relay_port)]
                        if call.relay_port is not None else []),
                     crypto_suite=answer.crypto_suite, key_salt=answer.key_salt)
-                fwd = make_sip_response(call.invite, 200, "OK",
+                fwd = make_sip_response(call.invite, 200,
                                         headers=[("Content-Type", "application/sdp")],
                                         body=wire.sdp_encode(fwd_answer))
-                self._sip_send(call.caller.chan, fwd)
+                send_sip(call.caller.chan, fwd)
             else:
                 leg.state = "failed"
         elif msg.status in (486, 487, 403, 404):
             leg.state = "failed" if msg.status != 487 else "cancelled"
             active = [l for l in call.legs if l.state in ("trying", "ringing")]
             if call.winner is None and not active:
-                self._sip_send(call.caller.chan,
-                               make_sip_response(call.invite, 486, "Busy Here"))
+                send_sip(call.caller.chan, make_sip_response(call.invite, 486))
                 self._call_close(call)
 
     def _other_chan(self, call: ProxyCall, chan: Endpoint) -> Endpoint | None:
@@ -723,28 +707,28 @@ class CloudServices:
         if call is None or call.gateway:
             return
         if call.winner is not None:
-            self._sip_send(call.winner.binding.chan, msg)
+            send_sip(call.winner.binding.chan, msg)
 
     def _sip_bye(self, chan: Endpoint, msg: wire.SipMessage) -> None:
         call = self.calls.get(msg.header("Call-ID") or "")
         if call is None:
-            self._sip_send(chan, make_sip_response(msg, 404, "Not Found"))
+            send_sip(chan, make_sip_response(msg, 404))
             return
         if call.gateway:
             self.network.note(GATEWAY_HOST, "sys", f"gateway:hangup:{call.call_id}")
             if call.gateway_port is not None:
                 self.hosts[GATEWAY_HOST].unlisten(call.gateway_port)
-            self._sip_send(chan, make_sip_response(msg, 200, "OK"))
+            send_sip(chan, make_sip_response(msg, 200))
             self._call_close(call)
             return
         call.state = "closing"
         other = self._other_chan(call, chan)
         if other is not None:
-            self._sip_send(other, msg)
+            send_sip(other, msg)
 
     def _sip_cancel_from_client(self, chan: Endpoint, msg: wire.SipMessage) -> None:
         # endpoints in this testbed never cancel their own INVITEs
-        self._sip_send(chan, make_sip_response(msg, 200, "OK"))
+        send_sip(chan, make_sip_response(msg, 200))
 
     def _call_close(self, call: ProxyCall) -> None:
         if call.state == "closed":

@@ -55,7 +55,8 @@ def _unb64(text: str) -> bytes:
         raise CryptoError(f"bad base64: {exc}") from exc
 
 
-def _canonical_json(obj) -> bytes:
+def canonical_json(obj) -> bytes:
+    """The one byte encoding of anything signed or sealed: sorted keys, no spaces."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
@@ -138,7 +139,7 @@ class DeviceCertificate:
     signature: bytes
 
     def signed_bytes(self) -> bytes:
-        return _canonical_json({"subject": self.subject, **self.public.to_dict()})
+        return canonical_json({"subject": self.subject, **self.public.to_dict()})
 
     def to_dict(self) -> dict:
         return {"subject": self.subject, "public": self.public.to_dict(),
@@ -343,7 +344,7 @@ class AuthToken:
 
 def mint_auth_token(cloud_keypair: AsymKeypair, account_id: str, serial: str,
                     now: int, rng: Rng) -> AuthToken:
-    payload = _canonical_json({"account": account_id, "serial": serial, "issued": now})
+    payload = canonical_json({"account": account_id, "serial": serial, "issued": now})
     key = rng.randbytes(32)
     nonce = rng.randbytes(12)
     ct = AESGCM(key).encrypt(nonce, payload, b"auth-token")
@@ -372,6 +373,13 @@ def open_auth_token(cloud_keypair: AsymKeypair, token: AuthToken) -> dict:
     return {"account": obj["account"], "serial": obj["serial"], "issued": obj["issued"]}
 
 
+def hello_signed_bytes(hello: dict) -> bytes:
+    """What a device signs in its voice-service hello: every field but the
+    signature, a missing one as null."""
+    return canonical_json({k: hello.get(k) for k in
+                           ("auth_token", "device_type", "serial", "timestamp")})
+
+
 # ---------------------------------------------------------------------------
 # Call authorization token
 
@@ -388,13 +396,13 @@ class CallAuthToken:
     signature: bytes
 
     def signed_bytes(self) -> bytes:
-        return _canonical_json({
+        return canonical_json({
             "caller": self.caller, "callee": self.callee, "type": self.call_type,
             "issued_at": self.issued_at, "ttl": self.ttl, "nonce": _b64(self.nonce),
         })
 
     def encode(self) -> bytes:
-        return _canonical_json({
+        return canonical_json({
             "caller": self.caller, "callee": self.callee, "type": self.call_type,
             "issued_at": self.issued_at, "ttl": self.ttl, "nonce": _b64(self.nonce),
             "signature": _b64(self.signature),
@@ -494,7 +502,7 @@ def _kdf(master_key: bytes, master_salt: bytes, label: int, length: int) -> byte
     return out[:length]
 
 
-def srtp_derive(master_key: bytes, master_salt: bytes, ssrc: int | None = None) -> SrtpContext:
+def srtp_derive(master_key: bytes, master_salt: bytes) -> SrtpContext:
     """Derive session keys from the master secret; distinct labels keep the
     cipher and auth keys independent."""
     if len(master_key) != 32:
@@ -504,8 +512,7 @@ def srtp_derive(master_key: bytes, master_salt: bytes, ssrc: int | None = None) 
     cipher_key = _kdf(master_key, master_salt, 0x00, 32)
     auth_key = _kdf(master_key, master_salt, 0x01, 32)
     session_salt = _kdf(master_key, master_salt, 0x02, 14)
-    if ssrc is None:
-        ssrc = struct.unpack(">I", _kdf(master_key, master_salt, 0x03, 4))[0]
+    ssrc = struct.unpack(">I", _kdf(master_key, master_salt, 0x03, 4))[0]
     return SrtpContext(master_key=master_key, master_salt=master_salt,
                        cipher_key=cipher_key, auth_key=auth_key,
                        session_salt=session_salt, ssrc=ssrc)

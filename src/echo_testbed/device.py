@@ -19,24 +19,18 @@ scenarios make.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from . import crypto, wire
-from .calling import SIP_DOMAIN, CommsEndpoint
+from .calling import CommsEndpoint
 from .netsim import Endpoint, NetError, Network, PairingNetwork
 
-OOBE_PORT = 8080
-PROXY_PORT = 443
 WIFI_CONNECT_MS = 300
 LINK_POLL_MS = 2000
 LINK_POLL_MAX = 280          # polls; keeps a forgotten device quiescent
 SETUP_TEARDOWN_MS = 5        # let the final reply drain first
 
 DEVICE_TYPE = "emu-speaker-1"
-
-API_NAME = f"api.{SIP_DOMAIN}"
-AVS_NAME = f"avs.{SIP_DOMAIN}"
 
 
 @dataclass(frozen=True)
@@ -67,9 +61,7 @@ class WifiNetworkTable:
 
 class EchoDevice:
     def __init__(self, network: Network, serial: str, rng,
-                 wifi_table: WifiNetworkTable, name: str | None = None, *,
-                 intercom: bool = True, answer_delay_ms: int = 400,
-                 frame_count: int = 6, auto_bye: bool = True):
+                 wifi_table: WifiNetworkTable, name: str | None = None, **comms):
         self.network = network
         self.serial = serial
         self.rng = rng
@@ -85,10 +77,7 @@ class EchoDevice:
         self.identity: crypto.AsymKeypair | None = None  # granted, post-pairing
         self.pairing: PairingNetwork | None = None
         self.link_code: str | None = None
-        self.comms = CommsEndpoint(network, self.host, serial, rng,
-                                   intercom=intercom,
-                                   answer_delay_ms=answer_delay_ms,
-                                   frame_count=frame_count, auto_bye=auto_bye)
+        self.comms = CommsEndpoint(network, self.host, serial, rng, **comms)
         self.avs: Endpoint | None = None
         self.last_negotiation: bytes | None = None
         self._api: Endpoint | None = None
@@ -116,8 +105,8 @@ class EchoDevice:
             return self.pairing
         self.mode = "setup"
         self.pairing = PairingNetwork(self.network, self.host, self.ssid)
-        self.host.listen(OOBE_PORT, self._accept_oobe)
-        self.host.listen(PROXY_PORT, self._accept_tunnel)
+        self.host.listen(wire.OOBE_PORT, self._accept_oobe)
+        self.host.listen(wire.TLS_PORT, self._accept_tunnel)
         self.network.note(self.host, "sys", "mode:setup", lan=self.pairing.lan.name)
         return self.pairing
 
@@ -277,8 +266,8 @@ class EchoDevice:
     def _leave_setup(self) -> None:
         if self.pairing is None:
             return
-        self.host.unlisten(OOBE_PORT)
-        self.host.unlisten(PROXY_PORT)
+        self.host.unlisten(wire.OOBE_PORT)
+        self.host.unlisten(wire.TLS_PORT)
         if self._api is not None and not self._api.closed:
             self._api.close()
             self._api = None
@@ -294,8 +283,8 @@ class EchoDevice:
     def _api_call(self, method: str, args: dict, cb) -> None:
         try:
             if self._api is None or self._api.closed:
-                addr = self.network.lookup(API_NAME, self.host)
-                self._api = self.network.open_channel(self.host, addr, 443,
+                addr = self.network.lookup(wire.API_NAME, self.host)
+                self._api = self.network.open_channel(self.host, addr, wire.TLS_PORT,
                                                       secured=True)
                 self._api.handler = lambda end, data: self._on_api_data(data)
                 self._api_waiters = []
@@ -366,8 +355,8 @@ class EchoDevice:
     def connect_avs(self) -> None:
         if self.grant is None or self.identity is None:
             raise NetError("cannot connect without a registration grant")
-        addr = self.network.lookup(AVS_NAME, self.host)
-        self.avs = self.network.open_channel(self.host, addr, 443, secured=True)
+        addr = self.network.lookup(wire.AVS_NAME, self.host)
+        self.avs = self.network.open_channel(self.host, addr, wire.TLS_PORT, secured=True)
         self.avs.handler = lambda end, data: self._on_avs(data)
         payload = self._negotiation_payload()
         self.last_negotiation = wire.control_encode(wire.ControlMessage(
@@ -379,8 +368,8 @@ class EchoDevice:
     def _negotiation_payload(self) -> dict:
         body = {"auth_token": self.grant["auth_token"], "device_type": DEVICE_TYPE,
                 "serial": self.serial, "timestamp": self.network.scheduler.now}
-        signed = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
-        body["signature"] = crypto.sign_detached(self.identity, signed).hex()
+        body["signature"] = crypto.sign_detached(
+            self.identity, crypto.hello_signed_bytes(body)).hex()
         return body
 
     def replay_negotiation(self) -> None:
@@ -391,8 +380,8 @@ class EchoDevice:
         """
         if self.last_negotiation is None:
             raise NetError("nothing captured to replay")
-        addr = self.network.lookup(AVS_NAME, self.host)
-        replay = self.network.open_channel(self.host, addr, 443, secured=True)
+        addr = self.network.lookup(wire.AVS_NAME, self.host)
+        replay = self.network.open_channel(self.host, addr, wire.TLS_PORT, secured=True)
         replay.handler = lambda end, data: self._on_avs(data)
         replay.send(self.last_negotiation, layer="control",
                     summary="System.NegotiationCommand",

@@ -34,6 +34,7 @@ WAN_MS = 2   # delivery latency across LANs
 EVENT_BUDGET = 1_000_000
 HOSTS_PER_LAN = 254     # one /24: .1 to .254
 SETUP_NETWORKS = 20     # concurrent setup-mode networks, 192.168.11-30
+SETUP_PREFIXES = tuple(f"192.168.{n}" for n in range(11, 11 + SETUP_NETWORKS))
 
 TRACE_LAYERS = ("http", "oobe", "sip", "sdp", "control", "media", "sys")
 
@@ -309,12 +310,13 @@ class Network:
         self.scheduler = Scheduler()
         self.trace = TraceLog()
         self.lans: dict[str, Lan] = {}
+        self._lan_by_prefix: dict[str, Lan] = {}
         self.hosts: dict[str, Host] = {}
         self.taps: dict[str, list[Callable[[Observation], None]]] = {}
         self.dns: dict[str, str] = {}
         self.channels: list[Channel] = []
         self._next_cid = 1
-        self._pairing_prefixes = [f"192.168.{n}" for n in range(11, 11 + SETUP_NETWORKS)]
+        self._pairing_prefixes = list(SETUP_PREFIXES)
 
     # -- topology construction
 
@@ -322,8 +324,12 @@ class Network:
                 isolated: bool = False) -> Lan:
         if name in self.lans:
             raise NetError(f"duplicate LAN {name}")
+        if prefix in self._lan_by_prefix:
+            raise NetError(f"prefix {prefix} is already used by LAN "
+                           f"{self._lan_by_prefix[prefix].name}")
         lan = Lan(name=name, prefix=prefix, nat=nat, isolated=isolated)
         self.lans[name] = lan
+        self._lan_by_prefix[prefix] = lan
         return lan
 
     def add_host(self, name: str) -> Host:
@@ -363,6 +369,7 @@ class Network:
         for host_name in list(lan.assignments.values()):
             self.detach(self.hosts[host_name], name)
         del self.lans[name]
+        del self._lan_by_prefix[lan.prefix]
         self.taps.pop(name, None)
 
     # -- names and addresses
@@ -373,17 +380,26 @@ class Network:
     def lookup(self, name: str, from_host: Host) -> str:
         # name service lives on the open internet: a host whose every
         # interface sits on an isolated LAN cannot reach it
-        if all(self.lans[ln].isolated for ln in from_host.interfaces):
+        if self.uplink(from_host) is None:
             raise NetError(f"{from_host.name} has no route to a resolver")
         if name not in self.dns:
             raise NetError(f"unknown name {name!r}")
         return self.dns[name]
 
+    def lan_of(self, addr: str) -> Lan | None:
+        """The LAN whose prefix addr carries, whether or not a host holds it."""
+        return self._lan_by_prefix.get(addr.rpartition(".")[0])
+
     def whereis(self, addr: str) -> tuple[Host, Lan]:
-        for lan in self.lans.values():
-            if addr in lan.assignments:
-                return self.hosts[lan.assignments[addr]], lan
-        raise NetError(f"no host holds address {addr}")
+        lan = self.lan_of(addr)
+        if lan is None or addr not in lan.assignments:
+            raise NetError(f"no host holds address {addr}")
+        return self.hosts[lan.assignments[addr]], lan
+
+    def uplink(self, host: Host) -> str | None:
+        """The host's first LAN with a route off it, or None."""
+        return next((name for name in host.interfaces if not self.lans[name].isolated),
+                    None)
 
     # -- observation
 
@@ -426,10 +442,10 @@ class Network:
             raise NetError(f"{dst_lan.name} is isolated; only its own members reach it")
         if dst_lan.nat:
             raise NetError(f"{dst_host.name} is behind NAT on {dst_lan.name}")
-        for lan_name in src.interfaces:
-            if not self.lans[lan_name].isolated:
-                return lan_name, False
-        raise NetError(f"{src.name} has no route off its isolated LAN(s)")
+        uplink = self.uplink(src)
+        if uplink is None:
+            raise NetError(f"{src.name} has no route off its isolated LAN(s)")
+        return uplink, False
 
     # -- run control
 

@@ -1,4 +1,8 @@
-"""Wire formats used across the testbed.
+"""Wire formats and service endpoints used across the testbed.
+
+Every party agrees on one domain, under which the cloud names its hosts and
+SIP names its users; TLS on 443 for every cloud service and the device's
+setup proxy; and the device's plain-HTTP pairing API on 8080.
 
 Five codecs live here:
 
@@ -21,6 +25,13 @@ import base64
 import json
 import re
 from dataclasses import dataclass, field
+
+
+DOMAIN = "echo.example"
+API_NAME = f"api.{DOMAIN}"
+AVS_NAME = f"avs.{DOMAIN}"
+TLS_PORT = 443
+OOBE_PORT = 8080
 
 
 class WireError(Exception):
@@ -145,7 +156,7 @@ def http_parse(data: bytes) -> HttpMessage:
 def _serialize_headers(headers: list[tuple[str, str]]) -> str:
     out = []
     for name, value in headers:
-        if any(c in "\r\n" for c in name + value):
+        if "\r" in name or "\n" in name or "\r" in value or "\n" in value:
             raise WireError(f"CR/LF in header {name!r}")
         if not _TOKEN_RE.match(name):
             raise WireError(f"bad header name: {name!r}")
@@ -256,11 +267,12 @@ def oobe_decode_response(msg: HttpMessage) -> OobeEnvelope:
 
 SIP_VERSION = "SIP/2.0"
 
-# Methods and response codes the testbed's own agents emit. The parser is
-# deliberately more lenient: it accepts any method token so unknown traffic
-# still yields structured messages instead of crashes.
+# Methods and response codes (with their reason phrases) the testbed's own
+# agents emit. The parser is deliberately more lenient: it accepts any method
+# token so unknown traffic still yields structured messages instead of crashes.
 SIP_METHODS = ("REGISTER", "INVITE", "ACK", "BYE", "CANCEL")
-SIP_STATUSES = (100, 180, 200, 403, 404, 486, 487)
+SIP_STATUSES = {100: "Trying", 180: "Ringing", 200: "OK", 403: "Forbidden",
+                404: "Not Found", 486: "Busy Here", 487: "Request Terminated"}
 
 MANDATORY_SIP_HEADERS = ("Via", "From", "To", "Call-ID", "CSeq")
 
@@ -439,26 +451,6 @@ def sdp_decode(data: bytes) -> SdpBody:
 # ---------------------------------------------------------------------------
 # Control-message envelope
 
-# The command pairs the testbed's own nodes exchange. Anything outside this
-# set still decodes, flagged unknown, since the real command plane is larger
-# than what any one capture shows.
-KNOWN_COMMANDS = frozenset({
-    ("System", "NegotiationCommand"),
-    ("System", "NegotiationAccepted"),
-    ("System", "NegotiationRejected"),
-    ("System", "Refresh"),
-    ("System", "RefreshAck"),
-    ("SipClient", "ConfigureCommsRequest"),
-    ("SipClient", "ConfigureCommsResponse"),
-    ("SipClient", "WarmUp"),
-    ("SipClient", "BeginCall"),
-    ("SipClient", "EndCall"),
-    ("SipClient", "OutboundCallRequested"),
-    ("SipClient", "OutboundCallAccepted"),
-    ("SipClient", "CallDisconnected"),
-})
-
-
 @dataclass
 class ControlMessage:
     """One command on the cloud control plane: interface, name, payload."""
@@ -466,7 +458,6 @@ class ControlMessage:
     interface: str
     name: str
     payload: object = None
-    unknown: bool = False
 
     @property
     def qualified(self) -> str:
@@ -489,7 +480,5 @@ def control_decode(data: bytes) -> ControlMessage:
     name = obj.get("name")
     if not isinstance(interface, str) or not isinstance(name, str) or not interface or not name:
         raise WireError("control message needs interface and name strings")
-    unknown = (interface, name) not in KNOWN_COMMANDS
-    return ControlMessage(interface=interface, name=name,
-                          payload=obj.get("payload"), unknown=unknown)
+    return ControlMessage(interface=interface, name=name, payload=obj.get("payload"))
 

@@ -6,6 +6,7 @@ reach into another test module.
 """
 
 import contextlib
+import dataclasses
 import json
 import random
 import string
@@ -288,7 +289,7 @@ def test_criterion_5_fork_and_relay_secrecy(runs):
                           (to_caller[0], key_pair["offer"])):
             packet = bytes.fromhex(ev["payload"]["hex"])
             ssrc = struct.unpack(">III", packet[:12])[2]
-            ctx = crypto.srtp_derive(wrong[:32], wrong[32:], ssrc=ssrc)
+            ctx = dataclasses.replace(crypto.srtp_derive(wrong[:32], wrong[32:]), ssrc=ssrc)
             with pytest.raises(crypto.CryptoError):
                 crypto.srtp_unprotect(ctx, packet)
 

@@ -410,6 +410,11 @@ def test_validate_rejects_bad_shapes():
                                                {"serial": "EK-1", "host": "h2"}]}},
         {"name": "x", "topology": {"lans": [{"name": "a", "prefix": "10.1.1"},
                                             {"name": "a", "prefix": "10.1.2"}]}},
+        *({"name": "x", "topology": {"lans": [{"name": "a", "prefix": prefix}]}}
+          for prefix in (5, "10.1", "10.1.1.1", "10.1.256", "10.01.1", "10.1.x", "10.1.1 ",
+                         "١٠.1.1", "10.0.0", "192.168.11", "192.168.30")),
+        {"name": "x", "topology": {"lans": [{"name": "a", "prefix": "10.1.1"},
+                                            {"name": "b", "prefix": "10.1.1"}]}},
         {"name": "x", "topology": {"attackers": [{"name": "m", "kind": "eavesdropper"},
                                                  {"name": "m", "kind": "eavesdropper"}]}},
     ):
@@ -665,6 +670,23 @@ def test_cli_run_refuses_an_invalid_scenario(tmp_path, capsys, scn):
     assert main(["run", str(path), "--trace", str(tmp_path / "t.jsonl")]) == 2
     assert capsys.readouterr().err.startswith("error: scenario")
     assert not (tmp_path / "t.jsonl").exists()
+
+
+@pytest.mark.parametrize("prefix, complaint", [
+    ("192.168.50", "'prefix' '192.168.50' is used by LAN 'home-a'"),
+    ("10.0.0", "'prefix' '10.0.0' is used by the cloud LAN"),
+    ("192.168.11", "'prefix' '192.168.11' is used by setup networks"),
+    ("192.168.300", "'prefix' must be three dot-separated decimal octets 0-255"),
+])
+def test_cli_run_refuses_a_prefix_two_lans_would_share(tmp_path, capsys, prefix, complaint):
+    # two NAT'd homes on one prefix once ran: the callee took the caller's
+    # address for one on its own LAN, so no media frame reached the relay
+    scn = load_scenario("call_cross_lan_fork")
+    scn["topology"]["lans"][1]["prefix"] = prefix
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scn))
+    assert main(["run", str(path), "--trace", str(tmp_path / "t.jsonl")]) == 2
+    assert f"lans[1]: {complaint}" in capsys.readouterr().err
 
 
 EVENT = (b'{"dst":"b","lan":"home-a","layer":"sip","secured":false,"seq":0,'

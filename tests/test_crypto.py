@@ -5,6 +5,7 @@ of time and are frozen here; nothing in this file derives them from the
 code under test.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -421,7 +422,8 @@ class TestSrtp:
 
     def test_distinct_ssrc_rejected(self):
         tx, _ = self.contexts()
-        rx = srtp_derive(bytes(range(32)), bytes(range(14)), ssrc=0xDEAD)
+        rx = dataclasses.replace(srtp_derive(bytes(range(32)), bytes(range(14))),
+                                 ssrc=0xDEAD)
         with pytest.raises(CryptoError, match="ssrc"):
             srtp_unprotect(rx, srtp_protect(tx, bytes(160)))
         assert rx.auth_failures == 1

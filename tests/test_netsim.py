@@ -165,6 +165,16 @@ class TestRouting:
         net, dev, _ = two_lan_net()
         with pytest.raises(NetError, match="no host"):
             net.open_channel(dev, "203.0.113.7", 80)
+        for addr in ("203.0.113.7", "10.0.0.9", "garbage"):   # unknown prefix, free host
+            with pytest.raises(NetError, match="no host"):
+                net.whereis(addr)
+
+    def test_a_prefix_belongs_to_one_live_lan(self):
+        net, _, _ = two_lan_net()
+        with pytest.raises(NetError, match="prefix 10.0.0 is already used by LAN home"):
+            net.add_lan("home-b", "10.0.0", nat=True)
+        net.remove_lan("home")   # setup networks hand their prefix back this way
+        assert net.add_lan("home-b", "10.0.0").prefix == "10.0.0"
 
     def test_lookup_requires_route(self):
         net, dev, api = two_lan_net()
