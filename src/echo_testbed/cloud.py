@@ -116,6 +116,7 @@ class CloudServices:
         self._avs_session_seq = 0
 
         self.bindings: dict[str, list[Binding]] = {}  # uri -> bindings
+        self._chan_bindings: dict[Endpoint, Binding] = {}  # SIP channel -> binding
         self.calls: dict[str, ProxyCall] = {}
         self.recorded_keys: dict[str, dict[str, bytes]] = {}
         self.nonce_cache: set = set()
@@ -300,7 +301,12 @@ class CloudServices:
             self.network.note(AVS_HOST, "sys", "avs:unparseable")
             return
         if msg.interface == "System" and msg.name == "NegotiationCommand":
-            self._avs_negotiate(chan, msg.payload or {})
+            hello = {} if msg.payload is None else msg.payload
+            if not isinstance(hello, dict) or not all(
+                    isinstance(hello.get(k, ""), str) for k in ("serial", "signature")):
+                self.network.note(AVS_HOST, "sys", "avs:unparseable")
+                return
+            self._avs_negotiate(chan, hello)
         elif msg.interface == "System" and msg.name == "RefreshAck":
             self.network.note(AVS_HOST, "sys", "avs:refresh-ack")
         elif msg.interface == "SipClient":
@@ -358,7 +364,8 @@ class CloudServices:
         payload = msg.payload or {}
         if msg.name == "ConfigureCommsRequest":
             serial = self._avs_serial_for(chan)
-            if serial is None or payload.get("serial") != serial:
+            if serial is None or not isinstance(payload, dict) \
+                    or payload.get("serial") != serial:
                 send_control(chan, "SipClient", "ConfigureCommsResponse",
                              {"error": "no negotiated session"})
                 return
@@ -445,26 +452,25 @@ class CloudServices:
                           account=record.account,
                           contact=msg.header("Contact") or "",
                           intercom=msg.header("X-intercom") == "yes", chan=chan)
-        self.bindings.setdefault(binding.uri, [])
-        self.bindings[binding.uri] = [b for b in self.bindings[binding.uri]
-                                      if b.serial != serial] + [binding]
+        old = next(iter(self.bindings.get(binding.uri, ())), None)
+        self.bindings[binding.uri] = [binding]
         alias = account_uri(record.account)
         self.bindings.setdefault(alias, [])
         self.bindings[alias] = [b for b in self.bindings[alias]
                                 if b.serial != serial] + [binding]
+        if old is not None and old.account == record.account \
+                and self._chan_bindings.get(old.chan) is old:
+            # under the same account the old binding has left every list, so
+            # its channel binds nothing; under another it stays on the old
+            # account's alias list, and so in the index
+            del self._chan_bindings[old.chan]
+        self._chan_bindings[chan] = binding
         self.network.note(SIP_HOST, "sys", f"sip:bind:{binding.uri}",
                           payload={"account": record.account})
         send_sip(chan, make_sip_response(msg, 200))
 
-    def _binding_for_chan(self, chan: Endpoint) -> Binding | None:
-        for blist in self.bindings.values():
-            for b in blist:
-                if b.chan is chan:
-                    return b
-        return None
-
     def _sip_invite(self, chan: Endpoint, msg: wire.SipMessage) -> None:
-        caller = self._binding_for_chan(chan)
+        caller = self._chan_bindings.get(chan)
         call_id = msg.header("Call-ID") or ""
         if caller is None:
             send_sip(chan, make_sip_response(msg, 403))

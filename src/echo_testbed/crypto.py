@@ -21,6 +21,7 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Protocol
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
@@ -89,6 +90,17 @@ class AsymKeypair:
     wrap_pub: bytes
     key_id: str
 
+    # The private-key objects are built on first use and then held, so a
+    # keypair signs or unwraps without rebuilding its key. They are not
+    # fields: equality, repr and to_dict see only the bytes above.
+    @cached_property
+    def ed25519(self) -> Ed25519PrivateKey:
+        return Ed25519PrivateKey.from_private_bytes(self.sign_priv)
+
+    @cached_property
+    def x25519(self) -> X25519PrivateKey:
+        return X25519PrivateKey.from_private_bytes(self.wrap_priv)
+
     @property
     def public(self) -> PublicKey:
         return PublicKey(sign_pub=self.sign_pub, wrap_pub=self.wrap_pub,
@@ -110,15 +122,20 @@ def keygen(rng: Rng) -> AsymKeypair:
     """Deterministically derive a fresh keypair from the seeded source."""
     sign_priv = rng.randbytes(32)
     wrap_priv = rng.randbytes(32)
-    sign_pub = Ed25519PrivateKey.from_private_bytes(sign_priv).public_key().public_bytes_raw()
-    wrap_pub = X25519PrivateKey.from_private_bytes(wrap_priv).public_key().public_bytes_raw()
+    ed25519 = Ed25519PrivateKey.from_private_bytes(sign_priv)
+    x25519 = X25519PrivateKey.from_private_bytes(wrap_priv)
+    sign_pub = ed25519.public_key().public_bytes_raw()
+    wrap_pub = x25519.public_key().public_bytes_raw()
     key_id = hashlib.sha256(sign_pub + wrap_pub).hexdigest()[:16]
-    return AsymKeypair(sign_priv=sign_priv, sign_pub=sign_pub,
-                       wrap_priv=wrap_priv, wrap_pub=wrap_pub, key_id=key_id)
+    keypair = AsymKeypair(sign_priv=sign_priv, sign_pub=sign_pub,
+                          wrap_priv=wrap_priv, wrap_pub=wrap_pub, key_id=key_id)
+    # hold the objects built above, as their first use would
+    keypair.__dict__.update(ed25519=ed25519, x25519=x25519)
+    return keypair
 
 
 def sign_detached(keypair: AsymKeypair, data: bytes) -> bytes:
-    return Ed25519PrivateKey.from_private_bytes(keypair.sign_priv).sign(data)
+    return keypair.ed25519.sign(data)
 
 
 def verify_detached(public: PublicKey, data: bytes, signature: bytes) -> bool:
@@ -234,8 +251,7 @@ def unwrap_key(keypair: AsymKeypair, wrapped: bytes) -> bytes:
         raise CryptoError("unwrap failed: wrapped key too short")
     eph_pub, nonce, ct = wrapped[:32], wrapped[32:44], wrapped[44:]
     try:
-        priv = X25519PrivateKey.from_private_bytes(keypair.wrap_priv)
-        shared = priv.exchange(X25519PublicKey.from_public_bytes(eph_pub))
+        shared = keypair.x25519.exchange(X25519PublicKey.from_public_bytes(eph_pub))
         kek = _hkdf_sha256(shared, _WRAP_INFO)
         return AESGCM(kek).decrypt(nonce, ct, eph_pub)
     except (InvalidTag, ValueError) as exc:
@@ -490,6 +506,12 @@ class SrtpContext:
     recv_window: int = 0  # bitmask of the last REPLAY_WINDOW indexes
     replay_drops: int = 0
     auth_failures: int = 0
+    # one AES encryptor per context; the counter-mode keystream is this
+    # encryptor applied to the counter blocks (see _ctr_crypt)
+    _ecb: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._ecb = Cipher(algorithms.AES(self.cipher_key), modes.ECB()).encryptor()
 
 
 def _kdf(master_key: bytes, master_salt: bytes, label: int, length: int) -> bytes:
@@ -518,16 +540,23 @@ def srtp_derive(master_key: bytes, master_salt: bytes) -> SrtpContext:
                        session_salt=session_salt, ssrc=ssrc)
 
 
-def _ctr_iv(ctx: SrtpContext, index: int) -> bytes:
+def _ctr_iv(ctx: SrtpContext, index: int) -> int:
     salt = int.from_bytes(ctx.session_salt + b"\x00\x00", "big")
-    iv = salt ^ (ctx.ssrc << 64) ^ (index << 16)
-    return iv.to_bytes(16, "big")
+    return salt ^ (ctx.ssrc << 64) ^ (index << 16)
+
+
+_BLOCK_MASK = (1 << 128) - 1
 
 
 def _ctr_crypt(ctx: SrtpContext, index: int, data: bytes) -> bytes:
-    cipher = Cipher(algorithms.AES(ctx.cipher_key), modes.CTR(_ctr_iv(ctx, index)))
-    enc = cipher.encryptor()
-    return enc.update(data) + enc.finalize()
+    # AES-256-CTR, byte for byte: the keystream is the AES encryption of the
+    # counter blocks iv, iv+1, ... (mod 2^128, as OpenSSL's CTR increments)
+    n = len(data)
+    iv = _ctr_iv(ctx, index)
+    counters = b"".join([((iv + i) & _BLOCK_MASK).to_bytes(AES_BLOCK, "big")
+                         for i in range(-(-n // AES_BLOCK))])
+    keystream = ctx._ecb.update(counters)[:n]
+    return (int.from_bytes(data, "big") ^ int.from_bytes(keystream, "big")).to_bytes(n, "big")
 
 
 def srtp_protect(ctx: SrtpContext, payload: bytes) -> bytes:

@@ -1,13 +1,15 @@
 """Service-side logic: the device API, the voice-service gate, SIP routing."""
 
+import importlib.util
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from echo_testbed import crypto, wire
 from echo_testbed.calling import device_uri, make_sip_request
-from echo_testbed.cli import load_scenario, run_scenario
+from echo_testbed.cli import BUILTINS, load_scenario, run_scenario
 from echo_testbed.cloud import CloudServices, LINK_CODE_TTL_MS
 from echo_testbed.device import DEVICE_TYPE
 from echo_testbed.netsim import NetError, Network
@@ -61,13 +63,14 @@ class Probe:
             wire.control_decode(data))
         return chan
 
+    def control(self, chan, interface, name, payload):
+        msg = wire.ControlMessage(interface=interface, name=name, payload=payload)
+        chan.send(wire.control_encode(msg), layer="control", summary=msg.qualified)
+        self.net.run()
+
     def negotiate(self, payload, chan=None):
         chan = chan or self.avs_channel()
-        msg = wire.ControlMessage(interface="System", name="NegotiationCommand",
-                                  payload=payload)
-        chan.send(wire.control_encode(msg), layer="control",
-                  summary="System.NegotiationCommand")
-        self.net.run()
+        self.control(chan, "System", "NegotiationCommand", payload)
         return self.ctrl_replies[-1], chan
 
     def sip(self, msg):
@@ -356,13 +359,32 @@ def test_configure_comms_requires_negotiated_session():
     net, cloud = make_cloud()
     granted(net, cloud)
     probe = Probe(net)
-    chan = probe.avs_channel()
-    msg = wire.ControlMessage(interface="SipClient",
-                              name="ConfigureCommsRequest",
-                              payload={"serial": SERIAL})
-    chan.send(wire.control_encode(msg), layer="control",
-              summary="SipClient.ConfigureCommsRequest")
-    net.run()
+    probe.control(probe.avs_channel(), "SipClient", "ConfigureCommsRequest",
+                  {"serial": SERIAL})
+    assert probe.ctrl_replies[-1].payload == {"error": "no negotiated session"}
+
+
+@pytest.mark.parametrize("payload", [[1], [], "text", 7, True, {"serial": [1]},
+                                     {"serial": SERIAL, "signature": 5}])
+def test_misshapen_negotiation_payload_is_unparseable(payload):
+    net, cloud = make_cloud()
+    granted(net, cloud)
+    probe = Probe(net)
+    probe.control(probe.avs_channel(), "System", "NegotiationCommand", payload)
+    assert "avs:unparseable" in notes(net)
+    assert probe.ctrl_replies == []
+    assert SERIAL not in cloud.avs_sessions
+
+
+@pytest.mark.parametrize("payload", [[1], "text", 7])
+def test_non_object_comms_request_gets_the_error_response(payload):
+    # on a negotiated session, so the payload itself is what gets judged
+    net, cloud = make_cloud()
+    grant = granted(net, cloud)
+    probe = Probe(net)
+    reply, chan = probe.negotiate(nego_payload(grant, SERIAL, net.scheduler.now))
+    assert reply.name == "NegotiationAccepted"
+    probe.control(chan, "SipClient", "ConfigureCommsRequest", payload)
     assert probe.ctrl_replies[-1].payload == {"error": "no negotiated session"}
 
 
@@ -443,6 +465,88 @@ def test_register_binds_device_and_account_aliases():
     # re-registration replaces, not duplicates
     probe.sip(reg)
     assert len(cloud.bindings[device_uri(SERIAL)]) == 1
+
+
+def _register_on(net, probe, grant, serial=SERIAL):
+    """REGISTER on a fresh SIP channel; returns the probe's end of it."""
+    addr = net.lookup("sip.echo.example", probe.host)
+    chan = net.open_channel(probe.host, addr, 443, secured=True)
+    chan.handler = lambda end, data: probe.sip_replies.append(wire.sip_parse(data))
+    reg = make_sip_request("REGISTER", "sip:echo.example", from_uri=device_uri(serial),
+                           to_uri=device_uri(serial), call_id="reg-x", cseq=1,
+                           via="192.168.50.2",
+                           headers=[("X-authtoken", grant["auth_token"])])
+    chan.send(wire.sip_serialize(reg), layer="sip", summary="probe")
+    net.run()
+    assert probe.sip_replies[-1].status == 200
+    return chan
+
+
+def _scan_binding(cloud, chan):
+    """The registrar's binding for a channel, by scanning every binding list."""
+    for blist in cloud.bindings.values():
+        for b in blist:
+            if b.chan is chan:
+                return b
+    return None
+
+
+def _assert_chan_index_matches_scan(cloud, *chans):
+    known = {b.chan for blist in cloud.bindings.values() for b in blist}
+    for chan in known | set(cloud._chan_bindings) | set(chans):
+        assert cloud._chan_bindings.get(chan) is _scan_binding(cloud, chan)
+
+
+def test_reregistration_on_a_new_channel_retires_the_old_one():
+    net, cloud = make_cloud()
+    grant = granted(net, cloud)
+    probe = Probe(net)
+    old = _register_on(net, probe, grant)
+    new = _register_on(net, probe, grant)
+    _assert_chan_index_matches_scan(cloud, old.peer, new.peer)
+    assert cloud._chan_bindings.get(old.peer) is None
+    assert cloud._chan_bindings[new.peer].chan is new.peer
+    # an INVITE on the retired channel has no caller binding
+    inv = make_sip_request("INVITE", "tel:+15551230100", from_uri=device_uri(SERIAL),
+                           to_uri="tel:+15551230100", call_id="c-1", cseq=1,
+                           via="192.168.50.2")
+    old.send(wire.sip_serialize(inv), layer="sip", summary="probe")
+    net.run()
+    assert probe.sip_replies[-1].status == 403
+
+
+def test_reregistration_under_another_account_matches_the_scan():
+    net, cloud = make_cloud()
+    cloud.provision_account("bob", "pw-bob")
+    probe = Probe(net)
+    first = _register_on(net, probe, granted(net, cloud))
+    cloud.deregister_device(SERIAL)
+    second = _register_on(net, probe, cloud.provision_grant(SERIAL, "bob"))
+    _assert_chan_index_matches_scan(cloud, first.peer, second.peer)
+
+
+def _fleet_calls_20_homes():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("fleet_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.fleet_calls(1, homes=20)
+
+
+def test_chan_index_matches_scan_after_every_register(monkeypatch):
+    register = CloudServices._sip_register
+    checked = []
+
+    def checked_register(self, chan, msg):
+        register(self, chan, msg)
+        _assert_chan_index_matches_scan(self, chan)
+        checked.append(chan)
+
+    monkeypatch.setattr(CloudServices, "_sip_register", checked_register)
+    for name in BUILTINS:
+        assert run_scenario(load_scenario(name)).exit_code == 0
+    assert run_scenario(_fleet_calls_20_homes()).exit_code == 0
+    assert len(checked) >= len(BUILTINS) + 20
 
 
 def test_invite_without_binding_is_forbidden():

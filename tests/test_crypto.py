@@ -9,6 +9,7 @@ import dataclasses
 import random
 
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings, strategies as st
 
 from echo_testbed import crypto
@@ -93,6 +94,53 @@ class TestKeys:
     def test_round_trip_dict(self):
         kp = keygen(rng())
         assert AsymKeypair.from_dict(kp.to_dict()) == kp
+
+    def test_key_objects_stay_out_of_repr_dict_and_equality(self):
+        kp = keygen(rng())
+        loaded = AsymKeypair.from_dict(kp.to_dict())
+        unbuilt = AsymKeypair.from_dict(kp.to_dict())
+        sign_detached(loaded, b"hello")
+        unwrap_key(loaded, wrap_key(loaded.public, bytes(32), rng(6)))
+        for k in (kp, loaded, unbuilt):
+            assert "PrivateKey" not in repr(k)
+            assert "ed25519" not in repr(k) and "x25519" not in repr(k)
+            assert k.to_dict() == kp.to_dict()
+            assert all(isinstance(v, str) for v in k.to_dict().values())
+            assert k == kp and hash(k) == hash(kp)
+
+    def test_generated_and_loaded_keypairs_act_alike(self):
+        kp = keygen(rng())
+        loaded = AsymKeypair.from_dict(kp.to_dict())
+        assert loaded.ed25519 is not kp.ed25519
+        for msg in (b"", b"hello", bytes(range(256))):
+            assert sign_detached(loaded, msg) == sign_detached(kp, msg)
+        key = rng(5).randbytes(32)
+        assert unwrap_key(loaded, wrap_key(kp.public, key, rng(6))) == key
+        assert unwrap_key(kp, wrap_key(loaded.public, key, rng(7))) == key
+
+    def test_each_key_object_is_built_once(self, monkeypatch):
+        kp = keygen(rng())
+        wrapped = wrap_key(kp.public, bytes(32), rng(6))
+        built = []
+
+        def counting(real):
+            class Counting:
+                @staticmethod
+                def from_private_bytes(data):
+                    built.append(real.__name__)
+                    return real.from_private_bytes(data)
+            return Counting
+
+        for name in ("Ed25519PrivateKey", "X25519PrivateKey"):
+            monkeypatch.setattr(crypto, name, counting(getattr(crypto, name)))
+        loaded = AsymKeypair.from_dict(kp.to_dict())
+        assert built == []
+        for k in (kp, loaded, kp, loaded):
+            assert verify_detached(kp.public, b"hello", sign_detached(k, b"hello"))
+            assert unwrap_key(k, wrapped) == bytes(32)
+        # keygen hands over the objects it built; a loaded keypair builds
+        # each on first use
+        assert sorted(built) == ["Ed25519PrivateKey", "X25519PrivateKey"]
 
     def test_sign_verify(self):
         kp = keygen(rng())
@@ -433,3 +481,82 @@ class TestSrtp:
     def test_round_trip_property(self, payload):
         tx, rx = self.contexts()
         assert srtp_unprotect(rx, srtp_protect(tx, payload)) == payload
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(n=st.integers(2, 150), data=st.data())
+    def test_random_reordering_across_rollover(self, n, data):
+        # n packets whose indexes straddle 2^32, delivered in any order with
+        # replays mixed in, to a receiver that has tracked the stream up to
+        # the packet before them; judged against a model of the 64-entry window
+        tx, rx = self.contexts()
+        first = 2**32 - data.draw(st.integers(1, n - 1), label="before_wrap")
+        tx.send_index = first - 1
+        srtp_unprotect(rx, srtp_protect(tx, b"primer"))
+        payloads = [i.to_bytes(2, "big") * 80 for i in range(n)]
+        pkts = [srtp_protect(tx, p) for p in payloads]
+        replays = data.draw(st.lists(st.integers(0, n - 1), max_size=n), label="replays")
+        order = data.draw(st.permutations(list(range(n)) + replays), label="order")
+        highest, accepted, drops = first - 1, set(), 0
+        for i in order:
+            index = first + i
+            inside = index > highest or (
+                highest - index < crypto.REPLAY_WINDOW and i not in accepted)
+            if inside:
+                assert srtp_unprotect(rx, pkts[i]) == payloads[i]
+                accepted.add(i)
+                highest = max(highest, index)
+            else:
+                with pytest.raises(CryptoError, match="replay"):
+                    srtp_unprotect(rx, pkts[i])
+                drops += 1
+        assert rx.replay_drops == drops
+        assert rx.auth_failures == 0
+
+    def test_one_cipher_per_context(self, monkeypatch):
+        # the keystream must not build a cipher context per packet
+        built = []
+
+        def counting_cipher(*args, **kwargs):
+            built.append(args)
+            return Cipher(*args, **kwargs)
+
+        monkeypatch.setattr(crypto, "Cipher", counting_cipher)
+        tx, rx = self.contexts()
+        for i in range(100):
+            payload = bytes([i]) * 160
+            assert srtp_unprotect(rx, srtp_protect(tx, payload)) == payload
+        assert len(built) <= 2
+
+
+def _reference_ctr(ctx, index, data):
+    """AES-256-CTR as RFC 3711 lays out the IV, straight from the library."""
+    iv = (int.from_bytes(ctx.session_salt + b"\x00\x00", "big")
+          ^ (ctx.ssrc << 64) ^ (index << 16))
+    enc = Cipher(algorithms.AES(ctx.cipher_key), modes.CTR(iv.to_bytes(16, "big"))).encryptor()
+    return enc.update(data) + enc.finalize()
+
+
+class TestKeystream:
+    BASE = srtp_derive(bytes(range(32)), bytes(range(14)))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(length=st.integers(1, 1000),
+           index=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, crypto.SRTP_MAX_INDEX - 1]),
+                           st.integers(2**32 - 64, 2**32 + 64),
+                           st.integers(0, crypto.SRTP_MAX_INDEX - 1)),
+           variant=st.sampled_from(["derived", "ssrc", "salt"]),
+           ssrc=st.integers(0, 2**32 - 1),
+           seed=st.integers(0, 2**16))
+    def test_matches_library_ctr(self, length, index, variant, ssrc, seed):
+        ctx = {"derived": self.BASE,
+               "ssrc": dataclasses.replace(self.BASE, ssrc=ssrc),
+               "salt": dataclasses.replace(self.BASE, session_salt=b"\xff" * 14)}[variant]
+        data = random.Random(seed).randbytes(length)
+        assert crypto._ctr_crypt(ctx, index, data) == _reference_ctr(ctx, index, data)
+
+    def test_counter_wraps_mod_2_128(self):
+        # all-ones salt and a zero ssrc put the IV 2^16 blocks below 2^128:
+        # one more block makes the counter wrap, as OpenSSL's CTR does
+        ctx = dataclasses.replace(self.BASE, ssrc=0, session_salt=b"\xff" * 14)
+        data = bytes(range(256)) * (2**12 + 1)
+        assert crypto._ctr_crypt(ctx, 0, data) == _reference_ctr(ctx, 0, data)
