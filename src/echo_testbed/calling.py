@@ -24,6 +24,10 @@ channel the caller opened, so those frames stay on the LAN.
 
 Media frames carry a recognizable canary string so tests can prove the
 plaintext never appears anywhere in a trace.
+
+This module also owns how every signalling message goes onto a channel:
+send_sip, send_control, and send_request/send_reply for the pairing and
+device-API envelope, which device, cloud and client share.
 """
 
 from __future__ import annotations
@@ -75,17 +79,44 @@ def sip_summary(msg: wire.SipMessage) -> str:
     return f"{msg.status}-{msg.cseq_method}"
 
 
+# One send path per message kind. SIP and control ride secured channels,
+# so their trace events carry a summary and no payload.
+
 def send_sip(chan: Endpoint, msg: wire.SipMessage, summary: str | None = None) -> None:
-    """Put one SIP message on chan and trace it by summary and Call-ID."""
-    chan.send(wire.sip_serialize(msg), layer="sip", summary=summary or sip_summary(msg),
-              payload={"call_id": msg.header("Call-ID")})
+    """Put one SIP message on chan, traced by its summary."""
+    chan.send(wire.sip_serialize(msg), layer="sip", summary=summary or sip_summary(msg))
 
 
 def send_control(chan: Endpoint, interface: str, name: str, payload) -> None:
-    """Put one control message on chan and trace it by its qualified name."""
+    """Put one control message on chan, traced by its qualified name."""
     msg = wire.ControlMessage(interface=interface, name=name, payload=payload)
-    chan.send(wire.control_encode(msg), layer="control", summary=msg.qualified,
-              payload={"name": msg.qualified})
+    chan.send(wire.control_encode(msg), layer="control", summary=msg.qualified)
+
+
+def _envelope_layer(chan: Endpoint) -> str:
+    # the pairing API port speaks POST /OOBE; every other envelope channel
+    # is the cloud device API, POST /api, direct or through the 443 tunnel
+    return "oobe" if chan.channel.port == wire.OOBE_PORT else "http"
+
+
+def send_request(chan: Endpoint, method: str, args: dict) -> None:
+    """Put one pairing or device-API call on chan, traced by its method."""
+    layer = _envelope_layer(chan)
+    encode = wire.oobe_encode if layer == "oobe" else wire.api_encode
+    chan.send(wire.http_serialize(encode(wire.OobeEnvelope(method, args))),
+              layer=layer, summary=method)
+
+
+def send_reply(chan: Endpoint, method: str, args: dict, status: int = 200) -> None:
+    """Answer one pairing or device-API call on chan, unless the caller has
+    hung up; traced as method-ok, or method-error for a refusal."""
+    if chan.closed:
+        return
+    ok = status == 200 and "error" not in args
+    resp = wire.oobe_response(wire.OobeEnvelope(method=method, args=args),
+                              status=status, reason="OK" if ok else "Refused")
+    chan.send(wire.http_serialize(resp), layer=_envelope_layer(chan),
+              summary=f"{method}-{'ok' if ok else 'error'}")
 
 
 def canary_payload(tag: str, seq: int) -> bytes:

@@ -23,6 +23,7 @@ import json
 from dataclasses import dataclass
 
 from . import crypto, wire
+from .calling import send_request
 from .netsim import Endpoint, NetError, Network, Observation, PairingNetwork
 
 REG_POLL_MS = 200
@@ -92,11 +93,7 @@ class CompanionApp:
         self._device_addr = pairing.owner_addr
         self.oobe = self.network.open_channel(self.host, self._device_addr, wire.OOBE_PORT)
         self.oobe.handler = lambda end, data: self._on_oobe(data)
-        self._send_oobe("ping", {})
-
-    def _send_oobe(self, method: str, args: dict) -> None:
-        req = wire.http_serialize(wire.oobe_encode(wire.OobeEnvelope(method, args)))
-        self.oobe.send(req, layer="oobe", summary=method)
+        send_request(self.oobe, "ping", {})
 
     # -- the setup dialogue, one reply at a time
 
@@ -115,7 +112,7 @@ class CompanionApp:
             step(env.args)
 
     def _after_ping(self, args: dict) -> None:
-        self._send_oobe("getDeviceDetails", {})
+        send_request(self.oobe, "getDeviceDetails", {})
 
     def _after_getDeviceDetails(self, args: dict) -> None:
         try:
@@ -126,7 +123,7 @@ class CompanionApp:
         if not crypto.verify_certificate(self.device_cert):
             self._finish("bad-certificate")
             return
-        self._send_oobe("getScanList", {})
+        send_request(self.oobe, "getScanList", {})
 
     def _after_getScanList(self, args: dict) -> None:
         ssids = {n.get("ssid") for n in args.get("networks", [])}
@@ -135,8 +132,8 @@ class CompanionApp:
             return
         blob = crypto.encrypt_credential(self.home_credential, self.device_cert,
                                          self.rng)
-        self._send_oobe("connectToAP", {"ssid": self.home_credential.ssid,
-                                        "credential": blob.to_armor()})
+        send_request(self.oobe, "connectToAP", {"ssid": self.home_credential.ssid,
+                                                "credential": blob.to_armor()})
 
     def _after_connectToAP(self, args: dict) -> None:
         self._reg_polls = 0
@@ -147,18 +144,18 @@ class CompanionApp:
             self._finish("timeout")
             return
         self._reg_polls += 1
-        self._send_oobe("getRegistrationState", {})
+        send_request(self.oobe, "getRegistrationState", {})
 
     def _after_getRegistrationState(self, args: dict) -> None:
         network_state = args.get("network")
         reg_state = args.get("registration")
         if self.link_code is None:
             if network_state == "connected":
-                self._send_oobe("getLinkCode", {})
+                send_request(self.oobe, "getLinkCode", {})
             else:
                 self.network.scheduler.at(REG_POLL_MS, self._poll_reg_state)
         elif reg_state == "registered":
-            self._send_oobe("setupComplete", {})
+            send_request(self.oobe, "setupComplete", {})
         else:
             self.network.scheduler.at(REG_POLL_MS, self._poll_reg_state)
 
@@ -193,11 +190,9 @@ class CompanionApp:
                 self._finish("tunnel-refused")
                 return
             self._tunnel_ready = True
-            req = wire.api_encode(wire.OobeEnvelope("registerDevice", {
+            send_request(self.tunnel, "registerDevice", {
                 "account": self.account_id, "password": self.password,
-                "link_code": self.link_code}))
-            self.tunnel.send(wire.http_serialize(req), layer="http",
-                             summary="registerDevice")
+                "link_code": self.link_code})
             return
         try:
             env = wire.oobe_decode_response(msg)
@@ -299,10 +294,8 @@ class Hijacker(Eavesdropper):
             self.result = "no-route"
             return
         chan.handler = lambda end, data: self._on_register_reply(data)
-        req = wire.api_encode(wire.OobeEnvelope("registerDevice", {
-            "account": self.account_id, "password": self.password,
-            "link_code": code}))
-        chan.send(wire.http_serialize(req), layer="http", summary="registerDevice")
+        send_request(chan, "registerDevice", {
+            "account": self.account_id, "password": self.password, "link_code": code})
         self.network.note(self.host, "sys", "hijack:submitted",
                           payload={"code": code})
 

@@ -29,6 +29,7 @@ from .calling import (
     make_sip_request,
     make_sip_response,
     send_control,
+    send_reply,
     send_sip,
 )
 from .netsim import Endpoint, NetError, Network
@@ -190,7 +191,7 @@ class CloudServices:
         try:
             env = wire.api_decode(wire.http_parse(data))
         except wire.WireError as exc:
-            self._api_reply(chan, "error", {"error": str(exc)}, status=400)
+            send_reply(chan, "error", {"error": str(exc)}, status=400)
             return
         handler = {
             "createLinkCode": self._api_create_link_code,
@@ -198,24 +199,15 @@ class CloudServices:
             "registerDevice": self._api_register_device,
         }.get(env.method)
         if handler is None:
-            self._api_reply(chan, env.method, {"error": "unknown method"}, status=400)
+            send_reply(chan, env.method, {"error": "unknown method"}, status=400)
             return
         handler(chan, env.args)
-
-    def _api_reply(self, chan: Endpoint, method: str, args: dict,
-                   status: int = 200) -> None:
-        ok = status == 200 and "error" not in args
-        resp = wire.oobe_response(wire.OobeEnvelope(method=method, args=args),
-                                  status=status, reason="OK" if ok else "Refused")
-        chan.send(wire.http_serialize(resp), layer="http",
-                  summary=f"{method}-{'ok' if ok else 'error'}")
 
     def _api_create_link_code(self, chan: Endpoint, args: dict) -> None:
         serial = args.get("serial", "")
         record = self.factory.get(serial)
         if record is None or record["secret"] != args.get("secret"):
-            self._api_reply(chan, "createLinkCode", {"error": "bad device identity"},
-                            status=403)
+            send_reply(chan, "createLinkCode", {"error": "bad device identity"}, status=403)
             return
         code = "".join(LINK_CODE_ALPHABET[b % len(LINK_CODE_ALPHABET)]
                        for b in self.rng.randbytes(LINK_CODE_LEN))
@@ -225,48 +217,43 @@ class CloudServices:
         self.link_codes[code] = LinkCode(code=code, serial=serial,
                                          created_ms=self.network.scheduler.now)
         self.network.note(API_HOST, "sys", f"link-code:created:{serial}")
-        self._api_reply(chan, "createLinkCode", {"code": code})
+        send_reply(chan, "createLinkCode", {"code": code})
 
     def _api_check_link_code(self, chan: Endpoint, args: dict) -> None:
         code = args.get("code", "")
         entry = self.link_codes.get(code)
         record = self.factory.get(entry.serial) if entry else None
         if entry is None or record is None or record["secret"] != args.get("secret"):
-            self._api_reply(chan, "checkLinkCode", {"error": "unknown code"}, status=403)
+            send_reply(chan, "checkLinkCode", {"error": "unknown code"}, status=403)
             return
         if self.network.scheduler.now - entry.created_ms > LINK_CODE_TTL_MS:
-            self._api_reply(chan, "checkLinkCode", {"status": "expired"})
+            send_reply(chan, "checkLinkCode", {"status": "expired"})
             return
         if entry.account is None:
-            self._api_reply(chan, "checkLinkCode", {"status": "pending"})
+            send_reply(chan, "checkLinkCode", {"status": "pending"})
             return
         if entry.grant is None:
             entry.grant = self._mint_grant(entry.serial, entry.account)
-        self._api_reply(chan, "checkLinkCode",
-                        {"status": "registered", "grant": entry.grant})
+        send_reply(chan, "checkLinkCode", {"status": "registered", "grant": entry.grant})
 
     def _api_register_device(self, chan: Endpoint, args: dict) -> None:
         account = args.get("account", "")
         if self.accounts.get(account) != args.get("password"):
             self.network.note(API_HOST, "sys", "register-device-refused:bad-credentials")
-            self._api_reply(chan, "registerDevice", {"error": "bad credentials"},
-                            status=403)
+            send_reply(chan, "registerDevice", {"error": "bad credentials"}, status=403)
             return
         entry = self.link_codes.get(args.get("link_code", ""))
         if entry is None:
             self.network.note(API_HOST, "sys", "register-device-refused:unknown-code")
-            self._api_reply(chan, "registerDevice", {"error": "unknown link code"},
-                            status=403)
+            send_reply(chan, "registerDevice", {"error": "unknown link code"}, status=403)
             return
         if self.network.scheduler.now - entry.created_ms > LINK_CODE_TTL_MS:
             self.network.note(API_HOST, "sys", "register-device-refused:expired-code")
-            self._api_reply(chan, "registerDevice", {"error": "expired link code"},
-                            status=403)
+            send_reply(chan, "registerDevice", {"error": "expired link code"}, status=403)
             return
         if entry.account is not None:
             self.network.note(API_HOST, "sys", "register-device-refused:code-consumed")
-            self._api_reply(chan, "registerDevice", {"error": "code already used"},
-                            status=403)
+            send_reply(chan, "registerDevice", {"error": "code already used"}, status=403)
             return
         existing = self.registry.get(entry.serial)
         if existing is not None and existing.registered and existing.account != account:
@@ -275,13 +262,13 @@ class CloudServices:
             self.network.note(API_HOST, "sys",
                               "register-device-refused:already-registered",
                               payload={"serial": entry.serial, "account": account})
-            self._api_reply(chan, "registerDevice",
-                            {"error": "device already registered"}, status=403)
+            send_reply(chan, "registerDevice",
+                       {"error": "device already registered"}, status=403)
             return
         entry.account = account
         self.network.note(API_HOST, "sys", f"register-device:{account}",
                           payload={"serial": entry.serial})
-        self._api_reply(chan, "registerDevice", {"ok": True})
+        send_reply(chan, "registerDevice", {"ok": True})
 
     # -- voice-service connections -------------------------------------------
 
@@ -453,17 +440,17 @@ class CloudServices:
                           contact=msg.header("Contact") or "",
                           intercom=msg.header("X-intercom") == "yes", chan=chan)
         old = next(iter(self.bindings.get(binding.uri, ())), None)
+        if old is not None:
+            # the device's previous binding leaves its account's alias list,
+            # whichever account that was, and so binds its channel no more
+            old_alias = account_uri(old.account)
+            self.bindings[old_alias] = [b for b in self.bindings.get(old_alias, ())
+                                        if b.serial != serial]
+            if self._chan_bindings.get(old.chan) is old:
+                del self._chan_bindings[old.chan]
         self.bindings[binding.uri] = [binding]
         alias = account_uri(record.account)
-        self.bindings.setdefault(alias, [])
-        self.bindings[alias] = [b for b in self.bindings[alias]
-                                if b.serial != serial] + [binding]
-        if old is not None and old.account == record.account \
-                and self._chan_bindings.get(old.chan) is old:
-            # under the same account the old binding has left every list, so
-            # its channel binds nothing; under another it stays on the old
-            # account's alias list, and so in the index
-            del self._chan_bindings[old.chan]
+        self.bindings[alias] = self.bindings.get(alias, []) + [binding]
         self._chan_bindings[chan] = binding
         self.network.note(SIP_HOST, "sys", f"sip:bind:{binding.uri}",
                           payload={"account": record.account})

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import crypto, wire
-from .calling import CommsEndpoint
+from .calling import CommsEndpoint, send_control, send_reply, send_request
 from .netsim import Endpoint, NetError, Network, PairingNetwork
 
 WIFI_CONNECT_MS = 300
@@ -72,14 +72,13 @@ class EchoDevice:
         self.device_secret = rng.randbytes(16).hex()
         self.mode = "factory"                      # factory|setup|online
         self.wifi_state = "disconnected"           # disconnected|connecting|connected
-        self.home_lan: str | None = None
         self.grant: dict | None = None
         self.identity: crypto.AsymKeypair | None = None  # granted, post-pairing
         self.pairing: PairingNetwork | None = None
         self.link_code: str | None = None
         self.comms = CommsEndpoint(network, self.host, serial, rng, **comms)
         self.avs: Endpoint | None = None
-        self.last_negotiation: bytes | None = None
+        self.hello: dict | None = None             # last signed negotiation payload
         self._api: Endpoint | None = None
         self._api_waiters: list = []
         self._pending_oobe: tuple[Endpoint, str] | None = None
@@ -113,7 +112,6 @@ class EchoDevice:
     def provision_paired(self, lan_name: str, grant: dict) -> None:
         """Start a scenario after first-time setup: on Wi-Fi, registered."""
         self.network.attach(self.host, lan_name)
-        self.home_lan = lan_name
         self.wifi_state = "connected"
         self._adopt_grant(grant)
         self.mode = "online"
@@ -134,7 +132,7 @@ class EchoDevice:
         try:
             env = wire.oobe_decode(wire.http_parse(data))
         except wire.WireError as exc:
-            self._oobe_reply(chan, "error", {"error": str(exc)}, status=400)
+            send_reply(chan, "error", {"error": str(exc)}, status=400)
             return
         handler = {
             "ping": self._oobe_ping,
@@ -146,29 +144,20 @@ class EchoDevice:
             "setupComplete": self._oobe_setup_complete,
         }.get(env.method)
         if handler is None:
-            self._oobe_reply(chan, env.method, {"error": "unknown method"}, status=400)
+            send_reply(chan, env.method, {"error": "unknown method"}, status=400)
             return
         handler(chan, env.args)
 
-    def _oobe_reply(self, chan: Endpoint, method: str, args: dict,
-                    status: int = 200) -> None:
-        ok = status == 200 and "error" not in args
-        resp = wire.oobe_response(wire.OobeEnvelope(method=method, args=args),
-                                  status=status, reason="OK" if ok else "Refused")
-        if not chan.closed:
-            chan.send(wire.http_serialize(resp), layer="oobe",
-                      summary=f"{method}-{'ok' if ok else 'error'}")
-
     def _oobe_ping(self, chan: Endpoint, args: dict) -> None:
-        self._oobe_reply(chan, "ping", {"pong": True})
+        send_reply(chan, "ping", {"pong": True})
 
     def _oobe_details(self, chan: Endpoint, args: dict) -> None:
-        self._oobe_reply(chan, "getDeviceDetails", {
+        send_reply(chan, "getDeviceDetails", {
             "serial": self.serial, "device_type": DEVICE_TYPE,
             "firmware": "595202420", "certificate": self.cert.to_dict()})
 
     def _oobe_scan(self, chan: Endpoint, args: dict) -> None:
-        self._oobe_reply(chan, "getScanList", {"networks": self.wifi_table.scan()})
+        send_reply(chan, "getScanList", {"networks": self.wifi_table.scan()})
 
     def _oobe_connect(self, chan: Endpoint, args: dict) -> None:
         armor = args.get("credential", "")
@@ -176,29 +165,26 @@ class EchoDevice:
             blob = crypto.EncryptedCredentialBlob.from_armor(armor)
             cred = crypto.decrypt_credential(blob, self.keypair)
         except crypto.CryptoError:
-            self._oobe_reply(chan, "connectToAP", {"error": "credential-invalid"},
-                             status=400)
+            send_reply(chan, "connectToAP", {"error": "credential-invalid"}, status=400)
             return
         if cred.ssid != args.get("ssid"):
-            self._oobe_reply(chan, "connectToAP", {"error": "ssid-mismatch"}, status=400)
+            send_reply(chan, "connectToAP", {"error": "ssid-mismatch"}, status=400)
             return
         entry = self.wifi_table.find(cred.ssid)
         if entry is None:
-            self._oobe_reply(chan, "connectToAP", {"error": "no-such-network"},
-                             status=400)
+            send_reply(chan, "connectToAP", {"error": "no-such-network"}, status=400)
             return
         if entry.passphrase != cred.passphrase:
-            self._oobe_reply(chan, "connectToAP", {"error": "auth-failed"}, status=403)
+            send_reply(chan, "connectToAP", {"error": "auth-failed"}, status=403)
             return
         self.wifi_state = "connecting"
         self.network.scheduler.at(WIFI_CONNECT_MS, self._wifi_up, entry.lan_name)
-        self._oobe_reply(chan, "connectToAP", {"status": "connecting"})
+        send_reply(chan, "connectToAP", {"status": "connecting"})
 
     def _wifi_up(self, lan_name: str) -> None:
         if self.wifi_state != "connecting":
             return
         self.network.attach(self.host, lan_name)
-        self.home_lan = lan_name
         self.wifi_state = "connected"
         self.network.note(self.host, "sys", "mode:wifi-connected",
                           payload={"lan": lan_name})
@@ -207,14 +193,14 @@ class EchoDevice:
         out = {"network": self.wifi_state, "registration": self.registration_state}
         if self.grant is not None:
             out["friendly_name"] = self.grant["friendly_name"]
-        self._oobe_reply(chan, "getRegistrationState", out)
+        send_reply(chan, "getRegistrationState", out)
 
     def _oobe_link_code(self, chan: Endpoint, args: dict) -> None:
         if self.wifi_state != "connected":
-            self._oobe_reply(chan, "getLinkCode", {"error": "not-online"}, status=400)
+            send_reply(chan, "getLinkCode", {"error": "not-online"}, status=400)
             return
         if self.link_code is not None:
-            self._oobe_reply(chan, "getLinkCode", {"code": self.link_code})
+            send_reply(chan, "getLinkCode", {"code": self.link_code})
             return
         self._pending_oobe = (chan, "getLinkCode")
         self._api_call("createLinkCode",
@@ -225,14 +211,14 @@ class EchoDevice:
         pending, self._pending_oobe = self._pending_oobe, None
         if "code" not in args:
             if pending is not None:
-                self._oobe_reply(pending[0], "getLinkCode",
-                                 {"error": args.get("error", "refused")}, status=403)
+                send_reply(pending[0], "getLinkCode",
+                           {"error": args.get("error", "refused")}, status=403)
             return
         self.link_code = args["code"]
         self._poll_count = 0
         self.network.scheduler.at(LINK_POLL_MS, self._poll_link_code)
         if pending is not None:
-            self._oobe_reply(pending[0], "getLinkCode", {"code": self.link_code})
+            send_reply(pending[0], "getLinkCode", {"code": self.link_code})
 
     def _poll_link_code(self) -> None:
         if self.grant is not None or self.link_code is None:
@@ -257,10 +243,9 @@ class EchoDevice:
 
     def _oobe_setup_complete(self, chan: Endpoint, args: dict) -> None:
         if self.grant is None:
-            self._oobe_reply(chan, "setupComplete", {"error": "not-registered"},
-                             status=400)
+            send_reply(chan, "setupComplete", {"error": "not-registered"}, status=400)
             return
-        self._oobe_reply(chan, "setupComplete", {"ok": True})
+        send_reply(chan, "setupComplete", {"ok": True})
         self.network.scheduler.at(SETUP_TEARDOWN_MS, self._leave_setup)
 
     def _leave_setup(self) -> None:
@@ -292,8 +277,7 @@ class EchoDevice:
             cb({"error": "cloud-unreachable"})
             return
         self._api_waiters.append(cb)
-        req = wire.http_serialize(wire.api_encode(wire.OobeEnvelope(method, args)))
-        self._api.send(req, layer="http", summary=method)
+        send_request(self._api, method, args)
 
     def _on_api_data(self, data: bytes) -> None:
         try:
@@ -330,20 +314,16 @@ class EchoDevice:
             chan.close()
             return
         self._tunnels[chan.channel.cid] = upstream
-        upstream.handler = lambda end, d: self._tunnel_down(chan, d)
+        upstream.handler = lambda end, d: self._tunnel_relay(chan, d)
         upstream.on_close = lambda end: chan.close() if not chan.closed else None
-        chan.handler = lambda end, d: self._tunnel_up(upstream, d)
+        chan.handler = lambda end, d: self._tunnel_relay(upstream, d)
         ok = wire.HttpMessage(kind="response", status=200,
                               reason="Connection Established", headers=[], body=b"")
         chan.send(wire.http_serialize(ok), layer="http", summary="CONNECT-ok")
 
-    def _tunnel_up(self, upstream: Endpoint, data: bytes) -> None:
-        if not upstream.closed:
-            upstream.send(data, layer="http", summary="tunnel-data")
-
-    def _tunnel_down(self, chan: Endpoint, data: bytes) -> None:
-        if not chan.closed:
-            chan.send(data, layer="http", summary="tunnel-data")
+    def _tunnel_relay(self, to: Endpoint, data: bytes) -> None:
+        if not to.closed:
+            to.send(data, layer="http", summary="tunnel-data")
 
     def _tunnel_close(self, chan: Endpoint) -> None:
         upstream = self._tunnels.pop(chan.channel.cid, None)
@@ -355,15 +335,15 @@ class EchoDevice:
     def connect_avs(self) -> None:
         if self.grant is None or self.identity is None:
             raise NetError("cannot connect without a registration grant")
+        self.avs = self._dial_avs()
+        self.hello = self._negotiation_payload()
+        send_control(self.avs, "System", "NegotiationCommand", self.hello)
+
+    def _dial_avs(self) -> Endpoint:
         addr = self.network.lookup(wire.AVS_NAME, self.host)
-        self.avs = self.network.open_channel(self.host, addr, wire.TLS_PORT, secured=True)
-        self.avs.handler = lambda end, data: self._on_avs(data)
-        payload = self._negotiation_payload()
-        self.last_negotiation = wire.control_encode(wire.ControlMessage(
-            interface="System", name="NegotiationCommand", payload=payload))
-        self.avs.send(self.last_negotiation, layer="control",
-                      summary="System.NegotiationCommand",
-                      payload={"serial": self.serial})
+        chan = self.network.open_channel(self.host, addr, wire.TLS_PORT, secured=True)
+        chan.handler = lambda end, data: self._on_avs(data)
+        return chan
 
     def _negotiation_payload(self) -> dict:
         body = {"auth_token": self.grant["auth_token"], "device_type": DEVICE_TYPE,
@@ -378,14 +358,9 @@ class EchoDevice:
         Stands in for an attacker who recorded the exchange; the service
         must refuse the stale timestamp.
         """
-        if self.last_negotiation is None:
+        if self.hello is None:
             raise NetError("nothing captured to replay")
-        addr = self.network.lookup(wire.AVS_NAME, self.host)
-        replay = self.network.open_channel(self.host, addr, wire.TLS_PORT, secured=True)
-        replay.handler = lambda end, data: self._on_avs(data)
-        replay.send(self.last_negotiation, layer="control",
-                    summary="System.NegotiationCommand",
-                    payload={"serial": self.serial, "replayed": True})
+        send_control(self._dial_avs(), "System", "NegotiationCommand", self.hello)
 
     def _on_avs(self, data: bytes) -> None:
         try:
@@ -400,9 +375,7 @@ class EchoDevice:
                 reason = (msg.payload or {}).get("reason", "?")
                 self.network.note(self.host, "sys", f"avs:refused:{reason}")
             elif msg.name == "Refresh":
-                ack = wire.ControlMessage(interface="System", name="RefreshAck",
-                                          payload={})
-                self.avs.send(wire.control_encode(ack), layer="control",
-                              summary="System.RefreshAck")
+                send_control(self.avs, "System", "RefreshAck", {})
         elif msg.interface == "SipClient":
             self.comms.handle_control(msg)
+

@@ -15,8 +15,8 @@ Topology model:
                   opened synchronously to a (address, port) listener
 
 Every message send appends one TraceEvent. Channels opened secured model
-an encrypted transport: the event and any tap observation carry only the
-payload length, never the bytes. Taps on a LAN see each delivery before
+an encrypted transport: the event carries no payload and a tap observation
+only the length, never the bytes. Taps on a LAN see each delivery before
 the destination handler runs, which is exactly the edge a same-channel
 attacker has over the legitimate party.
 """
@@ -211,11 +211,6 @@ class Host:
 class Observation:
     """What a passive tap sees for one delivered message."""
 
-    t_ms: int
-    src: str
-    dst: str
-    port: int
-    secured: bool
     length: int
     data: bytes | None  # None when the channel is secured
 
@@ -275,17 +270,17 @@ class Channel:
         net.trace.record(t_ms=net.scheduler.now, src=src.host.name, dst=dst.host.name,
                          lan=dst.lan_name, secured=self.secured, layer=layer,
                          summary=summary, payload=payload)
-        obs = Observation(t_ms=net.scheduler.now, src=src.host.name, dst=dst.host.name,
-                          port=self.port, secured=self.secured, length=len(data),
-                          data=None if self.secured else data)
-        net.scheduler.at(self.latency, self._deliver, dst, data, obs)
+        net.scheduler.at(self.latency, self._deliver, dst, data)
 
-    def _deliver(self, dst: Endpoint, data: bytes, obs: Observation) -> None:
+    def _deliver(self, dst: Endpoint, data: bytes) -> None:
         # close() stops new sends but frames already in flight still land,
         # so a peer that sends an error and immediately hangs up is heard
         # taps first: a sniffer reacts to a frame before its addressee does
-        for tap in self.network.taps.get(dst.lan_name, []):
-            tap(obs)
+        taps = self.network.taps.get(dst.lan_name)
+        if taps:
+            obs = Observation(length=len(data), data=None if self.secured else data)
+            for tap in taps:
+                tap(obs)
         if dst.handler is not None:
             dst.handler(dst, data)
 

@@ -3,6 +3,7 @@
 import copy
 import fnmatch
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -20,7 +21,7 @@ from echo_testbed.cli import (
     validate_assertion,
     validate_scenario,
 )
-from echo_testbed.netsim import TraceEvent
+from echo_testbed.netsim import TraceEvent, parse_jsonl
 
 
 def _ev(seq, layer, summary, *, lan="home-a", src="a", dst="b",
@@ -506,6 +507,16 @@ def test_run_scenario_serializes_each_event_once(monkeypatch):
                         lambda ev: calls.append(ev.seq) or to_json(ev))
     result = run_scenario(load_scenario("pair"))
     assert sorted(calls) == [ev["seq"] for ev in result.events]
+
+
+def test_readme_trace_example_is_an_event_of_the_pair_trace():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Traces", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    [event] = parse_jsonl(example)
+    result = run_scenario(load_scenario("pair"))
+    assert event in result.events
+    assert example.strip() in result.jsonl.split("\n")   # as the trace writes it
 
 
 def test_run_scenario_failing_assertion_exits_1():

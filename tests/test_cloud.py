@@ -523,6 +523,9 @@ def test_reregistration_under_another_account_matches_the_scan():
     cloud.deregister_device(SERIAL)
     second = _register_on(net, probe, cloud.provision_grant(SERIAL, "bob"))
     _assert_chan_index_matches_scan(cloud, first.peer, second.peer)
+    # the device left alice's account: a call to her alias no longer forks to it
+    assert all(b.serial != SERIAL for b in cloud.bindings["sip:user-alice@echo.example"])
+    assert [b.chan for b in cloud.bindings["sip:user-bob@echo.example"]] == [second.peer]
 
 
 def _fleet_calls_20_homes():

@@ -298,18 +298,52 @@ def test_provision_paired_brings_up_comms():
         s.startswith("sip:bind") for s in summaries)
 
 
+def capture_avs(cloud):
+    """Every frame the voice service receives, in arrival order."""
+    frames = []
+    on_avs = cloud._on_avs
+
+    def capture(chan, data):
+        frames.append(data)
+        on_avs(chan, data)
+    cloud._on_avs = capture
+    return frames
+
+
+def hellos(frames):
+    return [f for f in frames if wire.control_decode(f).name == "NegotiationCommand"]
+
+
 def test_negotiation_payload_is_signed_by_granted_identity():
     net, cloud, dev = make_world()
+    frames = capture_avs(cloud)
     grant = cloud.provision_grant(SERIAL, "alice")
     dev.provision_paired("home", grant)
     net.run()
-    msg = wire.control_decode(dev.last_negotiation)
+    [hello] = hellos(frames)
+    msg = wire.control_decode(hello)
     assert (msg.interface, msg.name) == ("System", "NegotiationCommand")
     body = dict(msg.payload)
     sig = bytes.fromhex(body.pop("signature"))
     signed = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
     assert crypto.verify_detached(dev.identity.public, signed, sig)
     assert not crypto.verify_detached(dev.keypair.public, signed, sig)
+
+
+def test_replay_resends_the_original_hello_bytes():
+    net, cloud, dev = make_world()
+    frames = capture_avs(cloud)
+    dev.provision_paired("home", cloud.provision_grant(SERIAL, "alice"))
+    net.run()
+    [hello] = hellos(frames)
+    dev.replay_negotiation()
+    net.run()
+    assert hellos(frames) == [hello, hello]
+    assert "avs:rejected:replayed-timestamp" in [e.summary for e in net.trace.events]
+    # both go out as secured control events that show the name and no payload
+    sent = [e for e in net.trace.events if e.summary == "System.NegotiationCommand"]
+    assert [(e.src, e.dst, e.layer, e.secured, e.payload) for e in sent] == \
+        [(dev.host.name, "avs", "control", True, None)] * 2
 
 
 def test_replay_without_capture_refused():
@@ -333,6 +367,7 @@ def test_refresh_round_trip():
     summaries = [e.summary for e in net.trace.events]
     assert "System.Refresh" in summaries
     assert "System.RefreshAck" in summaries
+    assert ("avs", "avs:refresh-ack") in [(e.src, e.summary) for e in net.trace.events]
 
 
 def test_pair_scenario_leaves_no_setup_residue():

@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from echo_testbed import netsim
 from echo_testbed.netsim import (
     EVENT_BUDGET,
     HOP_MS,
@@ -249,6 +250,20 @@ class TestChannels:
         assert seen[0].data == b"clear"
         assert seen[1].data is None
         assert seen[1].length == len(b"hidden")
+
+    def test_observation_is_built_only_for_a_tapped_lan(self, monkeypatch):
+        net, dev, api = two_lan_net()
+        api.listen(443, lambda ep: None)
+        built = []
+        monkeypatch.setattr(netsim, "Observation", lambda **kw: built.append(kw))
+        end = net.open_channel(dev, api.addr("cloud"), 443)
+        end.send(b"untapped", "control", "a")
+        net.run()
+        assert built == []
+        net.add_tap("cloud", lambda obs: None)
+        end.send(b"tapped", "control", "b")
+        net.run()
+        assert built == [{"length": 6, "data": b"tapped"}]
 
     def test_tap_runs_before_destination_handler(self):
         net, dev, api = two_lan_net()
