@@ -25,9 +25,10 @@ channel the caller opened, so those frames stay on the LAN.
 Media frames carry a recognizable canary string so tests can prove the
 plaintext never appears anywhere in a trace.
 
-This module also owns how every signalling message goes onto a channel:
-send_sip, send_control, and send_request/send_reply for the pairing and
-device-API envelope, which device, cloud and client share.
+This module also owns the send and receive path of every signalling
+message: send_sip and send_control, and for the pairing and device-API
+envelope that device, cloud and client share, send_request and read_reply
+on the calling side and serve_request/send_reply on the answering side.
 """
 
 from __future__ import annotations
@@ -117,6 +118,35 @@ def send_reply(chan: Endpoint, method: str, args: dict, status: int = 200) -> No
                               status=status, reason="OK" if ok else "Refused")
     chan.send(wire.http_serialize(resp), layer=_envelope_layer(chan),
               summary=f"{method}-{'ok' if ok else 'error'}")
+
+
+def serve_request(chan: Endpoint, data: bytes, handlers: dict) -> None:
+    """Answer one pairing or device-API call on chan with handlers[method].
+
+    A handler takes (chan, args) and returns the (args, status) to reply
+    with under the call's method, or None if it answers later itself.
+    """
+    decode = wire.oobe_decode if _envelope_layer(chan) == "oobe" else wire.api_decode
+    try:
+        env = decode(wire.http_parse(data))
+    except wire.WireError as exc:
+        send_reply(chan, "error", {"error": str(exc)}, status=400)
+        return
+    handler = handlers.get(env.method)
+    if handler is None:
+        send_reply(chan, env.method, {"error": "unknown method"}, status=400)
+        return
+    reply = handler(chan, env.args)
+    if reply is not None:
+        send_reply(chan, env.method, *reply)
+
+
+def read_reply(data: bytes) -> wire.OobeEnvelope | None:
+    """Decode one pairing or device-API reply; None if it is malformed."""
+    try:
+        return wire.oobe_decode_response(wire.http_parse(data))
+    except wire.WireError:
+        return None
 
 
 def canary_payload(tag: str, seq: int) -> bytes:

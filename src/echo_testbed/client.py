@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass
 
 from . import crypto, wire
-from .calling import send_request
+from .calling import read_reply, send_request
 from .netsim import Endpoint, NetError, Network, Observation, PairingNetwork
 
 REG_POLL_MS = 200
@@ -98,10 +98,8 @@ class CompanionApp:
     # -- the setup dialogue, one reply at a time
 
     def _on_oobe(self, data: bytes) -> None:
-        try:
-            msg = wire.http_parse(data)
-            env = wire.oobe_decode_response(msg)
-        except wire.WireError:
+        env = read_reply(data)
+        if env is None:
             self._finish("protocol-error")
             return
         if "error" in env.args:
@@ -300,9 +298,8 @@ class Hijacker(Eavesdropper):
                           payload={"code": code})
 
     def _on_register_reply(self, data: bytes) -> None:
-        try:
-            env = wire.oobe_decode_response(wire.http_parse(data))
-        except wire.WireError:
+        env = read_reply(data)
+        if env is None:
             self.result = "protocol-error"
             return
         if env.args.get("ok"):

@@ -29,8 +29,8 @@ from .calling import (
     make_sip_request,
     make_sip_response,
     send_control,
-    send_reply,
     send_sip,
+    serve_request,
 )
 from .netsim import Endpoint, NetError, Network
 
@@ -167,6 +167,8 @@ class CloudServices:
         if record is not None:
             record.registered = False
             record.account = ""
+        self._unbind(serial)
+        self.avs_sessions.pop(serial, None)
         self.network.note(AVS_HOST, "sys", f"deregistered:{serial}")
 
     def _mint_grant(self, serial: str, account_id: str) -> dict:
@@ -185,30 +187,18 @@ class CloudServices:
     # -- device API ----------------------------------------------------------
 
     def _accept_api(self, chan: Endpoint) -> None:
-        chan.handler = lambda end, data: self._on_api(end, data)
-
-    def _on_api(self, chan: Endpoint, data: bytes) -> None:
-        try:
-            env = wire.api_decode(wire.http_parse(data))
-        except wire.WireError as exc:
-            send_reply(chan, "error", {"error": str(exc)}, status=400)
-            return
-        handler = {
+        handlers = {
             "createLinkCode": self._api_create_link_code,
             "checkLinkCode": self._api_check_link_code,
             "registerDevice": self._api_register_device,
-        }.get(env.method)
-        if handler is None:
-            send_reply(chan, env.method, {"error": "unknown method"}, status=400)
-            return
-        handler(chan, env.args)
+        }
+        chan.handler = lambda end, data: serve_request(end, data, handlers)
 
-    def _api_create_link_code(self, chan: Endpoint, args: dict) -> None:
+    def _api_create_link_code(self, chan: Endpoint, args: dict) -> tuple[dict, int]:
         serial = args.get("serial", "")
         record = self.factory.get(serial)
         if record is None or record["secret"] != args.get("secret"):
-            send_reply(chan, "createLinkCode", {"error": "bad device identity"}, status=403)
-            return
+            return {"error": "bad device identity"}, 403
         code = "".join(LINK_CODE_ALPHABET[b % len(LINK_CODE_ALPHABET)]
                        for b in self.rng.randbytes(LINK_CODE_LEN))
         while code in self.link_codes:
@@ -217,44 +207,37 @@ class CloudServices:
         self.link_codes[code] = LinkCode(code=code, serial=serial,
                                          created_ms=self.network.scheduler.now)
         self.network.note(API_HOST, "sys", f"link-code:created:{serial}")
-        send_reply(chan, "createLinkCode", {"code": code})
+        return {"code": code}, 200
 
-    def _api_check_link_code(self, chan: Endpoint, args: dict) -> None:
+    def _api_check_link_code(self, chan: Endpoint, args: dict) -> tuple[dict, int]:
         code = args.get("code", "")
         entry = self.link_codes.get(code)
         record = self.factory.get(entry.serial) if entry else None
         if entry is None or record is None or record["secret"] != args.get("secret"):
-            send_reply(chan, "checkLinkCode", {"error": "unknown code"}, status=403)
-            return
+            return {"error": "unknown code"}, 403
         if self.network.scheduler.now - entry.created_ms > LINK_CODE_TTL_MS:
-            send_reply(chan, "checkLinkCode", {"status": "expired"})
-            return
+            return {"status": "expired"}, 200
         if entry.account is None:
-            send_reply(chan, "checkLinkCode", {"status": "pending"})
-            return
+            return {"status": "pending"}, 200
         if entry.grant is None:
             entry.grant = self._mint_grant(entry.serial, entry.account)
-        send_reply(chan, "checkLinkCode", {"status": "registered", "grant": entry.grant})
+        return {"status": "registered", "grant": entry.grant}, 200
 
-    def _api_register_device(self, chan: Endpoint, args: dict) -> None:
+    def _api_register_device(self, chan: Endpoint, args: dict) -> tuple[dict, int]:
         account = args.get("account", "")
         if self.accounts.get(account) != args.get("password"):
             self.network.note(API_HOST, "sys", "register-device-refused:bad-credentials")
-            send_reply(chan, "registerDevice", {"error": "bad credentials"}, status=403)
-            return
+            return {"error": "bad credentials"}, 403
         entry = self.link_codes.get(args.get("link_code", ""))
         if entry is None:
             self.network.note(API_HOST, "sys", "register-device-refused:unknown-code")
-            send_reply(chan, "registerDevice", {"error": "unknown link code"}, status=403)
-            return
+            return {"error": "unknown link code"}, 403
         if self.network.scheduler.now - entry.created_ms > LINK_CODE_TTL_MS:
             self.network.note(API_HOST, "sys", "register-device-refused:expired-code")
-            send_reply(chan, "registerDevice", {"error": "expired link code"}, status=403)
-            return
+            return {"error": "expired link code"}, 403
         if entry.account is not None:
             self.network.note(API_HOST, "sys", "register-device-refused:code-consumed")
-            send_reply(chan, "registerDevice", {"error": "code already used"}, status=403)
-            return
+            return {"error": "code already used"}, 403
         existing = self.registry.get(entry.serial)
         if existing is not None and existing.registered and existing.account != account:
             # the anti-hijack rule: a device still bound to an account can
@@ -262,13 +245,11 @@ class CloudServices:
             self.network.note(API_HOST, "sys",
                               "register-device-refused:already-registered",
                               payload={"serial": entry.serial, "account": account})
-            send_reply(chan, "registerDevice",
-                       {"error": "device already registered"}, status=403)
-            return
+            return {"error": "device already registered"}, 403
         entry.account = account
         self.network.note(API_HOST, "sys", f"register-device:{account}",
                           payload={"serial": entry.serial})
-        send_reply(chan, "registerDevice", {"ok": True})
+        return {"ok": True}, 200
 
     # -- voice-service connections -------------------------------------------
 
@@ -439,15 +420,7 @@ class CloudServices:
                           account=record.account,
                           contact=msg.header("Contact") or "",
                           intercom=msg.header("X-intercom") == "yes", chan=chan)
-        old = next(iter(self.bindings.get(binding.uri, ())), None)
-        if old is not None:
-            # the device's previous binding leaves its account's alias list,
-            # whichever account that was, and so binds its channel no more
-            old_alias = account_uri(old.account)
-            self.bindings[old_alias] = [b for b in self.bindings.get(old_alias, ())
-                                        if b.serial != serial]
-            if self._chan_bindings.get(old.chan) is old:
-                del self._chan_bindings[old.chan]
+        self._unbind(serial)
         self.bindings[binding.uri] = [binding]
         alias = account_uri(record.account)
         self.bindings[alias] = self.bindings.get(alias, []) + [binding]
@@ -455,6 +428,17 @@ class CloudServices:
         self.network.note(SIP_HOST, "sys", f"sip:bind:{binding.uri}",
                           payload={"account": record.account})
         send_sip(chan, make_sip_response(msg, 200))
+
+    def _unbind(self, serial: str) -> None:
+        """Drop serial's binding from its device URI and from its account's
+        alias list, whichever account that was, and so from its channel."""
+        old = next(iter(self.bindings.pop(device_uri(serial), ())), None)
+        if old is None:
+            return
+        alias = account_uri(old.account)
+        self.bindings[alias] = [b for b in self.bindings.get(alias, ()) if b.serial != serial]
+        if self._chan_bindings.get(old.chan) is old:
+            del self._chan_bindings[old.chan]
 
     def _sip_invite(self, chan: Endpoint, msg: wire.SipMessage) -> None:
         caller = self._chan_bindings.get(chan)

@@ -35,6 +35,8 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 )
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+from cryptography.hazmat.primitives.hashes import SHA256
+from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 
 class CryptoError(Exception):
@@ -220,16 +222,8 @@ def _pkcs7_unpad(data: bytes) -> bytes:
 _WRAP_INFO = b"echo-testbed key wrap v1"
 
 
-def _hkdf_sha256(secret: bytes, info: bytes, length: int = 32) -> bytes:
-    prk = hmac_mod.new(b"\x00" * 32, secret, hashlib.sha256).digest()
-    okm = b""
-    block = b""
-    counter = 1
-    while len(okm) < length:
-        block = hmac_mod.new(prk, block + info + bytes([counter]), hashlib.sha256).digest()
-        okm += block
-        counter += 1
-    return okm[:length]
+def _hkdf_sha256(secret: bytes, info: bytes) -> bytes:
+    return HKDF(SHA256(), length=32, salt=None, info=info).derive(secret)
 
 
 def wrap_key(recipient: PublicKey, key: bytes, rng: Rng) -> bytes:

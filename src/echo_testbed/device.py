@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import crypto, wire
-from .calling import CommsEndpoint, send_control, send_reply, send_request
+from .calling import (CommsEndpoint, read_reply, send_control, send_reply,
+                      send_request, serve_request)
 from .netsim import Endpoint, NetError, Network, PairingNetwork
 
 WIFI_CONNECT_MS = 300
@@ -81,7 +82,7 @@ class EchoDevice:
         self.hello: dict | None = None             # last signed negotiation payload
         self._api: Endpoint | None = None
         self._api_waiters: list = []
-        self._pending_oobe: tuple[Endpoint, str] | None = None
+        self._pending_oobe: Endpoint | None = None  # unanswered getLinkCode
         self._poll_count = 0
         self._tunnels: dict[int, Endpoint] = {}    # tunnel cid -> upstream
 
@@ -126,15 +127,7 @@ class EchoDevice:
     # -- pairing API (port 8080) ----------------------------------------------
 
     def _accept_oobe(self, chan: Endpoint) -> None:
-        chan.handler = lambda end, data: self._on_oobe(end, data)
-
-    def _on_oobe(self, chan: Endpoint, data: bytes) -> None:
-        try:
-            env = wire.oobe_decode(wire.http_parse(data))
-        except wire.WireError as exc:
-            send_reply(chan, "error", {"error": str(exc)}, status=400)
-            return
-        handler = {
+        handlers = {
             "ping": self._oobe_ping,
             "getDeviceDetails": self._oobe_details,
             "getScanList": self._oobe_scan,
@@ -142,44 +135,36 @@ class EchoDevice:
             "getRegistrationState": self._oobe_reg_state,
             "getLinkCode": self._oobe_link_code,
             "setupComplete": self._oobe_setup_complete,
-        }.get(env.method)
-        if handler is None:
-            send_reply(chan, env.method, {"error": "unknown method"}, status=400)
-            return
-        handler(chan, env.args)
+        }
+        chan.handler = lambda end, data: serve_request(end, data, handlers)
 
-    def _oobe_ping(self, chan: Endpoint, args: dict) -> None:
-        send_reply(chan, "ping", {"pong": True})
+    def _oobe_ping(self, chan: Endpoint, args: dict) -> tuple[dict, int]:
+        return {"pong": True}, 200
 
-    def _oobe_details(self, chan: Endpoint, args: dict) -> None:
-        send_reply(chan, "getDeviceDetails", {
-            "serial": self.serial, "device_type": DEVICE_TYPE,
-            "firmware": "595202420", "certificate": self.cert.to_dict()})
+    def _oobe_details(self, chan: Endpoint, args: dict) -> tuple[dict, int]:
+        return {"serial": self.serial, "device_type": DEVICE_TYPE,
+                "firmware": "595202420", "certificate": self.cert.to_dict()}, 200
 
-    def _oobe_scan(self, chan: Endpoint, args: dict) -> None:
-        send_reply(chan, "getScanList", {"networks": self.wifi_table.scan()})
+    def _oobe_scan(self, chan: Endpoint, args: dict) -> tuple[dict, int]:
+        return {"networks": self.wifi_table.scan()}, 200
 
-    def _oobe_connect(self, chan: Endpoint, args: dict) -> None:
+    def _oobe_connect(self, chan: Endpoint, args: dict) -> tuple[dict, int]:
         armor = args.get("credential", "")
         try:
             blob = crypto.EncryptedCredentialBlob.from_armor(armor)
             cred = crypto.decrypt_credential(blob, self.keypair)
         except crypto.CryptoError:
-            send_reply(chan, "connectToAP", {"error": "credential-invalid"}, status=400)
-            return
+            return {"error": "credential-invalid"}, 400
         if cred.ssid != args.get("ssid"):
-            send_reply(chan, "connectToAP", {"error": "ssid-mismatch"}, status=400)
-            return
+            return {"error": "ssid-mismatch"}, 400
         entry = self.wifi_table.find(cred.ssid)
         if entry is None:
-            send_reply(chan, "connectToAP", {"error": "no-such-network"}, status=400)
-            return
+            return {"error": "no-such-network"}, 400
         if entry.passphrase != cred.passphrase:
-            send_reply(chan, "connectToAP", {"error": "auth-failed"}, status=403)
-            return
+            return {"error": "auth-failed"}, 403
         self.wifi_state = "connecting"
         self.network.scheduler.at(WIFI_CONNECT_MS, self._wifi_up, entry.lan_name)
-        send_reply(chan, "connectToAP", {"status": "connecting"})
+        return {"status": "connecting"}, 200
 
     def _wifi_up(self, lan_name: str) -> None:
         if self.wifi_state != "connecting":
@@ -189,36 +174,36 @@ class EchoDevice:
         self.network.note(self.host, "sys", "mode:wifi-connected",
                           payload={"lan": lan_name})
 
-    def _oobe_reg_state(self, chan: Endpoint, args: dict) -> None:
+    def _oobe_reg_state(self, chan: Endpoint, args: dict) -> tuple[dict, int]:
         out = {"network": self.wifi_state, "registration": self.registration_state}
         if self.grant is not None:
             out["friendly_name"] = self.grant["friendly_name"]
-        send_reply(chan, "getRegistrationState", out)
+        return out, 200
 
-    def _oobe_link_code(self, chan: Endpoint, args: dict) -> None:
+    def _oobe_link_code(self, chan: Endpoint, args: dict) -> tuple[dict, int] | None:
         if self.wifi_state != "connected":
-            send_reply(chan, "getLinkCode", {"error": "not-online"}, status=400)
-            return
+            return {"error": "not-online"}, 400
         if self.link_code is not None:
-            send_reply(chan, "getLinkCode", {"code": self.link_code})
-            return
-        self._pending_oobe = (chan, "getLinkCode")
+            return {"code": self.link_code}, 200
+        # answered from _on_link_code_created once the service has minted one
+        self._pending_oobe = chan
         self._api_call("createLinkCode",
                        {"serial": self.serial, "secret": self.device_secret},
                        self._on_link_code_created)
+        return None
 
     def _on_link_code_created(self, args: dict) -> None:
         pending, self._pending_oobe = self._pending_oobe, None
         if "code" not in args:
             if pending is not None:
-                send_reply(pending[0], "getLinkCode",
+                send_reply(pending, "getLinkCode",
                            {"error": args.get("error", "refused")}, status=403)
             return
         self.link_code = args["code"]
         self._poll_count = 0
         self.network.scheduler.at(LINK_POLL_MS, self._poll_link_code)
         if pending is not None:
-            send_reply(pending[0], "getLinkCode", {"code": self.link_code})
+            send_reply(pending, "getLinkCode", {"code": self.link_code})
 
     def _poll_link_code(self) -> None:
         if self.grant is not None or self.link_code is None:
@@ -241,12 +226,11 @@ class EchoDevice:
             self.link_code = None
             self.network.note(self.host, "sys", "link-code:expired")
 
-    def _oobe_setup_complete(self, chan: Endpoint, args: dict) -> None:
+    def _oobe_setup_complete(self, chan: Endpoint, args: dict) -> tuple[dict, int]:
         if self.grant is None:
-            send_reply(chan, "setupComplete", {"error": "not-registered"}, status=400)
-            return
-        send_reply(chan, "setupComplete", {"ok": True})
+            return {"error": "not-registered"}, 400
         self.network.scheduler.at(SETUP_TEARDOWN_MS, self._leave_setup)
+        return {"ok": True}, 200
 
     def _leave_setup(self) -> None:
         if self.pairing is None:
@@ -280,11 +264,8 @@ class EchoDevice:
         send_request(self._api, method, args)
 
     def _on_api_data(self, data: bytes) -> None:
-        try:
-            env = wire.oobe_decode_response(wire.http_parse(data))
-        except wire.WireError:
-            return
-        if self._api_waiters:
+        env = read_reply(data)
+        if env is not None and self._api_waiters:
             self._api_waiters.pop(0)(env.args)
 
     # -- registration tunnel (port 443) -----------------------------------------

@@ -8,9 +8,12 @@ Five codecs live here:
 
   * a minimal HTTP/1.1 subset (Content-Length framing only, no chunked
     encoding, no pipelining),
-  * the OOBE method envelope carried as JSON in a POST to /OOBE,
+  * the OOBE method envelope carried as JSON in a POST to /OOBE or /api,
+    and in the reply; both directions need an object as args,
   * a SIP subset (headers are an ordered, repeatable list; unknown headers
-    are carried verbatim),
+    are carried verbatim), framed by the same start-line, header and
+    Content-Length code as HTTP, since SIP reuses HTTP/1.1's message
+    syntax (RFC 3261 section 7),
   * an SDP subset with ICE-style candidates and a single SDES crypto line,
   * the JSON control-message envelope used on the voice-service connection.
 
@@ -130,27 +133,36 @@ def _check_body_length(headers: list[tuple[str, str]], body: bytes, what: str) -
     return body
 
 
-def http_parse(data: bytes) -> HttpMessage:
-    """Parse one complete HTTP message (request or response)."""
-    lines, body = _split_head(data, "http")
+def _parse_message(data: bytes, cls, what: str, version: str, label: str,
+                   check_headers=None):
+    """Parse one complete HTTP or SIP message into cls: start line, headers, body."""
+    lines, body = _split_head(data, what)
     start = lines[0]
     headers = _parse_headers(lines[1:])
-    body = _check_body_length(headers, body, "http")
+    body = _check_body_length(headers, body, what)
+    if check_headers is not None:
+        check_headers(headers)
 
-    if start.startswith(HTTP_VERSION + " "):
+    if start.startswith(version + " "):
         parts = start.split(" ", 2)
         if len(parts) < 3 or not parts[1].isdigit() or len(parts[1]) != 3:
-            raise WireError(f"malformed status line: {start!r}")
-        return HttpMessage(kind="response", status=int(parts[1]), reason=parts[2],
-                           headers=headers, body=body)
+            raise WireError(f"malformed {label}status line: {start!r}")
+        return cls(kind="response", status=int(parts[1]), reason=parts[2],
+                   headers=headers, body=body)
 
     parts = start.split(" ")
-    if len(parts) != 3 or parts[2] != HTTP_VERSION or not _TOKEN_RE.match(parts[0]):
-        raise WireError(f"malformed request line: {start!r}")
-    if not parts[1]:
+    if len(parts) != 3 or parts[2] != version or not _TOKEN_RE.match(parts[0]):
+        raise WireError(f"malformed {label}request line: {start!r}")
+    # method, then the request target: an HTTP path or a SIP request-URI
+    return cls("request", parts[0], parts[1], headers=headers, body=body)
+
+
+def http_parse(data: bytes) -> HttpMessage:
+    """Parse one complete HTTP message (request or response)."""
+    msg = _parse_message(data, HttpMessage, "http", HTTP_VERSION, "")
+    if msg.kind == "request" and not msg.path:
         raise WireError("empty request path")
-    return HttpMessage(kind="request", method=parts[0], path=parts[1],
-                       headers=headers, body=body)
+    return msg
 
 
 def _serialize_headers(headers: list[tuple[str, str]]) -> str:
@@ -164,21 +176,28 @@ def _serialize_headers(headers: list[tuple[str, str]]) -> str:
     return "".join(out)
 
 
-def http_serialize(msg: HttpMessage) -> bytes:
-    """Serialize to bytes that reparse to an equal message."""
+def _serialize_message(msg, version: str, target: str | None,
+                       check_headers=None) -> bytes:
     if msg.kind == "request":
-        if not msg.method or not msg.path:
-            raise WireError("request needs method and path")
-        start = f"{msg.method} {msg.path} {HTTP_VERSION}"
+        start = f"{msg.method} {target} {version}"
     elif msg.kind == "response":
-        if msg.status is None:
-            raise WireError("response needs a status")
-        start = f"{HTTP_VERSION} {msg.status} {msg.reason or ''}"
+        start = f"{version} {msg.status} {msg.reason or ''}"
     else:
         raise WireError(f"unknown message kind {msg.kind!r}")
     msg.set_header("Content-Length", str(len(msg.body)))
+    if check_headers is not None:
+        check_headers(msg.headers)
     head = start + "\r\n" + _serialize_headers(msg.headers) + "\r\n"
     return head.encode("ascii") + msg.body
+
+
+def http_serialize(msg: HttpMessage) -> bytes:
+    """Serialize to bytes that reparse to an equal message."""
+    if msg.kind == "request" and (not msg.method or not msg.path):
+        raise WireError("request needs method and path")
+    if msg.kind == "response" and msg.status is None:
+        raise WireError("response needs a status")
+    return _serialize_message(msg, HTTP_VERSION, msg.path)
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +215,33 @@ class OobeEnvelope:
     args: dict = field(default_factory=dict)
 
 
+def _envelope_body(env: OobeEnvelope) -> bytes:
+    return json.dumps({"method": env.method, "args": env.args},
+                      separators=(",", ":")).encode()
+
+
+def _envelope_from_body(body: bytes) -> OobeEnvelope:
+    try:
+        obj = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise WireError(f"OOBE body is not JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise WireError("OOBE body must be a JSON object")
+    method = obj.get("method")
+    if not method or not isinstance(method, str):
+        raise WireError("OOBE body missing method name")
+    args = obj.get("args", {})
+    if not isinstance(args, dict):
+        raise WireError("OOBE args must be an object")
+    return OobeEnvelope(method=method, args=args)
+
+
 def _envelope_encode(env: OobeEnvelope, path: str) -> HttpMessage:
     if not env.method:
         raise WireError("empty method name")
-    body = json.dumps({"method": env.method, "args": env.args},
-                      separators=(",", ":")).encode()
     return HttpMessage(kind="request", method="POST", path=path,
-                       headers=[("Content-Type", "application/json")], body=body)
+                       headers=[("Content-Type", "application/json")],
+                       body=_envelope_body(env))
 
 
 def oobe_encode(env: OobeEnvelope) -> HttpMessage:
@@ -221,19 +260,7 @@ def oobe_decode(msg: HttpMessage, path: str = OOBE_PATH) -> OobeEnvelope:
         raise WireError("envelope calls must be POST requests")
     if msg.path != path:
         raise WireError(f"wrong path for envelope call: {msg.path!r}")
-    try:
-        obj = json.loads(msg.body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WireError(f"OOBE body is not JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise WireError("OOBE body must be a JSON object")
-    method = obj.get("method")
-    if not method or not isinstance(method, str):
-        raise WireError("OOBE body missing method name")
-    args = obj.get("args", {})
-    if not isinstance(args, dict):
-        raise WireError("OOBE args must be an object")
-    return OobeEnvelope(method=method, args=args)
+    return _envelope_from_body(msg.body)
 
 
 def api_decode(msg: HttpMessage) -> OobeEnvelope:
@@ -244,22 +271,15 @@ def api_decode(msg: HttpMessage) -> OobeEnvelope:
 # errors use a non-200 status with the failing method echoed back.
 
 def oobe_response(env: OobeEnvelope, status: int = 200, reason: str = "OK") -> HttpMessage:
-    body = json.dumps({"method": env.method, "args": env.args},
-                      separators=(",", ":")).encode()
     return HttpMessage(kind="response", status=status, reason=reason,
-                       headers=[("Content-Type", "application/json")], body=body)
+                       headers=[("Content-Type", "application/json")],
+                       body=_envelope_body(env))
 
 
 def oobe_decode_response(msg: HttpMessage) -> OobeEnvelope:
     if msg.kind != "response":
         raise WireError("expected an HTTP response")
-    try:
-        obj = json.loads(msg.body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WireError(f"OOBE response body is not JSON: {exc}") from exc
-    if not isinstance(obj, dict) or not isinstance(obj.get("method"), str):
-        raise WireError("OOBE response missing method name")
-    return OobeEnvelope(method=obj["method"], args=obj.get("args", {}))
+    return _envelope_from_body(msg.body)
 
 
 # ---------------------------------------------------------------------------
@@ -309,24 +329,7 @@ def _check_sip_headers(headers: list[tuple[str, str]]) -> None:
 
 def sip_parse(data: bytes) -> SipMessage:
     """Parse one complete SIP message, retaining unknown headers verbatim."""
-    lines, body = _split_head(data, "sip")
-    start = lines[0]
-    headers = _parse_headers(lines[1:])
-    body = _check_body_length(headers, body, "sip")
-    _check_sip_headers(headers)
-
-    if start.startswith(SIP_VERSION + " "):
-        parts = start.split(" ", 2)
-        if len(parts) < 3 or not parts[1].isdigit() or len(parts[1]) != 3:
-            raise WireError(f"malformed SIP status line: {start!r}")
-        return SipMessage(kind="response", status=int(parts[1]), reason=parts[2],
-                          headers=headers, body=body)
-
-    parts = start.split(" ")
-    if len(parts) != 3 or parts[2] != SIP_VERSION or not _TOKEN_RE.match(parts[0]):
-        raise WireError(f"malformed SIP request line: {start!r}")
-    return SipMessage(kind="request", method=parts[0], request_uri=parts[1],
-                      headers=headers, body=body)
+    return _parse_message(data, SipMessage, "sip", SIP_VERSION, "SIP ", _check_sip_headers)
 
 
 def sip_serialize(msg: SipMessage) -> bytes:
@@ -335,17 +338,9 @@ def sip_serialize(msg: SipMessage) -> bytes:
             raise WireError("SIP request needs method and request-URI")
         if msg.method not in SIP_METHODS:
             raise WireError(f"testbed agents do not emit {msg.method}")
-        start = f"{msg.method} {msg.request_uri} {SIP_VERSION}"
-    elif msg.kind == "response":
-        if msg.status not in SIP_STATUSES:
-            raise WireError(f"testbed agents do not emit status {msg.status}")
-        start = f"{SIP_VERSION} {msg.status} {msg.reason or ''}"
-    else:
-        raise WireError(f"unknown message kind {msg.kind!r}")
-    msg.set_header("Content-Length", str(len(msg.body)))
-    _check_sip_headers(msg.headers)
-    head = start + "\r\n" + _serialize_headers(msg.headers) + "\r\n"
-    return head.encode("ascii") + msg.body
+    elif msg.kind == "response" and msg.status not in SIP_STATUSES:
+        raise WireError(f"testbed agents do not emit status {msg.status}")
+    return _serialize_message(msg, SIP_VERSION, msg.request_uri, _check_sip_headers)
 
 
 # ---------------------------------------------------------------------------

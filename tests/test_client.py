@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from echo_testbed import crypto
+from echo_testbed import crypto, wire
 from echo_testbed.client import (
     CompanionApp,
     Eavesdropper,
@@ -13,7 +13,7 @@ from echo_testbed.client import (
 )
 from echo_testbed.cloud import CloudServices
 from echo_testbed.device import EchoDevice, WifiNetwork, WifiNetworkTable
-from echo_testbed.netsim import Network
+from echo_testbed.netsim import Network, PairingNetwork
 
 SERIAL = "EK-TEST-0001"
 SSID = "Wren"
@@ -197,3 +197,65 @@ def test_hijacker_without_uplink_has_no_route():
     assert mallet.result == "no-route"
     assert app.outcome == "paired"
     assert cloud.registry[SERIAL].account == "alice"
+
+
+# ---------------------------------------------------------------------------
+# a reply whose args is not an object is refused, never raised
+
+HOSTILE_ARGS = [b"[1]", b'"code"', b"null"]
+
+
+def hostile_peer(host, port, args):
+    """Make host answer every call on port with args that are not an object."""
+    body = b'{"method":"getRegistrationState","args":' + args + b"}"
+    reply = wire.http_serialize(wire.HttpMessage(kind="response", status=200,
+                                                 reason="OK", body=body))
+
+    def accept(chan):
+        chan.handler = lambda end, data: end.send(reply, layer="http", summary="hostile")
+    host.listen(port, accept)
+
+
+def hostile_api(net, args):
+    """A network whose api name resolves to a hostile peer."""
+    net.add_lan("cloud", "10.0.0")
+    api = net.add_host("api")
+    net.register_name(wire.API_NAME, net.attach(api, "cloud"))
+    hostile_peer(api, wire.TLS_PORT, args)
+
+
+@pytest.mark.parametrize("args", HOSTILE_ARGS)
+def test_companion_app_ends_on_a_hostile_reply(args):
+    net = Network()
+    fake = net.add_host("fake-echo")
+    hostile_peer(fake, wire.OOBE_PORT, args)
+    app = CompanionApp(net, "phone", "alice", ACCOUNT_PW, WifiCredential(SSID, PASS),
+                       random.Random("c:ph"))
+    app.start_pairing(PairingNetwork(net, fake, "Amazon-EVL"))
+    net.run()
+    assert app.outcome == "protocol-error"
+
+
+@pytest.mark.parametrize("args", HOSTILE_ARGS)
+def test_device_api_client_ignores_a_hostile_reply(args):
+    net = Network()
+    hostile_api(net, args)
+    net.add_lan("home", "192.168.50", nat=True)
+    dev = EchoDevice(net, SERIAL, random.Random("c:dev"), WifiNetworkTable())
+    net.attach(dev.host, "home")
+    answers = []
+    dev._api_call("createLinkCode", {"serial": SERIAL}, answers.append)
+    net.run()
+    assert answers == []
+
+
+@pytest.mark.parametrize("args", HOSTILE_ARGS)
+def test_hijacker_records_a_hostile_reply(args):
+    net = Network()
+    hostile_api(net, args)
+    net.add_lan("cell", "10.9.0", nat=True)
+    mallet = Hijacker(net, "mallet", "mallory", "mallory-pw-1")
+    mallet.bring_uplink("cell")
+    mallet.on_link_code("ABCDE")
+    net.run()
+    assert mallet.result == "protocol-error"

@@ -528,6 +528,27 @@ def test_reregistration_under_another_account_matches_the_scan():
     assert [b.chan for b in cloud.bindings["sip:user-bob@echo.example"]] == [second.peer]
 
 
+def test_deregistration_unbinds_the_device_and_drops_its_session():
+    net, cloud = make_cloud()
+    grant = granted(net, cloud)
+    probe = Probe(net)
+    reply, _ = probe.negotiate(nego_payload(grant, SERIAL, net.scheduler.now))
+    assert reply.name == "NegotiationAccepted"
+    chan = _register_on(net, probe, grant)
+    cloud.deregister_device(SERIAL)
+    assert not cloud.bindings.get(device_uri(SERIAL))
+    assert all(b.serial != SERIAL for b in cloud.bindings["sip:user-alice@echo.example"])
+    assert SERIAL not in cloud.avs_sessions
+    _assert_chan_index_matches_scan(cloud, chan.peer)
+    # the removed device's channel can no longer place calls
+    inv = make_sip_request("INVITE", "tel:+15551230100", from_uri=device_uri(SERIAL),
+                           to_uri="tel:+15551230100", call_id="c-1", cseq=1,
+                           via="192.168.50.2")
+    chan.send(wire.sip_serialize(inv), layer="sip", summary="probe")
+    net.run()
+    assert probe.sip_replies[-1].status == 403
+
+
 def _fleet_calls_20_homes():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("fleet_workloads", path)

@@ -199,6 +199,13 @@ class TestWrap:
         with pytest.raises(CryptoError):
             unwrap_key(kp, b"\x00" * 16)
 
+    def test_kek_derivation_matches_rfc5869_case_3(self):
+        # RFC 5869 A.3: IKM 0x0b x 22, empty salt and info; the first 32
+        # bytes of its 42-byte OKM
+        okm = crypto._hkdf_sha256(b"\x0b" * 22, b"")
+        assert okm.hex() == ("8da4e775a563c18f715f802a063c5a31"
+                             "b8a11f5c5ee1879ec3454e5f3c738d2d")
+
 
 # ---------------------------------------------------------------------------
 # Credential envelope

@@ -137,6 +137,13 @@ class TestOobe:
         assert resp.status == 400
         assert oobe_decode_response(resp).args["error"] == "unknown method"
 
+    @pytest.mark.parametrize("args", [b"[1]", b'"code"', b"null"])
+    def test_response_refuses_non_object_args(self, args):
+        resp = oobe_response(OobeEnvelope(method="getRegistrationState"))
+        resp.body = b'{"method":"getRegistrationState","args":' + args + b"}"
+        with pytest.raises(WireError, match="args must be an object"):
+            oobe_decode_response(resp)
+
 
 # ---------------------------------------------------------------------------
 # SIP
