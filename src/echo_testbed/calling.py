@@ -149,6 +149,15 @@ def read_reply(data: bytes) -> wire.OobeEnvelope | None:
         return None
 
 
+def string_fields(payload, *names: str) -> list[str] | None:
+    """payload[name] for each name, or None unless payload is an object
+    holding a string under every one of them."""
+    if not isinstance(payload, dict):
+        return None
+    values = [payload.get(name) for name in names]
+    return values if all(isinstance(v, str) for v in values) else None
+
+
 def canary_payload(tag: str, seq: int) -> bytes:
     text = f"CANARY:{tag}:{seq}:"
     return (text.encode() + b"\x00" * FRAME_LEN)[:FRAME_LEN]
@@ -267,18 +276,24 @@ class CommsEndpoint:
             send_control(self.control, "SipClient", name, payload)
 
     def handle_control(self, msg: wire.ControlMessage) -> None:
-        """Dispatch one SipClient.* message from the cloud channel."""
+        """Dispatch one SipClient.* message from the cloud channel; one whose
+        payload lacks a string field the command needs is noted and dropped."""
         if msg.name == "ConfigureCommsResponse":
-            self._on_comms_config(msg.payload)
+            fields = string_fields(msg.payload, "registrar")
+            handler = self._on_comms_config
         elif msg.name == "BeginCall":
-            self.begin_call(msg.payload["callee"], msg.payload["call_type"],
-                            msg.payload["token"])
+            fields = string_fields(msg.payload, "callee", "call_type", "token")
+            handler = self.begin_call
         elif msg.name == "EndCall":
-            self.end_call()
-        # unknown SipClient commands are absorbed, never fatal
+            fields, handler = [], self.end_call
+        else:
+            return   # unknown SipClient commands are absorbed, never fatal
+        if fields is None:
+            self.network.note(self.host, "sys", "avs:unparseable")
+        else:
+            handler(*fields)
 
-    def _on_comms_config(self, cfg: dict) -> None:
-        registrar_addr = cfg["registrar"]
+    def _on_comms_config(self, registrar_addr: str) -> None:
         self.sip = self.network.open_channel(self.host, registrar_addr, wire.TLS_PORT,
                                              secured=True)
         self.sip.handler = lambda _end, data: self._on_sip(data)

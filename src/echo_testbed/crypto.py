@@ -58,9 +58,12 @@ def _unb64(text: str) -> bytes:
         raise CryptoError(f"bad base64: {exc}") from exc
 
 
+_encode_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode   # built once
+
+
 def canonical_json(obj) -> bytes:
     """The one byte encoding of anything signed or sealed: sorted keys, no spaces."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+    return _encode_canonical(obj).encode()
 
 
 # ---------------------------------------------------------------------------

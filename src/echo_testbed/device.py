@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import crypto, wire
 from .calling import (CommsEndpoint, read_reply, send_control, send_reply,
-                      send_request, serve_request)
+                      send_request, serve_request, string_fields)
 from .netsim import Endpoint, NetError, Network, PairingNetwork
 
 WIFI_CONNECT_MS = 300
@@ -264,9 +264,12 @@ class EchoDevice:
         send_request(self._api, method, args)
 
     def _on_api_data(self, data: bytes) -> None:
-        env = read_reply(data)
-        if env is not None and self._api_waiters:
-            self._api_waiters.pop(0)(env.args)
+        # replies come back in call order, so each one, readable or not,
+        # answers the oldest call still waiting
+        if self._api_waiters:
+            env = read_reply(data)
+            self._api_waiters.pop(0)(
+                env.args if env is not None else {"error": "unparseable-reply"})
 
     # -- registration tunnel (port 443) -----------------------------------------
 
@@ -353,8 +356,9 @@ class EchoDevice:
                 self.network.note(self.host, "sys", "avs:connected")
                 self.comms.provision(self.avs, self.grant["auth_token"])
             elif msg.name == "NegotiationRejected":
-                reason = (msg.payload or {}).get("reason", "?")
-                self.network.note(self.host, "sys", f"avs:refused:{reason}")
+                fields = string_fields(msg.payload, "reason")
+                self.network.note(self.host, "sys", "avs:unparseable" if fields is None
+                                  else f"avs:refused:{fields[0]}")
             elif msg.name == "Refresh":
                 send_control(self.avs, "System", "RefreshAck", {})
         elif msg.interface == "SipClient":

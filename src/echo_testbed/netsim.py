@@ -85,7 +85,8 @@ class Scheduler:
 # ---------------------------------------------------------------------------
 # Trace
 
-_encode_event = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+_encode_payload = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+_str = json.encoder.encode_basestring_ascii
 
 
 @dataclass(frozen=True)
@@ -101,12 +102,14 @@ class TraceEvent:
     payload: dict | None = None
 
     def to_json(self) -> str:
-        obj = {"seq": self.seq, "t_ms": self.t_ms, "src": self.src, "dst": self.dst,
-               "lan": self.lan, "secured": self.secured, "layer": self.layer,
-               "summary": self.summary}
-        if self.payload is not None:
-            obj["payload"] = self.payload
-        return _encode_event(obj)
+        """The event as json.dumps(fields, sort_keys=True, separators=(",", ":"))
+        writes it, payload left out when None: the key set never changes, so
+        the keys are written in their sorted order directly."""
+        payload = "" if self.payload is None else \
+            f'"payload":{_encode_payload(self.payload)},'
+        return (f'{{"dst":{_str(self.dst)},"lan":{_str(self.lan)},"layer":{_str(self.layer)},'
+                f'{payload}"secured":{"true" if self.secured else "false"},"seq":{self.seq:d},'
+                f'"src":{_str(self.src)},"summary":{_str(self.summary)},"t_ms":{self.t_ms:d}}}')
 
 
 class TraceLog:
@@ -288,6 +291,7 @@ class Channel:
         if self.closed:
             return
         self.closed = True
+        self.network._forget(self)
         peer = closer.peer
         if peer.on_close is not None:
             self.network.scheduler.at(self.latency, self._notify_close, peer)
@@ -310,6 +314,8 @@ class Network:
         self.taps: dict[str, list[Callable[[Observation], None]]] = {}
         self.dns: dict[str, str] = {}
         self.channels: list[Channel] = []
+        # the open channels on each (host, LAN) interface, in cid order
+        self._open: dict[tuple[Host, str], dict[int, Channel]] = {}
         self._next_cid = 1
         self._pairing_prefixes = list(SETUP_PREFIXES)
 
@@ -351,13 +357,15 @@ class Network:
         if addr is None:
             raise NetError(f"{host.name} not on {lan_name}")
         del lan.assignments[addr]
-        for chan in self.channels:
-            if chan.closed:
-                continue
-            for end in chan.ends:
-                if end.host is host and end.lan_name == lan_name:
-                    chan.close(end)
-                    break
+        for chan in list(self._open.pop((host, lan_name), {}).values()):
+            chan.close(next(end for end in chan.ends
+                            if end.host is host and end.lan_name == lan_name))
+
+    def _forget(self, chan: Channel) -> None:
+        for end in chan.ends:
+            on_iface = self._open.get((end.host, end.lan_name))
+            if on_iface is not None:
+                on_iface.pop(chan.cid, None)
 
     def remove_lan(self, name: str) -> None:
         lan = self.lans[name]
@@ -426,6 +434,8 @@ class Network:
                        HOP_MS if local else WAN_MS)
         self._next_cid += 1
         self.channels.append(chan)
+        for end in chan.ends:
+            self._open.setdefault((end.host, end.lan_name), {})[chan.cid] = chan
         client_end, server_end = chan.ends
         accept(server_end)
         return client_end

@@ -37,6 +37,9 @@ TLS_PORT = 443
 OOBE_PORT = 8080
 
 
+_encode_compact = json.JSONEncoder(separators=(",", ":")).encode   # built once
+
+
 class WireError(Exception):
     """Malformed or out-of-contract wire data."""
 
@@ -216,8 +219,7 @@ class OobeEnvelope:
 
 
 def _envelope_body(env: OobeEnvelope) -> bytes:
-    return json.dumps({"method": env.method, "args": env.args},
-                      separators=(",", ":")).encode()
+    return _encode_compact({"method": env.method, "args": env.args}).encode()
 
 
 def _envelope_from_body(body: bytes) -> OobeEnvelope:
@@ -460,8 +462,8 @@ class ControlMessage:
 
 
 def control_encode(msg: ControlMessage) -> bytes:
-    return json.dumps({"interface": msg.interface, "name": msg.name,
-                       "payload": msg.payload}, separators=(",", ":")).encode()
+    return _encode_compact({"interface": msg.interface, "name": msg.name,
+                            "payload": msg.payload}).encode()
 
 
 def control_decode(data: bytes) -> ControlMessage:

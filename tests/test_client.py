@@ -237,7 +237,7 @@ def test_companion_app_ends_on_a_hostile_reply(args):
 
 
 @pytest.mark.parametrize("args", HOSTILE_ARGS)
-def test_device_api_client_ignores_a_hostile_reply(args):
+def test_device_api_client_answers_a_hostile_reply_with_an_error(args):
     net = Network()
     hostile_api(net, args)
     net.add_lan("home", "192.168.50", nat=True)
@@ -246,7 +246,7 @@ def test_device_api_client_ignores_a_hostile_reply(args):
     answers = []
     dev._api_call("createLinkCode", {"serial": SERIAL}, answers.append)
     net.run()
-    assert answers == []
+    assert answers == [{"error": "unparseable-reply"}]
 
 
 @pytest.mark.parametrize("args", HOSTILE_ARGS)

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from echo_testbed import crypto, wire
+from echo_testbed.calling import send_control
 from echo_testbed.cli import load_scenario, run_scenario
 from echo_testbed.client import WifiCredential
 from echo_testbed.cloud import CloudServices
@@ -282,6 +283,34 @@ def test_tunnel_rejects_non_connect_preamble():
     assert closed and not inbox
 
 
+def test_each_api_reply_answers_the_oldest_waiting_call():
+    # a reply the device cannot read still answers its call, so the next
+    # reply reaches the next call rather than the one before it
+    net = Network()
+    net.add_lan("cloud", "10.0.0")
+    net.add_lan("home", "192.168.50", nat=True)
+    api = net.add_host("api")
+    net.register_name(wire.API_NAME, net.attach(api, "cloud"))
+    bodies = iter([b'{"method":"createLinkCode","args":[1]}',
+                   b'{"method":"checkLinkCode","args":{"status":"pending"}}'])
+
+    def answer(end, data):
+        end.send(wire.http_serialize(wire.HttpMessage(
+            kind="response", status=200, reason="OK", body=next(bodies))),
+            layer="http", summary="scripted")
+    api.listen(wire.TLS_PORT, lambda chan: setattr(chan, "handler", answer))
+    dev = EchoDevice(net, SERIAL, random.Random("t:dev"), WifiNetworkTable())
+    net.attach(dev.host, "home")
+    created, checked = [], []
+    dev._on_link_code_checked = checked.append
+    dev._api_call("createLinkCode", {"serial": SERIAL}, created.append)
+    dev.link_code = "CODE1"
+    dev._poll_link_code()
+    net.run()
+    assert created == [{"error": "unparseable-reply"}]
+    assert checked == [{"status": "pending"}]
+
+
 # ---------------------------------------------------------------------------
 # post-pairing state and the voice-service link
 
@@ -380,3 +409,40 @@ def test_pair_scenario_leaves_no_setup_residue():
     assert not any(name.startswith("pair:") for name in net.lans)
     # the torn-down prefix went back to the front of the pool
     assert net._pairing_prefixes[0] == "192.168.11"
+
+
+MISSHAPEN_CONTROL = [
+    ("SipClient", "ConfigureCommsResponse", None),
+    ("SipClient", "ConfigureCommsResponse", [1]),
+    ("SipClient", "ConfigureCommsResponse", {}),
+    ("SipClient", "ConfigureCommsResponse", {"registrar": None}),
+    ("SipClient", "ConfigureCommsResponse", {"registrar": 7}),
+    ("SipClient", "ConfigureCommsResponse", {"error": "no negotiated session"}),
+    ("SipClient", "BeginCall", "call"),
+    ("SipClient", "BeginCall", {"callee": "sip:user-bob@echo.example",
+                                "call_type": "drop_in"}),
+    ("SipClient", "BeginCall", {"callee": ["x"], "call_type": "drop_in", "token": "t"}),
+    ("System", "NegotiationRejected", None),
+    ("System", "NegotiationRejected", [1]),
+    ("System", "NegotiationRejected", {"reason": {"why": 1}}),
+]
+
+
+@pytest.mark.parametrize("interface,name,payload", MISSHAPEN_CONTROL,
+                         ids=[f"{n}-{json.dumps(p)}" for _, n, p in MISSHAPEN_CONTROL])
+def test_misshapen_control_from_the_cloud_is_noted_and_dropped(interface, name, payload):
+    net, cloud, dev = make_world()
+    # a voice service that accepts the hello, then sends one misshapen message
+    fake = net.add_host("fake-avs")
+    net.register_name(wire.AVS_NAME, net.attach(fake, "cloud"))
+
+    def on_control(end, data):
+        if wire.control_decode(data).name == "NegotiationCommand":
+            send_control(end, "System", "NegotiationAccepted", {"session": "s-1"})
+            send_control(end, interface, name, payload)
+    fake.listen(wire.TLS_PORT, lambda chan: setattr(chan, "handler", on_control))
+    dev.provision_paired("home", cloud.provision_grant(SERIAL, "alice"))
+    net.run()
+    notes = [e.summary for e in net.trace.events if e.layer == "sys" and e.src == dev.host.name]
+    assert notes[-1] == "avs:unparseable"
+    assert dev.comms.sip is None and not dev.comms.calls

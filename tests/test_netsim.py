@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from echo_testbed import netsim
 from echo_testbed.netsim import (
@@ -15,6 +15,7 @@ from echo_testbed.netsim import (
     Network,
     PairingNetwork,
     Scheduler,
+    TraceEvent,
     TraceLog,
 )
 
@@ -300,6 +301,27 @@ class TestChannels:
         net.detach(dev, "home")
         assert end.closed
 
+    def test_detach_closes_only_that_interface_in_cid_order(self):
+        net, dev, api = two_lan_net()
+        net.add_lan("guest", "10.0.1")
+        net.attach(dev, "guest")
+        phone = net.add_host("phone")
+        net.attach(phone, "home")
+        closed = []
+        api.listen(443, lambda ep: setattr(
+            ep, "on_close", lambda e: closed.append(e.channel.cid)))
+        ends = [net.open_channel(host, api.addr("cloud"), 443)
+                for host in (dev, phone, dev, dev)]
+        ends[3].close()   # already closed: detach must not close it again
+        net.detach(dev, "home")
+        net.run()
+        # dev's channels left through its first uplink, home; phone's stays open
+        assert [end.closed for end in ends] == [True, False, True, True]
+        assert closed == [4, 1, 3]
+        net.detach(phone, "home")
+        net.run()
+        assert closed == [4, 1, 3, 2]
+
     def test_in_flight_message_survives_close(self):
         # hang up right after sending: the wire still carries the last frame,
         # and the peer hears it before the close notice
@@ -370,6 +392,18 @@ class TestPairingNetwork:
 # ---------------------------------------------------------------------------
 # Trace log shape
 
+# text that JSON must escape: quotes, backslashes, control characters,
+# non-ASCII and lone surrogates, besides whatever Hypothesis draws
+_JSON_TEXT = st.text() | st.text(st.sampled_from(
+    ['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\u2028", "é", "日", "\U0001f600",
+     "\ud800", "\udfff", "a", " "]))
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=3),
+    max_leaves=10)
+
+
 class TestTrace:
     def test_jsonl_round_trips(self):
         log = TraceLog()
@@ -380,6 +414,22 @@ class TestTrace:
         assert first["payload"] == {"k": 1}
         assert "payload" not in second  # secured events never carry payloads
         assert [e["seq"] for e in (first, second)] == [0, 1]
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(texts=st.lists(_JSON_TEXT, min_size=5, max_size=5),
+           seq=st.integers(min_value=0, max_value=2 ** 63),
+           t_ms=st.integers(min_value=0, max_value=2 ** 63),
+           secured=st.booleans(),
+           payload=st.none() | st.dictionaries(_JSON_TEXT, _JSON_VALUE, max_size=4))
+    def test_event_line_is_the_sorted_compact_json_dump(self, texts, seq, t_ms, secured,
+                                                         payload):
+        src, dst, lan, layer, summary = texts
+        fields = {"seq": seq, "t_ms": t_ms, "src": src, "dst": dst, "lan": lan,
+                  "secured": secured, "layer": layer, "summary": summary}
+        if payload is not None:
+            fields["payload"] = payload
+        line = TraceEvent(**fields).to_json()
+        assert line == json.dumps(fields, sort_keys=True, separators=(",", ":"))
 
     def test_unknown_layer_rejected(self):
         log = TraceLog()
