@@ -29,6 +29,9 @@ This module also owns the send and receive path of every signalling
 message: send_sip and send_control, and for the pairing and device-API
 envelope that device, cloud and client share, send_request and read_reply
 on the calling side and serve_request/send_reply on the answering side.
+A receiving endpoint keeps only handler tables: serve_control, serve_sip and
+serve_request decode each message and refuse a malformed one before any
+handler runs.
 """
 
 from __future__ import annotations
@@ -120,25 +123,70 @@ def send_reply(chan: Endpoint, method: str, args: dict, status: int = 200) -> No
               summary=f"{method}-{'ok' if ok else 'error'}")
 
 
-def serve_request(chan: Endpoint, data: bytes, handlers: dict) -> None:
-    """Answer one pairing or device-API call on chan with handlers[method].
+def _holds_strings(obj, fields: tuple[str, ...]) -> bool:
+    """True if fields is empty, or obj is an object with a string under each."""
+    return not fields or isinstance(obj, dict) and all(
+        isinstance(obj.get(name), str) for name in fields)
 
-    A handler takes (chan, args) and returns the (args, status) to reply
-    with under the call's method, or None if it answers later itself.
-    """
+
+# Each entry of a control or envelope table is (fields, handler): fields
+# names the string values the handler reads, checked before it runs. The
+# tables are class attributes that every instance shares, so a fleet of
+# devices holds no table of its own, and each handler is called with the
+# instance that owns the channel first.
+
+def serve_request(chan: Endpoint, data: bytes, handlers: dict, owner) -> None:
+    """Answer one pairing or device-API call on chan with
+    handlers[method](owner, chan, args), which returns the (args, status) to
+    reply with under the call's method, or None if it answers later itself."""
     decode = wire.oobe_decode if _envelope_layer(chan) == "oobe" else wire.api_decode
     try:
         env = decode(wire.http_parse(data))
     except wire.WireError as exc:
         send_reply(chan, "error", {"error": str(exc)}, status=400)
         return
-    handler = handlers.get(env.method)
-    if handler is None:
+    entry = handlers.get(env.method)
+    if entry is None:
         send_reply(chan, env.method, {"error": "unknown method"}, status=400)
         return
-    reply = handler(chan, env.args)
+    fields, handler = entry
+    if not _holds_strings(env.args, fields):
+        send_reply(chan, env.method, {"error": "bad args"}, status=400)
+        return
+    reply = handler(owner, chan, env.args)
     if reply is not None:
         send_reply(chan, env.method, *reply)
+
+
+def serve_control(chan: Endpoint, data: bytes, handlers: dict, owner) -> None:
+    """Run one control message on chan with handlers[qualified name](owner,
+    chan, payload). A name with no entry is absorbed: the command plane is
+    larger than the testbed models."""
+    try:
+        msg = wire.control_decode(data)
+        fields, handler = handlers.get(msg.qualified, ((), None))
+    except wire.WireError:
+        fields, handler = None, None   # not a control message at all
+    if fields is None or not _holds_strings(msg.payload, fields):
+        chan.channel.network.note(chan.host, "sys", "avs:unparseable")
+    elif handler is not None:
+        handler(owner, chan, msg.payload)
+
+
+def serve_sip(chan: Endpoint, data: bytes, requests: dict, on_response, owner) -> None:
+    """Run one SIP message on chan with requests[method](owner, chan, msg) or
+    on_response(owner, chan, msg); an unknown method gets a 404."""
+    try:
+        msg = wire.sip_parse(data)
+    except wire.WireError:
+        chan.channel.network.note(chan.host, "sys", "sip:unparseable")
+        return
+    if msg.kind == "response":
+        on_response(owner, chan, msg)
+    elif msg.method in requests:
+        requests[msg.method](owner, chan, msg)
+    elif not chan.closed:
+        send_sip(chan, make_sip_response(msg, 404))
 
 
 def read_reply(data: bytes) -> wire.OobeEnvelope | None:
@@ -149,13 +197,12 @@ def read_reply(data: bytes) -> wire.OobeEnvelope | None:
         return None
 
 
-def string_fields(payload, *names: str) -> list[str] | None:
-    """payload[name] for each name, or None unless payload is an object
-    holding a string under every one of them."""
-    if not isinstance(payload, dict):
+def read_sdp(body: bytes) -> wire.SdpBody | None:
+    """Decode one SDP offer or answer; None if it is malformed."""
+    try:
+        return wire.sdp_decode(body)
+    except wire.WireError:
         return None
-    values = [payload.get(name) for name in names]
-    return values if all(isinstance(v, str) for v in values) else None
 
 
 def canary_payload(tag: str, seq: int) -> bytes:
@@ -275,28 +322,11 @@ class CommsEndpoint:
         if self.control is not None and not self.control.closed:
             send_control(self.control, "SipClient", name, payload)
 
-    def handle_control(self, msg: wire.ControlMessage) -> None:
-        """Dispatch one SipClient.* message from the cloud channel; one whose
-        payload lacks a string field the command needs is noted and dropped."""
-        if msg.name == "ConfigureCommsResponse":
-            fields = string_fields(msg.payload, "registrar")
-            handler = self._on_comms_config
-        elif msg.name == "BeginCall":
-            fields = string_fields(msg.payload, "callee", "call_type", "token")
-            handler = self.begin_call
-        elif msg.name == "EndCall":
-            fields, handler = [], self.end_call
-        else:
-            return   # unknown SipClient commands are absorbed, never fatal
-        if fields is None:
-            self.network.note(self.host, "sys", "avs:unparseable")
-        else:
-            handler(*fields)
-
     def _on_comms_config(self, registrar_addr: str) -> None:
         self.sip = self.network.open_channel(self.host, registrar_addr, wire.TLS_PORT,
                                              secured=True)
-        self.sip.handler = lambda _end, data: self._on_sip(data)
+        self.sip.handler = lambda end, data: serve_sip(
+            end, data, self._SIP_REQUESTS, CommsEndpoint._on_sip_response, self)
         reg = make_sip_request(
             "REGISTER", f"sip:{wire.DOMAIN}", from_uri=self.uri, to_uri=self.uri,
             call_id=f"reg-{self.serial}", cseq=1, via=self._via(),
@@ -455,42 +485,21 @@ class CommsEndpoint:
 
     # -- inbound SIP -------------------------------------------------------
 
-    def _on_sip(self, data: bytes) -> None:
-        try:
-            msg = wire.sip_parse(data)
-        except wire.WireError:
-            self.network.note(self.host, "sys", "sip:unparseable")
-            return
-        if msg.kind == "request":
-            self._on_sip_request(msg)
-        else:
-            self._on_sip_response(msg)
+    def _on_bye(self, _chan: Endpoint, msg: wire.SipMessage) -> None:
+        call = self.calls.get(msg.header("Call-ID") or "")
+        self._send_sip(make_sip_response(msg, 200))
+        if call is not None and call.state != "closed":
+            self._teardown_call(call)
 
-    def _on_sip_request(self, msg: wire.SipMessage) -> None:
-        call_id = msg.header("Call-ID") or ""
-        if msg.method == "INVITE":
-            self._on_invite(msg, call_id)
-        elif msg.method == "ACK":
-            pass  # media was established when we produced our 200
-        elif msg.method == "CANCEL":
-            self._on_cancel(msg, call_id)
-        elif msg.method == "BYE":
-            call = self.calls.get(call_id)
-            self._send_sip(make_sip_response(msg, 200))
-            if call is not None and call.state != "closed":
-                self._teardown_call(call)
-        else:
-            self._send_sip(make_sip_response(msg, 404))
-
-    def _on_invite(self, msg: wire.SipMessage, call_id: str) -> None:
+    def _on_invite(self, _chan: Endpoint, msg: wire.SipMessage) -> None:
         if any(c.state in ("ringing", "established", "inviting") for c in self.calls.values()):
             self._send_sip(make_sip_response(msg, 486))
             return
-        try:
-            offer = wire.sdp_decode(msg.body)
-        except wire.WireError:
+        offer = read_sdp(msg.body)
+        if offer is None:
             self._send_sip(make_sip_response(msg, 404))
             return
+        call_id = msg.header("Call-ID") or ""
         caller = (msg.header("From") or "").strip("<>")
         call = Call(call_id=call_id, role="callee", peer_uri=caller,
                     call_type=msg.header("X-calltype") or "regular")
@@ -519,8 +528,8 @@ class CommsEndpoint:
             body=wire.sdp_encode(call.local_sdp)))
         self._establish_media(call)
 
-    def _on_cancel(self, msg: wire.SipMessage, call_id: str) -> None:
-        call = self.calls.get(call_id)
+    def _on_cancel(self, _chan: Endpoint, msg: wire.SipMessage) -> None:
+        call = self.calls.get(msg.header("Call-ID") or "")
         self._send_sip(make_sip_response(msg, 200))
         if call is not None and call.state == "ringing":
             invite = call.invite
@@ -530,7 +539,7 @@ class CommsEndpoint:
             if call.media_port is not None:
                 self.host.unlisten(call.media_port)
 
-    def _on_sip_response(self, msg: wire.SipMessage) -> None:
+    def _on_sip_response(self, _chan: Endpoint, msg: wire.SipMessage) -> None:
         call_id = msg.header("Call-ID") or ""
         call = self.calls.get(call_id)
         if call is None:
@@ -545,7 +554,12 @@ class CommsEndpoint:
             if msg.status == 180:
                 call.state = "ringing" if call.state == "inviting" else call.state
             elif msg.status == 200 and call.state in ("inviting", "ringing"):
-                call.remote_sdp = wire.sdp_decode(msg.body)
+                call.remote_sdp = read_sdp(msg.body)
+                if call.remote_sdp is None:
+                    # an answer we cannot read ends the call like a refusal
+                    self.network.note(self.host, "sys", "sip:unparseable")
+                    self._teardown_call(call)
+                    return
                 call.gateway_leg = msg.header("X-leg") == "gateway"
                 call.state = "established"
                 ack = make_sip_request("ACK", call.peer_uri, from_uri=self.uri,
@@ -558,9 +572,18 @@ class CommsEndpoint:
                 self.network.note(self.host, "sys",
                                   f"call-failed:{msg.status}",
                                   payload={"call_id": call_id})
-                call.state = "closed"
-                if call.media_port is not None:
-                    self.host.unlisten(call.media_port)
-                self._send_control("CallDisconnected", {"call_id": call_id})
+                self._teardown_call(call)
         elif method == "BYE" and msg.status == 200 and call.state == "closing":
             self._teardown_call(call)
+
+    # the SipClient commands the device's cloud channel carries for us
+    CONTROLS = {
+        "SipClient.ConfigureCommsResponse": (
+            ("registrar",), lambda self, _chan, p: self._on_comms_config(p["registrar"])),
+        "SipClient.BeginCall": (
+            ("callee", "call_type", "token"),
+            lambda self, _chan, p: self.begin_call(p["callee"], p["call_type"], p["token"])),
+        "SipClient.EndCall": ((), lambda self, _chan, _p: self.end_call()),
+    }
+    _SIP_REQUESTS = {"INVITE": _on_invite, "CANCEL": _on_cancel, "BYE": _on_bye,
+                     "ACK": lambda _self, _chan, _msg: None}   # media began with our 200

@@ -115,7 +115,7 @@ class CompanionApp:
     def _after_getDeviceDetails(self, args: dict) -> None:
         try:
             self.device_cert = crypto.DeviceCertificate.from_dict(args["certificate"])
-        except (KeyError, crypto.CryptoError):
+        except (KeyError, TypeError, crypto.CryptoError):
             self._finish("bad-certificate")
             return
         if not crypto.verify_certificate(self.device_cert):
@@ -124,8 +124,11 @@ class CompanionApp:
         send_request(self.oobe, "getScanList", {})
 
     def _after_getScanList(self, args: dict) -> None:
-        ssids = {n.get("ssid") for n in args.get("networks", [])}
-        if self.home_credential.ssid not in ssids:
+        networks = args.get("networks", [])
+        if not isinstance(networks, list) or not all(isinstance(n, dict) for n in networks):
+            self._finish("protocol-error")
+            return
+        if self.home_credential.ssid not in [n.get("ssid") for n in networks]:
             self._finish("home-network-not-visible")
             return
         blob = crypto.encrypt_credential(self.home_credential, self.device_cert,
@@ -247,7 +250,7 @@ class Eavesdropper:
                 env = wire.oobe_decode(msg)
             except wire.WireError:
                 return
-            if env.method == "connectToAP" and "credential" in env.args:
+            if env.method == "connectToAP" and isinstance(env.args.get("credential"), str):
                 self.credential_armor = env.args["credential"]
                 self.network.note(self.host, "sys", "eavesdrop:credential",
                                   payload={"length": len(self.credential_armor)})

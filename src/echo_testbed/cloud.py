@@ -28,9 +28,12 @@ from .calling import (
     device_uri,
     make_sip_request,
     make_sip_response,
+    read_sdp,
     send_control,
     send_sip,
+    serve_control,
     serve_request,
+    serve_sip,
 )
 from .netsim import Endpoint, NetError, Network
 
@@ -187,17 +190,12 @@ class CloudServices:
     # -- device API ----------------------------------------------------------
 
     def _accept_api(self, chan: Endpoint) -> None:
-        handlers = {
-            "createLinkCode": self._api_create_link_code,
-            "checkLinkCode": self._api_check_link_code,
-            "registerDevice": self._api_register_device,
-        }
-        chan.handler = lambda end, data: serve_request(end, data, handlers)
+        chan.handler = lambda end, data: serve_request(end, data, self._API_CALLS, self)
 
     def _api_create_link_code(self, chan: Endpoint, args: dict) -> tuple[dict, int]:
-        serial = args.get("serial", "")
+        serial = args["serial"]
         record = self.factory.get(serial)
-        if record is None or record["secret"] != args.get("secret"):
+        if record is None or record["secret"] != args["secret"]:
             return {"error": "bad device identity"}, 403
         code = "".join(LINK_CODE_ALPHABET[b % len(LINK_CODE_ALPHABET)]
                        for b in self.rng.randbytes(LINK_CODE_LEN))
@@ -210,10 +208,9 @@ class CloudServices:
         return {"code": code}, 200
 
     def _api_check_link_code(self, chan: Endpoint, args: dict) -> tuple[dict, int]:
-        code = args.get("code", "")
-        entry = self.link_codes.get(code)
+        entry = self.link_codes.get(args["code"])
         record = self.factory.get(entry.serial) if entry else None
-        if entry is None or record is None or record["secret"] != args.get("secret"):
+        if entry is None or record is None or record["secret"] != args["secret"]:
             return {"error": "unknown code"}, 403
         if self.network.scheduler.now - entry.created_ms > LINK_CODE_TTL_MS:
             return {"status": "expired"}, 200
@@ -224,11 +221,11 @@ class CloudServices:
         return {"status": "registered", "grant": entry.grant}, 200
 
     def _api_register_device(self, chan: Endpoint, args: dict) -> tuple[dict, int]:
-        account = args.get("account", "")
-        if self.accounts.get(account) != args.get("password"):
+        account = args["account"]
+        if self.accounts.get(account) != args["password"]:
             self.network.note(API_HOST, "sys", "register-device-refused:bad-credentials")
             return {"error": "bad credentials"}, 403
-        entry = self.link_codes.get(args.get("link_code", ""))
+        entry = self.link_codes.get(args["link_code"])
         if entry is None:
             self.network.note(API_HOST, "sys", "register-device-refused:unknown-code")
             return {"error": "unknown link code"}, 403
@@ -254,7 +251,7 @@ class CloudServices:
     # -- voice-service connections -------------------------------------------
 
     def _accept_avs(self, chan: Endpoint) -> None:
-        chan.handler = lambda end, data: self._on_avs(end, data)
+        chan.handler = lambda end, data: serve_control(end, data, self._AVS_CONTROLS, self)
         chan.on_close = self._on_avs_close
 
     def _on_avs_close(self, chan: Endpoint) -> None:
@@ -262,32 +259,14 @@ class CloudServices:
             if end is chan:
                 del self.avs_sessions[serial]
 
-    def _on_avs(self, chan: Endpoint, data: bytes) -> None:
-        try:
-            msg = wire.control_decode(data)
-        except wire.WireError:
+    def _avs_negotiate(self, chan: Endpoint, hello) -> None:
+        # a null hello is judged as {}, and a missing serial or signature as
+        # "" that the checks below refuse; a non-string one is no hello at all
+        p = {} if hello is None else hello
+        if not isinstance(p, dict) or not all(
+                isinstance(p.get(k, ""), str) for k in ("serial", "signature")):
             self.network.note(AVS_HOST, "sys", "avs:unparseable")
             return
-        if msg.interface == "System" and msg.name == "NegotiationCommand":
-            hello = {} if msg.payload is None else msg.payload
-            if not isinstance(hello, dict) or not all(
-                    isinstance(hello.get(k, ""), str) for k in ("serial", "signature")):
-                self.network.note(AVS_HOST, "sys", "avs:unparseable")
-                return
-            self._avs_negotiate(chan, hello)
-        elif msg.interface == "System" and msg.name == "RefreshAck":
-            self.network.note(AVS_HOST, "sys", "avs:refresh-ack")
-        elif msg.interface == "SipClient":
-            self._on_sipclient_control(chan, msg)
-        # anything else: absorbed; the command plane is larger than we model
-
-    def _avs_serial_for(self, chan: Endpoint) -> str | None:
-        for serial, end in self.avs_sessions.items():
-            if end is chan:
-                return serial
-        return None
-
-    def _avs_negotiate(self, chan: Endpoint, p: dict) -> None:
         serial = p.get("serial", "")
         reason = None
         record = self.registry.get(serial)
@@ -328,25 +307,18 @@ class CloudServices:
         send_control(chan, "System", "NegotiationAccepted",
                      {"session": f"avs-{self._avs_session_seq}"})
 
-    def _on_sipclient_control(self, chan: Endpoint, msg: wire.ControlMessage) -> None:
-        payload = msg.payload or {}
-        if msg.name == "ConfigureCommsRequest":
-            serial = self._avs_serial_for(chan)
-            if serial is None or not isinstance(payload, dict) \
-                    or payload.get("serial") != serial:
-                send_control(chan, "SipClient", "ConfigureCommsResponse",
-                             {"error": "no negotiated session"})
-                return
-            record = self.registry[serial]
-            send_control(chan, "SipClient", "ConfigureCommsResponse", {
-                "registrar": self.hosts[SIP_HOST].addr(CLOUD_LAN),
-                "own_uri": device_uri(serial),
-                "user_uri": account_uri(record.account),
-            })
-        else:
-            # WarmUp and the call-progress notifications are informational
-            self.network.note(AVS_HOST, "sys", f"ctrl:{msg.qualified}",
-                              payload=payload if isinstance(payload, dict) else None)
+    def _configure_comms(self, chan: Endpoint, payload) -> None:
+        serial = payload.get("serial") if isinstance(payload, dict) else None
+        if not isinstance(serial, str) or self.avs_sessions.get(serial) is not chan:
+            send_control(chan, "SipClient", "ConfigureCommsResponse",
+                         {"error": "no negotiated session"})
+            return
+        record = self.registry[serial]
+        send_control(chan, "SipClient", "ConfigureCommsResponse", {
+            "registrar": self.hosts[SIP_HOST].addr(CLOUD_LAN),
+            "own_uri": device_uri(serial),
+            "user_uri": account_uri(record.account),
+        })
 
     # -- directives ------------------------------------------------------------
 
@@ -378,25 +350,8 @@ class CloudServices:
     # -- SIP registrar and proxy ------------------------------------------------
 
     def _accept_sip(self, chan: Endpoint) -> None:
-        chan.handler = lambda end, data: self._on_sip(end, data)
-
-    def _on_sip(self, chan: Endpoint, data: bytes) -> None:
-        try:
-            msg = wire.sip_parse(data)
-        except wire.WireError:
-            self.network.note(SIP_HOST, "sys", "sip:unparseable")
-            return
-        if msg.kind == "request":
-            dispatch = {"REGISTER": self._sip_register, "INVITE": self._sip_invite,
-                        "ACK": self._sip_ack, "BYE": self._sip_bye,
-                        "CANCEL": self._sip_cancel_from_client}
-            handler = dispatch.get(msg.method)
-            if handler is None:
-                send_sip(chan, make_sip_response(msg, 404))
-                return
-            handler(chan, msg)
-        else:
-            self._sip_response(chan, msg)
+        chan.handler = lambda end, data: serve_sip(
+            end, data, self._SIP_REQUESTS, CloudServices._sip_response, self)
 
     def _sip_register(self, chan: Endpoint, msg: wire.SipMessage) -> None:
         token_b64 = msg.header("X-authtoken") or ""
@@ -467,9 +422,8 @@ class CloudServices:
         self.network.note(SIP_HOST, "sys", "call-token:accepted",
                           payload={"call_id": call_id})
 
-        try:
-            offer = wire.sdp_decode(msg.body)
-        except wire.WireError:
+        offer = read_sdp(msg.body)
+        if offer is None:
             send_sip(chan, make_sip_response(msg, 404))
             return
         call = ProxyCall(call_id=call_id, caller=caller, from_uri=from_uri,
@@ -625,8 +579,9 @@ class CloudServices:
             self._leg_invite_response(call, leg, msg)
         elif method == "BYE":
             # completion of a BYE we forwarded; relay it to the other party
+            # unless it bears a status the testbed's agents never send
             other = self._other_chan(call, chan)
-            if other is not None:
+            if other is not None and msg.status in wire.SIP_STATUSES:
                 send_sip(other, msg)
             self._call_close(call)
         elif method == "CANCEL":
@@ -634,41 +589,39 @@ class CloudServices:
 
     def _leg_invite_response(self, call: ProxyCall, leg: ProxyLeg,
                              msg: wire.SipMessage) -> None:
+        # the first answer wins the call, unless its SDP is unreadable
+        answer = read_sdp(msg.body) if msg.status == 200 and call.winner is None else None
         if msg.status == 180:
             leg.state = "ringing"
             send_sip(call.caller.chan, msg)
-        elif msg.status == 200:
-            if call.winner is None:
-                call.winner = leg
-                leg.state = "won"
-                call.state = "established"
-                answer = wire.sdp_decode(msg.body)
-                self.recorded_keys[call.call_id]["answer"] = answer.key_salt
-                self.network.note(SIP_HOST, "sys",
-                                  f"keys:recorded:answer:{call.call_id}")
-                for other in call.legs:
-                    if other is not leg and other.state in ("trying", "ringing"):
-                        other.state = "cancelled"
-                        cancel = make_sip_request(
-                            "CANCEL", other.binding.uri, from_uri=call.from_uri,
-                            to_uri=call.to_uri, call_id=call.call_id, cseq=1,
-                            via=self.hosts[SIP_HOST].addr(CLOUD_LAN))
-                        send_sip(other.binding.chan, cancel)
-                relay_addr = self.hosts[RELAY_HOST].addr(CLOUD_LAN)
-                fwd_answer = wire.SdpBody(
-                    session_id=answer.session_id, media_port=answer.media_port,
-                    candidates=list(answer.candidates)
-                    + ([wire.Candidate("relay", relay_addr, call.relay_port)]
-                       if call.relay_port is not None else []),
-                    crypto_suite=answer.crypto_suite, key_salt=answer.key_salt)
-                fwd = make_sip_response(call.invite, 200,
-                                        headers=[("Content-Type", "application/sdp")],
-                                        body=wire.sdp_encode(fwd_answer))
-                send_sip(call.caller.chan, fwd)
-            else:
-                leg.state = "failed"
-        elif msg.status in (486, 487, 403, 404):
-            leg.state = "failed" if msg.status != 487 else "cancelled"
+        elif answer is not None:
+            call.winner = leg
+            leg.state = "won"
+            call.state = "established"
+            self.recorded_keys[call.call_id]["answer"] = answer.key_salt
+            self.network.note(SIP_HOST, "sys", f"keys:recorded:answer:{call.call_id}")
+            for other in call.legs:
+                if other is not leg and other.state in ("trying", "ringing"):
+                    other.state = "cancelled"
+                    cancel = make_sip_request(
+                        "CANCEL", other.binding.uri, from_uri=call.from_uri,
+                        to_uri=call.to_uri, call_id=call.call_id, cseq=1,
+                        via=self.hosts[SIP_HOST].addr(CLOUD_LAN))
+                    send_sip(other.binding.chan, cancel)
+            relay_addr = self.hosts[RELAY_HOST].addr(CLOUD_LAN)
+            fwd_answer = wire.SdpBody(
+                session_id=answer.session_id, media_port=answer.media_port,
+                candidates=list(answer.candidates)
+                + ([wire.Candidate("relay", relay_addr, call.relay_port)]
+                   if call.relay_port is not None else []),
+                crypto_suite=answer.crypto_suite, key_salt=answer.key_salt)
+            fwd = make_sip_response(call.invite, 200,
+                                    headers=[("Content-Type", "application/sdp")],
+                                    body=wire.sdp_encode(fwd_answer))
+            send_sip(call.caller.chan, fwd)
+        elif msg.status in (200, 403, 404, 486, 487):
+            # a late 200, or one whose SDP is unreadable, fails its leg too
+            leg.state = "cancelled" if msg.status == 487 else "failed"
             active = [l for l in call.legs if l.state in ("trying", "ringing")]
             if call.winner is None and not active:
                 send_sip(call.caller.chan, make_sip_response(call.invite, 486))
@@ -713,3 +666,23 @@ class CloudServices:
         call.state = "closed"
         self._relay_free(call.relay_port)
         self.network.note(SIP_HOST, "sys", f"call:closed:{call.call_id}")
+
+    _API_CALLS = {
+        "createLinkCode": (("serial", "secret"), _api_create_link_code),
+        "checkLinkCode": (("code", "secret"), _api_check_link_code),
+        "registerDevice": (("account", "password", "link_code"), _api_register_device),
+    }
+    _AVS_CONTROLS = {
+        "System.NegotiationCommand": ((), _avs_negotiate),
+        "System.RefreshAck": ((), lambda self, _chan, _p: self.network.note(
+            AVS_HOST, "sys", "avs:refresh-ack")),
+        "SipClient.ConfigureCommsRequest": ((), _configure_comms),
+        # WarmUp and the call-progress notices are informational: noted only
+        **{f"SipClient.{name}": ((), lambda self, _chan, p, name=name: self.network.note(
+            AVS_HOST, "sys", f"ctrl:SipClient.{name}",
+            payload=p if isinstance(p, dict) else None))
+           for name in ("WarmUp", "OutboundCallRequested", "OutboundCallAccepted",
+                        "CallDisconnected")},
+    }
+    _SIP_REQUESTS = {"REGISTER": _sip_register, "INVITE": _sip_invite, "ACK": _sip_ack,
+                     "BYE": _sip_bye, "CANCEL": _sip_cancel_from_client}

@@ -118,9 +118,16 @@ class AsymKeypair:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "AsymKeypair":
-        return cls(sign_priv=_unb64(obj["sign_priv"]), sign_pub=_unb64(obj["sign_pub"]),
-                   wrap_priv=_unb64(obj["wrap_priv"]), wrap_pub=_unb64(obj["wrap_pub"]),
-                   key_id=obj["key_id"])
+        """The keypair to_dict wrote; CryptoError for anything else."""
+        try:
+            keys = {k: _unb64(obj[k]) for k in ("sign_priv", "sign_pub", "wrap_priv",
+                                                "wrap_pub")}
+            key_id = obj["key_id"]
+        except (KeyError, TypeError) as exc:
+            raise CryptoError(f"not a keypair: {exc!r}") from exc
+        if not isinstance(key_id, str) or any(len(key) != 32 for key in keys.values()):
+            raise CryptoError("not a keypair: needs four 32-byte keys and a key id")
+        return cls(key_id=key_id, **keys)
 
 
 def keygen(rng: Rng) -> AsymKeypair:

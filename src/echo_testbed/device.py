@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import crypto, wire
 from .calling import (CommsEndpoint, read_reply, send_control, send_reply,
-                      send_request, serve_request, string_fields)
+                      send_request, serve_control, serve_request)
 from .netsim import Endpoint, NetError, Network, PairingNetwork
 
 WIFI_CONNECT_MS = 300
@@ -118,25 +118,24 @@ class EchoDevice:
         self.mode = "online"
         self.connect_avs()
 
-    def _adopt_grant(self, grant: dict) -> None:
+    def _adopt_grant(self, grant) -> bool:
+        """Store grant if it holds a keypair and the strings the device reads."""
+        if not isinstance(grant, dict) or not all(
+                isinstance(grant.get(k), str) for k in ("auth_token", "friendly_name")):
+            return False
+        try:
+            self.identity = crypto.AsymKeypair.from_dict(grant.get("keypair"))
+        except crypto.CryptoError:
+            return False
         self.grant = grant
-        self.identity = crypto.AsymKeypair.from_dict(grant["keypair"])
         self.network.note(self.host, "sys", "grant:stored",
                           payload={"friendly_name": grant["friendly_name"]})
+        return True
 
     # -- pairing API (port 8080) ----------------------------------------------
 
     def _accept_oobe(self, chan: Endpoint) -> None:
-        handlers = {
-            "ping": self._oobe_ping,
-            "getDeviceDetails": self._oobe_details,
-            "getScanList": self._oobe_scan,
-            "connectToAP": self._oobe_connect,
-            "getRegistrationState": self._oobe_reg_state,
-            "getLinkCode": self._oobe_link_code,
-            "setupComplete": self._oobe_setup_complete,
-        }
-        chan.handler = lambda end, data: serve_request(end, data, handlers)
+        chan.handler = lambda end, data: serve_request(end, data, self._OOBE_CALLS, self)
 
     def _oobe_ping(self, chan: Endpoint, args: dict) -> tuple[dict, int]:
         return {"pong": True}, 200
@@ -149,13 +148,12 @@ class EchoDevice:
         return {"networks": self.wifi_table.scan()}, 200
 
     def _oobe_connect(self, chan: Endpoint, args: dict) -> tuple[dict, int]:
-        armor = args.get("credential", "")
         try:
-            blob = crypto.EncryptedCredentialBlob.from_armor(armor)
+            blob = crypto.EncryptedCredentialBlob.from_armor(args["credential"])
             cred = crypto.decrypt_credential(blob, self.keypair)
         except crypto.CryptoError:
             return {"error": "credential-invalid"}, 400
-        if cred.ssid != args.get("ssid"):
+        if cred.ssid != args["ssid"]:
             return {"error": "ssid-mismatch"}, 400
         entry = self.wifi_table.find(cred.ssid)
         if entry is None:
@@ -218,13 +216,16 @@ class EchoDevice:
 
     def _on_link_code_checked(self, args: dict) -> None:
         status = args.get("status")
-        if status == "registered":
-            self._adopt_grant(args["grant"])
-        elif status == "pending":
-            self.network.scheduler.at(LINK_POLL_MS, self._poll_link_code)
-        elif status == "expired":
+        if status == "registered" and self._adopt_grant(args.get("grant")):
+            return
+        if status == "expired":
             self.link_code = None
             self.network.note(self.host, "sys", "link-code:expired")
+            return
+        if status != "pending":
+            # an error, an unreadable reply or a grant the device cannot use
+            self.network.note(self.host, "sys", "link-code:check-failed")
+        self.network.scheduler.at(LINK_POLL_MS, self._poll_link_code)
 
     def _oobe_setup_complete(self, chan: Endpoint, args: dict) -> tuple[dict, int]:
         if self.grant is None:
@@ -283,10 +284,10 @@ class EchoDevice:
         except wire.WireError:
             chan.close()
             return
-        if req.kind != "request" or req.method != "CONNECT" or ":" not in req.path:
+        name, _, port = (req.path or "").partition(":")
+        if req.kind != "request" or req.method != "CONNECT" or not port.isdigit():
             chan.close()
             return
-        name, _, port = req.path.partition(":")
         try:
             addr = self.network.lookup(name, self.host)
             upstream = self.network.open_channel(self.host, addr, int(port),
@@ -326,7 +327,7 @@ class EchoDevice:
     def _dial_avs(self) -> Endpoint:
         addr = self.network.lookup(wire.AVS_NAME, self.host)
         chan = self.network.open_channel(self.host, addr, wire.TLS_PORT, secured=True)
-        chan.handler = lambda end, data: self._on_avs(data)
+        chan.handler = lambda end, data: serve_control(end, data, self._AVS_CONTROLS, self)
         return chan
 
     def _negotiation_payload(self) -> dict:
@@ -346,21 +347,26 @@ class EchoDevice:
             raise NetError("nothing captured to replay")
         send_control(self._dial_avs(), "System", "NegotiationCommand", self.hello)
 
-    def _on_avs(self, data: bytes) -> None:
-        try:
-            msg = wire.control_decode(data)
-        except wire.WireError:
-            return
-        if msg.interface == "System":
-            if msg.name == "NegotiationAccepted":
-                self.network.note(self.host, "sys", "avs:connected")
-                self.comms.provision(self.avs, self.grant["auth_token"])
-            elif msg.name == "NegotiationRejected":
-                fields = string_fields(msg.payload, "reason")
-                self.network.note(self.host, "sys", "avs:unparseable" if fields is None
-                                  else f"avs:refused:{fields[0]}")
-            elif msg.name == "Refresh":
-                send_control(self.avs, "System", "RefreshAck", {})
-        elif msg.interface == "SipClient":
-            self.comms.handle_control(msg)
+    def _on_avs_accepted(self, _chan: Endpoint, _payload) -> None:
+        self.network.note(self.host, "sys", "avs:connected")
+        self.comms.provision(self.avs, self.grant["auth_token"])
 
+    _OOBE_CALLS = {
+        "ping": ((), _oobe_ping),
+        "getDeviceDetails": ((), _oobe_details),
+        "getScanList": ((), _oobe_scan),
+        "connectToAP": (("ssid", "credential"), _oobe_connect),
+        "getRegistrationState": ((), _oobe_reg_state),
+        "getLinkCode": ((), _oobe_link_code),
+        "setupComplete": ((), _oobe_setup_complete),
+    }
+    _AVS_CONTROLS = {
+        "System.NegotiationAccepted": ((), _on_avs_accepted),
+        "System.NegotiationRejected": (("reason",), lambda self, _chan, p: self.network.note(
+            self.host, "sys", f"avs:refused:{p['reason']}")),
+        "System.Refresh": ((), lambda self, _chan, _p: send_control(
+            self.avs, "System", "RefreshAck", {})),
+        # the SipClient commands are the comms endpoint's to run
+        **{name: (fields, lambda self, chan, p, run=run: run(self.comms, chan, p))
+           for name, (fields, run) in CommsEndpoint.CONTROLS.items()},
+    }

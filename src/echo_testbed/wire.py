@@ -114,7 +114,11 @@ def _split_head(data: bytes, what: str) -> tuple[list[str], bytes]:
         head = data[:sep].decode("ascii")
     except UnicodeDecodeError as exc:
         raise WireError(f"{what}: non-ASCII header block") from exc
-    return head.split("\r\n"), data[sep + 4:]
+    lines = head.split("\r\n")
+    # every CR and LF must be part of a CRLF line break
+    if head.count("\r") != len(lines) - 1 or head.count("\n") != len(lines) - 1:
+        raise WireError(f"{what}: lone CR or LF in the header block")
+    return lines, data[sep + 4:]
 
 
 def _check_body_length(headers: list[tuple[str, str]], body: bytes, what: str) -> bytes:

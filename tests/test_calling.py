@@ -5,12 +5,14 @@ import random
 from echo_testbed import crypto, wire
 from echo_testbed.calling import (
     FRAME_LEN,
+    CommsEndpoint,
     MediaSession,
     account_uri,
     canary_payload,
     device_uri,
     make_sip_request,
     make_sip_response,
+    send_sip,
     sip_summary,
 )
 from echo_testbed.cli import load_scenario, run_scenario
@@ -136,7 +138,6 @@ def _lone_paired_world(**dev_extra):
 def test_begin_call_requires_registration():
     net = Network()
     net.add_lan("home", "192.168.50")
-    from echo_testbed.calling import CommsEndpoint
     host = net.add_host("solo")
     net.attach(host, "home")
     comms = CommsEndpoint(net, host, "EK-SOLO-0001", random.Random("x"))
@@ -246,3 +247,36 @@ def test_gateway_call_media_goes_nowhere_but_the_gateway():
     # the gateway answers but sends no frames back
     assert call.media.received == []
     assert call.media.sent == 6
+
+
+def test_unreadable_answer_ends_the_call_like_a_refusal():
+    # a registrar that accepts the registration, then answers the INVITE
+    # with a 200 whose body is not SDP
+    net = Network()
+    net.add_lan("lan", "10.0.0")
+    host = net.add_host("solo")
+    net.attach(host, "lan")
+    fake = net.add_host("fake-sip")
+    addr = net.attach(fake, "lan")
+
+    def on_sip(end, data):
+        msg = wire.sip_parse(data)
+        body = b"not sdp" if msg.method == "INVITE" else b""
+        send_sip(end, make_sip_response(msg, 200, body=body))
+    fake.listen(wire.TLS_PORT, lambda chan: setattr(chan, "handler", on_sip))
+    controls = []
+    fake.listen(5000, lambda chan: setattr(
+        chan, "handler", lambda end, data: controls.append(wire.control_decode(data))))
+    comms = CommsEndpoint(net, host, "EK-SOLO-0001", random.Random("x"))
+    comms.control = net.open_channel(host, addr, 5000)
+    comms._on_comms_config(addr)
+    net.run()
+    assert comms.registered
+    call_id = comms.begin_call(device_uri("EK-PEER-0002"), "call", "token")
+    net.run()
+    call = comms.calls[call_id]
+    assert call.state == "closed" and call.media is None
+    assert call.media_port not in host.listeners
+    assert [e.summary for e in net.trace.events if e.layer == "sys"][-1] == "sip:unparseable"
+    assert (controls[-1].name, controls[-1].payload) == ("CallDisconnected",
+                                                         {"call_id": call_id})

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from echo_testbed import crypto, wire
+from echo_testbed.calling import send_reply
 from echo_testbed.client import (
     CompanionApp,
     Eavesdropper,
@@ -13,7 +14,7 @@ from echo_testbed.client import (
 )
 from echo_testbed.cloud import CloudServices
 from echo_testbed.device import EchoDevice, WifiNetwork, WifiNetworkTable
-from echo_testbed.netsim import Network, PairingNetwork
+from echo_testbed.netsim import Network, Observation, PairingNetwork
 
 SERIAL = "EK-TEST-0001"
 SSID = "Wren"
@@ -259,3 +260,52 @@ def test_hijacker_records_a_hostile_reply(args):
     mallet.on_link_code("ABCDE")
     net.run()
     assert mallet.result == "protocol-error"
+
+
+def scripted_echo(net, replies):
+    """A fake device whose pairing API answers each method with replies[method]."""
+    fake = net.add_host("fake-echo")
+
+    def answer(end, data):
+        env = wire.oobe_decode(wire.http_parse(data))
+        send_reply(end, env.method, replies[env.method])
+    fake.listen(wire.OOBE_PORT, lambda chan: setattr(chan, "handler", answer))
+    return fake
+
+
+def pair_with(replies):
+    net = Network()
+    fake = scripted_echo(net, {"ping": {"pong": True}, **replies})
+    app = CompanionApp(net, "phone", "alice", ACCOUNT_PW, WifiCredential(SSID, PASS),
+                       random.Random("c:ph"))
+    app.start_pairing(PairingNetwork(net, fake, "Amazon-EVL"))
+    net.run()
+    return app.outcome
+
+
+FAKE_CERT = crypto.self_sign(crypto.keygen(random.Random("c:fake")), "EK-FAKE-0001").to_dict()
+
+
+@pytest.mark.parametrize("certificate", [[1], "cert", None, 7])
+def test_companion_app_refuses_a_certificate_that_is_not_an_object(certificate):
+    assert pair_with({"getDeviceDetails": {"certificate": certificate}}) == "bad-certificate"
+
+
+@pytest.mark.parametrize("networks,outcome", [
+    ("Wren", "protocol-error"), ([1], "protocol-error"), ({"ssid": SSID}, "protocol-error"),
+    ([{"ssid": SSID}, "x"], "protocol-error"), ([{"ssid": [1]}], "home-network-not-visible"),
+])
+def test_companion_app_ends_on_a_scan_list_that_is_not_objects(networks, outcome):
+    assert pair_with({"getDeviceDetails": {"certificate": FAKE_CERT},
+                      "getScanList": {"networks": networks}}) == outcome
+
+
+@pytest.mark.parametrize("credential", [7, None, [1]])
+def test_eavesdropper_ignores_a_credential_that_is_not_a_string(credential):
+    net = Network()
+    eve = Eavesdropper(net, "eve")
+    data = wire.http_serialize(wire.oobe_encode(
+        wire.OobeEnvelope("connectToAP", {"ssid": SSID, "credential": credential})))
+    eve._observe(Observation(length=len(data), data=data))
+    assert eve.credential_armor is None
+    assert not net.trace.events

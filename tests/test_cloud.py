@@ -4,11 +4,12 @@ import importlib.util
 import json
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from echo_testbed import crypto, wire
-from echo_testbed.calling import device_uri, make_sip_request
+from echo_testbed.calling import CommsEndpoint, device_uri, make_sip_request, make_sip_response
 from echo_testbed.cli import BUILTINS, load_scenario, run_scenario
 from echo_testbed.cloud import CloudServices, LINK_CODE_TTL_MS
 from echo_testbed.device import DEVICE_TYPE
@@ -233,6 +234,21 @@ def test_cross_account_registration_blocked_until_deregistered():
     assert args == {"ok": True}
 
 
+@pytest.mark.parametrize("method,args", [
+    ("createLinkCode", {"serial": [1], "secret": "aa"}),
+    ("createLinkCode", {"serial": SERIAL}),
+    ("checkLinkCode", {"code": {}, "secret": "aa"}),
+    ("registerDevice", {"account": [1], "password": "pw-alice", "link_code": "ABCDE"}),
+    ("registerDevice", {"account": "alice", "password": "pw-alice", "link_code": [1]}),
+])
+def test_api_call_without_its_string_args_is_400(method, args):
+    net, cloud = make_cloud()
+    factory_device(net, cloud)
+    probe = Probe(net)
+    assert probe.api(method, args) == (400, {"error": "bad args"})
+    assert not cloud.link_codes
+
+
 def test_unknown_api_method_is_400():
     net, cloud = make_cloud()
     probe = Probe(net)
@@ -376,7 +392,19 @@ def test_misshapen_negotiation_payload_is_unparseable(payload):
     assert SERIAL not in cloud.avs_sessions
 
 
-@pytest.mark.parametrize("payload", [[1], "text", 7])
+@pytest.mark.parametrize("payload,reason", [
+    (None, "not-registered"), ({"serial": SERIAL}, "bad-signature"),
+    ({"signature": "00"}, "not-registered")])
+def test_hello_without_serial_or_signature_is_judged_not_unparseable(payload, reason):
+    # a null hello counts as {}, a missing field as ""
+    net, cloud = make_cloud()
+    granted(net, cloud)
+    reply, _ = Probe(net).negotiate(payload)
+    assert (reply.name, reply.payload) == ("NegotiationRejected", {"reason": reason})
+    assert "avs:unparseable" not in notes(net)
+
+
+@pytest.mark.parametrize("payload", [[1], "text", 7, None, {}, {"serial": [1]}])
 def test_non_object_comms_request_gets_the_error_response(payload):
     # on a negotiated session, so the payload itself is what gets judged
     net, cloud = make_cloud()
@@ -386,6 +414,19 @@ def test_non_object_comms_request_gets_the_error_response(payload):
     assert reply.name == "NegotiationAccepted"
     probe.control(chan, "SipClient", "ConfigureCommsRequest", payload)
     assert probe.ctrl_replies[-1].payload == {"error": "no negotiated session"}
+
+
+def test_only_listed_sipclient_names_are_noted():
+    net, cloud = make_cloud()
+    grant = granted(net, cloud)
+    probe = Probe(net)
+    _, chan = probe.negotiate(nego_payload(grant, SERIAL, net.scheduler.now))
+    probe.control(chan, "SipClient", "WarmUp", {})
+    probe.control(chan, "SipClient", "CallDisconnected", {"call_id": "c-1"})
+    probe.control(chan, "SipClient", "SelfDestruct", {"now": True})
+    events = [(e.summary, e.payload) for e in net.trace.events if e.layer == "sys"]
+    assert events[-2:] == [("ctrl:SipClient.WarmUp", {}),
+                           ("ctrl:SipClient.CallDisconnected", {"call_id": "c-1"})]
 
 
 def test_directives_require_a_session():
@@ -558,7 +599,7 @@ def _fleet_calls_20_homes():
 
 
 def test_chan_index_matches_scan_after_every_register(monkeypatch):
-    register = CloudServices._sip_register
+    register = CloudServices._SIP_REQUESTS["REGISTER"]
     checked = []
 
     def checked_register(self, chan, msg):
@@ -566,7 +607,7 @@ def test_chan_index_matches_scan_after_every_register(monkeypatch):
         _assert_chan_index_matches_scan(self, chan)
         checked.append(chan)
 
-    monkeypatch.setattr(CloudServices, "_sip_register", checked_register)
+    monkeypatch.setitem(CloudServices._SIP_REQUESTS, "REGISTER", checked_register)
     for name in BUILTINS:
         assert run_scenario(load_scenario(name)).exit_code == 0
     assert run_scenario(_fleet_calls_20_homes()).exit_code == 0
@@ -694,6 +735,21 @@ def test_gateway_sinks_media_and_hangs_up_cleanly():
     assert any(s.startswith("gateway:answered:") for s in summaries)
     assert any(s.startswith("gateway:hangup:") for s in summaries)
     assert not cloud.hosts["gateway"].listeners
+
+
+def test_unreadable_answer_fails_the_leg_and_the_caller_hears_486():
+    def answer_with_garbage(self, call):
+        call.state = "established"
+        self._send_sip(make_sip_response(call.invite, 200, body=b"not sdp"))
+    with mock.patch.object(CommsEndpoint, "_answer", answer_with_garbage):
+        result = run_scenario(load_scenario("intercom_same_lan"))
+    assert result.error is None
+    call_id = "call-EK-KITCH-0001-1"
+    notes = [(e["src"], e["summary"]) for e in result.events if e["layer"] == "sys"]
+    assert ("sip", f"keys:recorded:answer:{call_id}") not in notes
+    assert ("sip", f"call:closed:{call_id}") in notes
+    assert ("kitchen", "call-failed:486") in notes
+    assert not result.world.cloud._relay_ends
 
 
 def test_relay_is_torn_down_with_the_call():

@@ -95,6 +95,15 @@ class TestKeys:
         kp = keygen(rng())
         assert AsymKeypair.from_dict(kp.to_dict()) == kp
 
+    @pytest.mark.parametrize("damage", [
+        lambda d: [1], lambda d: None, lambda d: {k: v for k, v in d.items() if k != "wrap_pub"},
+        lambda d: {**d, "sign_priv": "!!not base64"}, lambda d: {**d, "sign_priv": 7},
+        lambda d: {**d, "sign_priv": d["sign_priv"][:-1] + "9"},   # 33 bytes
+        lambda d: {**d, "key_id": [1]}])
+    def test_from_dict_refuses_anything_to_dict_did_not_write(self, damage):
+        with pytest.raises(CryptoError):
+            AsymKeypair.from_dict(damage(keygen(rng()).to_dict()))
+
     def test_key_objects_stay_out_of_repr_dict_and_equality(self):
         kp = keygen(rng())
         loaded = AsymKeypair.from_dict(kp.to_dict())

@@ -11,6 +11,7 @@ from echo_testbed.cli import load_scenario, run_scenario
 from echo_testbed.client import WifiCredential
 from echo_testbed.cloud import CloudServices
 from echo_testbed.device import (
+    LINK_POLL_MAX,
     EchoDevice,
     WifiNetwork,
     WifiNetworkTable,
@@ -330,12 +331,18 @@ def test_provision_paired_brings_up_comms():
 def capture_avs(cloud):
     """Every frame the voice service receives, in arrival order."""
     frames = []
-    on_avs = cloud._on_avs
+    avs = cloud.hosts["avs"]
+    accept = avs.listeners[wire.TLS_PORT]
 
-    def capture(chan, data):
-        frames.append(data)
-        on_avs(chan, data)
-    cloud._on_avs = capture
+    def accept_and_capture(chan):
+        accept(chan)
+        handler = chan.handler
+
+        def capture(end, data):
+            frames.append(data)
+            handler(end, data)
+        chan.handler = capture
+    avs.listeners[wire.TLS_PORT] = accept_and_capture
     return frames
 
 
@@ -446,3 +453,75 @@ def test_misshapen_control_from_the_cloud_is_noted_and_dropped(interface, name, 
     notes = [e.summary for e in net.trace.events if e.layer == "sys" and e.src == dev.host.name]
     assert notes[-1] == "avs:unparseable"
     assert dev.comms.sip is None and not dev.comms.calls
+
+
+def test_undecodable_control_from_the_cloud_is_noted():
+    net, cloud, dev = make_world()
+    fake = net.add_host("fake-avs")
+    net.register_name(wire.AVS_NAME, net.attach(fake, "cloud"))
+    fake.listen(wire.TLS_PORT, lambda chan: setattr(
+        chan, "handler", lambda end, data: end.send(b"\xff not json", layer="control",
+                                                    summary="junk")))
+    dev.provision_paired("home", cloud.provision_grant(SERIAL, "alice"))
+    net.run()
+    notes = [e.summary for e in net.trace.events if e.layer == "sys" and e.src == dev.host.name]
+    assert notes[-1] == "avs:unparseable"
+
+
+@pytest.mark.parametrize("args", [{"ssid": "Wren", "credential": 7}, {"ssid": "Wren"},
+                                  {"credential": "armor", "ssid": ["Wren"]}])
+def test_connect_without_its_string_args_is_400(args):
+    net, cloud, dev = make_world()
+    probe = OobeProbe(net, dev.enter_setup())
+    assert probe.call("connectToAP", args) == (400, {"error": "bad args"})
+    assert dev.wifi_state == "disconnected"
+
+
+# ---------------------------------------------------------------------------
+# link-code polling against a hostile device API
+
+def _grant(**fields):
+    grant = {"keypair": crypto.keygen(random.Random("t:grant")).to_dict(),
+             "auth_token": "token", "friendly_name": "Echo-0001"}
+    grant.update(fields)
+    return {k: v for k, v in grant.items() if v is not None}
+
+
+HOSTILE_CHECKS = {
+    "no-grant": {"status": "registered"},
+    "grant-not-object": {"status": "registered", "grant": [1]},
+    "keypair-not-base64": {"status": "registered",
+                           "grant": _grant(keypair={"sign_priv": "!!", "sign_pub": "!!",
+                                                    "wrap_priv": "!!", "wrap_pub": "!!",
+                                                    "key_id": "k"})},
+    "keypair-33-byte-key": {"status": "registered", "grant": _grant(keypair={
+        **_grant()["keypair"], "sign_priv": _grant()["keypair"]["sign_priv"][:-1] + "9"})},
+    "no-friendly-name": {"status": "registered", "grant": _grant(friendly_name=None)},
+    "token-not-string": {"status": "registered", "grant": _grant(auth_token=7)},
+    "no-status": {},
+    "error": {"error": "unknown code"},
+}
+
+
+@pytest.mark.parametrize("reply", HOSTILE_CHECKS.values(), ids=HOSTILE_CHECKS.keys())
+def test_hostile_check_reply_is_noted_and_polled_again(reply):
+    net = Network()
+    net.add_lan("cloud", "10.0.0")
+    net.add_lan("home", "192.168.50", nat=True)
+    api = net.add_host("api")
+    net.register_name(wire.API_NAME, net.attach(api, "cloud"))
+    body = json.dumps({"method": "checkLinkCode", "args": reply}).encode()
+
+    def answer(end, data):
+        end.send(wire.http_serialize(wire.HttpMessage(
+            kind="response", status=200, reason="OK", body=body)), layer="http", summary="hostile")
+    api.listen(wire.TLS_PORT, lambda chan: setattr(chan, "handler", answer))
+    dev = EchoDevice(net, SERIAL, random.Random("t:dev"), WifiNetworkTable())
+    net.attach(dev.host, "home")
+    dev.link_code = "CODE1"
+    dev._poll_link_code()
+    net.run()
+    notes = [e.summary for e in net.trace.events if e.layer == "sys"]
+    assert notes.count("link-code:check-failed") == LINK_POLL_MAX
+    assert notes[-1] == "link-code:gave-up"
+    assert dev.grant is None and dev.identity is None

@@ -1,0 +1,129 @@
+"""Every endpoint survives a hostile peer.
+
+One message of a built-in run is replaced with a mutated copy on its way
+onto the wire: a bit flip, a truncation, a JSON value swapped for one of
+another type, or a deleted header line. Whatever the mutation, the run
+must end with exit code 0, 1 or 2; an exception escaping run_scenario is
+an endpoint that trusted what it decoded.
+"""
+
+import json
+from unittest import mock
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from echo_testbed import netsim
+from echo_testbed.cli import load_scenario, run_scenario
+
+SCENARIOS = ("pair", "pair_eavesdrop", "hijack_registered", "avs_handshake",
+             "call_cross_lan_fork", "call_pstn", "intercom_same_lan")
+MUTATIONS = ("flip", "truncate", "swap", "drop_header")
+# one JSON value of each type; a swap puts in one of a type the old value is not
+VALUES = (None, True, 7, "x", [1], {"k": 1})
+
+
+def _sends(name: str) -> int:
+    """How many messages the unmutated run puts on the wire."""
+    count = 0
+    send = netsim.Channel.send_from
+
+    def counting(chan, *args):
+        nonlocal count
+        count += 1
+        return send(chan, *args)
+    with mock.patch.object(netsim.Channel, "send_from", counting):
+        run_scenario(load_scenario(name))
+    return count
+
+
+SENDS = {name: _sends(name) for name in SCENARIOS}
+
+
+def _split(data: bytes) -> tuple[bytes | None, bytes]:
+    """(header block, body) of an HTTP or SIP message; (None, data) otherwise."""
+    sep = data.find(b"\r\n\r\n")
+    return (data[:sep], data[sep + 4:]) if sep >= 0 else (None, data)
+
+
+def flip(data: bytes, n: int, _value: int) -> bytes:
+    bit = n % (8 * len(data))
+    out = bytearray(data)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+def truncate(data: bytes, n: int, _value: int) -> bytes:
+    return data[:n % len(data)]
+
+
+def _slots(obj):
+    """(container, key) for every value nested in obj."""
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield obj, key
+        yield from _slots(value)
+
+
+def swap(data: bytes, n: int, value: int) -> bytes:
+    head, body = _split(data)
+    try:
+        obj = json.loads(body)
+    except ValueError:
+        return flip(data, n, value)   # no JSON in this message
+    slots = [(None, None), *_slots(obj)]
+    container, key = slots[n % len(slots)]
+    old = obj if container is None else container[key]
+    others = [v for v in VALUES if type(v) is not type(old)]
+    new = others[value % len(others)]
+    if container is None:
+        obj = new
+    else:
+        container[key] = new
+    body = json.dumps(obj, separators=(",", ":")).encode()
+    if head is None:
+        return body
+    lines = [b"Content-Length: %d" % len(body) if line.lower().startswith(b"content-length:")
+             else line for line in head.split(b"\r\n")]
+    return b"\r\n".join(lines) + b"\r\n\r\n" + body
+
+
+def drop_header(data: bytes, n: int, value: int) -> bytes:
+    head, body = _split(data)
+    lines = head.split(b"\r\n") if head is not None else []
+    if len(lines) < 2:
+        return flip(data, n, value)   # no header lines to delete
+    del lines[1 + n % (len(lines) - 1)]
+    return b"\r\n".join(lines) + b"\r\n\r\n" + body
+
+
+MUTATE = {"flip": flip, "truncate": truncate, "swap": swap, "drop_header": drop_header}
+
+
+def mutated_run(name: str, k: int, mutation: str, n: int, value: int):
+    """Run name with the data of the k-th send replaced by a mutated copy."""
+    calls = 0
+    send = netsim.Channel.send_from
+
+    def mutating(chan, src, data, *args):
+        nonlocal calls
+        if calls == k and data:
+            data = MUTATE[mutation](data, n, value)
+        calls += 1
+        return send(chan, src, data, *args)
+    with mock.patch.object(netsim.Channel, "send_from", mutating):
+        return run_scenario(load_scenario(name))
+
+
+@st.composite
+def hostile_runs(draw):
+    name = draw(st.sampled_from(SCENARIOS))
+    return (name, draw(st.integers(0, SENDS[name] - 1)), draw(st.sampled_from(MUTATIONS)),
+            draw(st.integers(0, 2 ** 16)), draw(st.integers(0, len(VALUES) - 1)))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(run=hostile_runs())
+def test_one_mutated_message_never_escapes_the_run(run):
+    assert mutated_run(*run).exit_code in (0, 1, 2)

@@ -82,6 +82,18 @@ class TestHttp:
         with pytest.raises(WireError):
             http_serialize(msg)
 
+    @pytest.mark.parametrize("lone", [b"\r", b"\n"])
+    def test_lone_cr_or_lf_in_a_header_line_rejected(self, lone):
+        # a value that kept it would break the serializer of any reply that
+        # copies the header back, such as a SIP response's Call-ID
+        with pytest.raises(WireError, match="lone CR or LF"):
+            http_parse(b"GET / HTTP/1.1\r\nX-Id: a" + lone + b"b\r\n\r\n")
+        raw = sip_serialize(SipMessage(kind="request", method="BYE", request_uri="sip:a@b",
+                                       headers=[(h, "x") for h in MANDATORY_SIP_HEADERS[:4]]
+                                       + [("CSeq", "1 BYE")]))
+        with pytest.raises(WireError, match="lone CR or LF"):
+            sip_parse(raw.replace(b"Call-ID: x", b"Call-ID: x" + lone + b"y"))
+
     def test_header_lookup_case_insensitive(self):
         msg = http_parse(b"GET / HTTP/1.1\r\nX-AuthToken: abc\r\n\r\n")
         assert msg.header("x-authtoken") == "abc"
