@@ -323,8 +323,12 @@ class CommsEndpoint:
             send_control(self.control, "SipClient", name, payload)
 
     def _on_comms_config(self, registrar_addr: str) -> None:
-        self.sip = self.network.open_channel(self.host, registrar_addr, wire.TLS_PORT,
-                                             secured=True)
+        try:   # the cloud named this address; a bad one ends only this config
+            self.sip = self.network.open_channel(self.host, registrar_addr, wire.TLS_PORT,
+                                                 secured=True)
+        except NetError:
+            self.network.note(self.host, "sys", "sip:registrar-unreachable")
+            return
         self.sip.handler = lambda end, data: serve_sip(
             end, data, self._SIP_REQUESTS, CommsEndpoint._on_sip_response, self)
         reg = make_sip_request(
@@ -448,24 +452,21 @@ class CommsEndpoint:
             self.network.note(self.host, "sys", "path:direct",
                               payload={"call_id": call.call_id})
             return None
+        dials = []   # candidates the peer named, tried in this order
         if call.role == "caller" and peer_host is not None:
+            dials.append((peer_host, "gateway" if call.gateway_leg else "direct"))
+        if peer_relay is not None:
+            dials.append((peer_relay, "relay"))
+        for cand, path in dials:
             try:
-                chan = self.network.open_channel(self.host, peer_host.address,
-                                                 peer_host.port)
-                path = "gateway" if call.gateway_leg else "direct"
-                self.network.note(self.host, "sys", f"path:{path}",
-                                  payload={"call_id": call.call_id})
-                return chan
+                chan = self.network.open_channel(self.host, cand.address, cand.port)
             except NetError:
-                pass
-        if peer_relay is None:
-            self.network.note(self.host, "sys", "path:none",
+                continue
+            self.network.note(self.host, "sys", f"path:{path}",
                               payload={"call_id": call.call_id})
-            return None
-        chan = self.network.open_channel(self.host, peer_relay.address, peer_relay.port)
-        self.network.note(self.host, "sys", "path:relay",
-                          payload={"call_id": call.call_id})
-        return chan
+            return chan
+        self.network.note(self.host, "sys", "path:none", payload={"call_id": call.call_id})
+        return None
 
     def _media_done(self, call: Call) -> None:
         if call.state == "established" and self.auto_bye:

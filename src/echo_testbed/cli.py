@@ -20,9 +20,12 @@ failed, 2 the scenario or command line was unusable. The seed comes
 from --seed, else the ECHO_TESTBED_SEED environment variable, else the
 scenario file; identical seeds give byte-identical traces.
 
-`assert` reruns the engine against any saved trace with no simulation
-involved, parsing it exactly as `run` does, which keeps verdicts
-reproducible after the fact.
+`run` and `assert` share one trace reader (netsim.iter_jsonl) and one
+engine (evaluate_all). The engine streams: it reads CHUNK_EVENTS events
+at a time and keeps one small judge per rule, so `assert` judges a saved
+trace of any length, line by line, in the memory of one chunk plus the
+judges, with no simulation involved. Verdicts are therefore reproducible
+after the fact.
 """
 
 from __future__ import annotations
@@ -34,11 +37,14 @@ import os
 import random
 import re
 import sys
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .client import CompanionApp, Eavesdropper, Hijacker, WifiCredential
 from .cloud import CLOUD_LAN, CLOUD_PREFIX, CloudServices
@@ -49,7 +55,8 @@ from .netsim import (
     BudgetExceeded,
     NetError,
     Network,
-    parse_jsonl,
+    iter_jsonl,
+    text_lines,
 )
 
 SCENARIO_BUDGET = 100_000   # every built-in quiesces well inside this
@@ -368,16 +375,26 @@ def _bind_action(world: World, act: dict, idx: int):
                 raise ScenarioError(f"action[{idx}] {op}: {dev.serial} is not in setup mode")
             join(dev.pairing)
         return join_setup
+    cloud = world.cloud
     if op == "start_call":
         callee, call_type = act["callee"], act.get("call_type", "call")
-        return lambda: world.cloud.start_call(dev.serial, callee, call_type)
-    return {"enter_setup": dev.enter_setup,
-            "connect_avs": dev.connect_avs,
-            "replay_negotiation": dev.replay_negotiation,
-            "replay_invite": dev.comms.replay_last_invite,
-            "deregister": lambda: world.cloud.deregister_device(dev.serial),
-            "refresh": lambda: world.cloud.refresh(dev.serial),
-            "end_call": lambda: world.cloud.end_call(dev.serial)}[op]
+        fire = lambda: cloud.start_call(dev.serial, callee, call_type)
+    else:
+        fire = {"enter_setup": dev.enter_setup,
+                "connect_avs": dev.connect_avs,
+                "replay_negotiation": dev.replay_negotiation,
+                "replay_invite": dev.comms.replay_last_invite,
+                "deregister": lambda: cloud.deregister_device(dev.serial),
+                "refresh": lambda: cloud.refresh(dev.serial),
+                "end_call": lambda: cloud.end_call(dev.serial)}[op]
+    if op not in ("start_call", "end_call", "refresh"):
+        return fire
+
+    def in_session():
+        if dev.serial not in cloud.avs_sessions:
+            raise ScenarioError(f"action[{idx}] {op}: {dev.serial} has no voice-service session")
+        fire()
+    return in_session
 
 
 def _schedule_actions(world: World, actions: list) -> None:
@@ -388,6 +405,9 @@ def _schedule_actions(world: World, actions: list) -> None:
 # ---------------------------------------------------------------------------
 # Assertion engine
 
+CHUNK_EVENTS = 4096   # events read and judged at a time
+
+
 @dataclass
 class Verdict:
     kind: str
@@ -395,7 +415,7 @@ class Verdict:
     detail: str
 
 
-_EQUALITY_FILTERS = tuple(k for k in _FILTERS if k != "summary")
+_EQUALITY_FILTERS = ("lan", "src", "dst", "secured")   # layer: see evaluate_all
 _encode_payload = json.JSONEncoder(sort_keys=True).encode   # json.dumps(p, sort_keys=True)
 
 
@@ -406,109 +426,176 @@ def _glob(pat: str):
     return pat.__eq__
 
 
-def _select(events: list[dict], rule: dict) -> list[dict]:
-    """The events that pass every filter of rule, in trace order."""
+def _selector(rule: dict):
+    """The filters of rule but its layer, compiled into one function that
+    keeps the events passing them all, in trace order."""
     keys = [k for k in _EQUALITY_FILTERS if rule.get(k) is not None]
-    if keys:
-        get = itemgetter(*keys)
-        want = get(rule)
-        events = [ev for ev in events if get(ev) == want]
+    get = itemgetter(*keys) if keys else None
+    want = get(rule) if keys else None
     pat = rule.get("summary")
-    if pat is not None:
-        match = _glob(pat)
-        events = [ev for ev in events if match(ev["summary"])]
-    return events
+    match = None if pat is None else _glob(pat)
+
+    def select(events: list[dict]) -> list[dict]:
+        if get is not None:
+            events = [ev for ev in events if get(ev) == want]
+        if match is not None:
+            events = [ev for ev in events if match(ev["summary"])]
+        return events
+    return select
 
 
-def _eval_subsequence(events: list[dict], rule: dict) -> Verdict:
-    steps = rule["events"]
-    tests = [(layer, _glob(pat)) for layer, pat in steps]
-    lan = rule.get("lan")
-    idx = 0
-    last_seq = None
-    for ev in events:
-        if idx >= len(steps):
-            break
-        if lan is not None and ev.get("lan") != lan:
-            continue
-        layer, match = tests[idx]
-        if (layer == "*" or ev.get("layer") == layer) and match(ev.get("summary", "")):
-            idx += 1
-            last_seq = ev.get("seq")
-    if idx == len(steps):
-        return Verdict("subsequence", True,
-                       f"all {len(steps)} steps found in order")
-    after = "start" if last_seq is None else f"seq={last_seq}"
-    return Verdict("subsequence", False,
-                   f"step {idx + 1}/{len(steps)} {steps[idx]} not found after {after}")
+class _Judge:
+    """One rule's state while the trace streams past. evaluate_all feeds it
+    each chunk's events (only its layer's, when the rule has a layer filter)
+    and then reads its verdict; once done, it is fed nothing more."""
+
+    def __init__(self, rule: dict):
+        self.rule = rule
+        self.layer = rule.get("layer")
+        self.select = _selector(rule)
+        self.selected = 0   # events that passed the filters so far
+        self.done = False
+
+    def feed(self, events: list[dict], hays: dict[int, str]) -> None:
+        hits = self.select(events)
+        self.selected += len(hits)
+        self.take(hits, hays)
 
 
-def _eval_count(events: list[dict], rule: dict) -> Verdict:
-    hits = _select(events, rule)
-    want = rule["equals"]
-    what = {k: rule[k] for k in _FILTERS if rule.get(k) is not None}
-    if len(hits) == want:
-        return Verdict("count", True, f"{what} == {want}")
-    seqs = [ev.get("seq") for ev in hits[:5]]
-    return Verdict("count", False,
-                   f"{what}: expected {want}, found {len(hits)} (seq {seqs})")
+class _Count(_Judge):
+    def __init__(self, rule):
+        super().__init__(rule)
+        self.seqs: list[int] = []   # of the first 5 selected events
+
+    def take(self, hits, hays):
+        if len(self.seqs) < 5:
+            self.seqs += [ev["seq"] for ev in hits[:5 - len(self.seqs)]]
+
+    def verdict(self) -> Verdict:
+        want = self.rule["equals"]
+        what = {k: self.rule[k] for k in _FILTERS if self.rule.get(k) is not None}
+        if self.selected == want:
+            return Verdict("count", True, f"{what} == {want}")
+        return Verdict("count", False,
+                       f"{what}: expected {want}, found {self.selected} (seq {self.seqs})")
 
 
-def _eval_absent(events: list[dict], rule: dict) -> Verdict:
-    needle = rule["pattern"]
-    hits = _select(events, rule)
-    for ev in hits:
-        hay = ev.get("summary", "")
-        if ev.get("payload") is not None:
-            hay += _encode_payload(ev["payload"])
-        if needle in hay:
-            return Verdict("absent", False,
-                           f"{needle!r} present at seq={ev.get('seq')} "
-                           f"({ev.get('layer')} {ev.get('summary')})")
-    return Verdict("absent", True, f"{needle!r} absent from {len(hits)} events")
+class _Subsequence(_Judge):   # its one filter is lan
+    def __init__(self, rule):
+        super().__init__(rule)
+        self.tests = [(layer, _glob(pat)) for layer, pat in rule["events"]]
+        self.found = 0
+        self.last_seq = None
+        self.done = not self.tests
+
+    def take(self, hits, hays):
+        tests, found = self.tests, self.found
+        for ev in hits:
+            layer, match = tests[found]
+            if (layer == "*" or ev["layer"] == layer) and match(ev["summary"]):
+                found += 1
+                self.last_seq = ev["seq"]
+                if found == len(tests):
+                    self.done = True
+                    break
+        self.found = found
+
+    def verdict(self) -> Verdict:
+        steps, found = self.rule["events"], self.found
+        if found == len(steps):
+            return Verdict("subsequence", True, f"all {len(steps)} steps found in order")
+        after = "start" if self.last_seq is None else f"seq={self.last_seq}"
+        return Verdict("subsequence", False,
+                       f"step {found + 1}/{len(steps)} {steps[found]} not found after {after}")
 
 
-def _eval_locality(events: list[dict], rule: dict) -> Verdict:
-    hits = _select(events, rule)
-    if "lans" in rule:
-        allowed = set(rule["lans"])
-        bad = [ev for ev in hits if ev.get("lan") not in allowed]
-        place = f"LANs {sorted(allowed)}"
-    else:
-        via = rule["via"]
-        bad = [ev for ev in hits if via not in (ev.get("src"), ev.get("dst"))]
-        place = f"host {rule['via']!r}"
-    if not bad:
-        return Verdict("locality", True, f"all {len(hits)} events within {place}")
-    ev = bad[0]
-    return Verdict("locality", False,
-                   f"{len(bad)}/{len(hits)} events outside {place}, first "
-                   f"seq={ev.get('seq')} on lan={ev.get('lan')} "
-                   f"({ev.get('src')} -> {ev.get('dst')})")
+class _Absent(_Judge):
+    hit: dict | None = None
+
+    def take(self, hits, hays):
+        # hays holds each event's haystack by id for the whole chunk, shared
+        # by every absent rule, so no payload is encoded twice
+        needle = self.rule["pattern"]
+        for ev in hits:
+            hay = hays.get(id(ev))
+            if hay is None:
+                hay = ev["summary"]
+                if ev.get("payload") is not None:
+                    hay += _encode_payload(ev["payload"])
+                hays[id(ev)] = hay
+            if needle in hay:
+                self.hit = ev
+                self.done = True
+                return
+
+    def verdict(self) -> Verdict:
+        needle, ev = self.rule["pattern"], self.hit
+        if ev is None:
+            return Verdict("absent", True, f"{needle!r} absent from {self.selected} events")
+        return Verdict("absent", False, f"{needle!r} present at seq={ev['seq']} "
+                                        f"({ev['layer']} {ev['summary']})")
 
 
-_EVALUATORS = {
-    "subsequence": _eval_subsequence,
-    "count": _eval_count,
-    "absent": _eval_absent,
-    "locality": _eval_locality,
-}
+class _Locality(_Judge):
+    bad = 0
+    first_bad: dict | None = None
+
+    def take(self, hits, hays):
+        if "lans" in self.rule:
+            allowed = set(self.rule["lans"])
+            bad = [ev for ev in hits if ev["lan"] not in allowed]
+        else:
+            via = self.rule["via"]
+            bad = [ev for ev in hits if via not in (ev["src"], ev["dst"])]
+        if bad:
+            self.bad += len(bad)
+            if self.first_bad is None:
+                self.first_bad = bad[0]
+
+    def verdict(self) -> Verdict:
+        place = (f"LANs {sorted(set(self.rule['lans']))}" if "lans" in self.rule
+                 else f"host {self.rule['via']!r}")
+        ev = self.first_bad
+        if ev is None:
+            return Verdict("locality", True, f"all {self.selected} events within {place}")
+        return Verdict("locality", False,
+                       f"{self.bad}/{self.selected} events outside {place}, first "
+                       f"seq={ev['seq']} on lan={ev['lan']} ({ev['src']} -> {ev['dst']})")
 
 
-def evaluate_assertion(events: list[dict], rule: dict) -> Verdict:
+_JUDGES = {"subsequence": _Subsequence, "count": _Count, "absent": _Absent,
+           "locality": _Locality}
+
+
+def evaluate_all(events: Iterable[dict], rules: list) -> list[Verdict]:
+    """Judge rules that validate_assertion accepted, in order, over events
+    read CHUNK_EVENTS at a time. Each chunk is split by layer once, and a
+    rule with a layer filter (never a subsequence) is fed only that layer's
+    events. Every event is read, even once every rule is settled, so that a
+    reader that checks each line reaches the last one."""
+    judges = [_JUDGES[rule["kind"]](rule) for rule in rules]
+    events = iter(events)
+    while _judge_chunk(judges, list(islice(events, CHUNK_EVENTS))):
+        pass
+    return [judge.verdict() for judge in judges]
+
+
+def _judge_chunk(judges: list[_Judge], chunk: list[dict]) -> bool:
+    """Feed one chunk to every judge not yet done; False once events ran out.
+    The chunk, its layer slices and its haystacks go when this returns."""
+    by_layer = defaultdict(list)
+    for ev in chunk:
+        by_layer[ev["layer"]].append(ev)
+    hays: dict[int, str] = {}
+    for judge in judges:
+        if not judge.done:
+            judge.feed(chunk if judge.layer is None else by_layer.get(judge.layer, ()), hays)
+    return bool(chunk)
+
+
+def evaluate_assertion(events: Iterable[dict], rule: dict) -> Verdict:
     """Judge one assertion that validate_assertion accepted."""
-    return _EVALUATORS[rule["kind"]](events, rule)
-
-
-def evaluate_all(events: list[dict], rules: list) -> list[Verdict]:
-    """Judge rules in order, one evaluate_assertion each. A rule with a layer
-    filter (never a subsequence) is handed only that layer's events."""
-    by_layer: dict[str, list[dict]] = {}
-    for ev in events:
-        by_layer.setdefault(ev["layer"], []).append(ev)
-    return [evaluate_assertion(events if rule.get("layer") is None
-                               else by_layer.get(rule["layer"], []), rule)
-            for rule in rules]
+    return evaluate_all(events, [rule])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -520,10 +607,14 @@ class RunResult:
     seed: str
     exit_code: int           # 0 pass, 1 assertion failure, 2 runtime error
     verdicts: list[Verdict]
-    events: list[dict]
     jsonl: str
     world: World
     error: str | None = None
+
+    @cached_property
+    def events(self) -> list[dict]:
+        """The trace's events, parsed from jsonl on first use."""
+        return list(iter_jsonl(text_lines(self.jsonl)))
 
 
 def run_scenario(scn: dict, seed: str | None = None) -> RunResult:
@@ -548,14 +639,13 @@ def run_scenario(scn: dict, seed: str | None = None) -> RunResult:
 
     # judge the very bytes that `run` writes and `assert` reads back
     jsonl = world.network.trace.jsonl()
-    events = parse_jsonl(jsonl)
-    verdicts = evaluate_all(events, scn.get("assertions", []))
+    verdicts = evaluate_all(iter_jsonl(text_lines(jsonl)), scn.get("assertions", []))
     if error is not None:
         exit_code = 2
     else:
         exit_code = 0 if all(v.ok for v in verdicts) else 1
     return RunResult(name=name, seed=seed, exit_code=exit_code, verdicts=verdicts,
-                     events=events, jsonl=jsonl, world=world, error=error)
+                     jsonl=jsonl, world=world, error=error)
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +668,7 @@ def cmd_run(args) -> int:
         return 2
     _print_verdicts(result.verdicts)
     passed = sum(v.ok for v in result.verdicts)
-    print(f"{result.name}: seed={result.seed} events={len(result.events)} "
+    print(f"{result.name}: seed={result.seed} events={len(result.world.network.trace.events)} "
           f"assertions={passed}/{len(result.verdicts)} trace={trace_path}")
     if result.error:
         print(f"error: {result.error}", file=sys.stderr)
@@ -620,14 +710,6 @@ def cmd_explain(args) -> int:
 
 def cmd_assert(args) -> int:
     try:
-        data = Path(args.trace).read_bytes()
-        try:
-            events = parse_jsonl(data.decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
-            raise ScenarioError(f"{args.trace}: line {line}: not UTF-8") from None
-        except ValueError as exc:
-            raise ScenarioError(f"{args.trace}: {exc}") from None
         rules = json.loads(Path(args.assertions).read_text(encoding="utf-8"))
         if isinstance(rules, dict):
             rules = rules.get("assertions", [])
@@ -635,10 +717,16 @@ def cmd_assert(args) -> int:
             raise ScenarioError("assertions file: expected a list")
         for i, rule in enumerate(rules):
             validate_assertion(rule, f"assertion[{i}]")
+        # binary lines split on b"\n" alone, as TraceLog.jsonl joins them;
+        # no verdict is shown before the last line has passed its checks
+        with open(args.trace, "rb") as trace:
+            try:
+                verdicts = evaluate_all(iter_jsonl(trace), rules)
+            except ValueError as exc:
+                raise ScenarioError(f"{args.trace}: {exc}") from None
     except (OSError, ValueError, RecursionError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    verdicts = evaluate_all(events, rules)
     _print_verdicts(verdicts)
     return 0 if all(v.ok for v in verdicts) else 1
 

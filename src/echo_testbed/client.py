@@ -233,6 +233,8 @@ class Eavesdropper:
         self.cleartext: list[bytes] = []
 
     def join(self, pairing: PairingNetwork) -> None:
+        if pairing.lan.name in self.host.interfaces:
+            return   # already on it, and tapping it
         pairing.join(self.host)
         self.network.add_tap(pairing.lan.name, self._observe)
 

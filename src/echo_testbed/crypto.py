@@ -549,17 +549,24 @@ def _ctr_iv(ctx: SrtpContext, index: int) -> int:
     return salt ^ (ctx.ssrc << 64) ^ (index << 16)
 
 
-_BLOCK_MASK = (1 << 128) - 1
+_SEGMENT = 256   # counter blocks that share the IV's top 15 bytes
+_SUFFIXES = [bytes([i]) for i in range(_SEGMENT)]   # objects CPython already caches
+_PREFIX_MASK = (1 << 120) - 1
 
 
 def _ctr_crypt(ctx: SrtpContext, index: int, data: bytes) -> bytes:
     # AES-256-CTR, byte for byte: the keystream is the AES encryption of the
-    # counter blocks iv, iv+1, ... (mod 2^128, as OpenSSL's CTR increments)
+    # counter blocks iv, iv+1, ... (mod 2^128, as OpenSSL's CTR increments).
+    # The IV's low 16 bits are always 0, so block i is (the IV's top 15
+    # bytes + i // 256) mod 2^120, followed by the one byte i mod 256.
     n = len(data)
-    iv = _ctr_iv(ctx, index)
-    counters = b"".join([((iv + i) & _BLOCK_MASK).to_bytes(AES_BLOCK, "big")
-                         for i in range(-(-n // AES_BLOCK))])
-    keystream = ctx._ecb.update(counters)[:n]
+    blocks = -(-n // AES_BLOCK)
+    top = _ctr_iv(ctx, index) >> 8
+    segments = []
+    for first in range(0, blocks, _SEGMENT):
+        prefix = ((top + first // _SEGMENT) & _PREFIX_MASK).to_bytes(AES_BLOCK - 1, "big")
+        segments.append(prefix + prefix.join(_SUFFIXES[:min(blocks - first, _SEGMENT)]))
+    keystream = ctx._ecb.update(b"".join(segments))[:n]
     return (int.from_bytes(data, "big") ^ int.from_bytes(keystream, "big")).to_bytes(n, "big")
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 HOP_MS = 1   # delivery latency within one LAN
 WAN_MS = 2   # delivery latency across LANs
@@ -133,15 +133,30 @@ class TraceLog:
 _LAYERS = frozenset(TRACE_LAYERS)
 
 
-def parse_jsonl(text: str) -> list[dict]:
-    """Read a trace in the format TraceLog.jsonl writes back into event dicts.
+def text_lines(text: str) -> Iterator[str]:
+    """The lines text.split("\n") gives, one at a time; io.StringIO would
+    hold a copy at four bytes a character."""
+    start = 0
+    while (end := text.find("\n", start)) >= 0:
+        yield text[start:end]
+        start = end + 1
+    yield text[start:]
+
+
+def iter_jsonl(lines: Iterable[str | bytes]) -> Iterator[dict]:
+    """Read a trace in the format TraceLog.jsonl writes, one line at a time,
+    back into event dicts. A bytes line is decoded as UTF-8 on its own.
 
     Blank lines are skipped. Any other line that is not one event object,
     with exactly the TraceEvent fields and their types, raises ValueError
     naming its 1-based line number.
     """
-    events = []
-    for lineno, line in enumerate(text.split("\n"), 1):
+    for lineno, line in enumerate(lines, 1):
+        if type(line) is bytes:
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(f"line {lineno}: not UTF-8") from None
         if not line.strip():
             continue
         try:
@@ -160,8 +175,7 @@ def parse_jsonl(text: str) -> list[dict]:
             ok = False
         if not ok:
             raise ValueError(f"line {lineno}: not a trace event")
-        events.append(ev)
-    return events
+        yield ev
 
 
 # ---------------------------------------------------------------------------

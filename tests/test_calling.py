@@ -1,8 +1,9 @@
 """SIP endpoint and media plane behavior."""
 
 import random
+from unittest import mock
 
-from echo_testbed import crypto, wire
+from echo_testbed import crypto, netsim, wire
 from echo_testbed.calling import (
     FRAME_LEN,
     CommsEndpoint,
@@ -16,6 +17,7 @@ from echo_testbed.calling import (
     sip_summary,
 )
 from echo_testbed.cli import load_scenario, run_scenario
+from echo_testbed.cloud import RELAY_HOST, CloudServices
 from echo_testbed.netsim import Network
 
 
@@ -280,3 +282,35 @@ def test_unreadable_answer_ends_the_call_like_a_refusal():
     assert [e.summary for e in net.trace.events if e.layer == "sys"][-1] == "sip:unparseable"
     assert (controls[-1].name, controls[-1].payload) == ("CallDisconnected",
                                                          {"call_id": call_id})
+
+
+# ---------------------------------------------------------------------------
+# addresses a peer named that cannot be dialled
+
+def test_an_unreachable_registrar_is_noted_and_the_run_goes_on():
+    send = netsim.Channel.send_from
+
+    def misdirect(chan, src, data, *args):   # one bit flipped: "10.0.0.3" -> "10.0n0.3"
+        if b"ConfigureCommsResponse" in data:
+            data = data.replace(b'"registrar":"10.0.0.', b'"registrar":"10.0n0.', 1)
+        return send(chan, src, data, *args)
+    with mock.patch.object(netsim.Channel, "send_from", misdirect):
+        result = run_scenario(load_scenario("intercom_same_lan"))
+    assert result.error is None
+    summaries = [e["summary"] for e in result.events]
+    assert summaries.count("sip:registrar-unreachable") == 2
+    assert "sip:registered" not in summaries
+
+
+def test_a_relay_port_freed_before_the_dial_gives_no_path(monkeypatch):
+    allocate = CloudServices._relay_allocate
+
+    def allocate_and_free(self, call_id):
+        port = allocate(self, call_id)
+        self.hosts[RELAY_HOST].unlisten(port)
+        return port
+    monkeypatch.setattr(CloudServices, "_relay_allocate", allocate_and_free)
+    result = run_scenario(load_scenario("call_cross_lan_fork"))
+    assert result.error is None
+    paths = [e["summary"] for e in result.events if e["summary"].startswith("path:")]
+    assert "path:none" in paths and "path:relay" not in paths

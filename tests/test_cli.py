@@ -3,7 +3,9 @@
 import copy
 import fnmatch
 import json
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -21,7 +23,7 @@ from echo_testbed.cli import (
     validate_assertion,
     validate_scenario,
 )
-from echo_testbed.netsim import TraceEvent, parse_jsonl
+from echo_testbed.netsim import TraceEvent, iter_jsonl
 
 
 def _ev(seq, layer, summary, *, lan="home-a", src="a", dst="b",
@@ -166,26 +168,34 @@ def test_evaluate_all_preserves_order():
     assert all(isinstance(v, Verdict) for v in verdicts)
 
 
-def test_evaluate_all_calls_evaluate_assertion_once_per_rule_in_order(monkeypatch):
-    # the benchmark's per-kind spans wrap cli.evaluate_assertion
-    seen = []
-    real = cli.evaluate_assertion
-    monkeypatch.setattr(cli, "evaluate_assertion",
-                        lambda events, rule: seen.append((rule, events)) or real(events, rule))
+class _LayerOnly(dict):
+    """A trace event of which nothing but the layer may be read."""
+
+    def __getitem__(self, key):
+        assert key == "layer", f"read {key!r} of a {dict.__getitem__(self, 'layer')} event"
+        return dict.__getitem__(self, key)
+
+    get = __getitem__
+
+
+def test_evaluate_all_judges_rules_in_order_and_feeds_a_layer_rule_its_layer_alone():
     rules = [
         {"kind": "count", "layer": "oobe", "equals": 2},
         {"kind": "subsequence", "events": [["oobe", "ping"], ["sys", "phone:*"]]},
         {"kind": "absent", "pattern": "AB12C", "layer": "sys"},
         {"kind": "locality", "layer": "sdp", "via": "relay"},
         {"kind": "count", "summary": "ping*", "equals": 2},
+        {"kind": "locality", "layer": "media", "lans": ["cloud"]},
         {"kind": "count", "layer": "oobe", "equals": 2},
     ]
-    verdicts = evaluate_all(SAMPLE, rules)
-    assert [id(rule) for rule, _ in seen] == [id(rule) for rule in rules]
-    assert [v.ok for v in verdicts] == [True, True, False, True, True, True]
-    for rule, events in seen:   # a layer filter is applied before the call
-        assert events == [ev for ev in SAMPLE
-                          if rule.get("layer") in (None, ev["layer"])]
+    verdicts = evaluate_all(iter(SAMPLE), rules)
+    assert [v.kind for v in verdicts] == [rule["kind"] for rule in rules]
+    assert [v.ok for v in verdicts] == [True, True, False, True, True, False, True]
+    assert verdicts == [_oracle(SAMPLE, rule) for rule in rules]
+    for rule in rules:
+        if "layer" in rule:   # any read of another layer's event fails the test
+            fenced = [ev if ev["layer"] == rule["layer"] else _LayerOnly(ev) for ev in SAMPLE]
+            assert evaluate_all(iter(fenced), [rule]) == [_oracle(SAMPLE, rule)]
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +326,13 @@ def _rules(events):
 def test_engine_agrees_with_the_naive_oracle(data):
     events = data.draw(EVENTS)
     rules = data.draw(_rules(events))
+    chunk = data.draw(st.integers(1, len(events) + 1), label="chunk size")
     for rule in rules:
         validate_assertion(rule)
     want = [_oracle(events, rule) for rule in rules]
-    assert [evaluate_assertion(events, rule) for rule in rules] == want
-    assert evaluate_all(events, rules) == want
+    with mock.patch.object(cli, "CHUNK_EVENTS", chunk):
+        assert [evaluate_assertion(events, rule) for rule in rules] == want
+        assert evaluate_all((ev for ev in events), rules) == want
 
 
 def test_oracle_cases_the_engine_must_get_right():
@@ -513,7 +525,7 @@ def test_readme_trace_example_is_an_event_of_the_pair_trace():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Traces", 1)[1]
     example = section.split("```json\n", 1)[1].split("```", 1)[0]
-    [event] = parse_jsonl(example)
+    [event] = iter_jsonl(example.split("\n"))
     result = run_scenario(load_scenario("pair"))
     assert event in result.events
     assert example.strip() in result.jsonl.split("\n")   # as the trace writes it
@@ -572,6 +584,28 @@ def test_start_pairing_without_setup_mode_is_a_runtime_error():
     result = run_scenario(scn)
     assert result.exit_code == 2
     assert "not in setup mode" in result.error
+
+
+@pytest.mark.parametrize("op", ["end_call", "refresh", "start_call"])
+def test_a_session_action_without_a_voice_session_names_the_action(op):
+    scn = load_scenario("call_pstn")
+    act = {"at": 0, "op": op, "device": "EK-KITCH-0001"}
+    if op == "start_call":
+        act["callee"] = "tel:+15551230100"
+    scn["actions"].insert(0, act)
+    result = run_scenario(scn)
+    assert result.exit_code == 2
+    assert result.error == (f"ScenarioError: action[0] {op}: EK-KITCH-0001 "
+                            "has no voice-service session")
+
+
+def test_a_second_tap_by_the_same_attacker_is_a_no_op():
+    scn = load_scenario("pair_eavesdrop")
+    tap = next(a for a in scn["actions"] if a["op"] == "tap_pairing")
+    scn["actions"].append({**tap, "at": tap["at"] + 1})
+    result = run_scenario(scn)
+    assert result.error is None and result.exit_code == 0
+    assert result.jsonl == run_scenario(load_scenario("pair_eavesdrop")).jsonl
 
 
 def test_world_builds_reproducibly_with_distinct_keys():
@@ -806,3 +840,63 @@ def test_cli_assert_never_raises_on_damaged_traces(tmp_path_factory, lines, rule
     trace.write_bytes(b"\n".join(lines))
     rules_path.write_text(json.dumps(rules))
     assert main(["assert", str(trace), str(rules_path)]) in (0, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# `assert` reads the trace as a stream
+
+def test_cli_assert_judges_nothing_before_the_last_line_passes(tmp_path, capsys, monkeypatch):
+    # both rules are settled by the first event, in the first of three chunks
+    monkeypatch.setattr(cli, "CHUNK_EVENTS", 1)
+    path, rules = tmp_path / "t.jsonl", tmp_path / "rules.json"
+    path.write_bytes(EVENT + b"\n" + EVENT + b"\n" + EVENT[:-5] + b"\n")
+    rules.write_text(json.dumps([{"kind": "absent", "pattern": "INVITE"},
+                                 {"kind": "subsequence", "events": [["sip", "INVITE"]]}]))
+    assert main(["assert", str(path), str(rules)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "line 3: not JSON" in err
+
+
+@pytest.mark.parametrize("trace, code, complaint", [
+    # whitespace between tokens: one valid event, as split("\n") reads it
+    pytest.param(EVENT.replace(b',"src"', b',\r"src"') + b"\n", 0, "", id="between-tokens"),
+    pytest.param(EVENT + b"\n" + EVENT.replace(b'"INVITE"', b'"INV\rITE"') + b"\n" + b"5\n",
+                 2, "line 2: not JSON (Invalid control character at)", id="inside-a-string"),
+])
+def test_cli_assert_splits_lines_on_newline_alone(tmp_path, capsys, trace, code, complaint):
+    path, rules = tmp_path / "t.jsonl", tmp_path / "rules.json"
+    path.write_bytes(trace)
+    rules.write_text(json.dumps([{"kind": "count", "layer": "sip", "equals": 1}]))
+    assert main(["assert", str(path), str(rules)]) == code
+    assert complaint in capsys.readouterr().err
+
+
+def _assert_peak_bytes(tmp_path, n_events: int) -> int:
+    path, rules = tmp_path / f"t{n_events}.jsonl", tmp_path / "rules.json"
+    with open(path, "w", encoding="utf-8") as out:
+        for seq in range(n_events):
+            out.write(TraceEvent(seq, seq, "a", "relay" if seq % 3 else "b", f"lan-{seq % 4}",
+                                 False, ("sip", "media", "sys")[seq % 3], f"ev-{seq}",
+                                 {"hex": f"{seq:064x}"}).to_json() + "\n")
+    # every kind, each with state that could grow with the trace
+    rules.write_text(json.dumps([
+        {"kind": "count", "layer": "media", "equals": 1},
+        {"kind": "absent", "pattern": "never"},
+        {"kind": "absent", "pattern": "also-never", "layer": "sip"},
+        {"kind": "locality", "lans": ["lan-0"]},
+        {"kind": "locality", "layer": "sys", "via": "nowhere"},
+        {"kind": "subsequence", "events": [["sip", "ev-0"], ["*", "never"]]},
+    ]))
+    tracemalloc.start()
+    try:
+        assert main(["assert", str(path), str(rules)]) == 1
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cli_assert_memory_does_not_grow_with_the_trace(tmp_path, capsys):
+    small = _assert_peak_bytes(tmp_path, 5_000)
+    large = _assert_peak_bytes(tmp_path, 50_000)
+    assert large < 1.25 * small, (small, large)

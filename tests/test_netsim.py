@@ -431,6 +431,11 @@ class TestTrace:
         line = TraceEvent(**fields).to_json()
         assert line == json.dumps(fields, sort_keys=True, separators=(",", ":"))
 
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(text=st.text(alphabet="ab\n\r\x0b\x85\u2028 ", max_size=12))
+    def test_text_lines_splits_as_split_on_newline_alone(self, text):
+        assert list(netsim.text_lines(text)) == text.split("\n")
+
     def test_unknown_layer_rejected(self):
         log = TraceLog()
         with pytest.raises(ValueError):
