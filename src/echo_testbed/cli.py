@@ -257,6 +257,10 @@ def validate_scenario(scn) -> None:
             if name not in names[spec.ref]:
                 raise ScenarioError(
                     f"{spot}: no {TOPOLOGY_SECTIONS[spec.ref][1]} named {name!r}")
+    isolated = {lan["name"] for lan in topo.get("lans", []) if lan.get("isolated")}
+    for i, dev in enumerate(topo.get("devices", [])):   # only a paired device has a lan
+        if dev.get("lan") in isolated:
+            raise ScenarioError(f"{where} devices[{i}]: 'lan' {dev['lan']!r} is isolated")
 
 
 def load_scenario(ref: str) -> dict:
@@ -361,40 +365,43 @@ def build_world(scn: dict, seed: str) -> World:
     return world
 
 
+# op -> (what the action's device lacks, the test that it has it). An action
+# whose test fails when it fires ends the run, naming the action.
+_PRECONDITIONS = {
+    **dict.fromkeys(("start_pairing", "tap_pairing"),
+                    ("is not in setup mode", lambda world, dev: dev.setup is not None)),
+    **dict.fromkeys(("start_call", "end_call", "refresh"),
+                    ("has no voice-service session",
+                     lambda world, dev: dev.serial in world.cloud.avs_sessions)),
+    "connect_avs": ("has no registration grant", lambda world, dev: dev.grant is not None),
+    "replay_negotiation": ("has no captured hello", lambda world, dev: dev.hello is not None),
+}
+
+
 def _bind_action(world: World, act: dict, idx: int):
-    """Resolve one validated action's referents now; return the closure to
-    schedule."""
-    op = act["op"]
-    dev = world.devices[act["device"]]
-    if op in ("start_pairing", "tap_pairing"):
-        join = (world.clients[act["client"]].start_pairing if op == "start_pairing"
-                else world.attackers[act["attacker"]].join)
-
-        def join_setup():
-            if dev.pairing is None:
-                raise ScenarioError(f"action[{idx}] {op}: {dev.serial} is not in setup mode")
-            join(dev.pairing)
-        return join_setup
-    cloud = world.cloud
-    if op == "start_call":
-        callee, call_type = act["callee"], act.get("call_type", "call")
-        fire = lambda: cloud.start_call(dev.serial, callee, call_type)
-    else:
-        fire = {"enter_setup": dev.enter_setup,
-                "connect_avs": dev.connect_avs,
-                "replay_negotiation": dev.replay_negotiation,
-                "replay_invite": dev.comms.replay_last_invite,
-                "deregister": lambda: cloud.deregister_device(dev.serial),
-                "refresh": lambda: cloud.refresh(dev.serial),
-                "end_call": lambda: cloud.end_call(dev.serial)}[op]
-    if op not in ("start_call", "end_call", "refresh"):
+    """The closure to schedule for one validated action."""
+    op, dev, cloud = act["op"], world.devices[act["device"]], world.cloud
+    fire = {
+        "start_pairing": lambda: world.clients[act["client"]].start_pairing(dev.setup.pairing),
+        "tap_pairing": lambda: world.attackers[act["attacker"]].join(dev.setup.pairing),
+        "start_call": lambda: cloud.start_call(dev.serial, act["callee"],
+                                               act.get("call_type", "call")),
+        "enter_setup": dev.enter_setup,
+        "connect_avs": dev.connect_avs,
+        "replay_negotiation": dev.replay_negotiation,
+        "replay_invite": dev.comms.replay_last_invite,
+        "deregister": lambda: cloud.deregister_device(dev.serial),
+        "refresh": lambda: cloud.refresh(dev.serial),
+        "end_call": lambda: cloud.end_call(dev.serial)}[op]
+    if op not in _PRECONDITIONS:
         return fire
+    lacks, holds = _PRECONDITIONS[op]
 
-    def in_session():
-        if dev.serial not in cloud.avs_sessions:
-            raise ScenarioError(f"action[{idx}] {op}: {dev.serial} has no voice-service session")
+    def checked():
+        if not holds(world, dev):
+            raise ScenarioError(f"action[{idx}] {op}: {dev.serial} {lacks}")
         fire()
-    return in_session
+    return checked
 
 
 def _schedule_actions(world: World, actions: list) -> None:

@@ -4,7 +4,9 @@ adversaries from the threat model.
 The companion app walks the whole first-time-setup dialogue: probe the
 device, encrypt the home Wi-Fi credential to its certificate, fetch a
 link code, register the device to an account through the 443 tunnel,
-and close with setupComplete.
+and close with setupComplete. Each start_pairing opens a new Dialogue
+that holds all that one dialogue learns; a reply or timer for a dialogue
+that is no longer current is dropped.
 
 The eavesdropper sits passively on the open setup network. It recovers
 exactly what the protocol leaks there: the link code and the encrypted
@@ -62,6 +64,19 @@ class WifiCredential:
         return cred
 
 
+@dataclass(eq=False)
+class Dialogue:
+    """One pairing dialogue with one device, from start_pairing to its outcome."""
+
+    oobe: Endpoint                 # the pairing-API channel to the device
+    device_addr: str
+    cert: crypto.DeviceCertificate | None = None
+    link_code: str | None = None
+    tunnel: Endpoint | None = None
+    tunnel_ready: bool = False     # the CONNECT has been answered
+    polls: int = 0                 # getRegistrationState calls since the last reset
+
+
 class CompanionApp:
     """Drives first-time setup against one device's pairing network."""
 
@@ -73,14 +88,8 @@ class CompanionApp:
         self.home_credential = home_credential
         self.rng = rng
         self.host = network.add_host(name)
-        self.oobe: Endpoint | None = None
-        self.tunnel: Endpoint | None = None
-        self.device_cert: crypto.DeviceCertificate | None = None
-        self.link_code: str | None = None
-        self.outcome: str | None = None   # set when the flow ends
-        self._device_addr: str | None = None
-        self._reg_polls = 0
-        self._tunnel_ready = False
+        self.dialogue: Dialogue | None = None   # the live one, if any
+        self.outcome: str | None = None         # how the last dialogue ended
 
     # -- wiring
 
@@ -88,137 +97,146 @@ class CompanionApp:
         return self.network.attach(self.host, lan_name)
 
     def start_pairing(self, pairing: PairingNetwork) -> None:
+        if self.dialogue is not None:
+            self._finish(self.dialogue, "restarted")
         if pairing.lan.name not in self.host.interfaces:
             pairing.join(self.host)
-        self._device_addr = pairing.owner_addr
-        self.oobe = self.network.open_channel(self.host, self._device_addr, wire.OOBE_PORT)
-        self.oobe.handler = lambda end, data: self._on_oobe(data)
-        send_request(self.oobe, "ping", {})
+        addr = pairing.owner_addr
+        d = self.dialogue = Dialogue(
+            self.network.open_channel(self.host, addr, wire.OOBE_PORT), addr)
+        d.oobe.handler = lambda end, data: self._on_oobe(d, data)
+        d.oobe.on_close = lambda end: self._current(d)   # the device hung up
+        send_request(d.oobe, "ping", {})
+
+    def _current(self, d: Dialogue) -> bool:
+        """Whether d is the dialogue to act on; one whose device has closed
+        the pairing channel ends here."""
+        if d is self.dialogue and d.oobe.closed:
+            self._finish(d, "device-gone")
+        return d is self.dialogue
 
     # -- the setup dialogue, one reply at a time
 
-    def _on_oobe(self, data: bytes) -> None:
+    def _on_oobe(self, d: Dialogue, data: bytes) -> None:
+        if not self._current(d):
+            return
         env = read_reply(data)
         if env is None:
-            self._finish("protocol-error")
+            self._finish(d, "protocol-error")
             return
         if "error" in env.args:
-            self._finish(f"device-error:{env.args['error']}")
+            self._finish(d, f"device-error:{env.args['error']}")
             return
         step = getattr(self, f"_after_{env.method}", None)
         if step is not None:
-            step(env.args)
+            step(d, env.args)
 
-    def _after_ping(self, args: dict) -> None:
-        send_request(self.oobe, "getDeviceDetails", {})
+    def _after_ping(self, d: Dialogue, args: dict) -> None:
+        send_request(d.oobe, "getDeviceDetails", {})
 
-    def _after_getDeviceDetails(self, args: dict) -> None:
+    def _after_getDeviceDetails(self, d: Dialogue, args: dict) -> None:
         try:
-            self.device_cert = crypto.DeviceCertificate.from_dict(args["certificate"])
+            d.cert = crypto.DeviceCertificate.from_dict(args["certificate"])
         except (KeyError, TypeError, crypto.CryptoError):
-            self._finish("bad-certificate")
+            self._finish(d, "bad-certificate")
             return
-        if not crypto.verify_certificate(self.device_cert):
-            self._finish("bad-certificate")
+        if not crypto.verify_certificate(d.cert):
+            self._finish(d, "bad-certificate")
             return
-        send_request(self.oobe, "getScanList", {})
+        send_request(d.oobe, "getScanList", {})
 
-    def _after_getScanList(self, args: dict) -> None:
+    def _after_getScanList(self, d: Dialogue, args: dict) -> None:
         networks = args.get("networks", [])
         if not isinstance(networks, list) or not all(isinstance(n, dict) for n in networks):
-            self._finish("protocol-error")
+            self._finish(d, "protocol-error")
             return
         if self.home_credential.ssid not in [n.get("ssid") for n in networks]:
-            self._finish("home-network-not-visible")
+            self._finish(d, "home-network-not-visible")
             return
-        blob = crypto.encrypt_credential(self.home_credential, self.device_cert,
-                                         self.rng)
-        send_request(self.oobe, "connectToAP", {"ssid": self.home_credential.ssid,
-                                                "credential": blob.to_armor()})
+        blob = crypto.encrypt_credential(self.home_credential, d.cert, self.rng)
+        send_request(d.oobe, "connectToAP", {"ssid": self.home_credential.ssid,
+                                             "credential": blob.to_armor()})
 
-    def _after_connectToAP(self, args: dict) -> None:
-        self._reg_polls = 0
-        self._poll_reg_state()
+    def _after_connectToAP(self, d: Dialogue, args: dict) -> None:
+        self._poll_reg_state(d)
 
-    def _poll_reg_state(self) -> None:
-        if self._reg_polls >= REG_POLL_MAX:
-            self._finish("timeout")
+    def _poll_reg_state(self, d: Dialogue) -> None:
+        if not self._current(d):
             return
-        self._reg_polls += 1
-        send_request(self.oobe, "getRegistrationState", {})
+        if d.polls >= REG_POLL_MAX:
+            self._finish(d, "timeout")
+            return
+        d.polls += 1
+        send_request(d.oobe, "getRegistrationState", {})
 
-    def _after_getRegistrationState(self, args: dict) -> None:
-        network_state = args.get("network")
-        reg_state = args.get("registration")
-        if self.link_code is None:
-            if network_state == "connected":
-                send_request(self.oobe, "getLinkCode", {})
-            else:
-                self.network.scheduler.at(REG_POLL_MS, self._poll_reg_state)
-        elif reg_state == "registered":
-            send_request(self.oobe, "setupComplete", {})
+    def _after_getRegistrationState(self, d: Dialogue, args: dict) -> None:
+        if d.link_code is None and args.get("network") == "connected":
+            send_request(d.oobe, "getLinkCode", {})
+        elif d.link_code is not None and args.get("registration") == "registered":
+            send_request(d.oobe, "setupComplete", {})
         else:
-            self.network.scheduler.at(REG_POLL_MS, self._poll_reg_state)
+            self.network.scheduler.at(REG_POLL_MS, self._poll_reg_state, d)
 
-    def _after_getLinkCode(self, args: dict) -> None:
-        self.link_code = args.get("code")
+    def _after_getLinkCode(self, d: Dialogue, args: dict) -> None:
+        d.link_code = args.get("code")
         self.network.note(self.host, "sys", "phone:link-code",
-                          payload={"code": self.link_code})
-        self._open_tunnel()
+                          payload={"code": d.link_code})
+        self._open_tunnel(d)
 
-    def _after_setupComplete(self, args: dict) -> None:
-        self._finish("paired")
+    def _after_setupComplete(self, d: Dialogue, args: dict) -> None:
+        self._finish(d, "paired")
 
     # -- registration through the device's 443 tunnel
 
-    def _open_tunnel(self) -> None:
-        self.tunnel = self.network.open_channel(self.host, self._device_addr,
-                                                wire.TLS_PORT, secured=True)
-        self.tunnel.handler = lambda end, data: self._on_tunnel(data)
+    def _open_tunnel(self, d: Dialogue) -> None:
+        d.tunnel = self.network.open_channel(self.host, d.device_addr,
+                                             wire.TLS_PORT, secured=True)
+        d.tunnel.handler = lambda end, data: self._on_tunnel(d, data)
         connect = wire.HttpMessage(kind="request", method="CONNECT",
                                    path=f"{wire.API_NAME}:{wire.TLS_PORT}",
                                    headers=[], body=b"")
-        self.tunnel.send(wire.http_serialize(connect), layer="http", summary="CONNECT")
+        d.tunnel.send(wire.http_serialize(connect), layer="http", summary="CONNECT")
 
-    def _on_tunnel(self, data: bytes) -> None:
+    def _on_tunnel(self, d: Dialogue, data: bytes) -> None:
+        if not self._current(d):
+            return
         try:
             msg = wire.http_parse(data)
         except wire.WireError:
-            self._finish("tunnel-error")
+            self._finish(d, "tunnel-error")
             return
-        if not self._tunnel_ready:
+        if not d.tunnel_ready:
             if msg.status != 200:
-                self._finish("tunnel-refused")
+                self._finish(d, "tunnel-refused")
                 return
-            self._tunnel_ready = True
-            send_request(self.tunnel, "registerDevice", {
+            d.tunnel_ready = True
+            send_request(d.tunnel, "registerDevice", {
                 "account": self.account_id, "password": self.password,
-                "link_code": self.link_code})
+                "link_code": d.link_code})
             return
         try:
             env = wire.oobe_decode_response(msg)
         except wire.WireError:
-            self._finish("tunnel-error")
+            self._finish(d, "tunnel-error")
             return
+        d.tunnel.close()
         if env.args.get("ok"):
             self.network.note(self.host, "sys", "phone:registered",
                               payload={"account": self.account_id})
-            self.tunnel.close()
-            self._reg_polls = 0
-            self._poll_reg_state()
+            d.polls = 0
+            self._poll_reg_state(d)
         else:
             self.network.note(self.host, "sys",
                               f"phone:register-failed:{env.args.get('error')}")
-            self.tunnel.close()
-            self._finish("register-failed")
+            self._finish(d, "register-failed")
 
-    def _finish(self, outcome: str) -> None:
-        if self.outcome is not None:
+    def _finish(self, d: Dialogue, outcome: str) -> None:
+        if d is not self.dialogue:
             return
+        self.dialogue = None
         self.outcome = outcome
         self.network.note(self.host, "sys", f"phone:done:{outcome}")
-        if self.oobe is not None and not self.oobe.closed:
-            self.oobe.close()
+        d.oobe.close()
 
 
 class Eavesdropper:

@@ -20,7 +20,7 @@ decrypt any call it relays, and tests assert exactly that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import crypto, wire
 from .calling import (
@@ -197,9 +197,8 @@ class CloudServices:
         record = self.factory.get(serial)
         if record is None or record["secret"] != args["secret"]:
             return {"error": "bad device identity"}, 403
-        code = "".join(LINK_CODE_ALPHABET[b % len(LINK_CODE_ALPHABET)]
-                       for b in self.rng.randbytes(LINK_CODE_LEN))
-        while code in self.link_codes:
+        code = None
+        while code is None or code in self.link_codes:
             code = "".join(LINK_CODE_ALPHABET[b % len(LINK_CODE_ALPHABET)]
                            for b in self.rng.randbytes(LINK_CODE_LEN))
         self.link_codes[code] = LinkCode(code=code, serial=serial,
@@ -325,9 +324,7 @@ class CloudServices:
     def start_call(self, caller_serial: str, callee: str, call_type: str) -> None:
         """Model a voice command: tell a device to place a call, with a
         freshly minted single-use authorization token."""
-        chan = self.avs_sessions.get(caller_serial)
-        if chan is None:
-            raise NetError(f"{caller_serial} has no voice-service session")
+        chan = self._avs_session(caller_serial)
         token = crypto.mint_call_token(
             self.keypair, caller=device_uri(caller_serial), callee=callee,
             call_type=call_type, ttl=CALL_TOKEN_TTL_MS,
@@ -336,16 +333,16 @@ class CloudServices:
                      {"callee": callee, "call_type": call_type, "token": token.b64()})
 
     def end_call(self, serial: str) -> None:
-        chan = self.avs_sessions.get(serial)
-        if chan is None:
-            raise NetError(f"{serial} has no voice-service session")
-        send_control(chan, "SipClient", "EndCall", {})
+        send_control(self._avs_session(serial), "SipClient", "EndCall", {})
 
     def refresh(self, serial: str) -> None:
+        send_control(self._avs_session(serial), "System", "Refresh", {})
+
+    def _avs_session(self, serial: str) -> Endpoint:
         chan = self.avs_sessions.get(serial)
         if chan is None:
             raise NetError(f"{serial} has no voice-service session")
-        send_control(chan, "System", "Refresh", {})
+        return chan
 
     # -- SIP registrar and proxy ------------------------------------------------
 
@@ -449,14 +446,8 @@ class CloudServices:
             return
         self.calls[call_id] = call
         send_sip(chan, make_sip_response(msg, 100))
-        relay_port = self._relay_allocate(call_id)
-        call.relay_port = relay_port
-        relay_addr = self.hosts[RELAY_HOST].addr(CLOUD_LAN)
-        fwd_offer = wire.SdpBody(
-            session_id=offer.session_id, media_port=offer.media_port,
-            candidates=list(offer.candidates)
-            + [wire.Candidate("relay", relay_addr, relay_port)],
-            crypto_suite=offer.crypto_suite, key_salt=offer.key_salt)
+        call.relay_port = self._relay_allocate(call_id)
+        fwd_offer = self._with_relay(offer, call.relay_port)
         intercom = token.call_type == "intercom"
         for target in targets:
             leg = ProxyLeg(binding=target)
@@ -470,6 +461,13 @@ class CloudServices:
                 + ([("X-intercom", "yes")] if intercom else []),
                 body=wire.sdp_encode(fwd_offer))
             send_sip(target.chan, fwd, summary="INVITE-leg")
+
+    def _with_relay(self, sdp: wire.SdpBody, port: int | None) -> wire.SdpBody:
+        """sdp with the relay's candidate on port added, when the call has one."""
+        if port is None:
+            return sdp
+        relay = wire.Candidate("relay", self.hosts[RELAY_HOST].addr(CLOUD_LAN), port)
+        return replace(sdp, candidates=[*sdp.candidates, relay])
 
     def _is_gateway_uri(self, uri: str) -> bool:
         return uri.startswith("tel:") or "@pstn." in uri or "@skype." in uri
@@ -608,13 +606,7 @@ class CloudServices:
                         to_uri=call.to_uri, call_id=call.call_id, cseq=1,
                         via=self.hosts[SIP_HOST].addr(CLOUD_LAN))
                     send_sip(other.binding.chan, cancel)
-            relay_addr = self.hosts[RELAY_HOST].addr(CLOUD_LAN)
-            fwd_answer = wire.SdpBody(
-                session_id=answer.session_id, media_port=answer.media_port,
-                candidates=list(answer.candidates)
-                + ([wire.Candidate("relay", relay_addr, call.relay_port)]
-                   if call.relay_port is not None else []),
-                crypto_suite=answer.crypto_suite, key_salt=answer.key_salt)
+            fwd_answer = self._with_relay(answer, call.relay_port)
             fwd = make_sip_response(call.invite, 200,
                                     headers=[("Content-Type", "application/sdp")],
                                     body=wire.sdp_encode(fwd_answer))

@@ -20,7 +20,7 @@ import hmac as hmac_mod
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Protocol
 
@@ -182,8 +182,7 @@ class DeviceCertificate:
 
 def self_sign(keypair: AsymKeypair, serial: str) -> DeviceCertificate:
     cert = DeviceCertificate(subject=serial, public=keypair.public, signature=b"")
-    return DeviceCertificate(subject=serial, public=keypair.public,
-                             signature=sign_detached(keypair, cert.signed_bytes()))
+    return replace(cert, signature=sign_detached(keypair, cert.signed_bytes()))
 
 
 def verify_certificate(cert: DeviceCertificate) -> bool:
@@ -415,18 +414,15 @@ class CallAuthToken:
     nonce: bytes    # 16 bytes
     signature: bytes
 
+    def _claims(self) -> dict:
+        return {"caller": self.caller, "callee": self.callee, "type": self.call_type,
+                "issued_at": self.issued_at, "ttl": self.ttl, "nonce": _b64(self.nonce)}
+
     def signed_bytes(self) -> bytes:
-        return canonical_json({
-            "caller": self.caller, "callee": self.callee, "type": self.call_type,
-            "issued_at": self.issued_at, "ttl": self.ttl, "nonce": _b64(self.nonce),
-        })
+        return canonical_json(self._claims())
 
     def encode(self) -> bytes:
-        return canonical_json({
-            "caller": self.caller, "callee": self.callee, "type": self.call_type,
-            "issued_at": self.issued_at, "ttl": self.ttl, "nonce": _b64(self.nonce),
-            "signature": _b64(self.signature),
-        })
+        return canonical_json({**self._claims(), "signature": _b64(self.signature)})
 
     def b64(self) -> str:
         return _b64(self.encode())
@@ -454,10 +450,7 @@ def mint_call_token(signing_keypair: AsymKeypair, caller: str, callee: str,
         raise CryptoError("ttl must be positive")
     token = CallAuthToken(caller=caller, callee=callee, call_type=call_type,
                           issued_at=now, ttl=ttl, nonce=rng.randbytes(16), signature=b"")
-    return CallAuthToken(caller=token.caller, callee=token.callee,
-                         call_type=token.call_type, issued_at=token.issued_at,
-                         ttl=token.ttl, nonce=token.nonce,
-                         signature=sign_detached(signing_keypair, token.signed_bytes()))
+    return replace(token, signature=sign_detached(signing_keypair, token.signed_bytes()))
 
 
 def verify_call_token(public: PublicKey, token: CallAuthToken, caller: str,

@@ -1,6 +1,9 @@
 """The emulated smart speaker.
 
-Lifecycle: factory -> setup -> online.
+Lifecycle: factory -> setup -> online. A device is in setup while `setup`
+holds a SetupSession, which keeps all that lives for that one stay. Each
+timer, cloud reply and pairing-API channel carries the session that
+started it and does nothing once that session has ended.
 
 In setup mode the device hosts its own temporary Wi-Fi network (SSID
 "Amazon-" + the tail of its serial), serves the pairing HTTP API on 8080,
@@ -19,7 +22,7 @@ scenarios make.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import crypto, wire
 from .calling import (CommsEndpoint, read_reply, send_control, send_reply,
@@ -60,62 +63,54 @@ class WifiNetworkTable:
         return None
 
 
+@dataclass(eq=False)
+class SetupSession:
+    """One stay in setup mode, from enter_setup to the setup network's teardown."""
+
+    pairing: PairingNetwork
+    wifi: str = "disconnected"     # disconnected|connecting|connected
+    link_code: str | None = None
+    waiting: list[Endpoint] = field(default_factory=list)   # getLinkCode calls to answer
+    polls: int = 0                 # checkLinkCode calls for the current code
+
+
 class EchoDevice:
     def __init__(self, network: Network, serial: str, rng,
                  wifi_table: WifiNetworkTable, name: str | None = None, **comms):
         self.network = network
         self.serial = serial
-        self.rng = rng
         self.wifi_table = wifi_table
         self.host = network.add_host(name or f"echo-{serial[-4:]}")
         self.keypair = crypto.keygen(rng)          # factory identity
         self.cert = crypto.self_sign(self.keypair, serial)
         self.device_secret = rng.randbytes(16).hex()
-        self.mode = "factory"                      # factory|setup|online
-        self.wifi_state = "disconnected"           # disconnected|connecting|connected
         self.grant: dict | None = None
         self.identity: crypto.AsymKeypair | None = None  # granted, post-pairing
-        self.pairing: PairingNetwork | None = None
-        self.link_code: str | None = None
+        self.setup: SetupSession | None = None
         self.comms = CommsEndpoint(network, self.host, serial, rng, **comms)
         self.avs: Endpoint | None = None
         self.hello: dict | None = None             # last signed negotiation payload
         self._api: Endpoint | None = None
         self._api_waiters: list = []
-        self._pending_oobe: Endpoint | None = None  # unanswered getLinkCode
-        self._poll_count = 0
-        self._tunnels: dict[int, Endpoint] = {}    # tunnel cid -> upstream
 
     @property
     def ssid(self) -> str:
         return f"Amazon-{self.serial[-3:]}"
 
-    @property
-    def registration_state(self) -> str:
-        if self.grant is not None:
-            return "registered"
-        if self.link_code is not None:
-            return "pending"
-        return "none"
-
     # -- lifecycle -----------------------------------------------------------
 
     def enter_setup(self) -> PairingNetwork:
-        if self.pairing is not None:
-            return self.pairing
-        self.mode = "setup"
-        self.pairing = PairingNetwork(self.network, self.host, self.ssid)
-        self.host.listen(wire.OOBE_PORT, self._accept_oobe)
-        self.host.listen(wire.TLS_PORT, self._accept_tunnel)
-        self.network.note(self.host, "sys", "mode:setup", lan=self.pairing.lan.name)
-        return self.pairing
+        if self.setup is None:
+            self.setup = SetupSession(PairingNetwork(self.network, self.host, self.ssid))
+            self.host.listen(wire.OOBE_PORT, self._accept_oobe)
+            self.host.listen(wire.TLS_PORT, self._accept_tunnel)
+            self.network.note(self.host, "sys", "mode:setup", lan=self.setup.pairing.lan.name)
+        return self.setup.pairing
 
     def provision_paired(self, lan_name: str, grant: dict) -> None:
         """Start a scenario after first-time setup: on Wi-Fi, registered."""
         self.network.attach(self.host, lan_name)
-        self.wifi_state = "connected"
         self._adopt_grant(grant)
-        self.mode = "online"
         self.connect_avs()
 
     def _adopt_grant(self, grant) -> bool:
@@ -135,7 +130,13 @@ class EchoDevice:
     # -- pairing API (port 8080) ----------------------------------------------
 
     def _accept_oobe(self, chan: Endpoint) -> None:
-        chan.handler = lambda end, data: serve_request(end, data, self._OOBE_CALLS, self)
+        session = self.setup
+
+        def serve(end: Endpoint, data: bytes) -> None:
+            # a call that lands after its session has ended goes unanswered
+            if session is self.setup:
+                serve_request(end, data, self._OOBE_CALLS, self)
+        chan.handler = serve
 
     def _oobe_ping(self, chan: Endpoint, args: dict) -> tuple[dict, int]:
         return {"pong": True}, 200
@@ -160,90 +161,95 @@ class EchoDevice:
             return {"error": "no-such-network"}, 400
         if entry.passphrase != cred.passphrase:
             return {"error": "auth-failed"}, 403
-        self.wifi_state = "connecting"
-        self.network.scheduler.at(WIFI_CONNECT_MS, self._wifi_up, entry.lan_name)
+        self.setup.wifi = "connecting"
+        self.network.scheduler.at(WIFI_CONNECT_MS, self._wifi_up, self.setup, entry.lan_name)
         return {"status": "connecting"}, 200
 
-    def _wifi_up(self, lan_name: str) -> None:
-        if self.wifi_state != "connecting":
+    def _wifi_up(self, session: SetupSession, lan_name: str) -> None:
+        if session is not self.setup or session.wifi != "connecting":
             return
-        self.network.attach(self.host, lan_name)
-        self.wifi_state = "connected"
+        if lan_name not in self.host.interfaces:   # a paired device may be on it already
+            self.network.attach(self.host, lan_name)
+        session.wifi = "connected"
         self.network.note(self.host, "sys", "mode:wifi-connected",
                           payload={"lan": lan_name})
 
     def _oobe_reg_state(self, chan: Endpoint, args: dict) -> tuple[dict, int]:
-        out = {"network": self.wifi_state, "registration": self.registration_state}
+        out = {"network": self.setup.wifi,
+               "registration": "none" if self.setup.link_code is None else "pending"}
         if self.grant is not None:
-            out["friendly_name"] = self.grant["friendly_name"]
+            out.update(registration="registered", friendly_name=self.grant["friendly_name"])
         return out, 200
 
     def _oobe_link_code(self, chan: Endpoint, args: dict) -> tuple[dict, int] | None:
-        if self.wifi_state != "connected":
+        session = self.setup
+        if session.wifi != "connected":
             return {"error": "not-online"}, 400
-        if self.link_code is not None:
-            return {"code": self.link_code}, 200
-        # answered from _on_link_code_created once the service has minted one
-        self._pending_oobe = chan
-        self._api_call("createLinkCode",
-                       {"serial": self.serial, "secret": self.device_secret},
-                       self._on_link_code_created)
+        if session.link_code is not None:
+            return {"code": session.link_code}, 200
+        # answered from _on_link_code_created once the service has minted one;
+        # the call joins the list first, as an unreachable service answers at once
+        session.waiting.append(chan)
+        if len(session.waiting) == 1:
+            self._api_call("createLinkCode",
+                           {"serial": self.serial, "secret": self.device_secret},
+                           lambda reply: self._on_link_code_created(session, reply))
         return None
 
-    def _on_link_code_created(self, args: dict) -> None:
-        pending, self._pending_oobe = self._pending_oobe, None
-        if "code" not in args:
-            if pending is not None:
-                send_reply(pending, "getLinkCode",
-                           {"error": args.get("error", "refused")}, status=403)
+    def _on_link_code_created(self, session: SetupSession, args: dict) -> None:
+        if session is not self.setup:
             return
-        self.link_code = args["code"]
-        self._poll_count = 0
-        self.network.scheduler.at(LINK_POLL_MS, self._poll_link_code)
-        if pending is not None:
-            send_reply(pending, "getLinkCode", {"code": self.link_code})
+        waiting, session.waiting = session.waiting, []
+        if "code" in args:
+            session.link_code, session.polls = args["code"], 0
+            self.network.scheduler.at(LINK_POLL_MS, self._poll_link_code, session)
+            reply, status = {"code": session.link_code}, 200
+        else:
+            reply, status = {"error": args.get("error", "refused")}, 403
+        for chan in waiting:
+            send_reply(chan, "getLinkCode", reply, status=status)
 
-    def _poll_link_code(self) -> None:
-        if self.grant is not None or self.link_code is None:
+    def _poll_link_code(self, session: SetupSession) -> None:
+        if session is not self.setup or self.grant is not None:
             return
-        if self._poll_count >= LINK_POLL_MAX:
+        if session.polls >= LINK_POLL_MAX:
             self.network.note(self.host, "sys", "link-code:gave-up")
             return
-        self._poll_count += 1
+        session.polls += 1
         self._api_call("checkLinkCode",
-                       {"code": self.link_code, "secret": self.device_secret},
-                       self._on_link_code_checked)
+                       {"code": session.link_code, "secret": self.device_secret},
+                       lambda reply: self._on_link_code_checked(session, reply))
 
-    def _on_link_code_checked(self, args: dict) -> None:
+    def _on_link_code_checked(self, session: SetupSession, args: dict) -> None:
+        if session is not self.setup:
+            return
         status = args.get("status")
         if status == "registered" and self._adopt_grant(args.get("grant")):
             return
         if status == "expired":
-            self.link_code = None
+            session.link_code = None
             self.network.note(self.host, "sys", "link-code:expired")
             return
         if status != "pending":
             # an error, an unreadable reply or a grant the device cannot use
             self.network.note(self.host, "sys", "link-code:check-failed")
-        self.network.scheduler.at(LINK_POLL_MS, self._poll_link_code)
+        self.network.scheduler.at(LINK_POLL_MS, self._poll_link_code, session)
 
     def _oobe_setup_complete(self, chan: Endpoint, args: dict) -> tuple[dict, int]:
         if self.grant is None:
             return {"error": "not-registered"}, 400
-        self.network.scheduler.at(SETUP_TEARDOWN_MS, self._leave_setup)
+        self.network.scheduler.at(SETUP_TEARDOWN_MS, self._leave_setup, self.setup)
         return {"ok": True}, 200
 
-    def _leave_setup(self) -> None:
-        if self.pairing is None:
+    def _leave_setup(self, session: SetupSession) -> None:
+        if session is not self.setup:
             return
+        self.setup = None
         self.host.unlisten(wire.OOBE_PORT)
         self.host.unlisten(wire.TLS_PORT)
-        if self._api is not None and not self._api.closed:
+        if self._api is not None:
             self._api.close()
-            self._api = None
-        self.pairing.teardown()
-        self.pairing = None
-        self.mode = "online"
+        session.pairing.teardown()
         self.network.note(self.host, "sys", "mode:paired",
                           payload={"friendly_name": self.grant["friendly_name"]})
         self.connect_avs()
@@ -275,8 +281,13 @@ class EchoDevice:
     # -- registration tunnel (port 443) -----------------------------------------
 
     def _accept_tunnel(self, chan: Endpoint) -> None:
-        chan.handler = lambda end, data: self._tunnel_open(end, data)
-        chan.on_close = lambda end: self._tunnel_close(end)
+        session = self.setup
+
+        def open_tunnel(end: Endpoint, data: bytes) -> None:
+            # as on 8080: a CONNECT that lands after its session has ended is dropped
+            if session is self.setup:
+                self._tunnel_open(end, data)
+        chan.handler = open_tunnel
 
     def _tunnel_open(self, chan: Endpoint, data: bytes) -> None:
         try:
@@ -298,10 +309,11 @@ class EchoDevice:
             chan.send(wire.http_serialize(err), layer="http", summary="CONNECT-error")
             chan.close()
             return
-        self._tunnels[chan.channel.cid] = upstream
+        # either leg closing closes the other
         upstream.handler = lambda end, d: self._tunnel_relay(chan, d)
-        upstream.on_close = lambda end: chan.close() if not chan.closed else None
+        upstream.on_close = lambda end: chan.close()
         chan.handler = lambda end, d: self._tunnel_relay(upstream, d)
+        chan.on_close = lambda end: upstream.close()
         ok = wire.HttpMessage(kind="response", status=200,
                               reason="Connection Established", headers=[], body=b"")
         chan.send(wire.http_serialize(ok), layer="http", summary="CONNECT-ok")
@@ -309,11 +321,6 @@ class EchoDevice:
     def _tunnel_relay(self, to: Endpoint, data: bytes) -> None:
         if not to.closed:
             to.send(data, layer="http", summary="tunnel-data")
-
-    def _tunnel_close(self, chan: Endpoint) -> None:
-        upstream = self._tunnels.pop(chan.channel.cid, None)
-        if upstream is not None and not upstream.closed:
-            upstream.close()
 
     # -- voice-service connection -------------------------------------------------
 

@@ -506,7 +506,8 @@ def test_run_scenario_passes_and_traces():
     assert result.exit_code == 0
     assert result.seed == "mini-seed"
     assert result.events and result.jsonl.endswith("\n")
-    assert result.world.devices["EK-TEST-0009"].mode == "online"
+    dev = result.world.devices["EK-TEST-0009"]
+    assert dev.setup is None and dev.grant is not None
     # jsonl lines parse back to the event dicts
     lines = [json.loads(l) for l in result.jsonl.splitlines()]
     assert lines == result.events
@@ -597,6 +598,26 @@ def test_a_session_action_without_a_voice_session_names_the_action(op):
     assert result.exit_code == 2
     assert result.error == (f"ScenarioError: action[0] {op}: EK-KITCH-0001 "
                             "has no voice-service session")
+
+
+@pytest.mark.parametrize("op,lacks", [("connect_avs", "has no registration grant"),
+                                      ("replay_negotiation", "has no captured hello")])
+def test_an_avs_action_on_a_factory_device_names_the_action(op, lacks):
+    scn = _mini(actions=[{"at": 5, "op": op, "device": "EK-TEST-0010"}])
+    scn["topology"]["devices"].append({"serial": "EK-TEST-0010", "host": "box2"})
+    result = run_scenario(scn)
+    assert result.exit_code == 2
+    assert result.error == f"ScenarioError: action[0] {op}: EK-TEST-0010 {lacks}"
+
+
+def test_validate_refuses_a_paired_device_on_an_isolated_lan():
+    scn = _mini()
+    scn["topology"]["lans"].append({"name": "lab", "prefix": "10.9.9", "isolated": True})
+    scn["topology"]["devices"].append({"serial": "EK-TEST-0010", "host": "box2",
+                                       "state": "paired", "account": "a1", "lan": "lab"})
+    with pytest.raises(ScenarioError,
+                       match=r"scenario 'mini' devices\[1\]: 'lan' 'lab' is isolated"):
+        validate_scenario(scn)
 
 
 def test_a_second_tap_by_the_same_attacker_is_a_no_op():

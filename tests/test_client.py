@@ -71,10 +71,11 @@ def test_wifi_credential_round_trips():
 def test_full_pairing_happy_path():
     net, cloud, dev, app = make_world()
     app.start_pairing(dev.enter_setup())
+    dialogue = app.dialogue
     net.run()
-    assert app.outcome == "paired"
-    assert crypto.verify_certificate(app.device_cert)
-    assert dev.mode == "online"
+    assert app.outcome == "paired" and app.dialogue is None
+    assert crypto.verify_certificate(dialogue.cert)
+    assert dev.setup is None
     assert dev.grant["friendly_name"] == "Echo-0001"
     assert cloud.registry[SERIAL].account == "alice"
     assert cloud.registry[SERIAL].registered
@@ -89,7 +90,7 @@ def test_pairing_aborts_when_home_ssid_not_visible():
     app.start_pairing(dev.enter_setup())
     net.run()
     assert app.outcome == "home-network-not-visible"
-    assert dev.wifi_state == "disconnected"
+    assert dev.setup.wifi == "disconnected"
     assert dev.grant is None
 
 
@@ -98,7 +99,7 @@ def test_pairing_surfaces_device_side_auth_failure():
     app.start_pairing(dev.enter_setup())
     net.run()
     assert app.outcome == "device-error:auth-failed"
-    assert dev.wifi_state == "disconnected"
+    assert dev.setup.wifi == "disconnected"
 
 
 def test_pairing_fails_on_bad_account_password():
@@ -121,11 +122,12 @@ def test_eavesdropper_recovers_exactly_the_open_leaks():
     eve = Eavesdropper(net, "eve")
     eve.join(pairing)
     app.start_pairing(pairing)
+    dialogue = app.dialogue
     net.run()
     assert app.outcome == "paired"
     # the two things the open network gives away
     assert eve.link_code is not None
-    assert eve.link_code == app.link_code
+    assert eve.link_code == dialogue.link_code
     blob = crypto.EncryptedCredentialBlob.from_armor(eve.credential_armor)
     assert blob.ciphertext
     # and the things it never gives away
@@ -309,3 +311,70 @@ def test_eavesdropper_ignores_a_credential_that_is_not_a_string(credential):
     eve._observe(Observation(length=len(data), data=data))
     assert eve.credential_armor is None
     assert not net.trace.events
+
+
+# ---------------------------------------------------------------------------
+# a dialogue or setup stay that has ended never acts on the next
+
+def done_notes(net):
+    return [(e.src, e.summary) for e in net.trace.events if e.summary.startswith("phone:done:")]
+
+
+def test_a_paired_device_re_pairs_onto_its_own_lan():
+    net, cloud, dev, app = make_world()
+    dev.provision_paired("home", cloud.provision_grant(SERIAL, "alice"))
+    app.start_pairing(dev.enter_setup())
+    net.run()
+    assert app.outcome == "paired" and dev.setup is None
+    assert "mode:wifi-connected" in summaries(net)
+
+
+def test_a_device_pairs_enters_setup_and_pairs_again():
+    net, cloud, dev, app = make_world()
+    for _ in range(2):
+        app.start_pairing(dev.enter_setup())
+        net.run()
+    assert done_notes(net) == [("phone", "phone:done:paired")] * 2
+    # nothing carries over: each dialogue fetched a link code of its own
+    codes = [e.payload["code"] for e in net.trace.events if e.summary == "phone:link-code"]
+    assert len(codes) == 2 and codes[0] != codes[1]
+
+
+def test_a_second_start_pairing_restarts_the_dialogue():
+    net, cloud, dev, app = make_world()
+    pairing = dev.enter_setup()
+    net.scheduler.at(24, app.start_pairing, pairing)
+    net.scheduler.at(61, app.start_pairing, pairing)
+    net.run()
+    assert done_notes(net) == [("phone", "phone:done:restarted"), ("phone", "phone:done:paired")]
+    assert app.dialogue is None and dev.setup is None
+
+
+@pytest.mark.parametrize("rival_at", [
+    2320,   # the rival is polling the device when the setup network goes down
+    2059,   # the rival's CONNECT reaches the device after it went down
+])
+def test_teardown_ends_the_losing_phone_as_device_gone(rival_at):
+    net, cloud, dev, app = make_world()
+    rival = CompanionApp(net, "rival", "alice", ACCOUNT_PW, WifiCredential(SSID, PASS),
+                         random.Random("c:rival"))
+    rival.join_home("home")
+    pairing = dev.enter_setup()
+    net.scheduler.at(20, app.start_pairing, pairing)
+    net.scheduler.at(rival_at, rival.start_pairing, pairing)
+    net.run()
+    assert done_notes(net) == [("phone", "phone:done:paired"), ("rival", "phone:done:device-gone")]
+    assert (app.outcome, rival.outcome) == ("paired", "device-gone")
+
+
+def test_a_device_whose_wifi_is_isolated_answers_each_link_code_call():
+    net, cloud, dev, app = make_world()
+    net.add_lan("shed", "192.168.60", isolated=True)
+    dev.wifi_table = WifiNetworkTable([WifiNetwork(SSID, "shed", PASS)])
+    pairing = dev.enter_setup()
+    # the service is out of reach, so each getLinkCode is refused at once
+    for _ in range(2):
+        app.start_pairing(pairing)
+        net.run()
+    assert done_notes(net) == [("phone", "phone:done:device-error:cloud-unreachable")] * 2
+    assert dev.setup.waiting == []

@@ -75,7 +75,7 @@ def connect_wifi(net, dev, probe):
 def test_enter_setup_hosts_isolated_lan_as_dot_one():
     net, cloud, dev = make_world()
     pairing = dev.enter_setup()
-    assert dev.mode == "setup"
+    assert dev.setup.pairing is pairing
     assert dev.ssid == "Amazon-001"
     assert pairing.lan.isolated
     assert pairing.owner_addr.endswith(".1")
@@ -86,8 +86,7 @@ def test_enter_setup_hosts_isolated_lan_as_dot_one():
 
 def test_factory_device_is_unregistered():
     net, cloud, dev = make_world()
-    assert dev.mode == "factory"
-    assert dev.registration_state == "none"
+    assert dev.setup is None
     assert dev.grant is None and dev.identity is None
 
 
@@ -128,7 +127,7 @@ def test_connect_rejects_garbage_credential():
     status, args = probe.call("connectToAP",
                               {"ssid": "Wren", "credential": "AAAA"})
     assert status == 400 and args["error"] == "credential-invalid"
-    assert dev.wifi_state == "disconnected"
+    assert dev.setup.wifi == "disconnected"
 
 
 def test_connect_rejects_ssid_mismatch():
@@ -160,7 +159,7 @@ def test_connect_joins_home_lan():
     net, cloud, dev = make_world()
     probe = OobeProbe(net, dev.enter_setup())
     connect_wifi(net, dev, probe)
-    assert dev.wifi_state == "connected"
+    assert dev.setup.wifi == "connected"
     assert "home" in dev.host.interfaces
     notes = [e for e in net.trace.events if e.summary == "mode:wifi-connected"]
     assert len(notes) == 1 and notes[0].payload == {"lan": "home"}
@@ -190,8 +189,8 @@ def test_link_code_minted_once_and_polling_starts():
     status, args = probe.call("getLinkCode")
     assert status == 200
     code = args["code"]
-    assert dev.link_code == code and code in cloud.link_codes
-    assert dev.registration_state == "pending"
+    assert dev.setup.link_code == code and code in cloud.link_codes
+    assert probe.call("getRegistrationState")[1]["registration"] == "pending"
     # a second ask returns the same code without a second mint
     status, args = probe.call("getLinkCode")
     assert args["code"] == code
@@ -217,7 +216,7 @@ def test_stale_link_code_expires_at_the_service(monkeypatch):
     probe.call("getLinkCode")
     net.run()
     assert any(e.summary == "link-code:expired" for e in net.trace.events)
-    assert dev.link_code is None
+    assert dev.setup.link_code is None
 
 
 def test_setup_complete_refused_before_registration():
@@ -284,6 +283,13 @@ def test_tunnel_rejects_non_connect_preamble():
     assert closed and not inbox
 
 
+def poll_with_code(dev, code):
+    """Put dev in setup holding code, and send its first checkLinkCode."""
+    dev.enter_setup()
+    dev.setup.link_code = code
+    dev._poll_link_code(dev.setup)
+
+
 def test_each_api_reply_answers_the_oldest_waiting_call():
     # a reply the device cannot read still answers its call, so the next
     # reply reaches the next call rather than the one before it
@@ -303,10 +309,9 @@ def test_each_api_reply_answers_the_oldest_waiting_call():
     dev = EchoDevice(net, SERIAL, random.Random("t:dev"), WifiNetworkTable())
     net.attach(dev.host, "home")
     created, checked = [], []
-    dev._on_link_code_checked = checked.append
+    dev._on_link_code_checked = lambda session, args: checked.append(args)
     dev._api_call("createLinkCode", {"serial": SERIAL}, created.append)
-    dev.link_code = "CODE1"
-    dev._poll_link_code()
+    poll_with_code(dev, "CODE1")
     net.run()
     assert created == [{"error": "unparseable-reply"}]
     assert checked == [{"status": "pending"}]
@@ -320,7 +325,7 @@ def test_provision_paired_brings_up_comms():
     grant = cloud.provision_grant(SERIAL, "alice")
     dev.provision_paired("home", grant)
     net.run()
-    assert dev.mode == "online"
+    assert dev.setup is None and SERIAL in cloud.avs_sessions
     assert dev.identity.to_dict() == grant["keypair"]
     summaries = [e.summary for e in net.trace.events]
     assert "avs:connected" in summaries
@@ -411,7 +416,7 @@ def test_pair_scenario_leaves_no_setup_residue():
     assert result.exit_code == 0
     dev = result.world.devices["EK-KITCH-0001"]
     net = result.world.network
-    assert dev.mode == "online" and dev.pairing is None
+    assert dev.setup is None and dev.grant is not None
     assert 8080 not in dev.host.listeners and 443 not in dev.host.listeners
     assert not any(name.startswith("pair:") for name in net.lans)
     # the torn-down prefix went back to the front of the pool
@@ -474,7 +479,7 @@ def test_connect_without_its_string_args_is_400(args):
     net, cloud, dev = make_world()
     probe = OobeProbe(net, dev.enter_setup())
     assert probe.call("connectToAP", args) == (400, {"error": "bad args"})
-    assert dev.wifi_state == "disconnected"
+    assert dev.setup.wifi == "disconnected"
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +523,7 @@ def test_hostile_check_reply_is_noted_and_polled_again(reply):
     api.listen(wire.TLS_PORT, lambda chan: setattr(chan, "handler", answer))
     dev = EchoDevice(net, SERIAL, random.Random("t:dev"), WifiNetworkTable())
     net.attach(dev.host, "home")
-    dev.link_code = "CODE1"
-    dev._poll_link_code()
+    poll_with_code(dev, "CODE1")
     net.run()
     notes = [e.summary for e in net.trace.events if e.layer == "sys"]
     assert notes.count("link-code:check-failed") == LINK_POLL_MAX
