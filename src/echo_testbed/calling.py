@@ -304,6 +304,7 @@ class CommsEndpoint:
         self.auth_token_b64: str | None = None
         self.control: Endpoint | None = None   # the device's cloud channel
         self.sip: Endpoint | None = None
+        self._replaced: list[Endpoint] = []   # SIP channels self.sip took over from
         self.registered = False
         self.calls: dict[str, Call] = {}
         self.last_invite: wire.SipMessage | None = None
@@ -324,12 +325,15 @@ class CommsEndpoint:
 
     def _on_comms_config(self, registrar_addr: str) -> None:
         try:   # the cloud named this address; a bad one ends only this config
-            self.sip = self.network.open_channel(self.host, registrar_addr, wire.TLS_PORT,
-                                                 secured=True)
+            chan = self.network.open_channel(self.host, registrar_addr, wire.TLS_PORT,
+                                             secured=True)
         except NetError:
             self.network.note(self.host, "sys", "sip:registrar-unreachable")
             return
-        self.sip.handler = lambda end, data: serve_sip(
+        if self.sip is not None:   # kept open until the registrar takes chan
+            self._replaced.append(self.sip)
+        self.sip = chan
+        chan.handler = lambda end, data: serve_sip(
             end, data, self._SIP_REQUESTS, CommsEndpoint._on_sip_response, self)
         reg = make_sip_request(
             "REGISTER", f"sip:{wire.DOMAIN}", from_uri=self.uri, to_uri=self.uri,
@@ -540,11 +544,15 @@ class CommsEndpoint:
             if call.media_port is not None:
                 self.host.unlisten(call.media_port)
 
-    def _on_sip_response(self, _chan: Endpoint, msg: wire.SipMessage) -> None:
+    def _on_sip_response(self, chan: Endpoint, msg: wire.SipMessage) -> None:
         call_id = msg.header("Call-ID") or ""
         call = self.calls.get(call_id)
         if call is None:
             if call_id == f"reg-{self.serial}" and msg.status == 200:
+                if chan is self.sip:   # the registrar has moved off the old ones
+                    for old in self._replaced:
+                        old.close()
+                    self._replaced.clear()
                 self.registered = True
                 self.network.note(self.host, "sys", "sip:registered",
                                   payload={"uri": self.uri})

@@ -47,8 +47,8 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .client import CompanionApp, Eavesdropper, Hijacker, WifiCredential
-from .cloud import CLOUD_LAN, CLOUD_PREFIX, CloudServices
-from .device import EchoDevice, WifiNetwork, WifiNetworkTable
+from .cloud import CLOUD_HOSTS, CLOUD_LAN, CLOUD_PREFIX, CloudServices
+from .device import EchoDevice, WifiNetwork, WifiNetworkTable, host_name
 from .netsim import (
     SETUP_PREFIXES,
     TRACE_LAYERS,
@@ -236,6 +236,15 @@ def validate_scenario(scn) -> None:
             if entry[key] in seen:   # a later entry would replace the earlier
                 raise ScenarioError(f"{where} {section}[{i}]: duplicate {what} {entry[key]!r}")
             seen.add(entry[key])
+    hosts = dict.fromkeys(CLOUD_HOSTS, "a cloud host")   # one network, one name space
+    spots = [(f"devices[{i}] host", host_name(dev["serial"], dev.get("host")))
+             for i, dev in enumerate(topo.get("devices", []))]
+    spots += [(f"{section}[{i}] name", entry["name"]) for section in ("clients", "attackers")
+              for i, entry in enumerate(topo.get(section, []))]
+    for spot, host in spots:
+        if host in hosts:
+            raise ScenarioError(f"{where} {spot}: {host!r} is also {hosts[host]}")
+        hosts[host] = spot
     taken = {CLOUD_PREFIX: "the cloud LAN", **dict.fromkeys(SETUP_PREFIXES, "setup networks")}
     for i, lan in enumerate(topo.get("lans", [])):
         if lan["prefix"] in taken:
@@ -669,7 +678,8 @@ def cmd_run(args) -> int:
         seed = args.seed or os.environ.get(SEED_ENV)
         result = run_scenario(scn, seed=seed)
         trace_path = Path(args.trace) if args.trace else Path(f"{result.name}.trace.jsonl")
-        trace_path.write_text(result.jsonl, encoding="utf-8")
+        with trace_path.open("w", encoding="utf-8", newline="") as out:
+            result.world.network.trace.write(out)
     except (OSError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

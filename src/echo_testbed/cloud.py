@@ -53,6 +53,7 @@ AVS_HOST = "avs"
 SIP_HOST = "sip"
 RELAY_HOST = "relay"
 GATEWAY_HOST = "gateway"
+CLOUD_HOSTS = (API_HOST, AVS_HOST, SIP_HOST, RELAY_HOST, GATEWAY_HOST)
 
 
 @dataclass
@@ -132,7 +133,7 @@ class CloudServices:
         self._gateway_frames: dict[int, int] = {}
 
         self.hosts = {}
-        for name in (API_HOST, AVS_HOST, SIP_HOST, RELAY_HOST, GATEWAY_HOST):
+        for name in CLOUD_HOSTS:
             host = network.add_host(name)
             network.attach(host, CLOUD_LAN)
             self.hosts[name] = host
@@ -368,11 +369,13 @@ class CloudServices:
             self.network.note(SIP_HOST, "sys", "sip:bind-refused:identity")
             send_sip(chan, make_sip_response(msg, 403))
             return
-        binding = Binding(uri=device_uri(serial), serial=serial,
-                          account=record.account,
-                          contact=msg.header("Contact") or "",
-                          intercom=msg.header("X-intercom") == "yes", chan=chan)
-        self._unbind(serial)
+        fields = {"account": record.account, "contact": msg.header("Contact") or "",
+                  "intercom": msg.header("X-intercom") == "yes", "chan": chan}
+        binding = self._unbind(serial)
+        if binding is None:
+            binding = Binding(uri=device_uri(serial), serial=serial, **fields)
+        else:   # renewed in place: a call under way holds it, so it follows the device
+            vars(binding).update(fields)
         self.bindings[binding.uri] = [binding]
         alias = account_uri(record.account)
         self.bindings[alias] = self.bindings.get(alias, []) + [binding]
@@ -381,9 +384,10 @@ class CloudServices:
                           payload={"account": record.account})
         send_sip(chan, make_sip_response(msg, 200))
 
-    def _unbind(self, serial: str) -> None:
+    def _unbind(self, serial: str) -> Binding | None:
         """Drop serial's binding from its device URI and from its account's
-        alias list, whichever account that was, and so from its channel."""
+        alias list, whichever account that was, and so from its channel;
+        return the binding dropped."""
         old = next(iter(self.bindings.pop(device_uri(serial), ())), None)
         if old is None:
             return
@@ -391,6 +395,7 @@ class CloudServices:
         self.bindings[alias] = [b for b in self.bindings.get(alias, ()) if b.serial != serial]
         if self._chan_bindings.get(old.chan) is old:
             del self._chan_bindings[old.chan]
+        return old
 
     def _sip_invite(self, chan: Endpoint, msg: wire.SipMessage) -> None:
         caller = self._chan_bindings.get(chan)

@@ -506,9 +506,12 @@ class SrtpContext:
     # one AES encryptor per context; the counter-mode keystream is this
     # encryptor applied to the counter blocks (see _ctr_crypt)
     _ecb: object = field(init=False, repr=False, compare=False)
+    # one keyed HMAC per context; each tag is computed on a copy of it
+    _mac: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._ecb = Cipher(algorithms.AES(self.cipher_key), modes.ECB()).encryptor()
+        self._mac = hmac_mod.new(self.auth_key, digestmod=hashlib.sha256)
 
 
 def _kdf(master_key: bytes, master_salt: bytes, label: int, length: int) -> bytes:
@@ -563,6 +566,12 @@ def _ctr_crypt(ctx: SrtpContext, index: int, data: bytes) -> bytes:
     return (int.from_bytes(data, "big") ^ int.from_bytes(keystream, "big")).to_bytes(n, "big")
 
 
+def _tag(ctx: SrtpContext, header: bytes, ciphertext: bytes) -> bytes:
+    mac = ctx._mac.copy()
+    mac.update(header + ciphertext)
+    return mac.digest()[:SRTP_TAG_LEN]
+
+
 def srtp_protect(ctx: SrtpContext, payload: bytes) -> bytes:
     """Protect one frame: 12-byte header ‖ ciphertext ‖ 10-byte tag."""
     if not payload:
@@ -572,7 +581,7 @@ def srtp_protect(ctx: SrtpContext, payload: bytes) -> bytes:
         raise CryptoError("sequence wrap at 2^48")
     header = _RTP_HEADER.pack(index & 0xFFFFFFFF, (index * 160) & 0xFFFFFFFF, ctx.ssrc)
     ciphertext = _ctr_crypt(ctx, index, payload)
-    tag = hmac_mod.new(ctx.auth_key, header + ciphertext, hashlib.sha256).digest()[:SRTP_TAG_LEN]
+    tag = _tag(ctx, header, ciphertext)
     ctx.send_index = index + 1
     return header + ciphertext + tag
 
@@ -604,9 +613,7 @@ def srtp_unprotect(ctx: SrtpContext, packet: bytes) -> bytes:
     if ssrc != ctx.ssrc:
         ctx.auth_failures += 1
         raise CryptoError(f"unknown ssrc {ssrc:#x}")
-    expected = hmac_mod.new(ctx.auth_key, header + ciphertext,
-                            hashlib.sha256).digest()[:SRTP_TAG_LEN]
-    if not hmac_mod.compare_digest(tag, expected):
+    if not hmac_mod.compare_digest(tag, _tag(ctx, header, ciphertext)):
         ctx.auth_failures += 1
         raise CryptoError("auth: bad tag")
     index = _recover_index(ctx, seq32)

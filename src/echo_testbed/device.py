@@ -63,6 +63,11 @@ class WifiNetworkTable:
         return None
 
 
+def host_name(serial: str, name: str | None = None) -> str:
+    """The device's host: the given name, else echo- + the serial's last four."""
+    return name or f"echo-{serial[-4:]}"
+
+
 @dataclass(eq=False)
 class SetupSession:
     """One stay in setup mode, from enter_setup to the setup network's teardown."""
@@ -80,7 +85,7 @@ class EchoDevice:
         self.network = network
         self.serial = serial
         self.wifi_table = wifi_table
-        self.host = network.add_host(name or f"echo-{serial[-4:]}")
+        self.host = network.add_host(host_name(serial, name))
         self.keypair = crypto.keygen(rng)          # factory identity
         self.cert = crypto.self_sign(self.keypair, serial)
         self.device_secret = rng.randbytes(16).hex()
@@ -356,6 +361,9 @@ class EchoDevice:
 
     def _on_avs_accepted(self, _chan: Endpoint, _payload) -> None:
         self.network.note(self.host, "sys", "avs:connected")
+        old = self.comms.control
+        if old is not None and old is not self.avs:   # the session this one replaces
+            old.close()
         self.comms.provision(self.avs, self.grant["auth_token"])
 
     _OOBE_CALLS = {

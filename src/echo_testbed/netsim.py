@@ -85,31 +85,24 @@ class Scheduler:
 # ---------------------------------------------------------------------------
 # Trace
 
-_encode_payload = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+# json.dumps(p, sort_keys=True, separators=(",", ":")) as one C encoder, made
+# once rather than per call, without the check for cycles a payload never has
+_payload_chunks = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+    ":", ",", True, False, True)
 _str = json.encoder.encode_basestring_ascii
 
 
-@dataclass(frozen=True)
 class TraceEvent:
-    seq: int
-    t_ms: int
-    src: str
-    dst: str
-    lan: str        # LAN of the receiving interface
-    secured: bool
-    layer: str
-    summary: str
-    payload: dict | None = None
+    """One recorded event, held as the trace line TraceLog.record wrote."""
+
+    __slots__ = ("line",)
+
+    def __init__(self, line: str):
+        self.line = line
 
     def to_json(self) -> str:
-        """The event as json.dumps(fields, sort_keys=True, separators=(",", ":"))
-        writes it, payload left out when None: the key set never changes, so
-        the keys are written in their sorted order directly."""
-        payload = "" if self.payload is None else \
-            f'"payload":{_encode_payload(self.payload)},'
-        return (f'{{"dst":{_str(self.dst)},"lan":{_str(self.lan)},"layer":{_str(self.layer)},'
-                f'{payload}"secured":{"true" if self.secured else "false"},"seq":{self.seq:d},'
-                f'"src":{_str(self.src)},"summary":{_str(self.summary)},"t_ms":{self.t_ms:d}}}')
+        return self.line
 
 
 class TraceLog:
@@ -117,17 +110,25 @@ class TraceLog:
         self.events: list[TraceEvent] = []
 
     def record(self, t_ms: int, src: str, dst: str, lan: str, secured: bool,
-               layer: str, summary: str, payload: dict | None = None) -> TraceEvent:
+               layer: str, summary: str, payload: dict | None = None) -> None:
+        """Append the line json.dumps(fields, sort_keys=True, separators=(",", ":"))
+        writes, payload left out when secured or None. The key set never
+        changes, so the keys are written in their sorted order directly."""
         if layer not in TRACE_LAYERS:
             raise ValueError(f"unknown trace layer {layer!r}")
-        ev = TraceEvent(seq=len(self.events), t_ms=t_ms, src=src, dst=dst, lan=lan,
-                        secured=secured, layer=layer, summary=summary,
-                        payload=None if secured else payload)
-        self.events.append(ev)
-        return ev
+        payload = "" if secured or payload is None else \
+            f'"payload":{"".join(_payload_chunks(payload, 0))},'
+        self.events.append(TraceEvent(
+            f'{{"dst":{_str(dst)},"lan":{_str(lan)},"layer":{_str(layer)},{payload}'
+            f'"secured":{"true" if secured else "false"},"seq":{len(self.events):d},'
+            f'"src":{_str(src)},"summary":{_str(summary)},"t_ms":{t_ms:d}}}'))
 
     def jsonl(self) -> str:
-        return "\n".join(ev.to_json() for ev in self.events) + ("\n" if self.events else "")
+        return "\n".join([ev.to_json() for ev in self.events]) + ("\n" if self.events else "")
+
+    def write(self, out) -> None:
+        """Write what jsonl() returns to the text file out, one line at a time."""
+        out.writelines(f"{ev.to_json()}\n" for ev in self.events)
 
 
 _LAYERS = frozenset(TRACE_LAYERS)
@@ -148,8 +149,8 @@ def iter_jsonl(lines: Iterable[str | bytes]) -> Iterator[dict]:
     back into event dicts. A bytes line is decoded as UTF-8 on its own.
 
     Blank lines are skipped. Any other line that is not one event object,
-    with exactly the TraceEvent fields and their types, raises ValueError
-    naming its 1-based line number.
+    with exactly the fields TraceLog.record writes and their types, raises
+    ValueError naming its 1-based line number.
     """
     for lineno, line in enumerate(lines, 1):
         if type(line) is bytes:
@@ -165,7 +166,7 @@ def iter_jsonl(lines: Iterable[str | bytes]) -> Iterator[dict]:
             raise ValueError(f"line {lineno}: not JSON ({exc.msg})") from None
         except RecursionError:
             raise ValueError(f"line {lineno}: nested too deeply") from None
-        try:   # the eight TraceEvent fields, and nothing else but a payload
+        try:   # the eight event fields, and nothing else but a payload
             ok = (type(ev["seq"]) is type(ev["t_ms"]) is int
                   and type(ev["secured"]) is bool and ev["layer"] in _LAYERS
                   and type(ev["src"]) is type(ev["dst"]) is str

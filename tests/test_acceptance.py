@@ -20,6 +20,8 @@ from echo_testbed.cli import BUILTINS, evaluate_assertion, load_scenario, run_sc
 from echo_testbed.client import WifiCredential
 from echo_testbed.device import DEVICE_TYPE
 
+from trace_reader import trace_events
+
 
 @contextlib.contextmanager
 def criterion(num: int, text: str):
@@ -166,13 +168,14 @@ def test_criterion_3_handshake_replay_and_bit_flips(runs):
                                  summary="System.NegotiationCommand")
             net.run()
 
+        def notes() -> list[str]:
+            return [e["summary"] for e in trace_events(net) if e["layer"] == "sys"]
+
         def accepted() -> int:
-            return sum(1 for e in net.trace.events
-                       if e.layer == "sys" and e.summary.startswith("avs:accepted:"))
+            return sum(1 for s in notes() if s.startswith("avs:accepted:"))
 
         def unparseable() -> int:
-            return sum(1 for e in net.trace.events
-                       if e.layer == "sys" and e.summary == "avs:unparseable")
+            return notes().count("avs:unparseable")
 
         # the harness itself must be able to get a yes
         body = _signed_body(dev, net.scheduler.now + 1)

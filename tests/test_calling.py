@@ -20,6 +20,8 @@ from echo_testbed.cli import load_scenario, run_scenario
 from echo_testbed.cloud import RELAY_HOST, CloudServices
 from echo_testbed.netsim import Network
 
+from trace_reader import trace_events
+
 
 # ---------------------------------------------------------------------------
 # small pieces
@@ -78,9 +80,9 @@ def test_media_round_trip_decrypts_to_canaries():
 def test_media_frames_are_ciphertext_on_the_wire():
     net, ma, mb, chan = media_pair()
     net.run()
-    for ev in net.trace.events:
-        if ev.layer == "media":
-            packet = bytes.fromhex(ev.payload["hex"])
+    for ev in trace_events(net):
+        if ev["layer"] == "media":
+            packet = bytes.fromhex(ev["payload"]["hex"])
             assert b"CANARY" not in packet
 
 
@@ -98,9 +100,9 @@ def test_garbage_on_the_media_channel_is_rejected_not_crashed():
 def test_replayed_media_packet_is_rejected():
     net, ma, mb, chan = media_pair(frame_count=2)
     net.run()
-    wire_packets = [bytes.fromhex(ev.payload["hex"])
-                    for ev in net.trace.events
-                    if ev.layer == "media" and ev.src == "a"]
+    wire_packets = [bytes.fromhex(ev["payload"]["hex"])
+                    for ev in trace_events(net)
+                    if ev["layer"] == "media" and ev["src"] == "a"]
     assert wire_packets
     chan.send(wire_packets[0], layer="media", summary="replay")
     net.run()
@@ -144,8 +146,8 @@ def test_begin_call_requires_registration():
     net.attach(host, "home")
     comms = CommsEndpoint(net, host, "EK-SOLO-0001", random.Random("x"))
     assert comms.begin_call("sip:dev-x@echo.example", "call", "t") == ""
-    assert any(e.summary == "call-refused:not-registered"
-               for e in net.trace.events)
+    assert any(e["summary"] == "call-refused:not-registered"
+               for e in trace_events(net))
 
 
 def test_begin_call_refused_while_another_call_is_open():
@@ -159,7 +161,7 @@ def test_begin_call_refused_while_another_call_is_open():
     assert comms.begin_call("sip:dev-EK-AAAA-0002@echo.example", "call",
                             "token") == ""
     net = result.world.network
-    assert any(e.summary == "call-refused:busy" for e in net.trace.events)
+    assert any(e["summary"] == "call-refused:busy" for e in trace_events(net))
 
 
 def test_replay_reuses_token_but_not_call_id():
@@ -279,7 +281,8 @@ def test_unreadable_answer_ends_the_call_like_a_refusal():
     call = comms.calls[call_id]
     assert call.state == "closed" and call.media is None
     assert call.media_port not in host.listeners
-    assert [e.summary for e in net.trace.events if e.layer == "sys"][-1] == "sip:unparseable"
+    assert [e["summary"] for e in trace_events(net)
+            if e["layer"] == "sys"][-1] == "sip:unparseable"
     assert (controls[-1].name, controls[-1].payload) == ("CallDisconnected",
                                                          {"call_id": call_id})
 

@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from echo_testbed import cli
+from echo_testbed import cli, netsim
 from echo_testbed.cli import (
     BUILTINS,
     ScenarioError,
@@ -23,7 +23,7 @@ from echo_testbed.cli import (
     validate_assertion,
     validate_scenario,
 )
-from echo_testbed.netsim import TraceEvent, iter_jsonl
+from echo_testbed.netsim import HOSTS_PER_LAN, TraceEvent, TraceLog, iter_jsonl
 
 
 def _ev(seq, layer, summary, *, lan="home-a", src="a", dst="b",
@@ -513,13 +513,21 @@ def test_run_scenario_passes_and_traces():
     assert lines == result.events
 
 
-def test_run_scenario_serializes_each_event_once(monkeypatch):
-    calls = []
-    to_json = TraceEvent.to_json
-    monkeypatch.setattr(TraceEvent, "to_json",
-                        lambda ev: calls.append(ev.seq) or to_json(ev))
+def test_a_run_encodes_each_payload_once_when_it_is_recorded(monkeypatch):
+    encoded, lines = [], []
+    chunks, to_json = netsim._payload_chunks, TraceEvent.to_json
+    monkeypatch.setattr(netsim, "_payload_chunks",
+                        lambda payload, level: encoded.append(payload) or chunks(payload, level))
+    monkeypatch.setattr(TraceEvent, "to_json", lambda ev: lines.append(ev) or to_json(ev))
     result = run_scenario(load_scenario("pair"))
-    assert sorted(calls) == [ev["seq"] for ev in result.events]
+    # the payload of each unsecured event that has one, and no other
+    assert len(encoded) == sum("payload" in ev for ev in result.events) > 0
+    assert not any(ev["secured"] and "payload" in ev for ev in result.events)
+    # run_scenario reads each recorded line once, and jsonl() encodes nothing
+    assert lines == result.world.network.trace.events
+    encoded.clear()
+    assert result.world.network.trace.jsonl() == result.jsonl
+    assert encoded == []
 
 
 def test_readme_trace_example_is_an_event_of_the_pair_trace():
@@ -551,10 +559,31 @@ def test_run_scenario_seed_override_beats_file_seed():
     assert ka != kb
 
 
-def test_setup_errors_raise_scenario_error():
+@pytest.mark.parametrize("section, entries, complaint", [
+    ("devices", [{"serial": "EK-TEST-0010", "host": "box"}],
+     r"devices\[1\] host: 'box' is also devices\[0\] host"),
+    # two serials that end alike get the same default host, echo-0042
+    ("devices", [{"serial": "EK-A-0042"}, {"serial": "EK-B-0042"}],
+     r"devices\[2\] host: 'echo-0042' is also devices\[1\] host"),
+    ("clients", [{"name": "api", "account": "a1", "wifi": "n"}],
+     r"clients\[0\] name: 'api' is also a cloud host"),
+    ("attackers", [{"name": "box", "kind": "eavesdropper"}],
+     r"attackers\[0\] name: 'box' is also devices\[0\] host"),
+])
+def test_a_host_name_used_twice_names_the_field(section, entries, complaint):
     scn = _mini()
-    scn["topology"]["devices"].append({"serial": "EK-TEST-0010", "host": "box"})
-    with pytest.raises(ScenarioError, match="setup failed"):
+    scn["topology"]["wifi"] = [{"ssid": "n", "lan": "home-a", "passphrase": "long-enough"}]
+    scn["topology"].setdefault(section, []).extend(entries)
+    with pytest.raises(ScenarioError, match=complaint):
+        run_scenario(scn)
+
+
+def test_setup_errors_raise_scenario_error():
+    scn = _mini()   # one host more than a LAN holds
+    scn["topology"]["wifi"] = [{"ssid": "n", "lan": "home-a", "passphrase": "long-enough"}]
+    scn["topology"]["clients"] = [{"name": f"phone-{i}", "account": "a1", "wifi": "n",
+                                   "lan": "home-a"} for i in range(HOSTS_PER_LAN)]
+    with pytest.raises(ScenarioError, match="setup failed: LAN home-a is full"):
         run_scenario(scn)
     scn2 = _mini(actions=[{"op": "refresh", "device": "ghost"}])
     with pytest.raises(ScenarioError, match="no device named"):
@@ -654,6 +683,13 @@ def test_cli_run_writes_trace_and_exits_0(tmp_path, capsys):
     assert trace.exists() and trace.read_text().count("\n") > 50
     assert "PASS subsequence" in out
     assert "assertions=6/6" in out
+
+
+def test_cli_run_writes_the_lines_run_scenario_judged(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("ECHO_TESTBED_SEED", raising=False)
+    trace = tmp_path / "out.jsonl"
+    assert main(["run", "call_cross_lan_fork", "--trace", str(trace)]) == 0
+    assert trace.read_bytes() == run_scenario(load_scenario("call_cross_lan_fork")).jsonl.encode()
 
 
 def test_cli_run_unknown_scenario_exits_2(capsys):
@@ -895,11 +931,12 @@ def test_cli_assert_splits_lines_on_newline_alone(tmp_path, capsys, trace, code,
 
 def _assert_peak_bytes(tmp_path, n_events: int) -> int:
     path, rules = tmp_path / f"t{n_events}.jsonl", tmp_path / "rules.json"
-    with open(path, "w", encoding="utf-8") as out:
-        for seq in range(n_events):
-            out.write(TraceEvent(seq, seq, "a", "relay" if seq % 3 else "b", f"lan-{seq % 4}",
-                                 False, ("sip", "media", "sys")[seq % 3], f"ev-{seq}",
-                                 {"hex": f"{seq:064x}"}).to_json() + "\n")
+    log = TraceLog()
+    for seq in range(n_events):
+        log.record(seq, "a", "relay" if seq % 3 else "b", f"lan-{seq % 4}", False,
+                   ("sip", "media", "sys")[seq % 3], f"ev-{seq}", {"hex": f"{seq:064x}"})
+    path.write_text(log.jsonl(), encoding="utf-8")
+    del log
     # every kind, each with state that could grow with the trace
     rules.write_text(json.dumps([
         {"kind": "count", "layer": "media", "equals": 1},

@@ -6,6 +6,7 @@ import pytest
 
 from echo_testbed import crypto, wire
 from echo_testbed.calling import send_reply
+from echo_testbed.cli import run_scenario
 from echo_testbed.client import (
     CompanionApp,
     Eavesdropper,
@@ -15,6 +16,8 @@ from echo_testbed.client import (
 from echo_testbed.cloud import CloudServices
 from echo_testbed.device import EchoDevice, WifiNetwork, WifiNetworkTable
 from echo_testbed.netsim import Network, Observation, PairingNetwork
+
+from trace_reader import trace_events
 
 SERIAL = "EK-TEST-0001"
 SSID = "Wren"
@@ -39,7 +42,7 @@ def make_world(*, visible=True, app_passphrase=PASS):
 
 
 def summaries(net):
-    return [e.summary for e in net.trace.events]
+    return [e["summary"] for e in trace_events(net)]
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +313,15 @@ def test_eavesdropper_ignores_a_credential_that_is_not_a_string(credential):
         wire.OobeEnvelope("connectToAP", {"ssid": SSID, "credential": credential})))
     eve._observe(Observation(length=len(data), data=data))
     assert eve.credential_armor is None
-    assert not net.trace.events
+    assert net.trace.jsonl() == ""
 
 
 # ---------------------------------------------------------------------------
 # a dialogue or setup stay that has ended never acts on the next
 
 def done_notes(net):
-    return [(e.src, e.summary) for e in net.trace.events if e.summary.startswith("phone:done:")]
+    return [(e["src"], e["summary"]) for e in trace_events(net)
+            if e["summary"].startswith("phone:done:")]
 
 
 def test_a_paired_device_re_pairs_onto_its_own_lan():
@@ -329,6 +333,86 @@ def test_a_paired_device_re_pairs_onto_its_own_lan():
     assert "mode:wifi-connected" in summaries(net)
 
 
+def test_a_re_paired_device_keeps_one_voice_and_one_sip_channel():
+    net, cloud, dev, app = make_world()
+    dev.provision_paired("home", cloud.provision_grant(SERIAL, "alice"))
+    net.scheduler.at(10, dev.enter_setup)
+    net.scheduler.at(20, lambda: app.start_pairing(dev.setup.pairing))
+    net.run()
+    assert app.outcome == "paired"
+    dialled = sorted(chan.ends[1].host.name for chan in net.channels
+                     if chan.ends[0].host is dev.host and not chan.closed)
+    assert dialled == ["avs", "sip"]
+    notes = summaries(net)
+    re_paired = notes.index("mode:paired")
+    assert sum(n.startswith("sip:bind:") for n in notes[re_paired:]) == 1
+
+
+RE_PAIR = [{"at": 100, "op": "enter_setup", "device": "EK-A-0001"},
+           {"at": 110, "op": "start_pairing", "device": "EK-A-0001", "client": "phone"}]
+
+
+def run_re_pair(*moves, **speaker):
+    """Run a home where speaker a (EK-A-0001) is re-paired by the phone at
+    100-110 beside speaker b (EK-B-0002), with moves added; return the run
+    and the open channels a dialled, by the host they reach."""
+    devices = [{"serial": serial, "host": host, "state": "paired", "account": "alice",
+                "lan": "home", **speaker} for serial, host in (("EK-A-0001", "a"),
+                                                               ("EK-B-0002", "b"))]
+    result = run_scenario({
+        "name": "re-pair", "seed": "re-pair-v1",
+        "topology": {"lans": [{"name": "home", "prefix": "192.168.50"}],
+                     "accounts": [{"id": "alice", "password": ACCOUNT_PW}],
+                     "wifi": [{"ssid": SSID, "lan": "home", "passphrase": PASS}],
+                     "devices": devices,
+                     "clients": [{"name": "phone", "account": "alice", "wifi": SSID}]},
+        "actions": RE_PAIR + list(moves), "assertions": []})
+    net = result.world.network
+    dialled = sorted(chan.ends[1].host.name for chan in net.channels
+                     if chan.ends[0].host.name == "a" and not chan.closed)
+    return result, dialled
+
+
+def re_pair_window():
+    """The ms a's re-pair ends, and the ms its new SIP binding is made."""
+    events = run_re_pair()[0].events
+    paired = next(e["t_ms"] for e in events if e["summary"] == "mode:paired")
+    bound = [e["t_ms"] for e in events if e["summary"] == "sip:bind:sip:dev-EK-A-0001@echo.example"]
+    return paired, bound[-1]
+
+
+def test_a_re_paired_device_is_reachable_while_it_dials_again():
+    paired, bound = re_pair_window()
+    assert bound > paired + 2   # a voice session and a registration to re-make
+    for at in range(paired, bound + 1):
+        refresh, _ = run_re_pair({"at": at, "op": "refresh", "device": "EK-A-0001"})
+        call, dialled = run_re_pair({"at": at, "op": "start_call", "device": "EK-B-0002",
+                                     "callee": "sip:dev-EK-A-0001@echo.example",
+                                     "call_type": "call"})
+        assert (refresh.exit_code, refresh.error, call.exit_code, call.error) == (0, None, 0, None)
+        assert [e["summary"] for e in refresh.events].count("avs:refresh-ack") == 1
+        assert any(e["summary"].startswith("keys:recorded:answer:") for e in call.events)
+        assert dialled == ["avs", "sip"]
+
+
+@pytest.mark.parametrize("hangs_up", ["EK-A-0001", "EK-B-0002"])
+def test_a_call_under_way_follows_a_re_paired_caller(hangs_up):
+    _, bound = re_pair_window()
+    result, dialled = run_re_pair(
+        {"at": 50, "op": "start_call", "device": "EK-A-0001",
+         "callee": "sip:dev-EK-B-0002@echo.example", "call_type": "call"},
+        {"at": bound + 100, "op": "end_call", "device": hangs_up},
+        auto_bye=False)
+    assert (result.exit_code, result.error) == (0, None)
+    assert dialled == ["avs", "sip"]
+    # the BYE reaches the other speaker, whichever hung up, and the call ends
+    byes = [e["dst"] for e in result.events if e["summary"] == "BYE" and e["src"] == "sip"]
+    assert byes == ["b" if hangs_up == "EK-A-0001" else "a"]
+    assert all(call.state == "closed" for dev in result.world.devices.values()
+               for call in dev.comms.calls.values())
+    assert [e["summary"] for e in result.events].count("call:closed:call-EK-A-0001-1") == 1
+
+
 def test_a_device_pairs_enters_setup_and_pairs_again():
     net, cloud, dev, app = make_world()
     for _ in range(2):
@@ -336,7 +420,8 @@ def test_a_device_pairs_enters_setup_and_pairs_again():
         net.run()
     assert done_notes(net) == [("phone", "phone:done:paired")] * 2
     # nothing carries over: each dialogue fetched a link code of its own
-    codes = [e.payload["code"] for e in net.trace.events if e.summary == "phone:link-code"]
+    codes = [e["payload"]["code"] for e in trace_events(net)
+             if e["summary"] == "phone:link-code"]
     assert len(codes) == 2 and codes[0] != codes[1]
 
 

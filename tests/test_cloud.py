@@ -15,6 +15,8 @@ from echo_testbed.cloud import CloudServices, LINK_CODE_TTL_MS
 from echo_testbed.device import DEVICE_TYPE
 from echo_testbed.netsim import NetError, Network
 
+from trace_reader import trace_events
+
 SERIAL = "EK-TEST-0001"
 
 
@@ -94,7 +96,7 @@ def nego_payload(grant, serial, ts, *, sign_with=None, auth_token=None):
 
 
 def notes(net):
-    return [e.summary for e in net.trace.events if e.layer == "sys"]
+    return [e["summary"] for e in trace_events(net) if e["layer"] == "sys"]
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +426,7 @@ def test_only_listed_sipclient_names_are_noted():
     probe.control(chan, "SipClient", "WarmUp", {})
     probe.control(chan, "SipClient", "CallDisconnected", {"call_id": "c-1"})
     probe.control(chan, "SipClient", "SelfDestruct", {"now": True})
-    events = [(e.summary, e.payload) for e in net.trace.events if e.layer == "sys"]
+    events = [(e["summary"], e.get("payload")) for e in trace_events(net) if e["layer"] == "sys"]
     assert events[-2:] == [("ctrl:SipClient.WarmUp", {}),
                            ("ctrl:SipClient.CallDisconnected", {"call_id": "c-1"})]
 

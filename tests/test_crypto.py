@@ -6,6 +6,8 @@ code under test.
 """
 
 import dataclasses
+import hashlib
+import hmac
 import random
 
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from echo_testbed import crypto
 from echo_testbed.client import WifiCredential
 from echo_testbed.crypto import (
+    SRTP_TAG_LEN,
     AsymKeypair,
     AuthToken,
     CallAuthToken,
@@ -542,6 +545,19 @@ class TestSrtp:
             payload = bytes([i]) * 160
             assert srtp_unprotect(rx, srtp_protect(tx, payload)) == payload
         assert len(built) <= 2
+
+    def test_one_keyed_mac_per_context(self, monkeypatch):
+        # each tag starts from the context's keyed HMAC, not from hmac.new
+        tx, rx = self.contexts()
+        other = dataclasses.replace(tx, ssrc=tx.ssrc ^ 1)   # keyed anew by __post_init__
+        new, keyed = hmac.new, []
+        monkeypatch.setattr(hmac, "new", lambda *a, **k: keyed.append(a) or new(*a, **k))
+        packets = [srtp_protect(ctx, bytes([i]) * 160) for i in range(50) for ctx in (tx, other)]
+        assert srtp_unprotect(rx, packets[0]) == bytes(160)
+        assert keyed == []
+        for pkt in packets:   # still HMAC-SHA256 over header and ciphertext, cut to 80 bits
+            assert pkt[-SRTP_TAG_LEN:] == new(tx.auth_key, pkt[:-SRTP_TAG_LEN],
+                                              hashlib.sha256).digest()[:SRTP_TAG_LEN]
 
 
 def _reference_ctr(ctx, index, data):

@@ -18,6 +18,8 @@ from echo_testbed.device import (
 )
 from echo_testbed.netsim import NetError, Network
 
+from trace_reader import trace_events
+
 SERIAL = "EK-TEST-0001"
 PASS = "wren-pass-7788"
 
@@ -80,7 +82,7 @@ def test_enter_setup_hosts_isolated_lan_as_dot_one():
     assert pairing.lan.isolated
     assert pairing.owner_addr.endswith(".1")
     assert dev.enter_setup() is pairing  # idempotent
-    announces = [e for e in net.trace.events if e.summary.startswith("announce:")]
+    announces = [e for e in trace_events(net) if e["summary"].startswith("announce:")]
     assert len(announces) == 1
 
 
@@ -161,8 +163,8 @@ def test_connect_joins_home_lan():
     connect_wifi(net, dev, probe)
     assert dev.setup.wifi == "connected"
     assert "home" in dev.host.interfaces
-    notes = [e for e in net.trace.events if e.summary == "mode:wifi-connected"]
-    assert len(notes) == 1 and notes[0].payload == {"lan": "home"}
+    notes = [e for e in trace_events(net) if e["summary"] == "mode:wifi-connected"]
+    assert len(notes) == 1 and notes[0]["payload"] == {"lan": "home"}
 
 
 def test_registration_state_progresses():
@@ -194,7 +196,7 @@ def test_link_code_minted_once_and_polling_starts():
     # a second ask returns the same code without a second mint
     status, args = probe.call("getLinkCode")
     assert args["code"] == code
-    mints = [e for e in net.trace.events if e.summary == "createLinkCode"]
+    mints = [e for e in trace_events(net) if e["summary"] == "createLinkCode"]
     assert len(mints) == 1
 
 
@@ -204,7 +206,7 @@ def test_unregistered_device_eventually_gives_up_polling():
     connect_wifi(net, dev, probe)
     probe.call("getLinkCode")
     net.run()  # drain all 280 polls to quiescence
-    assert any(e.summary == "link-code:gave-up" for e in net.trace.events)
+    assert any(e["summary"] == "link-code:gave-up" for e in trace_events(net))
     assert dev.grant is None
 
 
@@ -215,7 +217,7 @@ def test_stale_link_code_expires_at_the_service(monkeypatch):
     connect_wifi(net, dev, probe)
     probe.call("getLinkCode")
     net.run()
-    assert any(e.summary == "link-code:expired" for e in net.trace.events)
+    assert any(e["summary"] == "link-code:expired" for e in trace_events(net))
     assert dev.setup.link_code is None
 
 
@@ -257,9 +259,9 @@ def test_tunnel_relays_to_cloud_api():
     env = wire.oobe_decode_response(wire.http_parse(inbox[1]))
     assert "error" in env.args
     # the upstream leg is a secured channel; payloads there stay hidden
-    upstream = [e for e in net.trace.events
-                if e.lan == "cloud" and e.summary == "tunnel-data"]
-    assert upstream and all(ev.secured and ev.payload is None for ev in upstream)
+    upstream = [e for e in trace_events(net)
+                if e["lan"] == "cloud" and e["summary"] == "tunnel-data"]
+    assert upstream and all(ev["secured"] and "payload" not in ev for ev in upstream)
 
 
 def test_tunnel_unknown_upstream_is_502():
@@ -327,7 +329,7 @@ def test_provision_paired_brings_up_comms():
     net.run()
     assert dev.setup is None and SERIAL in cloud.avs_sessions
     assert dev.identity.to_dict() == grant["keypair"]
-    summaries = [e.summary for e in net.trace.events]
+    summaries = [e["summary"] for e in trace_events(net)]
     assert "avs:connected" in summaries
     assert f"sip:bind:{SERIAL}" in " ".join(summaries) or any(
         s.startswith("sip:bind") for s in summaries)
@@ -380,10 +382,10 @@ def test_replay_resends_the_original_hello_bytes():
     dev.replay_negotiation()
     net.run()
     assert hellos(frames) == [hello, hello]
-    assert "avs:rejected:replayed-timestamp" in [e.summary for e in net.trace.events]
+    assert "avs:rejected:replayed-timestamp" in [e["summary"] for e in trace_events(net)]
     # both go out as secured control events that show the name and no payload
-    sent = [e for e in net.trace.events if e.summary == "System.NegotiationCommand"]
-    assert [(e.src, e.dst, e.layer, e.secured, e.payload) for e in sent] == \
+    sent = [e for e in trace_events(net) if e["summary"] == "System.NegotiationCommand"]
+    assert [(e["src"], e["dst"], e["layer"], e["secured"], e.get("payload")) for e in sent] == \
         [(dev.host.name, "avs", "control", True, None)] * 2
 
 
@@ -405,10 +407,10 @@ def test_refresh_round_trip():
     net.run()
     cloud.refresh(SERIAL)
     net.run()
-    summaries = [e.summary for e in net.trace.events]
+    summaries = [e["summary"] for e in trace_events(net)]
     assert "System.Refresh" in summaries
     assert "System.RefreshAck" in summaries
-    assert ("avs", "avs:refresh-ack") in [(e.src, e.summary) for e in net.trace.events]
+    assert ("avs", "avs:refresh-ack") in [(e["src"], e["summary"]) for e in trace_events(net)]
 
 
 def test_pair_scenario_leaves_no_setup_residue():
@@ -455,7 +457,8 @@ def test_misshapen_control_from_the_cloud_is_noted_and_dropped(interface, name, 
     fake.listen(wire.TLS_PORT, lambda chan: setattr(chan, "handler", on_control))
     dev.provision_paired("home", cloud.provision_grant(SERIAL, "alice"))
     net.run()
-    notes = [e.summary for e in net.trace.events if e.layer == "sys" and e.src == dev.host.name]
+    notes = [e["summary"] for e in trace_events(net)
+             if e["layer"] == "sys" and e["src"] == dev.host.name]
     assert notes[-1] == "avs:unparseable"
     assert dev.comms.sip is None and not dev.comms.calls
 
@@ -469,7 +472,8 @@ def test_undecodable_control_from_the_cloud_is_noted():
                                                     summary="junk")))
     dev.provision_paired("home", cloud.provision_grant(SERIAL, "alice"))
     net.run()
-    notes = [e.summary for e in net.trace.events if e.layer == "sys" and e.src == dev.host.name]
+    notes = [e["summary"] for e in trace_events(net)
+             if e["layer"] == "sys" and e["src"] == dev.host.name]
     assert notes[-1] == "avs:unparseable"
 
 
@@ -525,7 +529,7 @@ def test_hostile_check_reply_is_noted_and_polled_again(reply):
     net.attach(dev.host, "home")
     poll_with_code(dev, "CODE1")
     net.run()
-    notes = [e.summary for e in net.trace.events if e.layer == "sys"]
+    notes = [e["summary"] for e in trace_events(net) if e["layer"] == "sys"]
     assert notes.count("link-code:check-failed") == LINK_POLL_MAX
     assert notes[-1] == "link-code:gave-up"
     assert dev.grant is None and dev.identity is None

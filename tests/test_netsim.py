@@ -1,5 +1,6 @@
 """Fabric tests: clock ordering, routing rules, trace discipline, taps."""
 
+import io
 import json
 
 import pytest
@@ -14,10 +15,12 @@ from echo_testbed.netsim import (
     NetError,
     Network,
     PairingNetwork,
+    TRACE_LAYERS,
     Scheduler,
-    TraceEvent,
     TraceLog,
 )
+
+from trace_reader import trace_events
 
 
 # ---------------------------------------------------------------------------
@@ -222,21 +225,20 @@ class TestChannels:
         api.listen(443, lambda ep: None)
         end = net.open_channel(dev, api.addr("cloud"), 443)
         end.send(b"x", "control", "probe", payload={"n": 1})
-        ev = net.trace.events[-1]
-        assert (ev.src, ev.dst, ev.lan) == ("device", "api", "cloud")
-        assert ev.layer == "control"
-        assert ev.payload == {"n": 1}
-        line = json.loads(ev.to_json())
-        assert line["summary"] == "probe"
+        ev = trace_events(net)[-1]
+        assert (ev["src"], ev["dst"], ev["lan"]) == ("device", "api", "cloud")
+        assert ev["layer"] == "control"
+        assert ev["payload"] == {"n": 1}
+        assert ev["summary"] == "probe"
 
     def test_secured_channel_hides_payload(self):
         net, dev, api = two_lan_net()
         api.listen(443, lambda ep: None)
         end = net.open_channel(dev, api.addr("cloud"), 443, secured=True)
         end.send(b"secret", "control", "handshake", payload={"leak": "no"})
-        ev = net.trace.events[-1]
-        assert ev.secured
-        assert ev.payload is None
+        ev = trace_events(net)[-1]
+        assert ev["secured"]
+        assert "payload" not in ev
 
     def test_tap_sees_plaintext_only_when_unsecured(self):
         net, dev, api = two_lan_net()
@@ -347,10 +349,10 @@ class TestPairingNetwork:
         dev = net.add_host("device")
         pair = PairingNetwork(net, dev, "Amazon-ABC")
         assert pair.owner_addr.endswith(".1")
-        announces = [ev for ev in net.trace.events
-                     if ev.layer == "sys" and ev.summary.startswith("announce:")]
+        announces = [ev for ev in trace_events(net)
+                     if ev["layer"] == "sys" and ev["summary"].startswith("announce:")]
         assert len(announces) == 1
-        assert announces[0].summary == "announce:Amazon-ABC"
+        assert announces[0]["summary"] == "announce:Amazon-ABC"
 
     def test_isolated_from_internet(self):
         net = Network()
@@ -415,21 +417,36 @@ class TestTrace:
         assert "payload" not in second  # secured events never carry payloads
         assert [e["seq"] for e in (first, second)] == [0, 1]
 
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_write_puts_out_what_jsonl_returns(self, count):
+        log = TraceLog()
+        for i in range(count):
+            log.record(i, "a", "b", "home", False, "sys", f"e{i}", {"i": i})
+        out = io.StringIO()
+        log.write(out)
+        assert out.getvalue() == log.jsonl()
+
     @settings(max_examples=300, derandomize=True, deadline=None)
-    @given(texts=st.lists(_JSON_TEXT, min_size=5, max_size=5),
-           seq=st.integers(min_value=0, max_value=2 ** 63),
+    @given(texts=st.lists(_JSON_TEXT, min_size=4, max_size=4),
+           layer=st.sampled_from(TRACE_LAYERS),
+           seq=st.integers(min_value=0, max_value=3),
            t_ms=st.integers(min_value=0, max_value=2 ** 63),
            secured=st.booleans(),
            payload=st.none() | st.dictionaries(_JSON_TEXT, _JSON_VALUE, max_size=4))
-    def test_event_line_is_the_sorted_compact_json_dump(self, texts, seq, t_ms, secured,
-                                                         payload):
-        src, dst, lan, layer, summary = texts
+    def test_event_line_is_the_sorted_compact_json_dump(self, texts, layer, seq, t_ms,
+                                                         secured, payload):
+        src, dst, lan, summary = texts
+        log = TraceLog()
+        for _ in range(seq):
+            log.record(0, "a", "b", "l", False, "sys", "before")
+        log.record(t_ms, src, dst, lan, secured, layer, summary, payload)
         fields = {"seq": seq, "t_ms": t_ms, "src": src, "dst": dst, "lan": lan,
                   "secured": secured, "layer": layer, "summary": summary}
-        if payload is not None:
+        if payload is not None and not secured:   # a secured event never carries one
             fields["payload"] = payload
-        line = TraceEvent(**fields).to_json()
+        line = log.events[-1].to_json()
         assert line == json.dumps(fields, sort_keys=True, separators=(",", ":"))
+        assert log.jsonl().split("\n")[seq] == line
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(text=st.text(alphabet="ab\n\r\x0b\x85\u2028 ", max_size=12))
