@@ -431,51 +431,39 @@ class Verdict:
     detail: str
 
 
-_EQUALITY_FILTERS = ("lan", "src", "dst", "secured")   # layer: see evaluate_all
-_encode_payload = json.JSONEncoder(sort_keys=True).encode   # json.dumps(p, sort_keys=True)
+_EQUALITY_FILTERS = ("lan", "src", "dst", "secured", "summary")   # layer: see _judge_chunk
+# json.dumps(p, sort_keys=True) as one C encoder, made once rather than per
+# call, without the check for cycles a parsed payload never has
+_encode_payload = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+    ": ", ", ", True, False, True)
+
+
+def _is_glob(pat: str) -> bool:
+    return any(c in pat for c in "*?[")
 
 
 def _glob(pat: str):
     """A test of a string, compiled once, that agrees with fnmatch.fnmatchcase."""
-    if any(c in pat for c in "*?["):
-        return re.compile(fnmatch.translate(pat)).match
-    return pat.__eq__
-
-
-def _selector(rule: dict):
-    """The filters of rule but its layer, compiled into one function that
-    keeps the events passing them all, in trace order."""
-    keys = [k for k in _EQUALITY_FILTERS if rule.get(k) is not None]
-    get = itemgetter(*keys) if keys else None
-    want = get(rule) if keys else None
-    pat = rule.get("summary")
-    match = None if pat is None else _glob(pat)
-
-    def select(events: list[dict]) -> list[dict]:
-        if get is not None:
-            events = [ev for ev in events if get(ev) == want]
-        if match is not None:
-            events = [ev for ev in events if match(ev["summary"])]
-        return events
-    return select
+    return re.compile(fnmatch.translate(pat)).match if _is_glob(pat) else pat.__eq__
 
 
 class _Judge:
-    """One rule's state while the trace streams past. evaluate_all feeds it
-    each chunk's events (only its layer's, when the rule has a layer filter)
-    and then reads its verdict; once done, it is fed nothing more."""
+    """One rule's state while the trace streams past. _judge_chunk feeds it
+    the events of each chunk that pass its filters, in trace order, and
+    evaluate_all then reads its verdict; once done, it is fed nothing more."""
 
     def __init__(self, rule: dict):
         self.rule = rule
         self.layer = rule.get("layer")
-        self.select = _selector(rule)
+        pat = rule.get("summary")
+        self.match = _glob(pat) if pat is not None and _is_glob(pat) else None
+        # the filters an index answers: all but the layer and a summary glob
+        self.keys = tuple(k for k in _EQUALITY_FILTERS if rule.get(k) is not None
+                          and (k != "summary" or self.match is None))
+        self.want = itemgetter(*self.keys)(rule) if self.keys else None
         self.selected = 0   # events that passed the filters so far
         self.done = False
-
-    def feed(self, events: list[dict], hays: dict[int, str]) -> None:
-        hits = self.select(events)
-        self.selected += len(hits)
-        self.take(hits, hays)
 
 
 class _Count(_Judge):
@@ -529,16 +517,18 @@ class _Absent(_Judge):
     hit: dict | None = None
 
     def take(self, hits, hays):
-        # hays holds each event's haystack by id for the whole chunk, shared
-        # by every absent rule, so no payload is encoded twice
+        # while two absent rules are live, hays holds each event's haystack
+        # by id for the chunk, so no payload is encoded twice; else it is
+        # None, since keeping haystacks costs more than building them once
         needle = self.rule["pattern"]
         for ev in hits:
-            hay = hays.get(id(ev))
+            hay = None if hays is None else hays.get(id(ev))
             if hay is None:
-                hay = ev["summary"]
-                if ev.get("payload") is not None:
-                    hay += _encode_payload(ev["payload"])
-                hays[id(ev)] = hay
+                payload = ev.get("payload")
+                hay = ev["summary"] if payload is None else \
+                    ev["summary"] + "".join(_encode_payload(payload, 0))
+                if hays is not None:
+                    hays[id(ev)] = hay
             if needle in hay:
                 self.hit = ev
                 self.done = True
@@ -556,10 +546,13 @@ class _Locality(_Judge):
     bad = 0
     first_bad: dict | None = None
 
+    def __init__(self, rule):
+        super().__init__(rule)
+        self.lans = set(rule["lans"]) if "lans" in rule else None
+
     def take(self, hits, hays):
-        if "lans" in self.rule:
-            allowed = set(self.rule["lans"])
-            bad = [ev for ev in hits if ev["lan"] not in allowed]
+        if self.lans is not None:
+            bad = [ev for ev in hits if ev["lan"] not in self.lans]
         else:
             via = self.rule["via"]
             bad = [ev for ev in hits if via not in (ev["src"], ev["dst"])]
@@ -569,7 +562,7 @@ class _Locality(_Judge):
                 self.first_bad = bad[0]
 
     def verdict(self) -> Verdict:
-        place = (f"LANs {sorted(set(self.rule['lans']))}" if "lans" in self.rule
+        place = (f"LANs {sorted(self.lans)}" if self.lans is not None
                  else f"host {self.rule['via']!r}")
         ev = self.first_bad
         if ev is None:
@@ -585,10 +578,8 @@ _JUDGES = {"subsequence": _Subsequence, "count": _Count, "absent": _Absent,
 
 def evaluate_all(events: Iterable[dict], rules: list) -> list[Verdict]:
     """Judge rules that validate_assertion accepted, in order, over events
-    read CHUNK_EVENTS at a time. Each chunk is split by layer once, and a
-    rule with a layer filter (never a subsequence) is fed only that layer's
-    events. Every event is read, even once every rule is settled, so that a
-    reader that checks each line reaches the last one."""
+    read CHUNK_EVENTS at a time. Every event is read, even once every rule
+    is settled, so that a reader that checks each line reaches the last one."""
     judges = [_JUDGES[rule["kind"]](rule) for rule in rules]
     events = iter(events)
     while _judge_chunk(judges, list(islice(events, CHUNK_EVENTS))):
@@ -598,14 +589,36 @@ def evaluate_all(events: Iterable[dict], rules: list) -> list[Verdict]:
 
 def _judge_chunk(judges: list[_Judge], chunk: list[dict]) -> bool:
     """Feed one chunk to every judge not yet done; False once events ran out.
-    The chunk, its layer slices and its haystacks go when this returns."""
+    A rule with a layer filter (never a subsequence) reads that layer's
+    slice. Rules on one slice with the same filter keys share one index of
+    it, built in one pass, from each value a rule wants to its events; each
+    rule takes its bucket and matches a summary glob on it."""
     by_layer = defaultdict(list)
     for ev in chunk:
         by_layer[ev["layer"]].append(ev)
-    hays: dict[int, str] = {}
-    for judge in judges:
-        if not judge.done:
-            judge.feed(chunk if judge.layer is None else by_layer.get(judge.layer, ()), hays)
+    live = [judge for judge in judges if not judge.done]
+    # an index keeps only the values that live rules want; most events have
+    # a summary of their own, so a bucket for each would cost a list each
+    indexes: dict[tuple, dict] = defaultdict(dict)
+    for judge in live:
+        if judge.keys:
+            indexes[judge.layer, judge.keys][judge.want] = []
+    for (layer, keys), index in indexes.items():
+        get = itemgetter(*keys)
+        for ev in chunk if layer is None else by_layer.get(layer, ()):
+            bucket = index.get(get(ev))
+            if bucket is not None:
+                bucket.append(ev)
+    hays = {} if sum(type(judge) is _Absent for judge in live) > 1 else None
+    for judge in live:
+        if judge.keys:
+            hits = indexes[judge.layer, judge.keys][judge.want]
+        else:
+            hits = chunk if judge.layer is None else by_layer.get(judge.layer, ())
+        if judge.match is not None:
+            hits = [ev for ev in hits if judge.match(ev["summary"])]
+        judge.selected += len(hits)
+        judge.take(hits, hays)
     return bool(chunk)
 
 

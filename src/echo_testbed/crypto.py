@@ -58,12 +58,15 @@ def _unb64(text: str) -> bytes:
         raise CryptoError(f"bad base64: {exc}") from exc
 
 
-_encode_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode   # built once
+# json.dumps(obj, sort_keys=True, separators=(",", ":")), built once, no cycle check
+_canonical_chunks = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+    ":", ",", True, False, True)
 
 
 def canonical_json(obj) -> bytes:
     """The one byte encoding of anything signed or sealed: sorted keys, no spaces."""
-    return _encode_canonical(obj).encode()
+    return "".join(_canonical_chunks(obj, 0)).encode()
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,10 @@ TLS_PORT = 443
 OOBE_PORT = 8080
 
 
-_encode_compact = json.JSONEncoder(separators=(",", ":")).encode   # built once
+# json.dumps(obj, separators=(",", ":")), built once, without a cycle check
+_compact_chunks = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+    ":", ",", False, False, True)
 
 
 class WireError(Exception):
@@ -223,7 +226,7 @@ class OobeEnvelope:
 
 
 def _envelope_body(env: OobeEnvelope) -> bytes:
-    return _encode_compact({"method": env.method, "args": env.args}).encode()
+    return "".join(_compact_chunks({"method": env.method, "args": env.args}, 0)).encode()
 
 
 def _envelope_from_body(body: bytes) -> OobeEnvelope:
@@ -466,8 +469,8 @@ class ControlMessage:
 
 
 def control_encode(msg: ControlMessage) -> bytes:
-    return _encode_compact({"interface": msg.interface, "name": msg.name,
-                            "payload": msg.payload}).encode()
+    return "".join(_compact_chunks({"interface": msg.interface, "name": msg.name,
+                                    "payload": msg.payload}, 0)).encode()
 
 
 def control_decode(data: bytes) -> ControlMessage:

@@ -264,9 +264,17 @@ RULE_LAYERS = EVENT_LAYERS + ("oobe",)   # no event is on oobe
 LANS, HOSTS = ("home-a", "home-b", "cloud"), ("a", "b", "relay")
 SUMMARIES = st.lists(st.sampled_from(("a", "b", "B", "x", "x.", "+", "(", "*", "[", "]",
                                       "-", "!", "{")), max_size=3).map("".join)
-PAYLOADS = st.none() | st.dictionaries(
-    st.sampled_from(("k", "hex", "a")),
-    st.integers(0, 2) | st.text(alphabet='abx{"k', max_size=3), max_size=2)
+# what the engine's prebuilt encoder must write as json.dumps(p, sort_keys=True)
+# does: non-ASCII escaped (U+1F600 as a surrogate pair), NaN and infinities
+# allowed, keys sorted at every depth
+PAYLOAD_KEYS = st.sampled_from(("k", "hex", "a", "\u00e9", "\U0001f600"))
+PAYLOAD_DICTS = st.dictionaries(PAYLOAD_KEYS, st.recursive(
+    st.none() | st.booleans() | st.integers(0, 2) | st.floats()
+    | st.sampled_from((float("nan"), float("-inf"), 1e16))
+    | st.text(alphabet='abx{"k\u00e9\u4e2d\U0001f600', max_size=3),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(PAYLOAD_KEYS, inner, max_size=2),
+    max_leaves=4), max_size=2)
+PAYLOADS = st.none() | PAYLOAD_DICTS
 EVENTS = st.lists(st.builds(
     lambda layer, summary, lan, src, dst, secured, payload: _ev(
         0, layer, summary, lan=lan, src=src, dst=dst, secured=secured, payload=payload),
@@ -291,28 +299,39 @@ def _pattern(draw, events):
 @st.composite
 def _needle(draw, events):
     """An absent pattern: often a slice of what one event is searched as,
-    the summary followed by the payload's json.dumps."""
+    the summary followed by the payload's json.dumps. A short slice, of an
+    escape, a separator or keys in their order, is one that a payload
+    written otherwise than json.dumps writes it would not hold."""
     if not events or draw(st.integers(0, 3)) == 0:
         return draw(st.sampled_from(('x{"k', '"k": 1', "x.", "")))
-    ev = draw(st.sampled_from(events))
+    ev = draw(st.sampled_from([ev for ev in events if "payload" in ev] or events))
     hay = ev["summary"] + (json.dumps(ev["payload"], sort_keys=True) if "payload" in ev else "")
     start = draw(st.integers(0, len(hay)))
-    return hay[start:draw(st.integers(start, len(hay)))]
+    return hay[start:draw(st.integers(start, len(hay)) | st.integers(start, start + 8))]
+
+
+def _filters(events):
+    return {"layer": st.sampled_from(RULE_LAYERS), "lan": st.sampled_from(LANS),
+            "summary": _pattern(events), "src": st.sampled_from(HOSTS),
+            "dst": st.sampled_from(HOSTS), "secured": st.booleans()}
+
+
+def _kinds(events):
+    """Each kind of rule but subsequence, with the fields it needs."""
+    return [("count", {"equals": st.integers(0, 3)}),
+            ("absent", {"pattern": _needle(events)}),
+            ("locality", {"lans": st.lists(st.sampled_from(LANS), max_size=2)}),
+            ("locality", {"via": st.sampled_from(HOSTS)})]
 
 
 def _rules(events):
-    filters = {"layer": st.sampled_from(RULE_LAYERS), "lan": st.sampled_from(LANS),
-               "summary": _pattern(events), "src": st.sampled_from(HOSTS),
-               "dst": st.sampled_from(HOSTS), "secured": st.booleans()}
-
-    def rule(kind, **fields):
-        return st.fixed_dictionaries({"kind": st.just(kind), **fields}, optional=filters)
-
+    filters = _filters(events)
     return st.lists(st.one_of(
-        rule("count", equals=st.integers(0, 3)),
-        rule("absent", pattern=_needle(events)),
-        rule("locality", lans=st.lists(st.sampled_from(LANS), max_size=2)),
-        rule("locality", via=st.sampled_from(HOSTS)),
+        *(st.fixed_dictionaries({"kind": st.just(kind), **fields}, optional=filters)
+          for kind, fields in _kinds(events)),
+        # the needle's own event is selected, so a payload written otherwise
+        # than json.dumps writes it shows
+        st.fixed_dictionaries({"kind": st.just("absent"), "pattern": _needle(events)}),
         st.fixed_dictionaries(
             {"kind": st.just("subsequence"),
              "events": st.lists(st.tuples(st.sampled_from(("*",) + RULE_LAYERS),
@@ -321,11 +340,33 @@ def _rules(events):
     ), max_size=6)
 
 
+@st.composite
+def _shared_filter_rules(draw, events):
+    """media_stream's shape: several count and locality rules on one layer
+    with the same filter keys and different values, so that they share one
+    index of each chunk's layer slice; sometimes on two layers, or one and
+    none, whose indexes must stay apart."""
+    filters = _filters(events)
+    layers = [draw(st.sampled_from(RULE_LAYERS)), draw(st.sampled_from(RULE_LAYERS + (None,) * 3))]
+    if events and draw(st.booleans()):   # a summary an event has, often glob-free
+        filters["summary"] = st.sampled_from([ev["summary"] for ev in events])
+    keys = draw(st.lists(st.sampled_from(("dst", "lan", "secured", "src", "summary")),
+                         min_size=1, max_size=3, unique=True))
+    shapes = [(kind, fields) for kind, fields in _kinds(events) if kind != "absent"]
+    rules = []
+    for kind, fields in draw(st.lists(st.sampled_from(shapes), min_size=2, max_size=8)):
+        layer = draw(st.sampled_from(layers))
+        rules.append({"kind": kind, **({} if layer is None else {"layer": layer}),
+                      **{k: draw(filters[k]) for k in keys},
+                      **{k: draw(v) for k, v in fields.items()}})
+    return rules
+
+
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_engine_agrees_with_the_naive_oracle(data):
     events = data.draw(EVENTS)
-    rules = data.draw(_rules(events))
+    rules = data.draw(_rules(events) | _shared_filter_rules(events))
     chunk = data.draw(st.integers(1, len(events) + 1), label="chunk size")
     for rule in rules:
         validate_assertion(rule)
@@ -353,6 +394,38 @@ def test_oracle_cases_the_engine_must_get_right():
     ):
         assert _oracle(events, rule).ok is ok
         assert evaluate_all(events, [rule]) == [_oracle(events, rule)]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(payload=PAYLOAD_DICTS)
+def test_absent_searches_each_payload_as_json_dumps_writes_it(payload):
+    hay = "s" + json.dumps(payload, sort_keys=True)
+    assert evaluate_all([_ev(0, "sys", "s", payload=payload)], [
+        {"kind": "absent", "pattern": hay}, {"kind": "absent", "pattern": hay + "x"}]) == [
+        Verdict("absent", False, f"{hay!r} present at seq=0 (sys s)"),
+        Verdict("absent", True, f"{hay + 'x'!r} absent from 1 events")]
+
+
+def test_absent_encodes_each_selected_payload_once_with_the_prebuilt_encoder(monkeypatch):
+    events = [_ev(seq, ("sip", "media", "sys")[seq % 3], f"ev-{seq}", payload=None
+                  if seq % 4 == 3 else {"hex": f"{seq:04x}", "n": [seq, 1.5, None], "\u00e9": {}})
+              for seq in range(11)]
+    rules = [{"kind": "absent", "pattern": "never"},
+             {"kind": "absent", "pattern": "also-never", "layer": "sip"}]
+    encoded, encode = [], cli._encode_payload
+    monkeypatch.setattr(cli, "_encode_payload",
+                        lambda payload, level: encoded.append(payload) or encode(payload, level))
+
+    def build_encoder(*args, **kwargs):
+        raise AssertionError("a JSON encoder was built while judging")
+    monkeypatch.setattr(json.encoder, "c_make_encoder", build_encoder)
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", build_encoder)
+    monkeypatch.setattr(cli, "CHUNK_EVENTS", 4)
+    assert evaluate_all(events, rules) == [
+        Verdict("absent", True, "'never' absent from 11 events"),
+        Verdict("absent", True, "'also-never' absent from 4 events")]
+    # every sip event is also selected by the first rule: one encoding each
+    assert [id(p) for p in encoded] == [id(ev["payload"]) for ev in events if "payload" in ev]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ code under test.
 import dataclasses
 import hashlib
 import hmac
+import json
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from echo_testbed.crypto import (
     EncryptedCredentialBlob,
     aes256_cbc_decrypt,
     aes256_cbc_encrypt,
+    canonical_json,
     decrypt_credential,
     encrypt_credential,
     keygen,
@@ -46,6 +48,22 @@ from echo_testbed.crypto import (
 
 def rng(seed=1234):
     return random.Random(seed)
+
+
+# ---------------------------------------------------------------------------
+# Canonical JSON: the bytes every signature and seal covers
+
+@settings(max_examples=200, derandomize=True)
+@given(obj=st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from((float("nan"), float("-inf"))),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8))
+def test_canonical_json_is_json_dumps_sorted_and_compact(obj):
+    # non-ASCII text, NaN and the infinities, nesting: the prebuilt encoder
+    # writes what json.dumps writes with these settings
+    assert canonical_json(obj) == json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Wire codec tests: parse/serialize round-trips, frozen byte layouts,
 malformed-input rejection."""
 
+import json
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from echo_testbed.wire import (
     MANDATORY_SIP_HEADERS,
@@ -276,6 +278,23 @@ class TestControl:
         back = control_decode(control_encode(msg))
         assert back.qualified == "SipClient.BeginCall"
         assert back.payload == {"call_id": "c1"}
+
+    @settings(max_examples=200, derandomize=True)
+    @given(payload=st.dictionaries(st.text(max_size=4), st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+        | st.sampled_from((float("nan"), float("-inf"))),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                    max_size=3),
+        max_leaves=8), max_size=3))
+    def test_bodies_are_json_dumps_compact(self, payload):
+        # non-ASCII text, NaN and the infinities, nesting, keys in given order
+        def compact(obj):
+            return json.dumps(obj, separators=(",", ":")).encode()
+        msg = ControlMessage(interface="SipClient", name="BeginCall", payload=payload)
+        assert control_encode(msg) == compact(
+            {"interface": "SipClient", "name": "BeginCall", "payload": payload})
+        assert oobe_encode(OobeEnvelope(method="ping", args=payload)).body == compact(
+            {"method": "ping", "args": payload})
 
     def test_unknown_command_decodes_not_rejected(self):
         msg = ControlMessage(interface="SipClient", name="FutureThing", payload={})
