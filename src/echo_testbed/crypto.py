@@ -20,6 +20,7 @@ import hmac as hmac_mod
 import hashlib
 import json
 import struct
+import weakref
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Protocol
@@ -90,6 +91,13 @@ class PublicKey:
                    key_id=obj["key_id"])
 
 
+# Public half -> the live keypair whose private key derives it. A keypair
+# enters when its key object is built, under the half that object derives,
+# never under the sign_pub/wrap_pub fields, which from_dict takes on trust.
+_SIGNERS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_RECIPIENTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 @dataclass(frozen=True)
 class AsymKeypair:
     sign_priv: bytes
@@ -103,11 +111,29 @@ class AsymKeypair:
     # fields: equality, repr and to_dict see only the bytes above.
     @cached_property
     def ed25519(self) -> Ed25519PrivateKey:
-        return Ed25519PrivateKey.from_private_bytes(self.sign_priv)
+        key = Ed25519PrivateKey.from_private_bytes(self.sign_priv)
+        _SIGNERS[key.public_key().public_bytes_raw()] = self
+        return key
 
     @cached_property
     def x25519(self) -> X25519PrivateKey:
-        return X25519PrivateKey.from_private_bytes(self.wrap_priv)
+        key = X25519PrivateKey.from_private_bytes(self.wrap_priv)
+        _RECIPIENTS[key.public_key().public_bytes_raw()] = self
+        return key
+
+    # What this keypair made: signed bytes -> its signature, and a blob
+    # wrapped to its derived X25519 half -> the key inside. A signature
+    # made with the private key always verifies under the half it derives,
+    # and a blob wrapped to that half always unwraps to its key, so
+    # verify_detached and unwrap_key answer these from here; any other
+    # bytes get the full check. Not fields either.
+    @cached_property
+    def _signatures(self) -> dict[bytes, bytes]:
+        return {}
+
+    @cached_property
+    def _wrapped_keys(self) -> dict[bytes, bytes]:
+        return {}
 
     @property
     def public(self) -> PublicKey:
@@ -144,17 +170,30 @@ def keygen(rng: Rng) -> AsymKeypair:
     key_id = hashlib.sha256(sign_pub + wrap_pub).hexdigest()[:16]
     keypair = AsymKeypair(sign_priv=sign_priv, sign_pub=sign_pub,
                           wrap_priv=wrap_priv, wrap_pub=wrap_pub, key_id=key_id)
-    # hold the objects built above, as their first use would
+    # hold and register the objects built above, as their first use would
     keypair.__dict__.update(ed25519=ed25519, x25519=x25519)
+    _SIGNERS[sign_pub] = _RECIPIENTS[wrap_pub] = keypair
     return keypair
 
 
 def sign_detached(keypair: AsymKeypair, data: bytes) -> bytes:
-    return keypair.ed25519.sign(data)
+    signature = keypair.ed25519.sign(data)
+    # a copy, so a buffer changed later cannot change what was recorded
+    keypair._signatures[bytes(data)] = signature
+    return signature
 
 
 def verify_detached(public: PublicKey, data: bytes, signature: bytes) -> bool:
-    """True iff signature covers data under this key. Never raises."""
+    """True iff signature covers data under this key. Never raises.
+
+    A signature the live keypair that derives this key made over exactly
+    these bytes is known good; anything else gets the full Ed25519 check.
+    """
+    try:
+        if _SIGNERS[public.sign_pub]._signatures[data] == signature:
+            return True
+    except (KeyError, TypeError, ValueError):
+        pass
     try:
         Ed25519PublicKey.from_public_bytes(public.sign_pub).verify(signature, data)
         return True
@@ -245,14 +284,26 @@ def wrap_key(recipient: PublicKey, key: bytes, rng: Rng) -> bytes:
     """
     eph_priv = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
     eph_pub = eph_priv.public_key().public_bytes_raw()
-    shared = eph_priv.exchange(X25519PublicKey.from_public_bytes(recipient.wrap_pub))
-    kek = _hkdf_sha256(shared, _WRAP_INFO)
+    peer = X25519PublicKey.from_public_bytes(recipient.wrap_pub)
+    kek = _hkdf_sha256(eph_priv.exchange(peer), _WRAP_INFO)
     nonce = rng.randbytes(12)
-    ct = AESGCM(kek).encrypt(nonce, key, eph_pub)
-    return eph_pub + nonce + ct
+    wrapped = eph_pub + nonce + AESGCM(kek).encrypt(nonce, key, eph_pub)
+    owner = _RECIPIENTS.get(peer.public_bytes_raw())
+    if owner is not None:
+        owner._wrapped_keys[wrapped] = bytes(key)
+    return wrapped
 
 
 def unwrap_key(keypair: AsymKeypair, wrapped: bytes) -> bytes:
+    """The key inside a blob wrapped to this keypair; CryptoError otherwise.
+
+    A blob wrapped to this very keypair object gives the key it recorded;
+    any other bytes get the full X25519 + HKDF + GCM check.
+    """
+    try:
+        return keypair._wrapped_keys[wrapped]
+    except (KeyError, TypeError, ValueError):
+        pass
     if len(wrapped) < 32 + 12 + AES_BLOCK:
         raise CryptoError("unwrap failed: wrapped key too short")
     eph_pub, nonce, ct = wrapped[:32], wrapped[32:44], wrapped[44:]

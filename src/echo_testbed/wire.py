@@ -60,11 +60,14 @@ class _HeaderLookup:
 
     headers: list[tuple[str, str]]
 
+    # Each lookup compares the stored spelling first: headers are nearly
+    # always stored as they are asked for, and then no name is case-folded.
+
     def header(self, name: str) -> str | None:
         """First header value matching name, case-insensitively."""
         lower = name.lower()
         for key, value in self.headers:
-            if key.lower() == lower:
+            if key == name or key.lower() == lower:
                 return value
         return None
 
@@ -72,7 +75,7 @@ class _HeaderLookup:
         """Replace the first occurrence of name in place, or append."""
         lower = name.lower()
         for i, (key, _) in enumerate(self.headers):
-            if key.lower() == lower:
+            if key == name or key.lower() == lower:
                 self.headers[i] = (key, value)
                 return
         self.headers.append((name, value))
@@ -127,7 +130,7 @@ def _split_head(data: bytes, what: str) -> tuple[list[str], bytes]:
 def _check_body_length(headers: list[tuple[str, str]], body: bytes, what: str) -> bytes:
     declared = None
     for name, value in headers:
-        if name.lower() == "content-length":
+        if name == "Content-Length" or name.lower() == "content-length":
             if not value.isdigit():
                 raise WireError(f"{what}: non-numeric Content-Length {value!r}")
             declared = int(value)
@@ -304,6 +307,7 @@ SIP_STATUSES = {100: "Trying", 180: "Ringing", 200: "OK", 403: "Forbidden",
                 404: "Not Found", 486: "Busy Here", 487: "Request Terminated"}
 
 MANDATORY_SIP_HEADERS = ("Via", "From", "To", "Call-ID", "CSeq")
+_MANDATORY_FOLDED = {name.lower(): name for name in MANDATORY_SIP_HEADERS}
 
 _CSEQ_RE = re.compile(r"^\d+ [A-Z]+$")
 
@@ -327,13 +331,20 @@ class SipMessage(_HeaderLookup):
 
 
 def _check_sip_headers(headers: list[tuple[str, str]]) -> None:
-    present = {k.lower() for k, _ in headers}
-    for name in MANDATORY_SIP_HEADERS:
-        if name.lower() not in present:
-            raise WireError(f"missing mandatory header {name}")
+    # one pass folds each name once; a missing header is still reported
+    # before the first bad CSeq
+    present = set()
+    bad_cseq = None
     for key, value in headers:
-        if key.lower() == "cseq" and not _CSEQ_RE.match(value):
-            raise WireError(f"bad CSeq: {value!r}")
+        lower = key.lower()
+        present.add(lower)
+        if lower == "cseq" and bad_cseq is None and not _CSEQ_RE.match(value):
+            bad_cseq = value
+    for lower, name in _MANDATORY_FOLDED.items():
+        if lower not in present:
+            raise WireError(f"missing mandatory header {name}")
+    if bad_cseq is not None:
+        raise WireError(f"bad CSeq: {bad_cseq!r}")
 
 
 def sip_parse(data: bytes) -> SipMessage:

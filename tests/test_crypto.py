@@ -12,7 +12,13 @@ import json
 import random
 
 import pytest
+from cryptography.exceptions import InvalidSignature, InvalidTag
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+from cryptography.hazmat.primitives.hashes import SHA256
+from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from hypothesis import given, settings, strategies as st
 
 from echo_testbed import crypto
@@ -105,6 +111,48 @@ class TestAesKat:
 # ---------------------------------------------------------------------------
 # Keypairs, certificates, signatures
 
+def _flip(data: bytes, bit: int) -> bytes:
+    out = bytearray(data)
+    out[bit // 8 % len(out)] ^= 1 << bit % 8
+    return bytes(out)
+
+
+def _naming(kp: AsymKeypair, other: AsymKeypair) -> AsymKeypair:
+    """kp's private keys loaded under public fields that name other, with
+    both key objects already built."""
+    liar = AsymKeypair.from_dict({**kp.to_dict(), "sign_pub": other.to_dict()["sign_pub"],
+                                  "wrap_pub": other.to_dict()["wrap_pub"]})
+    liar.ed25519, liar.x25519
+    return liar
+
+
+def _full_verify(public, data: bytes, signature: bytes) -> bool:
+    try:
+        Ed25519PublicKey.from_public_bytes(public.sign_pub).verify(signature, data)
+        return True
+    except InvalidSignature:
+        return False
+
+
+def _full_unwrap(keypair: AsymKeypair, wrapped: bytes) -> bytes | None:
+    """X25519 from the keypair's private bytes, HKDF, then GCM; None on failure."""
+    eph_pub, nonce, ct = wrapped[:32], wrapped[32:44], wrapped[44:]
+    shared = X25519PrivateKey.from_private_bytes(keypair.wrap_priv).exchange(
+        X25519PublicKey.from_public_bytes(eph_pub))
+    kek = HKDF(SHA256(), length=32, salt=None, info=b"echo-testbed key wrap v1").derive(shared)
+    try:
+        return AESGCM(kek).decrypt(nonce, ct, eph_pub)
+    except InvalidTag:
+        return None
+
+
+def _try_unwrap(keypair: AsymKeypair, wrapped: bytes) -> bytes | None:
+    try:
+        return unwrap_key(keypair, wrapped)
+    except CryptoError:
+        return None
+
+
 class TestKeys:
     def test_keygen_deterministic(self):
         a = keygen(rng(7))
@@ -131,9 +179,15 @@ class TestKeys:
         unbuilt = AsymKeypair.from_dict(kp.to_dict())
         sign_detached(loaded, b"hello")
         unwrap_key(loaded, wrap_key(loaded.public, bytes(32), rng(6)))
-        for k in (kp, loaded, unbuilt):
+        # a keypair that has signed and been wrapped to holds what it made
+        signer = keygen(rng())
+        sign_detached(signer, b"hello")
+        wrap_key(signer.public, bytes(32), rng(6))
+        assert signer._signatures and signer._wrapped_keys
+        for k in (kp, loaded, unbuilt, signer):
             assert "PrivateKey" not in repr(k)
             assert "ed25519" not in repr(k) and "x25519" not in repr(k)
+            assert "_signatures" not in repr(k) and "_wrapped_keys" not in repr(k)
             assert k.to_dict() == kp.to_dict()
             assert all(isinstance(v, str) for v in k.to_dict().values())
             assert k == kp and hash(k) == hash(kp)
@@ -171,6 +225,28 @@ class TestKeys:
         # keygen hands over the objects it built; a loaded keypair builds
         # each on first use
         assert sorted(built) == ["Ed25519PrivateKey", "X25519PrivateKey"]
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(case=st.sampled_from(["exact", "flip-signature", "flip-data", "flip-public",
+                                 "other-public", "loaded-naming-other"]),
+           data=st.binary(max_size=64), bit=st.integers(0, 511))
+    def test_verify_agrees_with_the_full_check(self, case, data, bit):
+        kp, other = keygen(rng(1)), keygen(rng(2))
+        public, signature = kp.public, sign_detached(kp, data)
+        if case == "flip-signature":
+            signature = _flip(signature, bit)
+        elif case == "flip-data":
+            data = _flip(data + b"\x00", bit)
+        elif case == "flip-public":
+            public = dataclasses.replace(public, sign_pub=_flip(public.sign_pub, bit))
+        elif case == "other-public":
+            public = other.public
+        elif case == "loaded-naming-other":
+            liar = _naming(kp, other)
+            public, signature = liar.public, sign_detached(liar, data)
+        verdict = verify_detached(public, data, signature)
+        assert verdict == _full_verify(public, data, signature)
+        assert verdict or case != "exact"
 
     def test_sign_verify(self):
         kp = keygen(rng())
@@ -223,6 +299,29 @@ class TestWrap:
             mutated[i] ^= 0x01 + r.randrange(255)
             with pytest.raises(CryptoError):
                 unwrap_key(kp, bytes(mutated))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(case=st.sampled_from(["exact", "flip-blob", "flip-public", "other-keypair",
+                                 "loaded-naming-other"]),
+           key=st.binary(min_size=32, max_size=32), bit=st.integers(0, 1023))
+    def test_unwrap_agrees_with_the_full_check(self, case, key, bit):
+        kp, other = keygen(rng(1)), keygen(rng(2))
+        holder, wrapped = kp, wrap_key(kp.public, key, rng(3))
+        if case == "flip-blob":
+            wrapped = _flip(wrapped, bit)
+        elif case == "flip-public":
+            public = dataclasses.replace(kp.public, wrap_pub=_flip(kp.wrap_pub, bit))
+            wrapped = wrap_key(public, key, rng(3))
+        elif case == "other-keypair":
+            holder = other
+        elif case == "loaded-naming-other":
+            holder = _naming(kp, other)
+            wrapped = wrap_key(holder.public, key, rng(3))
+        unwrapped = _try_unwrap(holder, wrapped)
+        assert unwrapped == _full_unwrap(holder, wrapped)
+        # only the exact case must unwrap: flipping the top bit of an X25519
+        # half names the same key (RFC 7748 section 5)
+        assert unwrapped == key or case != "exact"
 
     def test_truncated_fails(self):
         kp = keygen(rng())

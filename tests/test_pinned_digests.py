@@ -6,6 +6,7 @@ change that means to alter a trace re-pins it in perfbench/pinned.json.
 This test only reads perfbench/: the pins and the workload generators.
 """
 
+import gc
 import hashlib
 import importlib.util
 import json
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from echo_testbed import crypto
 from echo_testbed.cli import BUILTINS, load_scenario, run_scenario
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -47,3 +49,46 @@ def test_builtin_trace_matches_pinned_digest(name):
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_workload_trace_at_seed_1_matches_pinned_digest(name):
     assert _digest(run_scenario(WORKLOADS[name](1))) == PINNED["workloads"][name]
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_builtin_checks_only_what_its_own_keypairs_made(name, monkeypatch):
+    # every signature a built-in verifies and every key it unwraps was made
+    # in the same run, so neither the full Ed25519 verify nor the unwrap's
+    # X25519 exchange is reached
+    wrapping = []
+    wrap_key, x25519_public = crypto.wrap_key, crypto.X25519PublicKey
+
+    def recording_wrap(*args):
+        wrapping.append(True)
+        try:
+            return wrap_key(*args)
+        finally:
+            wrapping.pop()
+
+    class NoVerify:
+        @staticmethod
+        def from_public_bytes(data):
+            pytest.fail("a built-in reached the full Ed25519 verify")
+
+    class WrapOnly:
+        @staticmethod
+        def from_public_bytes(data):
+            if not wrapping:
+                pytest.fail("a built-in reached the unwrap's X25519 exchange")
+            return x25519_public.from_public_bytes(data)
+
+    monkeypatch.setattr(crypto, "wrap_key", recording_wrap)
+    monkeypatch.setattr(crypto, "Ed25519PublicKey", NoVerify)
+    monkeypatch.setattr(crypto, "X25519PublicKey", WrapOnly)
+    assert _digest(run_scenario(load_scenario(name))) == PINNED["builtins"][name]
+
+
+def test_keypairs_leave_the_registries_with_their_run():
+    result = run_scenario(load_scenario("call_cross_lan_fork"))
+    digest = _digest(result)
+    assert len(crypto._SIGNERS) and len(crypto._RECIPIENTS)
+    del result
+    gc.collect()
+    assert len(crypto._SIGNERS) == 0 and len(crypto._RECIPIENTS) == 0
+    assert _digest(run_scenario(load_scenario("call_cross_lan_fork"))) == digest

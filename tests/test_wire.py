@@ -2,10 +2,12 @@
 malformed-input rejection."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from echo_testbed import wire
 from echo_testbed.wire import (
     MANDATORY_SIP_HEADERS,
     SDES_SUITE,
@@ -175,7 +177,59 @@ SAMPLE_INVITE = (
 )
 
 
+def _two_pass_check(headers):
+    """The SIP header check as two case-folding scans: the reference."""
+    present = {k.lower() for k, _ in headers}
+    for name in MANDATORY_SIP_HEADERS:
+        if name.lower() not in present:
+            raise WireError(f"missing mandatory header {name}")
+    for key, value in headers:
+        if key.lower() == "cseq" and not re.match(r"^\d+ [A-Z]+$", value):
+            raise WireError(f"bad CSeq: {value!r}")
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except WireError as exc:
+        return ("WireError", str(exc))
+
+
+HEADER_NAMES = st.sampled_from(["Via", "VIA", "From", "from", "To", "Call-ID", "call-id",
+                                "CSeq", "cseq", "CSEQ", "Content-Length", "content-length",
+                                "CONTENT-LENGTH", "X-Tag"])
+
+
 class TestSip:
+    @settings(max_examples=300, derandomize=True)
+    @given(headers=st.lists(st.tuples(HEADER_NAMES, st.sampled_from(
+               ["1 INVITE", "one INVITE", "2 BYE", "0", "3", "x", ""])), max_size=9),
+           name=HEADER_NAMES, body=st.sampled_from([b"", b"abc"]))
+    def test_header_handling_matches_a_case_folding_scan(self, headers, name, body):
+        assert (_outcome(wire._check_sip_headers, headers)
+                == _outcome(_two_pass_check, headers))
+        # with every name folded, only the case-insensitive compare can match
+        folded = [(k.lower(), v) for k, v in headers]
+        assert (_outcome(wire._check_body_length, headers, body, "sip")
+                == _outcome(wire._check_body_length, folded, body, "sip"))
+        msg = SipMessage(kind="request", headers=list(headers))
+        first = next((i for i, (k, _) in enumerate(headers) if k.lower() == name.lower()),
+                     None)
+        assert msg.header(name) == (None if first is None else headers[first][1])
+        msg.set_header(name, "new")
+        expected = list(headers)
+        if first is None:
+            expected.append((name, "new"))
+        else:
+            expected[first] = (headers[first][0], "new")
+        assert msg.headers == expected
+
+    def test_missing_header_reported_before_a_bad_cseq(self):
+        raw = (SAMPLE_INVITE.replace(b"CSeq: 1 INVITE", b"CSeq: one INVITE")
+               .replace(b"To: <sip:bob@cloud.example>\r\n", b""))
+        with pytest.raises(WireError, match="^missing mandatory header To$"):
+            sip_parse(raw)
+
     def test_parse_request(self):
         msg = sip_parse(SAMPLE_INVITE)
         assert msg.kind == "request"
