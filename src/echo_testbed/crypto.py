@@ -536,6 +536,8 @@ SRTP_MAX_INDEX = 2 ** 48
 REPLAY_WINDOW = 64
 
 _RTP_HEADER = struct.Struct(">III")  # seq (low 32 bits of index), timestamp, ssrc
+_IPAD = bytes(b ^ 0x36 for b in range(256))   # byte maps for K'⊕ipad and K'⊕opad
+_OPAD = bytes(b ^ 0x5C for b in range(256))
 
 
 @dataclass
@@ -560,12 +562,21 @@ class SrtpContext:
     # one AES encryptor per context; the counter-mode keystream is this
     # encryptor applied to the counter blocks (see _ctr_crypt)
     _ecb: object = field(init=False, repr=False, compare=False)
-    # one keyed HMAC per context; each tag is computed on a copy of it
-    _mac: object = field(init=False, repr=False, compare=False)
+    # the IV less its index term: salt‖0x0000 XOR ssrc<<64 (RFC 3711 4.1.1)
+    _iv_base: int = field(init=False, repr=False, compare=False)
+    # SHA-256 states that have absorbed K'⊕ipad and K'⊕opad (RFC 2104 2),
+    # K' being the auth key, hashed if longer than the 64-byte block, then
+    # zero-padded to it; each tag continues copies of them
+    _inner: object = field(init=False, repr=False, compare=False)
+    _outer: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._ecb = Cipher(algorithms.AES(self.cipher_key), modes.ECB()).encryptor()
-        self._mac = hmac_mod.new(self.auth_key, digestmod=hashlib.sha256)
+        self._iv_base = int.from_bytes(self.session_salt + b"\x00\x00", "big") ^ (self.ssrc << 64)
+        key = self.auth_key if len(self.auth_key) <= 64 else hashlib.sha256(self.auth_key).digest()
+        key = key.ljust(64, b"\x00")
+        self._inner = hashlib.sha256(key.translate(_IPAD))
+        self._outer = hashlib.sha256(key.translate(_OPAD))
 
 
 def _kdf(master_key: bytes, master_salt: bytes, label: int, length: int) -> bytes:
@@ -594,11 +605,6 @@ def srtp_derive(master_key: bytes, master_salt: bytes) -> SrtpContext:
                        session_salt=session_salt, ssrc=ssrc)
 
 
-def _ctr_iv(ctx: SrtpContext, index: int) -> int:
-    salt = int.from_bytes(ctx.session_salt + b"\x00\x00", "big")
-    return salt ^ (ctx.ssrc << 64) ^ (index << 16)
-
-
 _SEGMENT = 256   # counter blocks that share the IV's top 15 bytes
 _SUFFIXES = [bytes([i]) for i in range(_SEGMENT)]   # objects CPython already caches
 _PREFIX_MASK = (1 << 120) - 1
@@ -611,7 +617,7 @@ def _ctr_crypt(ctx: SrtpContext, index: int, data: bytes) -> bytes:
     # bytes + i // 256) mod 2^120, followed by the one byte i mod 256.
     n = len(data)
     blocks = -(-n // AES_BLOCK)
-    top = _ctr_iv(ctx, index) >> 8
+    top = (ctx._iv_base ^ (index << 16)) >> 8
     segments = []
     for first in range(0, blocks, _SEGMENT):
         prefix = ((top + first // _SEGMENT) & _PREFIX_MASK).to_bytes(AES_BLOCK - 1, "big")
@@ -620,10 +626,13 @@ def _ctr_crypt(ctx: SrtpContext, index: int, data: bytes) -> bytes:
     return (int.from_bytes(data, "big") ^ int.from_bytes(keystream, "big")).to_bytes(n, "big")
 
 
-def _tag(ctx: SrtpContext, header: bytes, ciphertext: bytes) -> bytes:
-    mac = ctx._mac.copy()
-    mac.update(header + ciphertext)
-    return mac.digest()[:SRTP_TAG_LEN]
+def _tag(ctx: SrtpContext, authenticated: bytes) -> bytes:
+    # HMAC-SHA256 cut to 80 bits: H(K'⊕opad ‖ H(K'⊕ipad ‖ text))
+    inner = ctx._inner.copy()
+    inner.update(authenticated)
+    outer = ctx._outer.copy()
+    outer.update(inner.digest())
+    return outer.digest()[:SRTP_TAG_LEN]
 
 
 def srtp_protect(ctx: SrtpContext, payload: bytes) -> bytes:
@@ -634,10 +643,9 @@ def srtp_protect(ctx: SrtpContext, payload: bytes) -> bytes:
     if index >= SRTP_MAX_INDEX:
         raise CryptoError("sequence wrap at 2^48")
     header = _RTP_HEADER.pack(index & 0xFFFFFFFF, (index * 160) & 0xFFFFFFFF, ctx.ssrc)
-    ciphertext = _ctr_crypt(ctx, index, payload)
-    tag = _tag(ctx, header, ciphertext)
+    authenticated = header + _ctr_crypt(ctx, index, payload)
     ctx.send_index = index + 1
-    return header + ciphertext + tag
+    return authenticated + _tag(ctx, authenticated)
 
 
 def _recover_index(ctx: SrtpContext, seq32: int) -> int:
@@ -660,14 +668,11 @@ def srtp_unprotect(ctx: SrtpContext, packet: bytes) -> bytes:
     if len(packet) < _RTP_HEADER.size + 1 + SRTP_TAG_LEN:
         ctx.auth_failures += 1
         raise CryptoError("auth: packet too short")
-    header = packet[:_RTP_HEADER.size]
-    ciphertext = packet[_RTP_HEADER.size:-SRTP_TAG_LEN]
-    tag = packet[-SRTP_TAG_LEN:]
-    seq32, _, ssrc = _RTP_HEADER.unpack(header)
+    seq32, _, ssrc = _RTP_HEADER.unpack_from(packet)
     if ssrc != ctx.ssrc:
         ctx.auth_failures += 1
         raise CryptoError(f"unknown ssrc {ssrc:#x}")
-    if not hmac_mod.compare_digest(tag, _tag(ctx, header, ciphertext)):
+    if not hmac_mod.compare_digest(packet[-SRTP_TAG_LEN:], _tag(ctx, packet[:-SRTP_TAG_LEN])):
         ctx.auth_failures += 1
         raise CryptoError("auth: bad tag")
     index = _recover_index(ctx, seq32)
@@ -677,7 +682,7 @@ def srtp_unprotect(ctx: SrtpContext, packet: bytes) -> bytes:
             if -delta >= REPLAY_WINDOW or (ctx.recv_window >> -delta) & 1:
                 ctx.replay_drops += 1
                 raise CryptoError(f"replay: index {index}")
-    payload = _ctr_crypt(ctx, index, ciphertext)
+    payload = _ctr_crypt(ctx, index, packet[_RTP_HEADER.size:-SRTP_TAG_LEN])
     if delta > 0 or ctx.recv_highest < 0:
         shift = delta if ctx.recv_highest >= 0 else 1
         ctx.recv_window = ((ctx.recv_window << shift) | 1) & (2 ** REPLAY_WINDOW - 1)

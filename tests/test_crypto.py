@@ -663,18 +663,65 @@ class TestSrtp:
             assert srtp_unprotect(rx, srtp_protect(tx, payload)) == payload
         assert len(built) <= 2
 
-    def test_one_keyed_mac_per_context(self, monkeypatch):
-        # each tag starts from the context's keyed HMAC, not from hmac.new
+    def test_keyed_once_per_context(self, monkeypatch):
+        # every packet continues state keyed in __post_init__: no cipher,
+        # HMAC or hash is built for a packet
         tx, rx = self.contexts()
-        other = dataclasses.replace(tx, ssrc=tx.ssrc ^ 1)   # keyed anew by __post_init__
-        new, keyed = hmac.new, []
-        monkeypatch.setattr(hmac, "new", lambda *a, **k: keyed.append(a) or new(*a, **k))
-        packets = [srtp_protect(ctx, bytes([i]) * 160) for i in range(50) for ctx in (tx, other)]
-        assert srtp_unprotect(rx, packets[0]) == bytes(160)
-        assert keyed == []
+        built = []
+        for owner, name in ((hmac, "new"), (hmac, "digest"), (hashlib, "sha256"),
+                            (crypto, "Cipher")):
+            make = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, _make=make, _name=name, **k:
+                                built.append(_name) or _make(*a, **k))
+        packets = []
+        for i in range(100):
+            packets.append(srtp_protect(tx, bytes([i]) * 160))
+            assert srtp_unprotect(rx, packets[-1]) == bytes([i]) * 160
+        monkeypatch.undo()
+        assert built == []
         for pkt in packets:   # still HMAC-SHA256 over header and ciphertext, cut to 80 bits
-            assert pkt[-SRTP_TAG_LEN:] == new(tx.auth_key, pkt[:-SRTP_TAG_LEN],
-                                              hashlib.sha256).digest()[:SRTP_TAG_LEN]
+            assert pkt[-SRTP_TAG_LEN:] == hmac.new(tx.auth_key, pkt[:-SRTP_TAG_LEN],
+                                                   hashlib.sha256).digest()[:SRTP_TAG_LEN]
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(key=(st.integers(0, 200) | st.sampled_from((63, 64, 65))).flatmap(
+               lambda n: st.binary(min_size=n, max_size=n)),
+           data=st.binary(max_size=600))
+    def test_tag_is_hmac_sha256_80(self, key, data):
+        # the length is drawn first so that keys past the 64-byte block,
+        # which RFC 2104 hashes first, come up as often as shorter ones
+        ctx = dataclasses.replace(self.contexts()[0], auth_key=key)
+        assert crypto._tag(ctx, data) == hmac.new(key, data, hashlib.sha256).digest()[:10]
+
+    # srtp_protect of FRAME under KAT_KEY and KAT_SALT at four send indexes,
+    # recorded from the implementation that keyed an hmac.HMAC per context
+    KAT_KEY, KAT_SALT, FRAME = bytes(range(32)), bytes(range(100, 114)), b"known-answer frame"
+    KAT = {
+        0: "000000000000000000ddd0214fddb1d11fda58ab9f5c1e033cb611baeb0bcfd1bc53947fa35d8de3",
+        1: "00000001000000a000ddd021dd9f0e9a983690a4c5aa125e76fedda98fa595012cd613f822bbb799",
+        2**32 - 1:
+           "ffffffffffffff6000ddd0219192e95b1d87e556e344bebbafd1035fd0ac4086ce50b474bc6bd7b6",
+        2**32: "000000000000000000ddd0219ec84f1050da52d0d25956c41544dd36bec90533606853ea5fa992c0",
+    }
+
+    def test_known_answers(self):
+        rx = srtp_derive(self.KAT_KEY, self.KAT_SALT)
+        for index, packet in self.KAT.items():
+            tx = srtp_derive(self.KAT_KEY, self.KAT_SALT)
+            tx.send_index = index
+            assert srtp_protect(tx, self.FRAME).hex() == packet
+            assert srtp_unprotect(rx, bytes.fromhex(packet)) == self.FRAME
+        assert rx.recv_roc == 1 and rx.auth_failures == rx.replay_drops == 0
+
+    @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                       reason="ROADMAP item 5: the rollover count is not authenticated, so a "
+                              "fresh receiver guesses index 0 and returns garbage")
+    def test_fresh_receiver_past_the_wrap_rejects(self):
+        tx, rx = self.contexts()
+        tx.send_index = 2**32
+        with pytest.raises(CryptoError, match="auth"):
+            srtp_unprotect(rx, srtp_protect(tx, bytes(range(160))))
+        assert rx.auth_failures == 1
 
 
 def _reference_ctr(ctx, index, data):
@@ -689,17 +736,19 @@ class TestKeystream:
     BASE = srtp_derive(bytes(range(32)), bytes(range(14)))
 
     @settings(max_examples=300, derandomize=True, deadline=None)
-    @given(length=st.integers(1, 1000),
+    @given(length=st.one_of(st.integers(1, 1000),   # and across the 256-block segments
+                            st.integers(4080, 4112), st.integers(8176, 8208)),
            index=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, crypto.SRTP_MAX_INDEX - 1]),
                            st.integers(2**32 - 64, 2**32 + 64),
                            st.integers(0, crypto.SRTP_MAX_INDEX - 1)),
-           variant=st.sampled_from(["derived", "ssrc", "salt"]),
+           variant=st.sampled_from(["derived", "ssrc", "salt", "cipher_key"]),
            ssrc=st.integers(0, 2**32 - 1),
            seed=st.integers(0, 2**16))
     def test_matches_library_ctr(self, length, index, variant, ssrc, seed):
         ctx = {"derived": self.BASE,
                "ssrc": dataclasses.replace(self.BASE, ssrc=ssrc),
-               "salt": dataclasses.replace(self.BASE, session_salt=b"\xff" * 14)}[variant]
+               "salt": dataclasses.replace(self.BASE, session_salt=b"\xff" * 14),
+               "cipher_key": dataclasses.replace(self.BASE, cipher_key=bytes(32))}[variant]
         data = random.Random(seed).randbytes(length)
         assert crypto._ctr_crypt(ctx, index, data) == _reference_ctr(ctx, index, data)
 
