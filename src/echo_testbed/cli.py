@@ -5,7 +5,7 @@ builds the world: LANs, accounts, Wi-Fi networks, devices, phones, and
 adversaries. The action block fires admin and attacker moves at given
 virtual times. The assertion block is judged against the finished
 trace. Running a scenario is therefore: validate, build, schedule, drain
-the scheduler, write the trace as JSON lines, evaluate those lines.
+the scheduler, judge the trace lines as the TraceLog recorded them.
 
 Four assertion kinds cover everything the built-ins need:
 
@@ -21,7 +21,9 @@ from --seed, else the ECHO_TESTBED_SEED environment variable, else the
 scenario file; identical seeds give byte-identical traces.
 
 `run` and `assert` share one trace reader (netsim.iter_jsonl) and one
-engine (evaluate_all). The engine streams: it reads CHUNK_EVENTS events
+engine (evaluate_all). `run` judges the recorded lines directly, the very
+lines it writes out, with no joined copy of the trace; `assert` reads
+them back from the file. The engine streams: it reads CHUNK_EVENTS events
 at a time and keeps one small judge per rule, so `assert` judges a saved
 trace of any length, line by line, in the memory of one chunk plus the
 judges, with no simulation involved. Verdicts are therefore reproducible
@@ -39,27 +41,26 @@ import re
 import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
 from importlib import resources
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .client import CompanionApp, Eavesdropper, Hijacker, WifiCredential
 from .cloud import CLOUD_HOSTS, CLOUD_LAN, CLOUD_PREFIX, CloudServices
 from .device import EchoDevice, WifiNetwork, WifiNetworkTable, host_name
 from .netsim import (
+    EVENT_BUDGET,
     SETUP_PREFIXES,
     TRACE_LAYERS,
     BudgetExceeded,
     NetError,
     Network,
     iter_jsonl,
-    text_lines,
 )
 
-SCENARIO_BUDGET = 100_000   # every built-in quiesces well inside this
+SCENARIO_BUDGET = EVENT_BUDGET   # the name the benchmark's workloads import
 
 BUILTINS = (
     "pair",
@@ -131,13 +132,41 @@ _COMMS = {   # the device fields build_world hands to its CommsEndpoint
 }
 _DEVICE = {"serial": _REQ_STR, "host": _STR, "state": _STR,
            "visible_wifi": Field("strings", ref="wifi"), **_COMMS}
-_OPS = {   # op -> its fields besides op, at and device
-    "start_pairing": {"client": Field("string", True, ref="clients")},
-    "tap_pairing": {"attacker": Field("string", True, ref="attackers")},
-    "start_call": {"callee": _REQ_STR,
-                   "call_type": Field("string", values=("call", "intercom"))},
-    **dict.fromkeys(("enter_setup", "deregister", "connect_avs", "replay_negotiation",
-                     "refresh", "end_call", "replay_invite"), {}),
+
+
+class Op(NamedTuple):
+    """One action op. An op with a precondition ends the run, naming the
+    action, when holds(world, dev) fails as it fires: dev then `lacks`."""
+    fields: dict              # its fields besides op, at and device
+    fire: Callable            # fire(world, dev, act)
+    lacks: str = ""
+    holds: Callable | None = None
+
+
+_IN_SETUP = ("is not in setup mode", lambda world, dev: dev.setup is not None)
+_IN_SESSION = ("has no voice-service session",
+               lambda world, dev: dev.serial in world.cloud.avs_sessions)
+OPS = {
+    "start_pairing": Op({"client": Field("string", True, ref="clients")},
+                        lambda world, dev, act: world.clients[act["client"]].start_pairing(
+                            dev.setup.pairing), *_IN_SETUP),
+    "tap_pairing": Op({"attacker": Field("string", True, ref="attackers")},
+                      lambda world, dev, act: world.attackers[act["attacker"]].join(
+                          dev.setup.pairing), *_IN_SETUP),
+    "start_call": Op({"callee": _REQ_STR,
+                      "call_type": Field("string", values=("call", "intercom"))},
+                     lambda world, dev, act: world.cloud.start_call(
+                         dev.serial, act["callee"], act.get("call_type", "call")),
+                     *_IN_SESSION),
+    "enter_setup": Op({}, lambda world, dev, act: dev.enter_setup()),
+    "deregister": Op({}, lambda world, dev, act: world.cloud.deregister_device(dev.serial)),
+    "connect_avs": Op({}, lambda world, dev, act: dev.connect_avs(),
+                      "has no registration grant", lambda world, dev: dev.grant is not None),
+    "replay_negotiation": Op({}, lambda world, dev, act: dev.replay_negotiation(),
+                             "has no captured hello", lambda world, dev: dev.hello is not None),
+    "refresh": Op({}, lambda world, dev, act: world.cloud.refresh(dev.serial), *_IN_SESSION),
+    "end_call": Op({}, lambda world, dev, act: world.cloud.end_call(dev.serial), *_IN_SESSION),
+    "replay_invite": Op({}, lambda world, dev, act: dev.comms.replay_last_invite()),
 }
 _FILTERS = {
     "layer": Field("string", values=TRACE_LAYERS), "lan": _STR, "summary": _STR,
@@ -171,8 +200,8 @@ SCHEMA = {
                      "account": Field("string", True, ref="accounts"),
                      "uplink": Field("string", ref="lans")}}),
     "actions": ("op", {op: {"op": _REQ_STR, "at": Field("count"),
-                            "device": Field("string", True, ref="devices"), **extra}
-                       for op, extra in _OPS.items()}),
+                            "device": Field("string", True, ref="devices"), **spec.fields}
+                       for op, spec in OPS.items()}),
     "assertions": ("kind", {   # "locality" takes exactly one of lans and via
         "subsequence": {"kind": _REQ_STR, "events": Field("steps", True), "lan": _STR},
         "count": {"kind": _REQ_STR, "equals": Field("count", True), **_FILTERS},
@@ -374,48 +403,16 @@ def build_world(scn: dict, seed: str) -> World:
     return world
 
 
-# op -> (what the action's device lacks, the test that it has it). An action
-# whose test fails when it fires ends the run, naming the action.
-_PRECONDITIONS = {
-    **dict.fromkeys(("start_pairing", "tap_pairing"),
-                    ("is not in setup mode", lambda world, dev: dev.setup is not None)),
-    **dict.fromkeys(("start_call", "end_call", "refresh"),
-                    ("has no voice-service session",
-                     lambda world, dev: dev.serial in world.cloud.avs_sessions)),
-    "connect_avs": ("has no registration grant", lambda world, dev: dev.grant is not None),
-    "replay_negotiation": ("has no captured hello", lambda world, dev: dev.hello is not None),
-}
-
-
-def _bind_action(world: World, act: dict, idx: int):
-    """The closure to schedule for one validated action."""
-    op, dev, cloud = act["op"], world.devices[act["device"]], world.cloud
-    fire = {
-        "start_pairing": lambda: world.clients[act["client"]].start_pairing(dev.setup.pairing),
-        "tap_pairing": lambda: world.attackers[act["attacker"]].join(dev.setup.pairing),
-        "start_call": lambda: cloud.start_call(dev.serial, act["callee"],
-                                               act.get("call_type", "call")),
-        "enter_setup": dev.enter_setup,
-        "connect_avs": dev.connect_avs,
-        "replay_negotiation": dev.replay_negotiation,
-        "replay_invite": dev.comms.replay_last_invite,
-        "deregister": lambda: cloud.deregister_device(dev.serial),
-        "refresh": lambda: cloud.refresh(dev.serial),
-        "end_call": lambda: cloud.end_call(dev.serial)}[op]
-    if op not in _PRECONDITIONS:
-        return fire
-    lacks, holds = _PRECONDITIONS[op]
-
-    def checked():
-        if not holds(world, dev):
-            raise ScenarioError(f"action[{idx}] {op}: {dev.serial} {lacks}")
-        fire()
-    return checked
+def _fire_action(world: World, act: dict, idx: int) -> None:
+    op, dev = OPS[act["op"]], world.devices[act["device"]]
+    if op.holds is not None and not op.holds(world, dev):
+        raise ScenarioError(f"action[{idx}] {act['op']}: {dev.serial} {op.lacks}")
+    op.fire(world, dev, act)
 
 
 def _schedule_actions(world: World, actions: list) -> None:
     for idx, act in enumerate(actions):
-        world.network.scheduler.at(act.get("at", 0), _bind_action(world, act, idx))
+        world.network.scheduler.at(act.get("at", 0), _fire_action, world, act, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -636,14 +633,13 @@ class RunResult:
     seed: str
     exit_code: int           # 0 pass, 1 assertion failure, 2 runtime error
     verdicts: list[Verdict]
-    jsonl: str
     world: World
     error: str | None = None
 
-    @cached_property
-    def events(self) -> list[dict]:
-        """The trace's events, parsed from jsonl on first use."""
-        return list(iter_jsonl(text_lines(self.jsonl)))
+    @property
+    def jsonl(self) -> str:
+        """The trace as `run` writes it, joined from the TraceLog when read."""
+        return self.world.network.trace.jsonl()
 
 
 def run_scenario(scn: dict, seed: str | None = None) -> RunResult:
@@ -662,19 +658,19 @@ def run_scenario(scn: dict, seed: str | None = None) -> RunResult:
 
     error = None
     try:
-        world.network.run(SCENARIO_BUDGET)
+        world.network.run()
     except (BudgetExceeded, NetError, ScenarioError) as exc:
         error = f"{type(exc).__name__}: {exc}"
 
-    # judge the very bytes that `run` writes and `assert` reads back
-    jsonl = world.network.trace.jsonl()
-    verdicts = evaluate_all(iter_jsonl(text_lines(jsonl)), scn.get("assertions", []))
+    # judge the very lines that `run` writes and `assert` reads back
+    verdicts = evaluate_all(iter_jsonl(ev.to_json() for ev in world.network.trace.events),
+                            scn.get("assertions", []))
     if error is not None:
         exit_code = 2
     else:
         exit_code = 0 if all(v.ok for v in verdicts) else 1
     return RunResult(name=name, seed=seed, exit_code=exit_code, verdicts=verdicts,
-                     jsonl=jsonl, world=world, error=error)
+                     world=world, error=error)
 
 
 # ---------------------------------------------------------------------------

@@ -533,6 +533,7 @@ def verify_call_token(public: PublicKey, token: CallAuthToken, caller: str,
 
 SRTP_TAG_LEN = 10
 SRTP_MAX_INDEX = 2 ** 48
+SRTP_MAX_PAYLOAD = 2 ** 16 * AES_BLOCK   # 1 MiB: a counter runs 2^16 blocks (RFC 3711 4.1.1)
 REPLAY_WINDOW = 64
 
 _RTP_HEADER = struct.Struct(">III")  # seq (low 32 bits of index), timestamp, ssrc
@@ -639,6 +640,9 @@ def srtp_protect(ctx: SrtpContext, payload: bytes) -> bytes:
     """Protect one frame: 12-byte header ‖ ciphertext ‖ 10-byte tag."""
     if not payload:
         raise CryptoError("empty payload")
+    if len(payload) > SRTP_MAX_PAYLOAD:   # past it, two packets would share keystream
+        raise CryptoError(f"payload of {len(payload)} bytes exceeds the "
+                          f"{SRTP_MAX_PAYLOAD}-byte limit of 2^16 AES blocks")
     index = ctx.send_index
     if index >= SRTP_MAX_INDEX:
         raise CryptoError("sequence wrap at 2^48")

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Iterator
 HOP_MS = 1   # delivery latency within one LAN
 WAN_MS = 2   # delivery latency across LANs
 
-EVENT_BUDGET = 1_000_000
+EVENT_BUDGET = 100_000   # dispatches per run; every built-in quiesces well inside it
 HOSTS_PER_LAN = 254     # one /24: .1 to .254
 SETUP_NETWORKS = 20     # concurrent setup-mode networks, 192.168.11-30
 SETUP_PREFIXES = tuple(f"192.168.{n}" for n in range(11, 11 + SETUP_NETWORKS))
@@ -74,7 +74,8 @@ class Scheduler:
         processed = 0
         while self._heap:
             if processed >= budget:
-                raise BudgetExceeded(f"exceeded {budget} events at t={self._now}ms")
+                raise BudgetExceeded(f"scheduler event budget of {budget} "
+                                     f"exceeded at t={self._now}ms")
             when, _, fn = heapq.heappop(self._heap)
             self._now = when
             fn()
@@ -132,16 +133,6 @@ class TraceLog:
 
 
 _LAYERS = frozenset(TRACE_LAYERS)
-
-
-def text_lines(text: str) -> Iterator[str]:
-    """The lines text.split("\n") gives, one at a time; io.StringIO would
-    hold a copy at four bytes a character."""
-    start = 0
-    while (end := text.find("\n", start)) >= 0:
-        yield text[start:end]
-        start = end + 1
-    yield text[start:]
 
 
 def iter_jsonl(lines: Iterable[str | bytes]) -> Iterator[dict]:

@@ -73,9 +73,10 @@ def test_criterion_1_pairing_conformance():
             ["oobe", "getRegistrationState"],
             ["oobe", "setupComplete"],
         ]}
-        verdict = evaluate_assertion(r.events, ordered)
+        events = trace_events(r.world.network)
+        verdict = evaluate_assertion(events, ordered)
         assert verdict.ok, verdict.detail
-        assert at_least_one(r.events, layer="oobe", summary="getRegistrationState")
+        assert at_least_one(events, layer="oobe", summary="getRegistrationState")
 
         dev = r.world.devices["EK-KITCH-0001"]
         assert dev.identity is not None
@@ -138,13 +139,15 @@ def test_criterion_3_handshake_replay_and_bit_flips(runs):
                       f"{flips}/{flips} tampered hellos rejected"):
         hs = run_scenario(load_scenario("avs_handshake"))
         assert hs.exit_code == 0, hs.verdicts
-        assert at_least_one(hs.events, layer="control", summary="System.Refresh")
-        assert at_least_one(hs.events, layer="control", summary="System.RefreshAck")
+        events = trace_events(hs.world.network)
+        assert at_least_one(events, layer="control", summary="System.Refresh")
+        assert at_least_one(events, layer="control", summary="System.RefreshAck")
 
         rp = runs["avs_replay"]
         assert rp.exit_code == 0, rp.verdicts
-        expect_count(rp.events, 1, layer="sys", summary="avs:accepted:*")
-        expect_count(rp.events, 1, layer="sys",
+        events = trace_events(rp.world.network)
+        expect_count(events, 1, layer="sys", summary="avs:accepted:*")
+        expect_count(events, 1, layer="sys",
                      summary="avs:rejected:stale-timestamp")
 
         # tamper harness: a bare host speaking the control wire directly
@@ -239,12 +242,13 @@ def test_criterion_4_intercom_flow(runs):
             ["sip", "BYE"],
             ["control", "SipClient.CallDisconnected"],
         ]}
-        verdict = evaluate_assertion(r.events, ordered)
+        events = trace_events(r.world.network)
+        verdict = evaluate_assertion(events, ordered)
         assert verdict.ok, verdict.detail
-        expect_count(r.events, 0, layer="media", lan="cloud")
-        expect_count(r.events, 1, layer="sys", summary="auto-answer")
+        expect_count(events, 0, layer="media", lan="cloud")
+        expect_count(events, 1, layer="sys", summary="auto-answer")
         # no ringing leg: the callee picks up without being asked
-        expect_count(r.events, 0, layer="sip", summary="180-INVITE")
+        expect_count(events, 0, layer="sip", summary="180-INVITE")
 
 
 # ---------------------------------------------------------------------------
@@ -255,19 +259,20 @@ def test_criterion_5_fork_and_relay_secrecy(runs):
                       "without the recorded keys"):
         r = runs["call_cross_lan_fork"]
         assert r.exit_code == 0, r.verdicts
-        expect_count(r.events, 2, layer="sip", summary="INVITE-leg")
-        expect_count(r.events, 1, layer="sip", summary="200-INVITE", dst="sip")
-        expect_count(r.events, 1, layer="control",
+        events = trace_events(r.world.network)
+        expect_count(events, 2, layer="sip", summary="INVITE-leg")
+        expect_count(events, 1, layer="sip", summary="200-INVITE", dst="sip")
+        expect_count(events, 1, layer="control",
                      summary="SipClient.OutboundCallAccepted")
-        expect_count(r.events, 1, layer="sip", summary="CANCEL")
+        expect_count(events, 1, layer="sip", summary="CANCEL")
         locality = evaluate_assertion(
-            r.events, {"kind": "locality", "layer": "media", "via": "relay"})
+            events, {"kind": "locality", "layer": "media", "via": "relay"})
         assert locality.ok, locality.detail
 
         keys = r.world.cloud.recorded_keys
         assert len(keys) == 1
         key_pair = next(iter(keys.values()))
-        forwards = [e for e in r.events
+        forwards = [e for e in events
                     if e["layer"] == "media" and e["summary"] == "relay-forward"]
         assert len(forwards) == 12
         to_callee = [e for e in forwards if e["dst"] == "den-fast"]
@@ -321,10 +326,11 @@ def test_criterion_6_token_single_use_and_binding(runs):
                       "perturbations, 0 false accepts"):
         r = runs["token_reuse"]
         assert r.exit_code == 0, r.verdicts
-        notes = sys_notes(r.events)
+        events = trace_events(r.world.network)
+        notes = sys_notes(events)
         assert notes.count("call-token:accepted") == 1
         assert notes.count("call-token:rejected") == 1
-        expect_count(r.events, 1, layer="sip", summary="403-INVITE")
+        expect_count(events, 1, layer="sip", summary="403-INVITE")
 
         kp = crypto.keygen(random.Random("token-kp"))
         caller = "sip:dev-EK-KITCH-0001@echo.example"

@@ -167,7 +167,8 @@ def test_begin_call_refused_while_another_call_is_open():
 def test_replay_reuses_token_but_not_call_id():
     result = run_scenario(load_scenario("token_reuse"))
     comms = result.world.devices["EK-KITCH-0001"].comms
-    invites = [e for e in result.events
+    events = trace_events(result.world.network)
+    invites = [e for e in events
                if e["summary"] == "INVITE" and e["src"] == "kitchen"]
     assert len(invites) == 2
     assert sorted(comms.calls) == ["call-EK-KITCH-0001-1",
@@ -175,7 +176,7 @@ def test_replay_reuses_token_but_not_call_id():
     # the replayed INVITE carried the original's token verbatim...
     assert comms.last_invite.header("X-authtoken")
     # ...and the registrar burned its nonce on first use
-    summaries = [e["summary"] for e in result.events]
+    summaries = [e["summary"] for e in events]
     assert summaries.count("call-token:accepted") == 1
     assert summaries.count("call-token:rejected") == 1
     assert comms.calls["call-EK-KITCH-0001-2"].state == "closed"
@@ -187,7 +188,7 @@ def test_replay_reuses_token_but_not_call_id():
 def test_intercom_callee_answers_instantly_without_ringing():
     result = run_scenario(load_scenario("intercom_same_lan"))
     assert result.exit_code == 0
-    summaries = [e["summary"] for e in result.events]
+    summaries = [e["summary"] for e in trace_events(result.world.network)]
     assert "auto-answer" in summaries
     assert "180-INVITE" not in summaries
 
@@ -198,9 +199,10 @@ def test_regular_call_rings_for_the_answer_delay():
                        "callee": "sip:dev-EK-AAAA-0002@echo.example",
                        "call_type": "call"}]
     result = run_scenario(scn)
-    ring = next(e for e in result.events if e["summary"] == "180-INVITE"
+    events = trace_events(result.world.network)
+    ring = next(e for e in events if e["summary"] == "180-INVITE"
                 and e["src"] == "den")
-    answer = next(e for e in result.events if e["summary"] == "200-INVITE"
+    answer = next(e for e in events if e["summary"] == "200-INVITE"
                   and e["src"] == "den")
     assert answer["t_ms"] - ring["t_ms"] == 400
 
@@ -217,7 +219,7 @@ def test_same_lan_callee_receives_media_without_dialing_out():
     assert [f[:7] for f in d_call.media.received] == [b"CANARY:"] * 6
     # the callee never dialed: every media frame runs caller -> callee
     # on the channel the caller opened, so its LAN is the shared one
-    for e in result.events:
+    for e in trace_events(result.world.network):
         if e["layer"] == "media":
             assert e["lan"] == "home-a"
 
@@ -225,7 +227,7 @@ def test_same_lan_callee_receives_media_without_dialing_out():
 def test_cross_lan_media_falls_back_to_relay():
     result = run_scenario(load_scenario("call_cross_lan_fork"))
     assert result.exit_code == 0
-    paths = [e["summary"] for e in result.events
+    paths = [e["summary"] for e in trace_events(result.world.network)
              if e["summary"].startswith("path:")]
     assert paths.count("path:relay") == 2
     # direct dial was attempted and failed before the fallback
@@ -300,7 +302,7 @@ def test_an_unreachable_registrar_is_noted_and_the_run_goes_on():
     with mock.patch.object(netsim.Channel, "send_from", misdirect):
         result = run_scenario(load_scenario("intercom_same_lan"))
     assert result.error is None
-    summaries = [e["summary"] for e in result.events]
+    summaries = [e["summary"] for e in trace_events(result.world.network)]
     assert summaries.count("sip:registrar-unreachable") == 2
     assert "sip:registered" not in summaries
 
@@ -315,5 +317,6 @@ def test_a_relay_port_freed_before_the_dial_gives_no_path(monkeypatch):
     monkeypatch.setattr(CloudServices, "_relay_allocate", allocate_and_free)
     result = run_scenario(load_scenario("call_cross_lan_fork"))
     assert result.error is None
-    paths = [e["summary"] for e in result.events if e["summary"].startswith("path:")]
+    paths = [e["summary"] for e in trace_events(result.world.network)
+             if e["summary"].startswith("path:")]
     assert "path:none" in paths and "path:relay" not in paths

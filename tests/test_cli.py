@@ -1,6 +1,7 @@
 """Scenario loading, the assertion engine, and the command-line surface."""
 
 import copy
+import dataclasses
 import fnmatch
 import json
 import tracemalloc
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from echo_testbed import cli, netsim
 from echo_testbed.cli import (
     BUILTINS,
+    RunResult,
     ScenarioError,
     Verdict,
     evaluate_all,
@@ -24,6 +26,8 @@ from echo_testbed.cli import (
     validate_scenario,
 )
 from echo_testbed.netsim import HOSTS_PER_LAN, TraceEvent, TraceLog, iter_jsonl
+
+from trace_reader import trace_events
 
 
 def _ev(seq, layer, summary, *, lan="home-a", src="a", dst="b",
@@ -578,12 +582,13 @@ def test_run_scenario_passes_and_traces():
     result = run_scenario(_mini())
     assert result.exit_code == 0
     assert result.seed == "mini-seed"
-    assert result.events and result.jsonl.endswith("\n")
+    events = trace_events(result.world.network)
+    assert events and result.jsonl.endswith("\n")
     dev = result.world.devices["EK-TEST-0009"]
     assert dev.setup is None and dev.grant is not None
     # jsonl lines parse back to the event dicts
     lines = [json.loads(l) for l in result.jsonl.splitlines()]
-    assert lines == result.events
+    assert lines == events
 
 
 def test_a_run_encodes_each_payload_once_when_it_is_recorded(monkeypatch):
@@ -593,14 +598,33 @@ def test_a_run_encodes_each_payload_once_when_it_is_recorded(monkeypatch):
                         lambda payload, level: encoded.append(payload) or chunks(payload, level))
     monkeypatch.setattr(TraceEvent, "to_json", lambda ev: lines.append(ev) or to_json(ev))
     result = run_scenario(load_scenario("pair"))
-    # the payload of each unsecured event that has one, and no other
-    assert len(encoded) == sum("payload" in ev for ev in result.events) > 0
-    assert not any(ev["secured"] and "payload" in ev for ev in result.events)
-    # run_scenario reads each recorded line once, and jsonl() encodes nothing
+    # run_scenario reads each recorded line once
     assert lines == result.world.network.trace.events
+    # the payload of each unsecured event that has one, and no other
+    events = trace_events(result.world.network)
+    assert len(encoded) == sum("payload" in ev for ev in events) > 0
+    assert not any(ev["secured"] and "payload" in ev for ev in events)
     encoded.clear()
-    assert result.world.network.trace.jsonl() == result.jsonl
-    assert encoded == []
+    assert result.jsonl and encoded == []   # joining the lines encodes nothing
+
+
+def test_run_scenario_judges_the_recorded_lines_without_joining_them(monkeypatch):
+    results = [run_scenario(load_scenario(name)) for name in BUILTINS]
+
+    def refuse(log):
+        raise AssertionError("the trace was joined")
+    monkeypatch.setattr(TraceLog, "jsonl", refuse)
+    for name, before in zip(BUILTINS, results):
+        after = run_scenario(load_scenario(name))
+        assert (after.exit_code, after.verdicts) == (before.exit_code, before.verdicts), name
+
+
+def test_a_run_result_holds_no_trace_text():
+    result = run_scenario(load_scenario("pair"))
+    fields = {f.name: getattr(result, f.name) for f in dataclasses.fields(RunResult)}
+    assert "jsonl" not in fields and "events" not in fields
+    assert not any(isinstance(val, str) and '"seq":' in val for val in fields.values())
+    assert result.jsonl == result.world.network.trace.jsonl()
 
 
 def test_readme_trace_example_is_an_event_of_the_pair_trace():
@@ -609,7 +633,7 @@ def test_readme_trace_example_is_an_event_of_the_pair_trace():
     example = section.split("```json\n", 1)[1].split("```", 1)[0]
     [event] = iter_jsonl(example.split("\n"))
     result = run_scenario(load_scenario("pair"))
-    assert event in result.events
+    assert event in trace_events(result.world.network)
     assert example.strip() in result.jsonl.split("\n")   # as the trace writes it
 
 
@@ -672,7 +696,7 @@ def test_runtime_action_error_exits_2_with_partial_trace():
     result = run_scenario(scn)
     assert result.exit_code == 2
     assert "no voice-service session" in result.error
-    assert result.events  # what ran before the error survived
+    assert trace_events(result.world.network)  # what ran before the error survived
 
 
 def test_start_pairing_without_setup_mode_is_a_runtime_error():
@@ -702,11 +726,31 @@ def test_a_session_action_without_a_voice_session_names_the_action(op):
                             "has no voice-service session")
 
 
-@pytest.mark.parametrize("op,lacks", [("connect_avs", "has no registration grant"),
-                                      ("replay_negotiation", "has no captured hello")])
+PRECONDITIONS = [   # each op with a precondition, and what a factory-fresh device lacks
+    ("connect_avs", "has no registration grant"),
+    ("replay_negotiation", "has no captured hello"),
+    ("start_pairing", "is not in setup mode"),
+    ("tap_pairing", "is not in setup mode"),
+    ("start_call", "has no voice-service session"),
+    ("end_call", "has no voice-service session"),
+    ("refresh", "has no voice-service session"),
+]
+
+
+def test_every_op_with_a_precondition_is_checked():
+    assert {op for op, _ in PRECONDITIONS} == {op for op, spec in cli.OPS.items() if spec.holds}
+
+
+@pytest.mark.parametrize("op,lacks", PRECONDITIONS)
 def test_an_avs_action_on_a_factory_device_names_the_action(op, lacks):
-    scn = _mini(actions=[{"at": 5, "op": op, "device": "EK-TEST-0010"}])
-    scn["topology"]["devices"].append({"serial": "EK-TEST-0010", "host": "box2"})
+    extra = {"start_pairing": {"client": "ph"}, "tap_pairing": {"attacker": "eve"},
+             "start_call": {"callee": "tel:+15551230100"}}.get(op, {})
+    scn = _mini(actions=[{"at": 5, "op": op, "device": "EK-TEST-0010", **extra}])
+    topo = scn["topology"]
+    topo["devices"].append({"serial": "EK-TEST-0010", "host": "box2"})
+    topo["wifi"] = [{"ssid": "Net", "lan": "home-a", "passphrase": "longenough"}]
+    topo["clients"] = [{"name": "ph", "account": "a1", "wifi": "Net"}]
+    topo["attackers"] = [{"name": "eve", "kind": "eavesdropper"}]
     result = run_scenario(scn)
     assert result.exit_code == 2
     assert result.error == f"ScenarioError: action[0] {op}: EK-TEST-0010 {lacks}"

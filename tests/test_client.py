@@ -375,7 +375,7 @@ def run_re_pair(*moves, **speaker):
 
 def re_pair_window():
     """The ms a's re-pair ends, and the ms its new SIP binding is made."""
-    events = run_re_pair()[0].events
+    events = trace_events(run_re_pair()[0].world.network)
     paired = next(e["t_ms"] for e in events if e["summary"] == "mode:paired")
     bound = [e["t_ms"] for e in events if e["summary"] == "sip:bind:sip:dev-EK-A-0001@echo.example"]
     return paired, bound[-1]
@@ -390,8 +390,10 @@ def test_a_re_paired_device_is_reachable_while_it_dials_again():
                                      "callee": "sip:dev-EK-A-0001@echo.example",
                                      "call_type": "call"})
         assert (refresh.exit_code, refresh.error, call.exit_code, call.error) == (0, None, 0, None)
-        assert [e["summary"] for e in refresh.events].count("avs:refresh-ack") == 1
-        assert any(e["summary"].startswith("keys:recorded:answer:") for e in call.events)
+        assert [e["summary"] for e in trace_events(refresh.world.network)
+                ].count("avs:refresh-ack") == 1
+        assert any(e["summary"].startswith("keys:recorded:answer:")
+                   for e in trace_events(call.world.network))
         assert dialled == ["avs", "sip"]
 
 
@@ -406,11 +408,12 @@ def test_a_call_under_way_follows_a_re_paired_caller(hangs_up):
     assert (result.exit_code, result.error) == (0, None)
     assert dialled == ["avs", "sip"]
     # the BYE reaches the other speaker, whichever hung up, and the call ends
-    byes = [e["dst"] for e in result.events if e["summary"] == "BYE" and e["src"] == "sip"]
+    events = trace_events(result.world.network)
+    byes = [e["dst"] for e in events if e["summary"] == "BYE" and e["src"] == "sip"]
     assert byes == ["b" if hangs_up == "EK-A-0001" else "a"]
     assert all(call.state == "closed" for dev in result.world.devices.values()
                for call in dev.comms.calls.values())
-    assert [e["summary"] for e in result.events].count("call:closed:call-EK-A-0001-1") == 1
+    assert [e["summary"] for e in events].count("call:closed:call-EK-A-0001-1") == 1
 
 
 def test_a_device_pairs_enters_setup_and_pairs_again():

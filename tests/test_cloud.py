@@ -663,7 +663,7 @@ def test_intercom_across_accounts_is_refused():
           "call_type": "intercom"}])
     result = run_scenario(scn)
     assert result.exit_code == 0
-    summaries = [e["summary"] for e in result.events]
+    summaries = [e["summary"] for e in trace_events(result.world.network)]
     assert "call-refused:drop-in-not-permitted" in summaries
     assert "403-INVITE" in summaries
     assert "call-failed:403" in summaries
@@ -678,7 +678,7 @@ def test_intercom_skips_devices_with_drop_in_disabled():
           "callee": "sip:dev-EK-BBBB-0002@echo.example",
           "call_type": "intercom"}])
     result = run_scenario(scn)
-    summaries = [e["summary"] for e in result.events]
+    summaries = [e["summary"] for e in trace_events(result.world.network)]
     assert "404-INVITE" in summaries
     assert "call-failed:404" in summaries
 
@@ -689,7 +689,7 @@ def test_calling_an_unbound_uri_is_not_found():
         [{"at": 100, "op": "start_call", "device": "EK-AAAA-0001",
           "callee": "sip:dev-EK-GONE-0009@echo.example", "call_type": "call"}])
     result = run_scenario(scn)
-    summaries = [e["summary"] for e in result.events]
+    summaries = [e["summary"] for e in trace_events(result.world.network)]
     assert "404-INVITE" in summaries and "call-failed:404" in summaries
 
 
@@ -701,7 +701,7 @@ def test_account_fork_excludes_the_caller_itself():
         [{"at": 100, "op": "start_call", "device": "EK-AAAA-0001",
           "callee": "sip:user-alice@echo.example", "call_type": "call"}])
     result = run_scenario(scn)
-    legs = [e for e in result.events if e["summary"] == "INVITE-leg"]
+    legs = [e for e in trace_events(result.world.network) if e["summary"] == "INVITE-leg"]
     assert len(legs) == 1 and legs[0]["dst"] == "den"
 
 
@@ -719,7 +719,7 @@ def test_busy_callee_answers_486_and_caller_hears_it():
          {"at": 1500, "op": "end_call", "device": "EK-AAAA-0001"}])
     result = run_scenario(scn)
     assert result.exit_code == 0
-    summaries = [e["summary"] for e in result.events]
+    summaries = [e["summary"] for e in trace_events(result.world.network)]
     assert "486-INVITE" in summaries
     assert "call-failed:486" in summaries
 
@@ -733,7 +733,7 @@ def test_gateway_sinks_media_and_hangs_up_cleanly():
     assert result.exit_code == 0
     cloud = result.world.cloud
     assert sum(cloud._gateway_frames.values()) == 6
-    summaries = [e["summary"] for e in result.events]
+    summaries = [e["summary"] for e in trace_events(result.world.network)]
     assert any(s.startswith("gateway:answered:") for s in summaries)
     assert any(s.startswith("gateway:hangup:") for s in summaries)
     assert not cloud.hosts["gateway"].listeners
@@ -747,7 +747,8 @@ def test_unreadable_answer_fails_the_leg_and_the_caller_hears_486():
         result = run_scenario(load_scenario("intercom_same_lan"))
     assert result.error is None
     call_id = "call-EK-KITCH-0001-1"
-    notes = [(e["src"], e["summary"]) for e in result.events if e["layer"] == "sys"]
+    notes = [(e["src"], e["summary"]) for e in trace_events(result.world.network)
+             if e["layer"] == "sys"]
     assert ("sip", f"keys:recorded:answer:{call_id}") not in notes
     assert ("sip", f"call:closed:{call_id}") in notes
     assert ("kitchen", "call-failed:486") in notes
@@ -761,4 +762,4 @@ def test_relay_is_torn_down_with_the_call():
     assert not cloud._relay_buffers
     assert not cloud.hosts["relay"].listeners
     assert any(e["summary"].startswith("call:closed:")
-               for e in result.events)
+               for e in trace_events(result.world.network))

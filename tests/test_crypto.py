@@ -604,6 +604,18 @@ class TestSrtp:
         with pytest.raises(CryptoError, match="wrap"):
             srtp_protect(tx, bytes(160))
 
+    def test_a_payload_of_2_16_blocks_round_trips(self):
+        tx, rx = self.contexts()
+        payload = bytes(range(256)) * (crypto.SRTP_MAX_PAYLOAD // 256)
+        assert len(payload) == 2 ** 20
+        assert srtp_unprotect(rx, srtp_protect(tx, payload)) == payload
+
+    def test_a_payload_past_2_16_blocks_is_refused_before_it_takes_an_index(self):
+        tx, _ = self.contexts()
+        with pytest.raises(CryptoError, match="1048577 bytes exceeds the 1048576-byte limit"):
+            srtp_protect(tx, bytes(2 ** 20 + 1))
+        assert tx.send_index == 0
+
     def test_distinct_ssrc_rejected(self):
         tx, _ = self.contexts()
         rx = dataclasses.replace(srtp_derive(bytes(range(32)), bytes(range(14))),

@@ -6,7 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from echo_testbed import netsim
+from echo_testbed import cli, netsim
 from echo_testbed.netsim import (
     EVENT_BUDGET,
     HOP_MS,
@@ -20,7 +20,7 @@ from echo_testbed.netsim import (
     TraceLog,
 )
 
-from trace_reader import trace_events
+from trace_reader import text_lines, trace_events
 
 
 # ---------------------------------------------------------------------------
@@ -68,11 +68,22 @@ class TestScheduler:
             sched.at(1, forever)
 
         sched.at(0, forever)
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded,
+                           match=r"^scheduler event budget of 500 exceeded at t=499ms$"):
             sched.run_until_idle(budget=500)
 
     def test_default_budget_value(self):
-        assert EVENT_BUDGET == 10 ** 6
+        assert EVENT_BUDGET == 10 ** 5 == cli.SCENARIO_BUDGET
+
+    def test_a_network_runs_under_the_default_budget(self):
+        net = Network()
+
+        def forever():
+            net.scheduler.at(1, forever)
+
+        net.scheduler.at(0, forever)
+        with pytest.raises(BudgetExceeded, match=f"budget of {EVENT_BUDGET} exceeded"):
+            net.run()
 
     @given(delays=st.lists(st.integers(min_value=0, max_value=10_000), min_size=1,
                            max_size=50))
@@ -451,7 +462,7 @@ class TestTrace:
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(text=st.text(alphabet="ab\n\r\x0b\x85\u2028 ", max_size=12))
     def test_text_lines_splits_as_split_on_newline_alone(self, text):
-        assert list(netsim.text_lines(text)) == text.split("\n")
+        assert list(text_lines(text)) == text.split("\n")
 
     def test_unknown_layer_rejected(self):
         log = TraceLog()

@@ -16,6 +16,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from echo_testbed.cli import ScenarioError, run_scenario
 
+from trace_reader import trace_events
+
 OPS = ("enter_setup", "start_pairing", "tap_pairing", "start_call", "end_call",
        "refresh", "deregister", "connect_avs", "replay_negotiation", "replay_invite")
 # a refusal names the offending entry: "devices[1]: ..." or "action[3] refresh: ..."
@@ -109,7 +111,7 @@ def check_run(scn):
             result.error.startswith("ScenarioError:") and NAMES_A_SPOT.search(result.error)), \
             result.error
     assert run_scenario(scn).jsonl == result.jsonl
-    events = result.events
+    events = trace_events(result.world.network)
     assert [ev["seq"] for ev in events] == list(range(len(events)))
     assert all(a["t_ms"] <= b["t_ms"] for a, b in zip(events, events[1:]))
     assert not any(ev["secured"] and "payload" in ev for ev in events)
