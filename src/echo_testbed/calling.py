@@ -70,8 +70,7 @@ def make_sip_request(method: str, uri: str, *, from_uri: str, to_uri: str,
 def make_sip_response(req: wire.SipMessage, status: int, *,
                       headers: list[tuple[str, str]] | None = None,
                       body: bytes = b"") -> wire.SipMessage:
-    hdrs = [(k, v) for k, v in req.headers
-            if k.lower() in ("via", "from", "to", "call-id", "cseq")]
+    hdrs = [(k, v) for k, v in req.headers if k.lower() in wire.DIALOG_HEADERS]
     hdrs.extend(headers or [])
     return wire.SipMessage(kind="response", status=status,
                            reason=wire.SIP_STATUSES[status], headers=hdrs, body=body)
@@ -359,24 +358,21 @@ class CommsEndpoint:
         if any(c.state not in ("closed",) for c in self.calls.values()):
             self.network.note(self.host, "sys", "call-refused:busy")
             return ""
-        self._call_seq += 1
-        call_id = f"call-{self.serial}-{self._call_seq}"
-        call = Call(call_id=call_id, role="caller", peer_uri=callee, call_type=call_type)
-        self.calls[call_id] = call
+        call = self._new_call(callee, call_type)
         call.local_sdp = self._build_sdp(call)
         invite = make_sip_request(
-            "INVITE", callee, from_uri=self.uri, to_uri=callee, call_id=call_id,
+            "INVITE", callee, from_uri=self.uri, to_uri=callee, call_id=call.call_id,
             cseq=call.cseq, via=self._via(),
             headers=[("X-authtoken", token_b64),
                      ("X-calltype", call_type),
                      ("Content-Type", "application/sdp")],
             body=wire.sdp_encode(call.local_sdp))
         call.invite = invite
-        call.state = "inviting"
         self.last_invite = invite
         self._send_sip(invite)
-        self._send_control("OutboundCallRequested", {"callee": callee, "call_id": call_id})
-        return call_id
+        self._send_control("OutboundCallRequested",
+                           {"callee": callee, "call_id": call.call_id})
+        return call.call_id
 
     def replay_last_invite(self) -> None:
         """Resend the previous INVITE bytes (fresh Call-ID, same token).
@@ -386,19 +382,22 @@ class CommsEndpoint:
         """
         if self.last_invite is None:
             return
-        self._call_seq += 1
-        call_id = f"call-{self.serial}-{self._call_seq}"
+        call = self._new_call(self.last_invite.request_uri, "replay")
         replay = wire.SipMessage(kind="request", method="INVITE",
                                  request_uri=self.last_invite.request_uri,
                                  headers=list(self.last_invite.headers),
                                  body=self.last_invite.body)
-        replay.set_header("Call-ID", call_id)
-        call = Call(call_id=call_id, role="caller",
-                    peer_uri=self.last_invite.request_uri, call_type="replay")
+        replay.set_header("Call-ID", call.call_id)
         call.local_sdp = wire.sdp_decode(self.last_invite.body)
-        call.state = "inviting"
-        self.calls[call_id] = call
         self._send_sip(replay)
+
+    def _new_call(self, peer_uri: str, call_type: str) -> Call:
+        """Number, open and register the next call this endpoint places."""
+        self._call_seq += 1
+        call_id = f"call-{self.serial}-{self._call_seq}"
+        call = self.calls[call_id] = Call(call_id=call_id, role="caller", peer_uri=peer_uri,
+                                          call_type=call_type, state="inviting")
+        return call
 
     def end_call(self) -> None:
         for call in self.calls.values():

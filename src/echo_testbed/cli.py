@@ -49,7 +49,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .client import CompanionApp, Eavesdropper, Hijacker, WifiCredential
 from .cloud import CLOUD_HOSTS, CLOUD_LAN, CLOUD_PREFIX, CloudServices
-from .device import EchoDevice, WifiNetwork, WifiNetworkTable, host_name
+from .device import EchoDevice, WifiNetwork, host_name
 from .netsim import (
     EVENT_BUDGET,
     SETUP_PREFIXES,
@@ -330,7 +330,6 @@ class World:
 
     network: Network
     cloud: CloudServices
-    accounts: dict[str, str] = field(default_factory=dict)
     wifi: dict[str, WifiNetwork] = field(default_factory=dict)
     devices: dict[str, EchoDevice] = field(default_factory=dict)
     clients: dict[str, CompanionApp] = field(default_factory=dict)
@@ -356,7 +355,6 @@ def build_world(scn: dict, seed: str) -> World:
 
     for entry in topo.get("accounts", []):
         cloud.provision_account(entry["id"], entry["password"])
-        world.accounts[entry["id"]] = entry["password"]
 
     for entry in topo.get("wifi", []):
         world.wifi[entry["ssid"]] = WifiNetwork(
@@ -367,7 +365,7 @@ def build_world(scn: dict, seed: str) -> World:
         visible = entry.get("visible_wifi", world.wifi)   # default: every SSID
         dev = EchoDevice(
             net, serial, _component_rng(seed, f"device:{serial}"),
-            WifiNetworkTable([world.wifi[ssid] for ssid in visible]),
+            [world.wifi[ssid] for ssid in visible],
             name=entry.get("host"), **{k: entry[k] for k in _COMMS if k in entry})
         cloud.provision_factory(serial, dev.cert, dev.device_secret)
         if entry.get("state") == "paired":
@@ -382,7 +380,7 @@ def build_world(scn: dict, seed: str) -> World:
     for entry in topo.get("clients", []):
         name, account = entry["name"], entry["account"]
         w = world.wifi[entry["wifi"]]
-        app = CompanionApp(net, name, account, world.accounts[account],
+        app = CompanionApp(net, name, account, cloud.accounts[account],
                            WifiCredential(ssid=w.ssid, passphrase=w.passphrase),
                            _component_rng(seed, f"client:{name}"))
         if "lan" in entry:
@@ -393,7 +391,7 @@ def build_world(scn: dict, seed: str) -> World:
         name = entry["name"]
         if entry["kind"] == "hijacker":
             atk: Eavesdropper = Hijacker(net, name, entry["account"],
-                                         world.accounts[entry["account"]])
+                                         cloud.accounts[entry["account"]])
             if "uplink" in entry:
                 atk.bring_uplink(entry["uplink"])
         else:

@@ -309,8 +309,7 @@ class Hijacker(Eavesdropper):
 
     def _race_registration(self, code: str) -> None:
         try:
-            addr = self.network.lookup(wire.API_NAME, self.host)
-            chan = self.network.open_channel(self.host, addr, wire.TLS_PORT, secured=True)
+            chan = self.network.dial(self.host, wire.API_NAME, wire.TLS_PORT)
         except NetError:
             self.result = "no-route"
             return

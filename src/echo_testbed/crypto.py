@@ -39,6 +39,8 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.hashes import SHA256
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
+from .netsim import _payload_chunks
+
 
 class CryptoError(Exception):
     """Failed cryptographic operation; no partial plaintext escapes."""
@@ -59,15 +61,10 @@ def _unb64(text: str) -> bytes:
         raise CryptoError(f"bad base64: {exc}") from exc
 
 
-# json.dumps(obj, sort_keys=True, separators=(",", ":")), built once, no cycle check
-_canonical_chunks = json.encoder.c_make_encoder(
-    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
-    ":", ",", True, False, True)
-
-
 def canonical_json(obj) -> bytes:
-    """The one byte encoding of anything signed or sealed: sorted keys, no spaces."""
-    return "".join(_canonical_chunks(obj, 0)).encode()
+    """The one byte encoding of anything signed or sealed: sorted keys, no
+    spaces, as the trace writes a payload."""
+    return "".join(_payload_chunks(obj, 0)).encode()
 
 
 # ---------------------------------------------------------------------------

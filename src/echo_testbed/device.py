@@ -10,7 +10,10 @@ In setup mode the device hosts its own temporary Wi-Fi network (SSID
 and proxies the companion app's cloud connection on 443. Once it holds
 both Wi-Fi credentials and a registration grant it tears the setup
 network down, opens an authenticated connection to the voice service,
-and provisions comms.
+and provisions comms on the session the service accepts, closing the one
+it replaces. Of two connect_avs in the same virtual millisecond the
+service refuses the second hello as a replayed timestamp, so the device
+keeps the first session.
 
 The pairing API is plain HTTP on an open network; what protects the
 Wi-Fi passphrase is that the phone encrypts it to the certificate from
@@ -46,23 +49,6 @@ class WifiNetwork:
     signal: int = -50
 
 
-class WifiNetworkTable:
-    """What the device's radio can see: SSIDs mapped to fabric LANs."""
-
-    def __init__(self, networks: list[WifiNetwork] | None = None):
-        self.networks = list(networks or [])
-
-    def scan(self) -> list[dict]:
-        return [{"ssid": n.ssid, "security": n.security, "signal": n.signal}
-                for n in self.networks]
-
-    def find(self, ssid: str) -> WifiNetwork | None:
-        for n in self.networks:
-            if n.ssid == ssid:
-                return n
-        return None
-
-
 def host_name(serial: str, name: str | None = None) -> str:
     """The device's host: the given name, else echo- + the serial's last four."""
     return name or f"echo-{serial[-4:]}"
@@ -81,10 +67,11 @@ class SetupSession:
 
 class EchoDevice:
     def __init__(self, network: Network, serial: str, rng,
-                 wifi_table: WifiNetworkTable, name: str | None = None, **comms):
+                 visible_wifi: list[WifiNetwork], name: str | None = None, **comms):
         self.network = network
         self.serial = serial
-        self.wifi_table = wifi_table
+        # what the radio can see, by SSID: each maps to a fabric LAN
+        self.visible_wifi = {n.ssid: n for n in visible_wifi}
         self.host = network.add_host(host_name(serial, name))
         self.keypair = crypto.keygen(rng)          # factory identity
         self.cert = crypto.self_sign(self.keypair, serial)
@@ -93,7 +80,6 @@ class EchoDevice:
         self.identity: crypto.AsymKeypair | None = None  # granted, post-pairing
         self.setup: SetupSession | None = None
         self.comms = CommsEndpoint(network, self.host, serial, rng, **comms)
-        self.avs: Endpoint | None = None
         self.hello: dict | None = None             # last signed negotiation payload
         self._api: Endpoint | None = None
         self._api_waiters: list = []
@@ -107,8 +93,10 @@ class EchoDevice:
     def enter_setup(self) -> PairingNetwork:
         if self.setup is None:
             self.setup = SetupSession(PairingNetwork(self.network, self.host, self.ssid))
-            self.host.listen(wire.OOBE_PORT, self._accept_oobe)
-            self.host.listen(wire.TLS_PORT, self._accept_tunnel)
+            self.host.listen(wire.OOBE_PORT, lambda chan: self._serve_setup(
+                chan, lambda end, data: serve_request(end, data, self._OOBE_CALLS, self)))
+            self.host.listen(wire.TLS_PORT, lambda chan: self._serve_setup(
+                chan, self._tunnel_open))
             self.network.note(self.host, "sys", "mode:setup", lan=self.setup.pairing.lan.name)
         return self.setup.pairing
 
@@ -132,16 +120,18 @@ class EchoDevice:
                           payload={"friendly_name": grant["friendly_name"]})
         return True
 
-    # -- pairing API (port 8080) ----------------------------------------------
-
-    def _accept_oobe(self, chan: Endpoint) -> None:
+    def _serve_setup(self, chan: Endpoint, serve) -> None:
+        """Hand chan's data to serve(end, data) while the setup session that
+        accepted chan lasts: a pairing call or CONNECT that lands after it
+        has ended is dropped unanswered."""
         session = self.setup
 
-        def serve(end: Endpoint, data: bytes) -> None:
-            # a call that lands after its session has ended goes unanswered
+        def handler(end: Endpoint, data: bytes) -> None:
             if session is self.setup:
-                serve_request(end, data, self._OOBE_CALLS, self)
-        chan.handler = serve
+                serve(end, data)
+        chan.handler = handler
+
+    # -- pairing API (port 8080) ----------------------------------------------
 
     def _oobe_ping(self, chan: Endpoint, args: dict) -> tuple[dict, int]:
         return {"pong": True}, 200
@@ -151,7 +141,8 @@ class EchoDevice:
                 "firmware": "595202420", "certificate": self.cert.to_dict()}, 200
 
     def _oobe_scan(self, chan: Endpoint, args: dict) -> tuple[dict, int]:
-        return {"networks": self.wifi_table.scan()}, 200
+        return {"networks": [{"ssid": n.ssid, "security": n.security, "signal": n.signal}
+                             for n in self.visible_wifi.values()]}, 200
 
     def _oobe_connect(self, chan: Endpoint, args: dict) -> tuple[dict, int]:
         try:
@@ -161,7 +152,7 @@ class EchoDevice:
             return {"error": "credential-invalid"}, 400
         if cred.ssid != args["ssid"]:
             return {"error": "ssid-mismatch"}, 400
-        entry = self.wifi_table.find(cred.ssid)
+        entry = self.visible_wifi.get(cred.ssid)
         if entry is None:
             return {"error": "no-such-network"}, 400
         if entry.passphrase != cred.passphrase:
@@ -264,9 +255,7 @@ class EchoDevice:
     def _api_call(self, method: str, args: dict, cb) -> None:
         try:
             if self._api is None or self._api.closed:
-                addr = self.network.lookup(wire.API_NAME, self.host)
-                self._api = self.network.open_channel(self.host, addr, wire.TLS_PORT,
-                                                      secured=True)
+                self._api = self.network.dial(self.host, wire.API_NAME, wire.TLS_PORT)
                 self._api.handler = lambda end, data: self._on_api_data(data)
                 self._api_waiters = []
         except NetError:
@@ -285,15 +274,6 @@ class EchoDevice:
 
     # -- registration tunnel (port 443) -----------------------------------------
 
-    def _accept_tunnel(self, chan: Endpoint) -> None:
-        session = self.setup
-
-        def open_tunnel(end: Endpoint, data: bytes) -> None:
-            # as on 8080: a CONNECT that lands after its session has ended is dropped
-            if session is self.setup:
-                self._tunnel_open(end, data)
-        chan.handler = open_tunnel
-
     def _tunnel_open(self, chan: Endpoint, data: bytes) -> None:
         try:
             req = wire.http_parse(data)
@@ -305,9 +285,7 @@ class EchoDevice:
             chan.close()
             return
         try:
-            addr = self.network.lookup(name, self.host)
-            upstream = self.network.open_channel(self.host, addr, int(port),
-                                                 secured=True)
+            upstream = self.network.dial(self.host, name, int(port))
         except NetError:
             err = wire.HttpMessage(kind="response", status=502, reason="Bad Gateway",
                                    headers=[], body=b"")
@@ -332,13 +310,12 @@ class EchoDevice:
     def connect_avs(self) -> None:
         if self.grant is None or self.identity is None:
             raise NetError("cannot connect without a registration grant")
-        self.avs = self._dial_avs()
+        chan = self._dial_avs()
         self.hello = self._negotiation_payload()
-        send_control(self.avs, "System", "NegotiationCommand", self.hello)
+        send_control(chan, "System", "NegotiationCommand", self.hello)
 
     def _dial_avs(self) -> Endpoint:
-        addr = self.network.lookup(wire.AVS_NAME, self.host)
-        chan = self.network.open_channel(self.host, addr, wire.TLS_PORT, secured=True)
+        chan = self.network.dial(self.host, wire.AVS_NAME, wire.TLS_PORT)
         chan.handler = lambda end, data: serve_control(end, data, self._AVS_CONTROLS, self)
         return chan
 
@@ -359,12 +336,14 @@ class EchoDevice:
             raise NetError("nothing captured to replay")
         send_control(self._dial_avs(), "System", "NegotiationCommand", self.hello)
 
-    def _on_avs_accepted(self, _chan: Endpoint, _payload) -> None:
+    def _on_avs_accepted(self, chan: Endpoint, _payload) -> None:
+        # provision on the channel the service accepted, which need not be
+        # the last one dialled: that one's hello may yet be refused
         self.network.note(self.host, "sys", "avs:connected")
         old = self.comms.control
-        if old is not None and old is not self.avs:   # the session this one replaces
+        if old is not None and old is not chan:   # the session this one replaces
             old.close()
-        self.comms.provision(self.avs, self.grant["auth_token"])
+        self.comms.provision(chan, self.grant["auth_token"])
 
     _OOBE_CALLS = {
         "ping": ((), _oobe_ping),
@@ -379,8 +358,8 @@ class EchoDevice:
         "System.NegotiationAccepted": ((), _on_avs_accepted),
         "System.NegotiationRejected": (("reason",), lambda self, _chan, p: self.network.note(
             self.host, "sys", f"avs:refused:{p['reason']}")),
-        "System.Refresh": ((), lambda self, _chan, _p: send_control(
-            self.avs, "System", "RefreshAck", {})),
+        "System.Refresh": ((), lambda self, chan, _p: send_control(
+            chan, "System", "RefreshAck", {})),
         # the SipClient commands are the comms endpoint's to run
         **{name: (fields, lambda self, chan, p, run=run: run(self.comms, chan, p))
            for name, (fields, run) in CommsEndpoint.CONTROLS.items()},

@@ -12,7 +12,8 @@ Topology model:
                   (no route to or from the rest of the fabric)
       Host        named node with one interface (address) per attached LAN
       Channel     message-oriented duplex pipe between two endpoints,
-                  opened synchronously to a (address, port) listener
+                  opened synchronously to a (address, port) listener, or
+                  secured to a service by name (Network.dial)
 
 Every message send appends one TraceEvent. Channels opened secured model
 an encrypted transport: the event carries no payload and a tap observation
@@ -87,7 +88,8 @@ class Scheduler:
 # Trace
 
 # json.dumps(p, sort_keys=True, separators=(",", ":")) as one C encoder, made
-# once rather than per call, without the check for cycles a payload never has
+# once rather than per call, without the check for cycles a payload never has;
+# crypto.canonical_json writes what is signed or sealed with it too
 _payload_chunks = json.encoder.c_make_encoder(
     None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
     ":", ",", True, False, True)
@@ -445,6 +447,10 @@ class Network:
         client_end, server_end = chan.ends
         accept(server_end)
         return client_end
+
+    def dial(self, src: Host, name: str, port: int) -> Endpoint:
+        """Look name up from src and open a secured channel to it on port."""
+        return self.open_channel(src, self.lookup(name, src), port, secured=True)
 
     def _route(self, src: Host, dst_host: Host, dst_lan: Lan) -> tuple[str, bool]:
         if dst_lan.name in src.interfaces:

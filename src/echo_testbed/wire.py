@@ -232,13 +232,19 @@ def _envelope_body(env: OobeEnvelope) -> bytes:
     return "".join(_compact_chunks({"method": env.method, "args": env.args}, 0)).encode()
 
 
-def _envelope_from_body(body: bytes) -> OobeEnvelope:
+def _json_object(data: bytes, what: str) -> dict:
+    """Parse data as one JSON object in UTF-8; a WireError names it as what."""
     try:
-        obj = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WireError(f"OOBE body is not JSON: {exc}") from exc
+        obj = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise WireError(f"{what} is not JSON: {exc}") from exc
     if not isinstance(obj, dict):
-        raise WireError("OOBE body must be a JSON object")
+        raise WireError(f"{what} must be a JSON object")
+    return obj
+
+
+def _envelope_from_body(body: bytes) -> OobeEnvelope:
+    obj = _json_object(body, "OOBE body")
     method = obj.get("method")
     if not method or not isinstance(method, str):
         raise WireError("OOBE body missing method name")
@@ -307,7 +313,9 @@ SIP_STATUSES = {100: "Trying", 180: "Ringing", 200: "OK", 403: "Forbidden",
                 404: "Not Found", 486: "Busy Here", 487: "Request Terminated"}
 
 MANDATORY_SIP_HEADERS = ("Via", "From", "To", "Call-ID", "CSeq")
-_MANDATORY_FOLDED = {name.lower(): name for name in MANDATORY_SIP_HEADERS}
+# folded name -> spelling: the dialog headers every message carries and
+# every response copies from its request (RFC 3261 section 8.2.6.2)
+DIALOG_HEADERS = {name.lower(): name for name in MANDATORY_SIP_HEADERS}
 
 _CSEQ_RE = re.compile(r"^\d+ [A-Z]+$")
 
@@ -340,7 +348,7 @@ def _check_sip_headers(headers: list[tuple[str, str]]) -> None:
         present.add(lower)
         if lower == "cseq" and bad_cseq is None and not _CSEQ_RE.match(value):
             bad_cseq = value
-    for lower, name in _MANDATORY_FOLDED.items():
+    for lower, name in DIALOG_HEADERS.items():
         if lower not in present:
             raise WireError(f"missing mandatory header {name}")
     if bad_cseq is not None:
@@ -485,12 +493,7 @@ def control_encode(msg: ControlMessage) -> bytes:
 
 
 def control_decode(data: bytes) -> ControlMessage:
-    try:
-        obj = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WireError(f"control message is not JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise WireError("control message must be a JSON object")
+    obj = _json_object(data, "control message")
     interface = obj.get("interface")
     name = obj.get("name")
     if not isinstance(interface, str) or not isinstance(name, str) or not interface or not name:

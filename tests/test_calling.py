@@ -39,6 +39,17 @@ def test_sip_summary_forms():
     assert sip_summary(make_sip_response(req, 487)) == "487-INVITE"
 
 
+def test_a_response_copies_exactly_the_requests_dialog_headers_in_order():
+    req = wire.SipMessage(kind="request", method="INVITE", request_uri="sip:x@y", headers=[
+        ("Via", "SIP/2.0/TCP proxy"), ("X-Tag", "a"), ("from", "<sip:a@y>"),
+        ("Via", "SIP/2.0/TCP 10.0.0.2"), ("Content-Type", "application/sdp"),
+        ("CSEQ", "1 INVITE"), ("To", "<sip:x@y>"), ("call-id", "c1"),
+        ("Contact", "<sip:a@1.2.3.4>")])
+    assert make_sip_response(req, 180, headers=[("X-leg", "gateway")]).headers == [
+        ("Via", "SIP/2.0/TCP proxy"), ("from", "<sip:a@y>"), ("Via", "SIP/2.0/TCP 10.0.0.2"),
+        ("CSEQ", "1 INVITE"), ("To", "<sip:x@y>"), ("call-id", "c1"), ("X-leg", "gateway")]
+
+
 def test_canary_payload_shape():
     frame = canary_payload("EK-X-1:call-1", 3)
     assert len(frame) == FRAME_LEN

@@ -14,7 +14,7 @@ from echo_testbed.client import (
     WifiCredential,
 )
 from echo_testbed.cloud import CloudServices
-from echo_testbed.device import EchoDevice, WifiNetwork, WifiNetworkTable
+from echo_testbed.device import EchoDevice, WifiNetwork
 from echo_testbed.netsim import Network, Observation, PairingNetwork
 
 from trace_reader import trace_events
@@ -31,8 +31,8 @@ def make_world(*, visible=True, app_passphrase=PASS):
     net.add_lan("home", "192.168.50", nat=True)
     cloud = CloudServices(net, random.Random("c:cloud"))
     cloud.provision_account("alice", ACCOUNT_PW)
-    table = WifiNetworkTable([WifiNetwork(SSID, "home", PASS)] if visible else [])
-    dev = EchoDevice(net, SERIAL, random.Random("c:dev"), table)
+    dev = EchoDevice(net, SERIAL, random.Random("c:dev"),
+                     [WifiNetwork(SSID, "home", PASS)] if visible else [])
     cloud.provision_factory(dev.serial, dev.cert, dev.device_secret)
     cred = WifiCredential(SSID, app_passphrase)
     app = CompanionApp(net, "phone", "alice", ACCOUNT_PW, cred,
@@ -247,7 +247,7 @@ def test_device_api_client_answers_a_hostile_reply_with_an_error(args):
     net = Network()
     hostile_api(net, args)
     net.add_lan("home", "192.168.50", nat=True)
-    dev = EchoDevice(net, SERIAL, random.Random("c:dev"), WifiNetworkTable())
+    dev = EchoDevice(net, SERIAL, random.Random("c:dev"), [])
     net.attach(dev.host, "home")
     answers = []
     dev._api_call("createLinkCode", {"serial": SERIAL}, answers.append)
@@ -458,7 +458,7 @@ def test_teardown_ends_the_losing_phone_as_device_gone(rival_at):
 def test_a_device_whose_wifi_is_isolated_answers_each_link_code_call():
     net, cloud, dev, app = make_world()
     net.add_lan("shed", "192.168.60", isolated=True)
-    dev.wifi_table = WifiNetworkTable([WifiNetwork(SSID, "shed", PASS)])
+    dev.visible_wifi = {SSID: WifiNetwork(SSID, "shed", PASS)}
     pairing = dev.enter_setup()
     # the service is out of reach, so each getLinkCode is refused at once
     for _ in range(2):

@@ -14,7 +14,6 @@ from echo_testbed.device import (
     LINK_POLL_MAX,
     EchoDevice,
     WifiNetwork,
-    WifiNetworkTable,
 )
 from echo_testbed.netsim import NetError, Network
 
@@ -30,8 +29,7 @@ def make_world():
     net.add_lan("home", "192.168.50", nat=True)
     cloud = CloudServices(net, random.Random("t:cloud"))
     cloud.provision_account("alice", "pw-alice")
-    table = WifiNetworkTable([WifiNetwork("Wren", "home", PASS)])
-    dev = EchoDevice(net, SERIAL, random.Random("t:dev"), table)
+    dev = EchoDevice(net, SERIAL, random.Random("t:dev"), [WifiNetwork("Wren", "home", PASS)])
     cloud.provision_factory(dev.serial, dev.cert, dev.device_secret)
     return net, cloud, dev
 
@@ -308,7 +306,7 @@ def test_each_api_reply_answers_the_oldest_waiting_call():
             kind="response", status=200, reason="OK", body=next(bodies))),
             layer="http", summary="scripted")
     api.listen(wire.TLS_PORT, lambda chan: setattr(chan, "handler", answer))
-    dev = EchoDevice(net, SERIAL, random.Random("t:dev"), WifiNetworkTable())
+    dev = EchoDevice(net, SERIAL, random.Random("t:dev"), [])
     net.attach(dev.host, "home")
     created, checked = [], []
     dev._on_link_code_checked = lambda session, args: checked.append(args)
@@ -411,6 +409,30 @@ def test_refresh_round_trip():
     assert "System.Refresh" in summaries
     assert "System.RefreshAck" in summaries
     assert ("avs", "avs:refresh-ack") in [(e["src"], e["summary"]) for e in trace_events(net)]
+
+
+def test_a_second_hello_at_the_same_time_leaves_comms_on_the_accepted_session():
+    serial = "EK-KITCH-0001"
+    result = run_scenario({
+        "name": "avs_twice",
+        "topology": {
+            "lans": [{"name": "home-a", "prefix": "192.168.50", "nat": True}],
+            "accounts": [{"id": "alice", "password": "pw-alice"}],
+            "devices": [{"serial": serial, "host": "kitchen", "state": "paired",
+                         "account": "alice", "lan": "home-a"},
+                        {"serial": "EK-DEN-0002", "host": "den", "state": "paired",
+                         "account": "alice", "lan": "home-a"}]},
+        "actions": [{"at": 1000, "op": "connect_avs", "device": serial}] * 2,
+        "assertions": [{"kind": "count", "layer": "sys", "summary": "avs:unparseable",
+                        "equals": 0}]})
+    summaries = [e["summary"] for e in trace_events(result.world.network)]
+    # the second hello repeats the first one's timestamp, so only the first is taken
+    assert summaries.count(f"avs:accepted:{serial}") == 2   # at t=0, and the first at 1000
+    assert summaries.count("avs:rejected:replayed-timestamp") == 1
+    assert result.exit_code == 0, result.verdicts
+    dev, cloud = result.world.devices[serial], result.world.cloud
+    assert dev.comms.control.peer is cloud.avs_sessions[serial]   # the cloud's end of it
+    assert not dev.comms.control.closed and dev.comms.registered
 
 
 def test_pair_scenario_leaves_no_setup_residue():
@@ -525,7 +547,7 @@ def test_hostile_check_reply_is_noted_and_polled_again(reply):
         end.send(wire.http_serialize(wire.HttpMessage(
             kind="response", status=200, reason="OK", body=body)), layer="http", summary="hostile")
     api.listen(wire.TLS_PORT, lambda chan: setattr(chan, "handler", answer))
-    dev = EchoDevice(net, SERIAL, random.Random("t:dev"), WifiNetworkTable())
+    dev = EchoDevice(net, SERIAL, random.Random("t:dev"), [])
     net.attach(dev.host, "home")
     poll_with_code(dev, "CODE1")
     net.run()

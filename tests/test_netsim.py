@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -201,6 +202,30 @@ class TestRouting:
         net.attach(iso, "island")
         with pytest.raises(NetError, match="resolver"):
             net.lookup("api.example", iso)
+
+    @pytest.mark.parametrize("src_lan, name, error", [
+        ("home", "x", "unknown name 'x'"),
+        ("island", "api.example", "device has no route to a resolver"),
+        ("home", "quiet.example", "connection refused: 172.16.0.2:443"),
+        ("home", "api.example", None),
+    ])
+    def test_dial_looks_the_name_up_and_opens_a_secured_channel(self, src_lan, name, error):
+        net, dev, api = two_lan_net()
+        api.listen(443, lambda end: None)
+        net.register_name("api.example", api.addr("cloud"))
+        net.register_name("quiet.example", net.attach(net.add_host("quiet"), "cloud"))
+        if src_lan == "island":   # the device's only interface is on an isolated LAN
+            net.detach(dev, "home")
+            net.add_lan("island", "192.168.50", isolated=True)
+            net.attach(dev, "island")
+        if error is not None:
+            with pytest.raises(NetError, match=f"^{re.escape(error)}$"):
+                net.dial(dev, name, 443)
+            assert net.channels == []
+            return
+        end = net.dial(dev, name, 443)
+        assert (end.host, end.peer.host, end.channel.port) == (dev, api, 443)
+        assert end.channel.secured
 
 
 # ---------------------------------------------------------------------------

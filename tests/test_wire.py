@@ -5,7 +5,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from echo_testbed import wire
 from echo_testbed.wire import (
@@ -205,6 +205,12 @@ class TestSip:
     @given(headers=st.lists(st.tuples(HEADER_NAMES, st.sampled_from(
                ["1 INVITE", "one INVITE", "2 BYE", "0", "3", "x", ""])), max_size=9),
            name=HEADER_NAMES, body=st.sampled_from([b"", b"abc"]))
+    # every dialog header present, and a bad CSeq after or before a good one:
+    # the draws above seldom hold all five
+    @example(headers=[("Via", "x"), ("From", "x"), ("To", "x"), ("Call-ID", "x"),
+                      ("CSeq", "1 INVITE"), ("cseq", "one INVITE")], name="CSeq", body=b"")
+    @example(headers=[("Via", "x"), ("From", "x"), ("To", "x"), ("Call-ID", "x"),
+                      ("CSEQ", "one INVITE"), ("CSeq", "1 INVITE")], name="cseq", body=b"")
     def test_header_handling_matches_a_case_folding_scan(self, headers, name, body):
         assert (_outcome(wire._check_sip_headers, headers)
                 == _outcome(_two_pass_check, headers))
@@ -357,3 +363,16 @@ class TestControl:
     def test_bad_json_rejected(self):
         with pytest.raises(WireError):
             control_decode(b"\xff\xfe")
+
+    @pytest.mark.parametrize("body, problem", [
+        (b"\xff\xfe", "is not JSON"), (b"not json", "is not JSON"),
+        (b"[" * 5000, "is not JSON"),   # nested past the parser's recursion limit
+        (b"[1]", "must be a JSON object"), (b"null", "must be a JSON object")],
+        ids=["not-utf8", "not-json", "nested-too-deeply", "array", "null"])
+    def test_both_envelopes_refuse_what_is_not_one_json_object(self, body, problem):
+        with pytest.raises(WireError, match=f"^control message {problem}"):
+            control_decode(body)
+        req = oobe_encode(OobeEnvelope(method="ping"))
+        req.body = body
+        with pytest.raises(WireError, match=f"^OOBE body {problem}"):
+            oobe_decode(req)
