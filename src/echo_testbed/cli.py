@@ -416,7 +416,10 @@ def _schedule_actions(world: World, actions: list) -> None:
 # ---------------------------------------------------------------------------
 # Assertion engine
 
-CHUNK_EVENTS = 4096   # events read and judged at a time
+# events read and judged at a time. A chunk's new event dicts all live until
+# it is judged, and CPython starts a collection per 700 containers made and
+# not yet freed, so a small chunk sets off few collections that walk them
+CHUNK_EVENTS = 512
 
 
 @dataclass

@@ -299,6 +299,7 @@ class CloudServices:
             self.network.note(AVS_HOST, "sys", f"avs:rejected:{reason}",
                               payload={"serial": serial})
             send_control(chan, "System", "NegotiationRejected", {"reason": reason})
+            chan.close()   # the rejection, already in flight, still lands
             return
         self._avs_last_ts[serial] = p["timestamp"]
         self.avs_sessions[serial] = chan

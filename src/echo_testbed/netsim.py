@@ -135,11 +135,17 @@ class TraceLog:
 
 
 _LAYERS = frozenset(TRACE_LAYERS)
+_scan_once = json.JSONDecoder().scan_once   # the C scanner under json.loads
 
 
 def iter_jsonl(lines: Iterable[str | bytes]) -> Iterator[dict]:
     """Read a trace in the format TraceLog.jsonl writes, one line at a time,
     back into event dicts. A bytes line is decoded as UTF-8 on its own.
+
+    A line that starts with its JSON value, and ends with it or with one
+    "\n" after it, is read by one call of the scanner json.loads runs, as
+    every line TraceLog writes is. Any other line goes through json.loads
+    itself, so it reads or fails just as it would there.
 
     Blank lines are skipped. Any other line that is not one event object,
     with exactly the fields TraceLog.record writes and their types, raises
@@ -151,14 +157,20 @@ def iter_jsonl(lines: Iterable[str | bytes]) -> Iterator[dict]:
                 line = line.decode("utf-8")
             except UnicodeDecodeError:
                 raise ValueError(f"line {lineno}: not UTF-8") from None
-        if not line.strip():
-            continue
         try:
-            ev = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: not JSON ({exc.msg})") from None
-        except RecursionError:
-            raise ValueError(f"line {lineno}: nested too deeply") from None
+            ev, end = _scan_once(line, 0)
+        except Exception:   # StopIteration: no value at 0; else json.loads fails too
+            end = None
+        if end != len(line) and (end != len(line) - 1 or line[end] != "\n"):
+            # the value is not all of the line but a last "\n": json.loads decides
+            if not line.strip():
+                continue
+            try:
+                ev = json.loads(line)
+            except ValueError as exc:   # also an int past sys.get_int_max_str_digits()
+                raise ValueError(f"line {lineno}: not JSON ({getattr(exc, 'msg', exc)})") from None
+            except RecursionError:
+                raise ValueError(f"line {lineno}: nested too deeply") from None
         try:   # the eight event fields, and nothing else but a payload
             ok = (type(ev["seq"]) is type(ev["t_ms"]) is int
                   and type(ev["secured"]) is bool and ev["layer"] in _LAYERS

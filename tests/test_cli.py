@@ -3,7 +3,9 @@
 import copy
 import dataclasses
 import fnmatch
+import io
 import json
+import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -267,7 +269,7 @@ EVENT_LAYERS = ("sip", "media", "sys")
 RULE_LAYERS = EVENT_LAYERS + ("oobe",)   # no event is on oobe
 LANS, HOSTS = ("home-a", "home-b", "cloud"), ("a", "b", "relay")
 SUMMARIES = st.lists(st.sampled_from(("a", "b", "B", "x", "x.", "+", "(", "*", "[", "]",
-                                      "-", "!", "{")), max_size=3).map("".join)
+                                      "-", "!", "{", "\n")), max_size=3).map("".join)
 # what the engine's prebuilt encoder must write as json.dumps(p, sort_keys=True)
 # does: non-ASCII escaped (U+1F600 as a surrogate pair), NaN and infinities
 # allowed, keys sorted at every depth
@@ -305,11 +307,21 @@ def _needle(draw, events):
     """An absent pattern: often a slice of what one event is searched as,
     the summary followed by the payload's json.dumps. A short slice, of an
     escape, a separator or keys in their order, is one that a payload
-    written otherwise than json.dumps writes it would not hold."""
+    written otherwise than json.dumps writes it would not hold. Summaries
+    and needles may hold "\\n", the character the engine joins haystacks
+    with, and a needle may run from one haystack across "\\n" into the next."""
     if not events or draw(st.integers(0, 3)) == 0:
-        return draw(st.sampled_from(('x{"k', '"k": 1', "x.", "")))
-    ev = draw(st.sampled_from([ev for ev in events if "payload" in ev] or events))
-    hay = ev["summary"] + (json.dumps(ev["payload"], sort_keys=True) if "payload" in ev else "")
+        return draw(st.sampled_from(('x{"k', '"k": 1', "x.", "", "\n", "a\nb", "}\n")))
+    hays = [ev["summary"] + (json.dumps(ev["payload"], sort_keys=True) if "payload" in ev
+                             else "") for ev in events]
+    if len(events) > 1 and draw(st.integers(0, 3)) == 0:
+        # across the "\n" between two events' haystacks, where no event holds it
+        i = draw(st.integers(0, len(events) - 2))
+        return hays[i][draw(st.integers(0, len(hays[i]))):] + "\n" + \
+            hays[i + 1][:draw(st.integers(0, len(hays[i + 1])))]
+    i = draw(st.sampled_from([i for i, ev in enumerate(events) if "payload" in ev]
+                             or range(len(events))))
+    hay = hays[i]
     start = draw(st.integers(0, len(hay)))
     return hay[start:draw(st.integers(start, len(hay)) | st.integers(start, start + 8))]
 
@@ -945,6 +957,98 @@ def test_cli_assert_accepts_a_well_formed_trace(tmp_path):
     path.write_bytes(EVENT + b"\n\n" + EVENT.replace(b"}", b',"payload":{"a":1}}'))
     rules.write_text(json.dumps([{"kind": "count", "layer": "sip", "equals": 2}]))
     assert main(["assert", str(path), str(rules)]) == 0
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python converts integers of any length")
+def test_cli_assert_names_the_line_of_an_integer_too_long_to_convert(tmp_path, capsys):
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(ValueError) as exc:
+        int(digits)
+    path, rules = tmp_path / "t.jsonl", tmp_path / "rules.json"
+    path.write_bytes(EVENT + b"\n" + EVENT.replace(b'"seq":0', b'"seq":' + digits.encode()))
+    rules.write_text(json.dumps([{"kind": "count", "equals": 2}]))
+    assert main(["assert", str(path), str(rules)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: line 2: not JSON ({exc.value})\n"
+
+
+def _reader_before_the_fast_path(lines):
+    """iter_jsonl as it was when every line went through json.loads, for
+    the property test below; it differs from today's only on an integer
+    too long to convert, which that test does not draw."""
+    for lineno, line in enumerate(lines, 1):
+        if type(line) is bytes:
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(f"line {lineno}: not UTF-8") from None
+        if not line.strip():
+            continue
+        try:
+            ev = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"line {lineno}: not JSON ({exc.msg})") from None
+        except RecursionError:
+            raise ValueError(f"line {lineno}: nested too deeply") from None
+        try:
+            ok = (type(ev["seq"]) is type(ev["t_ms"]) is int
+                  and type(ev["secured"]) is bool and ev["layer"] in netsim._LAYERS
+                  and type(ev["src"]) is type(ev["dst"]) is str
+                  and type(ev["lan"]) is type(ev["summary"]) is str
+                  and (len(ev) == 8 or len(ev) == 9 and type(ev.get("payload")) is dict))
+        except (KeyError, TypeError):
+            ok = False
+        if not ok:
+            raise ValueError(f"line {lineno}: not a trace event")
+        yield ev
+
+
+READER_LINES = (EVENT, EVENT.replace(b"}", b',"payload":{"a":[1.5,{"b":"\\u00e9"}]}}'),
+                EVENT.replace(b'"INVITE"', '"café  "'.encode()))
+# each turns one well-formed line into what a damaged or hand-edited trace holds
+READER_MUTATIONS = {
+    "as-is": lambda line: line,
+    "trailing-json-whitespace": lambda line: line + b" \t\r",
+    "trailing-vertical-tab": lambda line: line + b"\x0b",
+    "trailing-no-break-space": lambda line: line + " ".encode(),
+    "crlf": lambda line: line + b"\r",
+    "bom": lambda line: b"\xef\xbb\xbf" + line,
+    "leading-space": lambda line: b" " + line,
+    "two-objects": lambda line: line + line,
+    "two-objects-spaced": lambda line: line + b" " + line,
+    "deep": lambda line: line.replace(b'"t_ms":0', b'"t_ms":' + b"[" * 50_000 + b"]" * 50_000),
+    "nan": lambda line: line.replace(b"}", b',"payload":{"x":NaN,"y":-Infinity}}'),
+    "duplicate-key": lambda line: line.replace(b'"seq":0', b'"seq":"x","seq":0'),
+    "duplicate-key-wrong-last": lambda line: line.replace(b'"seq":0', b'"seq":0,"seq":"x"'),
+    "blank": lambda line: b"",
+    "whitespace-only": lambda line: b" \t\x0b\x0c\r",
+    "not-utf8": lambda line: line[:9] + b"\xff" + line[9:],
+    "cut": lambda line: line[:-3],
+}
+
+
+def _outcome(read, lines):
+    try:
+        return repr(list(read(lines)))   # repr, since NaN != NaN
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(lines=st.lists(st.tuples(st.sampled_from(READER_LINES), st.sampled_from(
+    sorted(READER_MUTATIONS))).map(lambda pick: READER_MUTATIONS[pick[1]](pick[0])),
+    max_size=5), final_newline=st.booleans())
+def test_reader_agrees_with_the_reader_before_the_fast_path(lines, final_newline):
+    data = b"\n".join(lines) + (b"\n" if final_newline and lines else b"")
+    # as `assert` reads a file, and as `run` reads its own lines
+    assert _outcome(iter_jsonl, io.BytesIO(data)) == \
+        _outcome(_reader_before_the_fast_path, io.BytesIO(data))
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return
+    assert _outcome(iter_jsonl, text.split("\n")) == \
+        _outcome(_reader_before_the_fast_path, text.split("\n"))
 
 
 # ---------------------------------------------------------------------------

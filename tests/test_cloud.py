@@ -362,6 +362,18 @@ def test_negotiation_rejects_replayed_timestamp():
     assert reply.payload["reason"] == "replayed-timestamp"
 
 
+def test_a_refused_hello_closes_its_channel_after_the_rejection_lands():
+    result = run_scenario(load_scenario("avs_replay"))
+    net = result.world.network
+    assert result.exit_code == 0
+    # the device still hears why: the rejection was in flight at the close
+    assert notes(net)[-2:] == ["avs:rejected:stale-timestamp", "avs:refused:stale-timestamp"]
+    assert [c.cid for c in net.channels if not c.closed] == [1, 2]
+    kitchen, avs = net.hosts["kitchen"], net.hosts["avs"]
+    assert sorted(net._open[kitchen, "home-a"]) == [1, 2]
+    assert sorted(net._open[avs, "cloud"]) == [1]
+
+
 def test_unparseable_avs_bytes_are_noted_never_accepted():
     net, cloud = make_cloud()
     granted(net, cloud)
