@@ -7,7 +7,9 @@ One CloudServices object owns five hosts on the cloud LAN:
     avs       authenticated device connections and directives
     sip       registrar and forking proxy; records SDES keys by design
     relay     per-call media splice for endpoints that cannot reach
-              each other directly; forwards ciphertext verbatim
+              each other directly; forwards ciphertext verbatim, holds
+              what arrives before the second end joins, and drops a
+              frame that lands after the call closes
     gateway   terminates calls to phone numbers and third-party apps;
               answers automatically and absorbs media
 
@@ -60,7 +62,6 @@ CLOUD_HOSTS = (API_HOST, AVS_HOST, SIP_HOST, RELAY_HOST, GATEWAY_HOST)
 class DeviceRecord:
     serial: str
     account: str
-    friendly_name: str
     identity_pub: crypto.PublicKey
     registered: bool = True
 
@@ -79,7 +80,6 @@ class Binding:
     uri: str
     serial: str
     account: str
-    contact: str
     intercom: bool
     chan: Endpoint
 
@@ -99,10 +99,14 @@ class ProxyCall:
     call_type: str
     invite: wire.SipMessage
     legs: list[ProxyLeg] = field(default_factory=list)
-    winner: ProxyLeg | None = None
-    relay_port: int | None = None
+    winner: ProxyLeg | None = None   # a gateway call never has one
     gateway: bool = False
-    gateway_port: int | None = None
+    # the relay's port for this call, or the gateway's for a gateway call;
+    # _call_close stops its listener and closes the relay's ends
+    media_port: int | None = None
+    media_ends: list[Endpoint] = field(default_factory=list)
+    media_buffer: list[bytes] = field(default_factory=list)  # before the 2nd end joins
+    gateway_frames: int = 0
     state: str = "forking"  # forking|established|closing|closed
 
 
@@ -127,10 +131,7 @@ class CloudServices:
         self.nonce_cache: set = set()
 
         self._relay_port_next = 30000
-        self._relay_ends: dict[int, list[Endpoint]] = {}
-        self._relay_buffers: dict[int, list[bytes]] = {}
         self._gateway_port_next = 40000
-        self._gateway_frames: dict[int, int] = {}
 
         self.hosts = {}
         for name in CLOUD_HOSTS:
@@ -181,7 +182,6 @@ class CloudServices:
         token = crypto.mint_auth_token(self.keypair, account_id, serial,
                                        now=self.network.scheduler.now, rng=self.rng)
         self.registry[serial] = DeviceRecord(serial=serial, account=account_id,
-                                             friendly_name=friendly,
                                              identity_pub=identity.public)
         self.network.note(API_HOST, "sys", f"grant:issued:{serial}",
                           payload={"account": account_id, "friendly_name": friendly})
@@ -370,7 +370,7 @@ class CloudServices:
             self.network.note(SIP_HOST, "sys", "sip:bind-refused:identity")
             send_sip(chan, make_sip_response(msg, 403))
             return
-        fields = {"account": record.account, "contact": msg.header("Contact") or "",
+        fields = {"account": record.account,
                   "intercom": msg.header("X-intercom") == "yes", "chan": chan}
         binding = self._unbind(serial)
         if binding is None:
@@ -452,8 +452,8 @@ class CloudServices:
             return
         self.calls[call_id] = call
         send_sip(chan, make_sip_response(msg, 100))
-        call.relay_port = self._relay_allocate(call_id)
-        fwd_offer = self._with_relay(offer, call.relay_port)
+        self._relay_allocate(call)
+        fwd_offer = self._with_relay(offer, call.media_port)
         intercom = token.call_type == "intercom"
         for target in targets:
             leg = ProxyLeg(binding=target)
@@ -468,10 +468,8 @@ class CloudServices:
                 body=wire.sdp_encode(fwd_offer))
             send_sip(target.chan, fwd, summary="INVITE-leg")
 
-    def _with_relay(self, sdp: wire.SdpBody, port: int | None) -> wire.SdpBody:
-        """sdp with the relay's candidate on port added, when the call has one."""
-        if port is None:
-            return sdp
+    def _with_relay(self, sdp: wire.SdpBody, port: int) -> wire.SdpBody:
+        """sdp with the relay's candidate on port added."""
         relay = wire.Candidate("relay", self.hosts[RELAY_HOST].addr(CLOUD_LAN), port)
         return replace(sdp, candidates=[*sdp.candidates, relay])
 
@@ -500,12 +498,10 @@ class CloudServices:
     def _gateway_answer(self, call: ProxyCall) -> None:
         if call.state != "forking":
             return
-        port = self._gateway_port_next
+        port = call.media_port = self._gateway_port_next
         self._gateway_port_next += 2
-        call.gateway_port = port
-        self._gateway_frames[port] = 0
         gateway_host = self.hosts[GATEWAY_HOST]
-        gateway_host.listen(port, lambda end: self._gateway_media(port, end))
+        gateway_host.listen(port, lambda end: self._gateway_media(call, end))
         key_salt = self.rng.randbytes(wire.SRTP_KEY_LEN + wire.SRTP_SALT_LEN)
         answer = wire.SdpBody(
             session_id=f"gw-{call.call_id}", media_port=port,
@@ -520,56 +516,41 @@ class CloudServices:
                                  body=wire.sdp_encode(answer))
         send_sip(call.caller.chan, resp)
 
-    def _gateway_media(self, port: int, end: Endpoint) -> None:
+    def _gateway_media(self, call: ProxyCall, end: Endpoint) -> None:
         def sink(_end, _data):
-            self._gateway_frames[port] = self._gateway_frames.get(port, 0) + 1
+            call.gateway_frames += 1
         end.handler = sink
 
     # -- relay
 
-    def _relay_allocate(self, call_id: str) -> int:
-        port = self._relay_port_next
+    def _relay_allocate(self, call: ProxyCall) -> None:
+        port = call.media_port = self._relay_port_next
         self._relay_port_next += 2
-        self._relay_ends[port] = []
-        self._relay_buffers[port] = []
-        relay_host = self.hosts[RELAY_HOST]
-        relay_host.listen(port, lambda end: self._relay_accept(port, end))
-        self.network.note(RELAY_HOST, "sys", f"relay:allocated:{call_id}",
+        self.hosts[RELAY_HOST].listen(port, lambda end: self._relay_accept(call, end))
+        self.network.note(RELAY_HOST, "sys", f"relay:allocated:{call.call_id}",
                           payload={"port": port})
-        return port
 
-    def _relay_accept(self, port: int, end: Endpoint) -> None:
-        ends = self._relay_ends[port]
+    def _relay_accept(self, call: ProxyCall, end: Endpoint) -> None:
+        ends = call.media_ends
         if len(ends) >= 2:
             end.close()
             return
         ends.append(end)
-        end.handler = lambda e, data: self._relay_forward(port, e, data)
-        if len(ends) == 2 and self._relay_buffers[port]:
-            for data in self._relay_buffers[port]:
-                ends[1].send(data, layer="media", summary="relay-forward",
-                             payload={"hex": data.hex()})
-            self._relay_buffers[port] = []
+        end.handler = lambda e, data: self._relay_forward(call, e, data)
+        if len(ends) == 2:
+            for data in call.media_buffer:
+                self._relay_forward(call, ends[0], data)
+            call.media_buffer.clear()
 
-    def _relay_forward(self, port: int, src: Endpoint, data: bytes) -> None:
-        ends = self._relay_ends[port]
-        others = [e for e in ends if e is not src]
+    def _relay_forward(self, call: ProxyCall, src: Endpoint, data: bytes) -> None:
+        # a frame in flight when the call closed still lands; it is never
+        # forwarded, as the other end is closed or can no longer join
+        others = [e for e in call.media_ends if e is not src]
         if not others:
-            self._relay_buffers[port].append(data)
-            return
-        if not others[0].closed:
+            call.media_buffer.append(data)
+        elif not others[0].closed:
             others[0].send(data, layer="media", summary="relay-forward",
                            payload={"hex": data.hex()})
-
-    def _relay_free(self, port: int | None) -> None:
-        if port is None:
-            return
-        for end in self._relay_ends.get(port, []):
-            if not end.closed:
-                end.close()
-        self._relay_ends.pop(port, None)
-        self._relay_buffers.pop(port, None)
-        self.hosts[RELAY_HOST].unlisten(port)
 
     # -- proxy responses and mid-call requests
 
@@ -612,7 +593,7 @@ class CloudServices:
                         to_uri=call.to_uri, call_id=call.call_id, cseq=1,
                         via=self.hosts[SIP_HOST].addr(CLOUD_LAN))
                     send_sip(other.binding.chan, cancel)
-            fwd_answer = self._with_relay(answer, call.relay_port)
+            fwd_answer = self._with_relay(answer, call.media_port)
             fwd = make_sip_response(call.invite, 200,
                                     headers=[("Content-Type", "application/sdp")],
                                     body=wire.sdp_encode(fwd_answer))
@@ -632,9 +613,7 @@ class CloudServices:
 
     def _sip_ack(self, chan: Endpoint, msg: wire.SipMessage) -> None:
         call = self.calls.get(msg.header("Call-ID") or "")
-        if call is None or call.gateway:
-            return
-        if call.winner is not None:
+        if call is not None and call.winner is not None:
             send_sip(call.winner.binding.chan, msg)
 
     def _sip_bye(self, chan: Endpoint, msg: wire.SipMessage) -> None:
@@ -644,8 +623,6 @@ class CloudServices:
             return
         if call.gateway:
             self.network.note(GATEWAY_HOST, "sys", f"gateway:hangup:{call.call_id}")
-            if call.gateway_port is not None:
-                self.hosts[GATEWAY_HOST].unlisten(call.gateway_port)
             send_sip(chan, make_sip_response(msg, 200))
             self._call_close(call)
             return
@@ -662,7 +639,10 @@ class CloudServices:
         if call.state == "closed":
             return
         call.state = "closed"
-        self._relay_free(call.relay_port)
+        for end in call.media_ends:
+            end.close()
+        if call.media_port is not None:
+            self.hosts[GATEWAY_HOST if call.gateway else RELAY_HOST].unlisten(call.media_port)
         self.network.note(SIP_HOST, "sys", f"call:closed:{call.call_id}")
 
     _API_CALLS = {

@@ -545,8 +545,6 @@ class SrtpContext:
     Single-owner mutable state: one context per direction, never shared.
     """
 
-    master_key: bytes
-    master_salt: bytes
     cipher_key: bytes
     auth_key: bytes
     session_salt: bytes
@@ -598,8 +596,7 @@ def srtp_derive(master_key: bytes, master_salt: bytes) -> SrtpContext:
     auth_key = _kdf(master_key, master_salt, 0x01, 32)
     session_salt = _kdf(master_key, master_salt, 0x02, 14)
     ssrc = struct.unpack(">I", _kdf(master_key, master_salt, 0x03, 4))[0]
-    return SrtpContext(master_key=master_key, master_salt=master_salt,
-                       cipher_key=cipher_key, auth_key=auth_key,
+    return SrtpContext(cipher_key=cipher_key, auth_key=auth_key,
                        session_salt=session_salt, ssrc=ssrc)
 
 

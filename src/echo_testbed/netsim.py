@@ -56,7 +56,7 @@ class Scheduler:
     def __init__(self):
         self._now = 0
         self._seq = 0
-        self._heap: list[tuple[int, int, Callable]] = []
+        self._heap: list[tuple[int, int, Callable, tuple]] = []
 
     @property
     def now(self) -> int:
@@ -67,8 +67,7 @@ class Scheduler:
         if delay_ms < 0:
             raise ValueError("cannot schedule into the past")
         self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay_ms, self._seq,
-                                    (lambda: fn(*args)) if args else fn))
+        heapq.heappush(self._heap, (self._now + delay_ms, self._seq, fn, args))
 
     def run_until_idle(self, budget: int = EVENT_BUDGET) -> int:
         """Dispatch until the queue drains; returns events processed."""
@@ -77,9 +76,9 @@ class Scheduler:
             if processed >= budget:
                 raise BudgetExceeded(f"scheduler event budget of {budget} "
                                      f"exceeded at t={self._now}ms")
-            when, _, fn = heapq.heappop(self._heap)
+            when, _, fn, args = heapq.heappop(self._heap)
             self._now = when
-            fn()
+            fn(*args)
             processed += 1
         return processed
 

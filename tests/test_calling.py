@@ -321,10 +321,9 @@ def test_an_unreachable_registrar_is_noted_and_the_run_goes_on():
 def test_a_relay_port_freed_before_the_dial_gives_no_path(monkeypatch):
     allocate = CloudServices._relay_allocate
 
-    def allocate_and_free(self, call_id):
-        port = allocate(self, call_id)
-        self.hosts[RELAY_HOST].unlisten(port)
-        return port
+    def allocate_and_free(self, call):
+        allocate(self, call)
+        self.hosts[RELAY_HOST].unlisten(call.media_port)
     monkeypatch.setattr(CloudServices, "_relay_allocate", allocate_and_free)
     result = run_scenario(load_scenario("call_cross_lan_fork"))
     assert result.error is None

@@ -9,7 +9,8 @@ from unittest import mock
 import pytest
 
 from echo_testbed import crypto, wire
-from echo_testbed.calling import CommsEndpoint, device_uri, make_sip_request, make_sip_response
+from echo_testbed.calling import (MEDIA_CADENCE_MS, CommsEndpoint, device_uri, make_sip_request,
+                                  make_sip_response)
 from echo_testbed.cli import BUILTINS, load_scenario, run_scenario
 from echo_testbed.cloud import CloudServices, LINK_CODE_TTL_MS
 from echo_testbed.device import DEVICE_TYPE
@@ -744,7 +745,7 @@ def test_gateway_sinks_media_and_hangs_up_cleanly():
     result = run_scenario(scn)
     assert result.exit_code == 0
     cloud = result.world.cloud
-    assert sum(cloud._gateway_frames.values()) == 6
+    assert sum(call.gateway_frames for call in cloud.calls.values()) == 6
     summaries = [e["summary"] for e in trace_events(result.world.network)]
     assert any(s.startswith("gateway:answered:") for s in summaries)
     assert any(s.startswith("gateway:hangup:") for s in summaries)
@@ -764,14 +765,33 @@ def test_unreadable_answer_fails_the_leg_and_the_caller_hears_486():
     assert ("sip", f"keys:recorded:answer:{call_id}") not in notes
     assert ("sip", f"call:closed:{call_id}") in notes
     assert ("kitchen", "call-failed:486") in notes
-    assert not result.world.cloud._relay_ends
+    cloud = result.world.cloud
+    assert not cloud.hosts["relay"].listeners
+    assert all(end.closed for call in cloud.calls.values() for end in call.media_ends)
 
 
 def test_relay_is_torn_down_with_the_call():
     result = run_scenario(load_scenario("call_cross_lan_fork"))
     cloud = result.world.cloud
-    assert not cloud._relay_ends
-    assert not cloud._relay_buffers
     assert not cloud.hosts["relay"].listeners
+    ends = [end for call in cloud.calls.values() for end in call.media_ends]
+    assert len(ends) == 2 and all(end.closed for end in ends)
     assert any(e["summary"].startswith("call:closed:")
                for e in trace_events(result.world.network))
+
+
+@pytest.mark.parametrize("name", ["call_cross_lan_fork", "token_reuse"])
+def test_a_frame_relayed_after_hangup_is_dropped(name):
+    # a hang-up at any ms of one media period mid-stream: frames already in
+    # flight to the relay land after the call has closed
+    for at in range(620, 620 + MEDIA_CADENCE_MS):
+        scn = load_scenario(name)
+        del scn["assertions"]
+        for dev in scn["topology"]["devices"]:
+            dev["frame_count"] = 60
+        scn["actions"].append({"at": at, "op": "end_call", "device": "EK-KITCH-0001"})
+        result = run_scenario(scn)
+        assert (result.exit_code, result.error) == (0, None), at
+        cloud = result.world.cloud
+        assert not cloud.hosts["relay"].listeners, at
+        assert all(end.closed for call in cloud.calls.values() for end in call.media_ends), at
