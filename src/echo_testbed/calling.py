@@ -174,7 +174,8 @@ def serve_control(chan: Endpoint, data: bytes, handlers: dict, owner) -> None:
 
 def serve_sip(chan: Endpoint, data: bytes, requests: dict, on_response, owner) -> None:
     """Run one SIP message on chan with requests[method](owner, chan, msg) or
-    on_response(owner, chan, msg); an unknown method gets a 404."""
+    on_response(owner, chan, msg); an unknown method gets a 501, and each
+    handler answers a request for no live dialog with a 481 (RFC 3261)."""
     try:
         msg = wire.sip_parse(data)
     except wire.WireError:
@@ -185,7 +186,7 @@ def serve_sip(chan: Endpoint, data: bytes, requests: dict, on_response, owner) -
     elif msg.method in requests:
         requests[msg.method](owner, chan, msg)
     elif not chan.closed:
-        send_sip(chan, make_sip_response(msg, 404))
+        send_sip(chan, make_sip_response(msg, 501))
 
 
 def read_reply(data: bytes) -> wire.OobeEnvelope | None:
@@ -491,19 +492,23 @@ class CommsEndpoint:
 
     def _on_bye(self, _chan: Endpoint, msg: wire.SipMessage) -> None:
         call = self.calls.get(msg.header("Call-ID") or "")
-        self._send_sip(make_sip_response(msg, 200))
-        if call is not None and call.state != "closed":
+        live = call is not None and call.state != "closed"
+        self._send_sip(make_sip_response(msg, 200 if live else 481))   # RFC 3261 15.1.2
+        if live:
             self._teardown_call(call)
 
     def _on_invite(self, _chan: Endpoint, msg: wire.SipMessage) -> None:
         if any(c.state in ("ringing", "established", "inviting") for c in self.calls.values()):
             self._send_sip(make_sip_response(msg, 486))
             return
+        call_id = msg.header("Call-ID") or ""
+        if call_id in self.calls:   # a late copy of an INVITE this endpoint has had
+            self._send_sip(make_sip_response(msg, 481))
+            return
         offer = read_sdp(msg.body)
         if offer is None:
             self._send_sip(make_sip_response(msg, 404))
             return
-        call_id = msg.header("Call-ID") or ""
         caller = (msg.header("From") or "").strip("<>")
         call = Call(call_id=call_id, role="callee", peer_uri=caller,
                     call_type=msg.header("X-calltype") or "regular")
@@ -534,11 +539,9 @@ class CommsEndpoint:
 
     def _on_cancel(self, _chan: Endpoint, msg: wire.SipMessage) -> None:
         call = self.calls.get(msg.header("Call-ID") or "")
-        self._send_sip(make_sip_response(msg, 200))
+        self._send_sip(make_sip_response(msg, 481 if call is None else 200))   # RFC 3261 9.2
         if call is not None and call.state == "ringing":
-            invite = call.invite
-            cancelled = make_sip_response(invite, 487)
-            self._send_sip(cancelled)
+            self._send_sip(make_sip_response(call.invite, 487))
             call.state = "closed"
             if call.media_port is not None:
                 self.host.unlisten(call.media_port)
@@ -576,12 +579,13 @@ class CommsEndpoint:
                 self._send_sip(ack)
                 self._send_control("OutboundCallAccepted", {"call_id": call_id})
                 self._establish_media(call)
-            elif msg.status in (403, 404, 486, 487):
+            elif msg.status in (403, 404, 486, 487) and call.state in ("inviting", "ringing"):
                 self.network.note(self.host, "sys",
                                   f"call-failed:{msg.status}",
                                   payload={"call_id": call_id})
                 self._teardown_call(call)
-        elif method == "BYE" and msg.status == 200 and call.state == "closing":
+        elif method == "BYE" and msg.status in (200, 481) and call.state == "closing":
+            # a 481 says the peer has already ended the dialog (RFC 3261 15.1.1)
             self._teardown_call(call)
 
     # the SipClient commands the device's cloud channel carries for us

@@ -313,13 +313,14 @@ class Hijacker(Eavesdropper):
         except NetError:
             self.result = "no-route"
             return
-        chan.handler = lambda end, data: self._on_register_reply(data)
+        chan.handler = self._on_register_reply
         send_request(chan, "registerDevice", {
             "account": self.account_id, "password": self.password, "link_code": code})
         self.network.note(self.host, "sys", "hijack:submitted",
                           payload={"code": code})
 
-    def _on_register_reply(self, data: bytes) -> None:
+    def _on_register_reply(self, chan: Endpoint, data: bytes) -> None:
+        chan.close()   # one call, one reply
         env = read_reply(data)
         if env is None:
             self.result = "protocol-error"

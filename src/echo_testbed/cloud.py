@@ -106,8 +106,7 @@ class ProxyCall:
     media_port: int | None = None
     media_ends: list[Endpoint] = field(default_factory=list)
     media_buffer: list[bytes] = field(default_factory=list)  # before the 2nd end joins
-    gateway_frames: int = 0
-    state: str = "forking"  # forking|established|closing|closed
+    closed: bool = False   # once closed, a call passes on only its BYEs' answers
 
 
 class CloudServices:
@@ -496,30 +495,24 @@ class CloudServices:
     # -- gateway legs
 
     def _gateway_answer(self, call: ProxyCall) -> None:
-        if call.state != "forking":
+        if call.closed:
             return
         port = call.media_port = self._gateway_port_next
         self._gateway_port_next += 2
         gateway_host = self.hosts[GATEWAY_HOST]
-        gateway_host.listen(port, lambda end: self._gateway_media(call, end))
+        gateway_host.listen(port, lambda _end: None)   # a handlerless end absorbs media
         key_salt = self.rng.randbytes(wire.SRTP_KEY_LEN + wire.SRTP_SALT_LEN)
         answer = wire.SdpBody(
             session_id=f"gw-{call.call_id}", media_port=port,
             candidates=[wire.Candidate("host", gateway_host.addr(CLOUD_LAN), port)],
             crypto_suite=wire.SDES_SUITE, key_salt=key_salt)
         self.recorded_keys[call.call_id]["answer"] = key_salt
-        call.state = "established"
         self.network.note(GATEWAY_HOST, "sys", f"gateway:answered:{call.call_id}")
         resp = make_sip_response(call.invite, 200,
                                  headers=[("Content-Type", "application/sdp"),
                                           ("X-leg", "gateway")],
                                  body=wire.sdp_encode(answer))
         send_sip(call.caller.chan, resp)
-
-    def _gateway_media(self, call: ProxyCall, end: Endpoint) -> None:
-        def sink(_end, _data):
-            call.gateway_frames += 1
-        end.handler = sink
 
     # -- relay
 
@@ -556,10 +549,10 @@ class CloudServices:
 
     def _sip_response(self, chan: Endpoint, msg: wire.SipMessage) -> None:
         call = self.calls.get(msg.header("Call-ID") or "")
-        if call is None:
+        method = msg.cseq_method
+        if call is None or call.closed and method != "BYE":
             return
         leg = next((l for l in call.legs if l.binding.chan is chan), None)
-        method = msg.cseq_method
         if method == "INVITE" and leg is not None:
             self._leg_invite_response(call, leg, msg)
         elif method == "BYE":
@@ -582,7 +575,6 @@ class CloudServices:
         elif answer is not None:
             call.winner = leg
             leg.state = "won"
-            call.state = "established"
             self.recorded_keys[call.call_id]["answer"] = answer.key_salt
             self.network.note(SIP_HOST, "sys", f"keys:recorded:answer:{call.call_id}")
             for other in call.legs:
@@ -613,20 +605,19 @@ class CloudServices:
 
     def _sip_ack(self, chan: Endpoint, msg: wire.SipMessage) -> None:
         call = self.calls.get(msg.header("Call-ID") or "")
-        if call is not None and call.winner is not None:
+        if call is not None and not call.closed and call.winner is not None:
             send_sip(call.winner.binding.chan, msg)
 
     def _sip_bye(self, chan: Endpoint, msg: wire.SipMessage) -> None:
         call = self.calls.get(msg.header("Call-ID") or "")
-        if call is None:
-            send_sip(chan, make_sip_response(msg, 404))
+        if call is None or call.closed:   # no such dialog (RFC 3261 15.1.2)
+            send_sip(chan, make_sip_response(msg, 481))
             return
         if call.gateway:
             self.network.note(GATEWAY_HOST, "sys", f"gateway:hangup:{call.call_id}")
             send_sip(chan, make_sip_response(msg, 200))
             self._call_close(call)
             return
-        call.state = "closing"
         other = self._other_chan(call, chan)
         if other is not None:
             send_sip(other, msg)
@@ -636,9 +627,9 @@ class CloudServices:
         send_sip(chan, make_sip_response(msg, 200))
 
     def _call_close(self, call: ProxyCall) -> None:
-        if call.state == "closed":
+        if call.closed:
             return
-        call.state = "closed"
+        call.closed = True
         for end in call.media_ends:
             end.close()
         if call.media_port is not None:

@@ -306,11 +306,13 @@ def oobe_decode_response(msg: HttpMessage) -> OobeEnvelope:
 SIP_VERSION = "SIP/2.0"
 
 # Methods and response codes (with their reason phrases) the testbed's own
-# agents emit. The parser is deliberately more lenient: it accepts any method
-# token so unknown traffic still yields structured messages instead of crashes.
+# agents emit; 481 answers a request for no live dialog, 501 an unknown method.
+# The parser is more lenient: it accepts any method token so unknown traffic
+# still yields structured messages instead of crashes.
 SIP_METHODS = ("REGISTER", "INVITE", "ACK", "BYE", "CANCEL")
 SIP_STATUSES = {100: "Trying", 180: "Ringing", 200: "OK", 403: "Forbidden",
-                404: "Not Found", 486: "Busy Here", 487: "Request Terminated"}
+                404: "Not Found", 481: "Call/Transaction Does Not Exist",
+                486: "Busy Here", 487: "Request Terminated", 501: "Not Implemented"}
 
 MANDATORY_SIP_HEADERS = ("Via", "From", "To", "Call-ID", "CSeq")
 # folded name -> spelling: the dialog headers every message carries and

@@ -3,6 +3,8 @@
 import random
 from unittest import mock
 
+import pytest
+
 from echo_testbed import crypto, netsim, wire
 from echo_testbed.calling import (
     FRAME_LEN,
@@ -298,6 +300,71 @@ def test_unreadable_answer_ends_the_call_like_a_refusal():
             if e["layer"] == "sys"][-1] == "sip:unparseable"
     assert (controls[-1].name, controls[-1].payload) == ("CallDisconnected",
                                                          {"call_id": call_id})
+
+
+@pytest.mark.parametrize("method, status", [("BYE", 481), ("CANCEL", 481), ("OPTIONS", 501)])
+def test_a_request_the_device_cannot_serve_gets_481_or_501(method, status):
+    # a registrar that binds the device, then sends it a request for no
+    # call it holds, or a method it does not implement
+    net = Network()
+    net.add_lan("lan", "10.0.0")
+    host = net.add_host("solo")
+    net.attach(host, "lan")
+    fake = net.add_host("fake-sip")
+    addr = net.attach(fake, "lan")
+    ends = []
+
+    def on_sip(end, data):
+        msg = wire.sip_parse(data)
+        if msg.kind == "request":
+            send_sip(end, make_sip_response(msg, 200))
+    fake.listen(wire.TLS_PORT, lambda chan: ends.append(chan) or setattr(chan, "handler", on_sip))
+    comms = CommsEndpoint(net, host, "EK-SOLO-0001", random.Random("x"))
+    comms._on_comms_config(addr)
+    net.run()
+    assert comms.registered
+    bye = make_sip_request("BYE", comms.uri, from_uri=device_uri("EK-PEER-0002"),
+                           to_uri=comms.uri, call_id="no-such-call", cseq=2, via=addr)
+    # the serializer emits only methods the testbed knows; OPTIONS is not one
+    ends[0].send(wire.sip_serialize(bye).replace(b"BYE", method.encode()),
+                 layer="sip", summary=method)
+    net.run()
+    assert [e["summary"] for e in trace_events(net) if e["src"] == "solo"][-1] \
+        == f"{status}-{method}"
+    assert not comms.calls
+
+
+def test_a_481_to_the_devices_bye_ends_its_call():
+    # a registrar that answers the INVITE, then the BYE with a 481, as for a
+    # dialog that has already ended at its end
+    net = Network()
+    net.add_lan("lan", "10.0.0")
+    host = net.add_host("solo")
+    net.attach(host, "lan")
+    fake = net.add_host("fake-sip")
+    addr = net.attach(fake, "lan")
+    answer = wire.SdpBody(session_id="peer", media_port=9,
+                          candidates=[wire.Candidate("host", "10.0.0.99", 9)],
+                          crypto_suite=wire.SDES_SUITE,
+                          key_salt=bytes(wire.SRTP_KEY_LEN + wire.SRTP_SALT_LEN))
+
+    def on_sip(end, data):
+        msg = wire.sip_parse(data)
+        if msg.method == "INVITE":
+            send_sip(end, make_sip_response(msg, 200, body=wire.sdp_encode(answer)))
+        elif msg.method in ("REGISTER", "BYE"):
+            send_sip(end, make_sip_response(msg, 200 if msg.method == "REGISTER" else 481))
+    fake.listen(wire.TLS_PORT, lambda chan: setattr(chan, "handler", on_sip))
+    comms = CommsEndpoint(net, host, "EK-SOLO-0001", random.Random("x"), frame_count=0)
+    comms._on_comms_config(addr)
+    net.run()
+    call_id = comms.begin_call(device_uri("EK-PEER-0002"), "call", "token")
+    net.run()
+    assert comms.calls[call_id].state == "established"
+    comms.end_call()
+    net.run()
+    assert comms.calls[call_id].state == "closed"
+    assert comms.calls[call_id].media_port not in host.listeners
 
 
 # ---------------------------------------------------------------------------

@@ -177,12 +177,19 @@ def hijack_world(*, bound_to=None, uplink=True, prepare=None):
     return net, cloud, dev, app, mallet
 
 
+def hung_up(net, host_name):
+    """Whether host_name has closed every channel it is an end of."""
+    return not [c for c in net.channels if not c.closed
+                and host_name in (end.host.name for end in c.ends)]
+
+
 def test_hijack_refused_while_device_is_bound():
     net, cloud, dev, app, mallet = hijack_world(bound_to="alice")
     assert mallet.result == "refused:device already registered"
     assert app.outcome == "paired"
     assert cloud.registry[SERIAL].account == "alice"
     assert any(s == "hijack:refused" for s in summaries(net))
+    assert hung_up(net, "mallet")   # one call, one reply
 
 
 def test_hijack_wins_after_deregistration():
@@ -196,6 +203,7 @@ def test_hijack_wins_after_deregistration():
     assert app.outcome == "register-failed"
     # the attacker's WAN round trip beats the owner's tunneled one
     assert any(s == "hijack:succeeded" for s in summaries(net))
+    assert hung_up(net, "mallet")
 
 
 def test_hijacker_without_uplink_has_no_route():

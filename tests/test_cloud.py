@@ -745,8 +745,9 @@ def test_gateway_sinks_media_and_hangs_up_cleanly():
     result = run_scenario(scn)
     assert result.exit_code == 0
     cloud = result.world.cloud
-    assert sum(call.gateway_frames for call in cloud.calls.values()) == 6
-    summaries = [e["summary"] for e in trace_events(result.world.network)]
+    events = trace_events(result.world.network)
+    assert sum(e["layer"] == "media" and e["dst"] == "gateway" for e in events) == 6
+    summaries = [e["summary"] for e in events]
     assert any(s.startswith("gateway:answered:") for s in summaries)
     assert any(s.startswith("gateway:hangup:") for s in summaries)
     assert not cloud.hosts["gateway"].listeners
@@ -795,3 +796,23 @@ def test_a_frame_relayed_after_hangup_is_dropped(name):
         cloud = result.world.cloud
         assert not cloud.hosts["relay"].listeners, at
         assert all(end.closed for call in cloud.calls.values() for end in call.media_ends), at
+
+
+def test_a_crossing_hangup_passes_on_both_answers_and_closes_once():
+    # both ends send BYE in the same ms: the first 200 closes the call, and
+    # the closed call still takes the other BYE's 200 and passes it on
+    scn = load_scenario("intercom_same_lan")
+    del scn["assertions"]
+    devices = scn["topology"]["devices"]
+    for dev in devices:
+        dev["frame_count"] = 60
+    scn["actions"] = [act for act in scn["actions"] if act["op"] != "end_call"] + [
+        {"at": 500, "op": "end_call", "device": dev["serial"]} for dev in devices]
+    result = run_scenario(scn)
+    assert (result.exit_code, result.error) == (0, None)
+    events = trace_events(result.world.network)
+    assert sorted(e["dst"] for e in events
+                  if e["src"] == "sip" and e["summary"] == "200-BYE") == ["den", "kitchen"]
+    assert sum(e["summary"].startswith("call:closed:") for e in events) == 1
+    assert all(call.state == "closed" for dev in result.world.devices.values()
+               for call in dev.comms.calls.values())

@@ -5,38 +5,49 @@ onto the wire: a bit flip, a truncation, a JSON value swapped for one of
 another type, or a deleted header line. Whatever the mutation, the run
 must end with exit code 0, 1 or 2; an exception escaping run_scenario is
 an endpoint that trusted what it decoded.
+
+A peer may also send a message again, unchanged and late: each SIP message
+of a call built-in is sent a second time, long after the first. A dialog
+that has ended gets 481 and ends no second time, and no call is left up.
 """
 
 import json
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from echo_testbed import netsim
 from echo_testbed.cli import load_scenario, run_scenario
+
+from trace_reader import check_invariants, trace_events
 
 SCENARIOS = ("pair", "pair_eavesdrop", "hijack_registered", "avs_handshake",
              "call_cross_lan_fork", "call_pstn", "intercom_same_lan")
 MUTATIONS = ("flip", "truncate", "swap", "drop_header")
 # one JSON value of each type; a swap puts in one of a type the old value is not
 VALUES = (None, True, 7, "x", [1], {"k": 1})
+CALL_SCENARIOS = ("intercom_same_lan", "call_cross_lan_fork", "call_pstn", "token_reuse")
+LATE_MS = 500
 
 
-def _sends(name: str) -> int:
-    """How many messages the unmutated run puts on the wire."""
+def _sends(name: str, layer: str | None = None) -> int:
+    """How many messages the unmutated run puts on the wire, or of them
+    how many are of layer."""
     count = 0
     send = netsim.Channel.send_from
 
-    def counting(chan, *args):
+    def counting(chan, src, data, msg_layer, *args):
         nonlocal count
-        count += 1
-        return send(chan, *args)
+        count += layer in (None, msg_layer)
+        return send(chan, src, data, msg_layer, *args)
     with mock.patch.object(netsim.Channel, "send_from", counting):
         run_scenario(load_scenario(name))
     return count
 
 
 SENDS = {name: _sends(name) for name in SCENARIOS}
+SIP_SENDS = {name: _sends(name, "sip") for name in CALL_SCENARIOS}
 
 
 def _split(data: bytes) -> tuple[bytes | None, bytes]:
@@ -126,4 +137,51 @@ def hostile_runs(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(run=hostile_runs())
 def test_one_mutated_message_never_escapes_the_run(run):
-    assert mutated_run(*run).exit_code in (0, 1, 2)
+    result = mutated_run(*run)
+    assert result.exit_code in (0, 1, 2)
+    check_invariants(result)
+
+
+def late_resend_run(name: str, k: int):
+    """Run name with its assertions dropped, sending the k-th SIP message's
+    bytes again on its channel LATE_MS later, if the channel is still open."""
+    scn = load_scenario(name)
+    scn["assertions"] = []
+    calls = 0
+    send = netsim.Channel.send_from
+
+    def resend(chan, *args):
+        if not chan.closed:
+            send(chan, *args)
+
+    def resending(chan, src, data, layer, *args):
+        nonlocal calls
+        if layer == "sip":
+            if calls == k:
+                chan.network.scheduler.at(LATE_MS, resend, chan, src, data, layer, *args)
+            calls += 1
+        return send(chan, src, data, layer, *args)
+    with mock.patch.object(netsim.Channel, "send_from", resending):
+        return run_scenario(scn)
+
+
+@pytest.mark.parametrize("name, k", [(name, k) for name in CALL_SCENARIOS
+                                     for k in range(SIP_SENDS[name])])
+def test_a_sip_message_sent_again_late_ends_no_dialog_twice(name, k):
+    result = late_resend_run(name, k)
+    assert result.exit_code in (0, 1, 2)
+    check_invariants(result)
+    events = trace_events(result.world.network)
+    if [ev for ev in events if ev["layer"] == "sip"][k]["src"] != "sip":
+        # a device sent it again: once the call has closed, the proxy passes
+        # on only the answers to BYEs, and answers the rest itself
+        closed = next((i for i, ev in enumerate(events)
+                       if ev["summary"].startswith("call:closed:")), len(events))
+        assert all(ev["summary"].endswith("-BYE")
+                   or ev["summary"] in ("200-REGISTER", "403-INVITE")
+                   for ev in events[closed:] if ev["src"] == "sip" and ev["layer"] == "sip")
+    left_up = [(serial, call.call_id, call.state)
+               for serial, dev in result.world.devices.items()
+               for call in dev.comms.calls.values()
+               if call.state in ("inviting", "ringing", "established")]
+    assert not left_up

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from echo_testbed.cli import ScenarioError, run_scenario
 
-from trace_reader import trace_events
+from trace_reader import check_invariants
 
 OPS = ("enter_setup", "start_pairing", "tap_pairing", "start_call", "end_call",
        "refresh", "deregister", "connect_avs", "replay_negotiation", "replay_invite")
@@ -111,17 +111,7 @@ def check_run(scn):
             result.error.startswith("ScenarioError:") and NAMES_A_SPOT.search(result.error)), \
             result.error
     assert run_scenario(scn).jsonl == result.jsonl
-    events = trace_events(result.world.network)
-    assert [ev["seq"] for ev in events] == list(range(len(events)))
-    assert all(a["t_ms"] <= b["t_ms"] for a, b in zip(events, events[1:]))
-    assert not any(ev["secured"] and "payload" in ev for ev in events)
-    if result.exit_code != 2:
-        # the run went to quiescence, so each dialogue has ended, once
-        for phone in scn["topology"]["clients"]:
-            started = sum(act.get("client") == phone["name"] for act in scn["actions"])
-            ended = sum(ev["src"] == phone["name"] and ev["summary"].startswith("phone:done:")
-                        for ev in events)
-            assert ended == started, (phone["name"], started, ended)
+    check_invariants(result)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None,

@@ -1,5 +1,6 @@
 """The test suites' one reader of a network's trace."""
 
+from collections import Counter
 from typing import Iterator
 
 from echo_testbed.netsim import iter_jsonl
@@ -18,3 +19,24 @@ def text_lines(text: str) -> Iterator[str]:
 def trace_events(net):
     """The trace read back from its lines, as `assert` reads it."""
     return list(iter_jsonl(text_lines(net.trace.jsonl())))
+
+
+def check_invariants(result) -> None:
+    """Assert what every run's trace keeps, whatever its scenario: events in
+    seq and time order, no payload on a secured event, each call closed and
+    each gateway call hung up at most once, and, unless the run stopped on
+    an error (exit 2), each pairing dialogue a phone started ended once."""
+    events = trace_events(result.world.network)
+    assert [ev["seq"] for ev in events] == list(range(len(events)))
+    assert all(a["t_ms"] <= b["t_ms"] for a, b in zip(events, events[1:]))
+    assert not any(ev["secured"] and "payload" in ev for ev in events)
+    ends = Counter(ev["summary"] for ev in events if ev["layer"] == "sys"
+                   and ev["summary"].startswith(("call:closed:", "gateway:hangup:")))
+    assert all(n == 1 for n in ends.values()), ends
+    if result.exit_code != 2:
+        # the run went to quiescence; a dialogue starts with the phone's ping
+        for phone in result.world.clients:
+            started = sum(ev["src"] == phone and ev["summary"] == "ping" for ev in events)
+            ended = sum(ev["src"] == phone and ev["summary"].startswith("phone:done:")
+                        for ev in events)
+            assert ended == started, (phone, started, ended)
