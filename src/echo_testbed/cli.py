@@ -169,7 +169,7 @@ OPS = {
     "replay_invite": Op({}, lambda world, dev, act: dev.comms.replay_last_invite()),
 }
 _FILTERS = {
-    "layer": Field("string", values=TRACE_LAYERS), "lan": _STR, "summary": _STR,
+    "layer": Field("string", values=tuple(TRACE_LAYERS)), "lan": _STR, "summary": _STR,
     "src": _STR, "dst": _STR, "secured": Field("flag"),
 }
 

@@ -524,8 +524,10 @@ class CloudServices:
                           payload={"port": port})
 
     def _relay_accept(self, call: ProxyCall, end: Endpoint) -> None:
+        # the caller and the leg that wins; a callee dials in as it answers,
+        # before the proxy has its 200, so until a leg wins any leg may
         ends = call.media_ends
-        if len(ends) >= 2:
+        if len(ends) >= 2 or not self._media_party(call, end.peer.host):
             end.close()
             return
         ends.append(end)
@@ -535,9 +537,19 @@ class CloudServices:
                 self._relay_forward(call, ends[0], data)
             call.media_buffer.clear()
 
+    def _media_party(self, call: ProxyCall, host) -> bool:
+        if host is call.caller.chan.peer.host:
+            return True
+        if call.winner is not None:
+            return host is call.winner.binding.chan.peer.host
+        return any(leg.binding.chan.peer.host is host for leg in call.legs)
+
     def _relay_forward(self, call: ProxyCall, src: Endpoint, data: bytes) -> None:
-        # a frame in flight when the call closed still lands; it is never
-        # forwarded, as the other end is closed or can no longer join
+        # a frame in flight when the call closed, or when its leg lost, still
+        # lands; it is never forwarded, as the other end is closed, can no
+        # longer join, or was never the sender's party
+        if src not in call.media_ends:
+            return
         others = [e for e in call.media_ends if e is not src]
         if not others:
             call.media_buffer.append(data)
@@ -555,6 +567,8 @@ class CloudServices:
         leg = next((l for l in call.legs if l.binding.chan is chan), None)
         if method == "INVITE" and leg is not None:
             self._leg_invite_response(call, leg, msg)
+        elif method == "BYE" and leg is not None and leg is not call.winner:
+            pass   # the answer to the BYE that ended a leg which lost
         elif method == "BYE":
             # completion of a BYE we forwarded; relay it to the other party
             # unless it bears a status the testbed's agents never send
@@ -575,6 +589,9 @@ class CloudServices:
         elif answer is not None:
             call.winner = leg
             leg.state = "won"
+            for end in [e for e in call.media_ends if not self._media_party(call, e.peer.host)]:
+                call.media_ends.remove(end)   # a leg that answered too and lost
+                end.close()
             self.recorded_keys[call.call_id]["answer"] = answer.key_salt
             self.network.note(SIP_HOST, "sys", f"keys:recorded:answer:{call.call_id}")
             for other in call.legs:
@@ -590,9 +607,17 @@ class CloudServices:
                                     headers=[("Content-Type", "application/sdp")],
                                     body=wire.sdp_encode(fwd_answer))
             send_sip(call.caller.chan, fwd)
-        elif msg.status in (200, 403, 404, 486, 487):
-            # a late 200, or one whose SDP is unreadable, fails its leg too
+        elif msg.status in (200, 403, 404, 486, 487) and leg is not call.winner:
+            # a late 200, or one whose SDP is unreadable, fails its leg too;
+            # its callee holds a dialog, which the proxy confirms and then
+            # ends (RFC 3261 13.2.2.4, 16.7)
             leg.state = "cancelled" if msg.status == 487 else "failed"
+            if msg.status == 200:
+                for method, cseq in (("ACK", 1), ("BYE", 2)):
+                    send_sip(leg.binding.chan, make_sip_request(
+                        method, leg.binding.uri, from_uri=call.from_uri,
+                        to_uri=call.to_uri, call_id=call.call_id, cseq=cseq,
+                        via=self.hosts[SIP_HOST].addr(CLOUD_LAN)))
             active = [l for l in call.legs if l.state in ("trying", "ringing")]
             if call.winner is None and not active:
                 send_sip(call.caller.chan, make_sip_response(call.invite, 486))

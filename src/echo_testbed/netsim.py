@@ -37,8 +37,6 @@ HOSTS_PER_LAN = 254     # one /24: .1 to .254
 SETUP_NETWORKS = 20     # concurrent setup-mode networks, 192.168.11-30
 SETUP_PREFIXES = tuple(f"192.168.{n}" for n in range(11, 11 + SETUP_NETWORKS))
 
-TRACE_LAYERS = ("http", "oobe", "sip", "sdp", "control", "media", "sys")
-
 
 class NetError(Exception):
     """Refused dial, unreachable address, or misuse of a closed channel."""
@@ -107,6 +105,11 @@ class TraceEvent:
         return self.line
 
 
+# each trace layer, and its name as the JSON string a trace line holds
+TRACE_LAYERS = {layer: _str(layer)
+                for layer in ("http", "oobe", "sip", "sdp", "control", "media", "sys")}
+
+
 class TraceLog:
     def __init__(self):
         self.events: list[TraceEvent] = []
@@ -116,12 +119,13 @@ class TraceLog:
         """Append the line json.dumps(fields, sort_keys=True, separators=(",", ":"))
         writes, payload left out when secured or None. The key set never
         changes, so the keys are written in their sorted order directly."""
-        if layer not in TRACE_LAYERS:
+        quoted_layer = TRACE_LAYERS.get(layer)
+        if quoted_layer is None:
             raise ValueError(f"unknown trace layer {layer!r}")
         payload = "" if secured or payload is None else \
             f'"payload":{"".join(_payload_chunks(payload, 0))},'
         self.events.append(TraceEvent(
-            f'{{"dst":{_str(dst)},"lan":{_str(lan)},"layer":{_str(layer)},{payload}'
+            f'{{"dst":{_str(dst)},"lan":{_str(lan)},"layer":{quoted_layer},{payload}'
             f'"secured":{"true" if secured else "false"},"seq":{len(self.events):d},'
             f'"src":{_str(src)},"summary":{_str(summary)},"t_ms":{t_ms:d}}}'))
 
@@ -133,7 +137,6 @@ class TraceLog:
         out.writelines(f"{ev.to_json()}\n" for ev in self.events)
 
 
-_LAYERS = frozenset(TRACE_LAYERS)
 _scan_once = json.JSONDecoder().scan_once   # the C scanner under json.loads
 
 
@@ -172,7 +175,7 @@ def iter_jsonl(lines: Iterable[str | bytes]) -> Iterator[dict]:
                 raise ValueError(f"line {lineno}: nested too deeply") from None
         try:   # the eight event fields, and nothing else but a payload
             ok = (type(ev["seq"]) is type(ev["t_ms"]) is int
-                  and type(ev["secured"]) is bool and ev["layer"] in _LAYERS
+                  and type(ev["secured"]) is bool and ev["layer"] in TRACE_LAYERS
                   and type(ev["src"]) is type(ev["dst"]) is str
                   and type(ev["lan"]) is type(ev["summary"]) is str
                   and (len(ev) == 8 or len(ev) == 9 and type(ev.get("payload")) is dict))
@@ -289,9 +292,8 @@ class Channel:
             raise TypeError("channel payloads are bytes")
         dst = src.peer
         net = self.network
-        net.trace.record(t_ms=net.scheduler.now, src=src.host.name, dst=dst.host.name,
-                         lan=dst.lan_name, secured=self.secured, layer=layer,
-                         summary=summary, payload=payload)
+        net.trace.record(net.scheduler.now, src.host.name, dst.host.name, dst.lan_name,
+                         self.secured, layer, summary, payload)
         net.scheduler.at(self.latency, self._deliver, dst, data)
 
     def _deliver(self, dst: Endpoint, data: bytes) -> None:
@@ -434,8 +436,7 @@ class Network:
              payload: dict | None = None, lan: str = "-") -> None:
         """Record a node-local trace event (mode changes, decisions)."""
         name = host.name if isinstance(host, Host) else host
-        self.trace.record(t_ms=self.scheduler.now, src=name, dst=name, lan=lan,
-                          secured=False, layer=layer, summary=summary, payload=payload)
+        self.trace.record(self.scheduler.now, name, name, lan, False, layer, summary, payload)
 
     # -- dialing
 

@@ -19,7 +19,9 @@ Five codecs live here:
 
 All parsers are pure functions over complete byte buffers (the transport
 delivers whole messages) and raise WireError on malformed input; they never
-crash on garbage.
+crash on garbage. HTTP and SIP header names are checked once, on the way
+in: one loop over the header lines splits each line, checks its name and
+notes Content-Length, and the serializer checks each name as it writes it.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ OOBE_PORT = 8080
 _compact_chunks = json.encoder.c_make_encoder(
     None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
     ":", ",", False, False, True)
+_scan_once = json.JSONDecoder().scan_once   # the C scanner under json.loads
 
 
 class WireError(Exception):
@@ -99,20 +102,15 @@ class HttpMessage(_HeaderLookup):
     body: bytes = b""
 
 
-def _parse_headers(lines: list[str]) -> list[tuple[str, str]]:
-    headers = []
-    for line in lines:
-        if ":" not in line:
-            raise WireError(f"malformed header line: {line!r}")
-        name, value = line.split(":", 1)
-        name = name.strip()
-        if not name or not _TOKEN_RE.match(name):
-            raise WireError(f"bad header name: {name!r}")
-        headers.append((name, value.strip()))
-    return headers
+def _parse_message(data: bytes, cls, what: str, version: str, label: str,
+                   check_headers=None):
+    """Parse one complete HTTP or SIP message into cls: start line, headers, body.
 
-
-def _split_head(data: bytes, what: str) -> tuple[list[str], bytes]:
+    One loop over the header lines splits each at its colon, checks its name
+    and notes the first Content-Length. Errors come in a fixed order: the
+    header block, each header line in turn, Content-Length, check_headers,
+    and last the start line.
+    """
     sep = data.find(b"\r\n\r\n")
     if sep < 0:
         raise WireError(f"{what}: no end of headers")
@@ -122,40 +120,42 @@ def _split_head(data: bytes, what: str) -> tuple[list[str], bytes]:
         raise WireError(f"{what}: non-ASCII header block") from exc
     lines = head.split("\r\n")
     # every CR and LF must be part of a CRLF line break
-    if head.count("\r") != len(lines) - 1 or head.count("\n") != len(lines) - 1:
+    breaks = len(lines) - 1
+    if head.count("\r") != breaks or head.count("\n") != breaks:
         raise WireError(f"{what}: lone CR or LF in the header block")
-    return lines, data[sep + 4:]
 
+    headers = []
+    length = None
+    for line in lines[1:]:
+        name, colon, value = line.partition(":")
+        if not colon:
+            raise WireError(f"malformed header line: {line!r}")
+        name = name.strip()
+        # letters, digits and "-" (every name the testbed writes) need no
+        # regex; the block is ASCII, so isalnum accepts nothing else
+        if not name.replace("-", "").isalnum() and not _TOKEN_RE.match(name):
+            raise WireError(f"bad header name: {name!r}")
+        value = value.strip()
+        # folding keeps an ASCII name's length, so only 14 letters can match
+        if length is None and (name == "Content-Length" or len(name) == 14
+                               and name.lower() == "content-length"):
+            length = value
+        headers.append((name, value))
 
-def _check_body_length(headers: list[tuple[str, str]], body: bytes, what: str) -> bytes:
-    declared = None
-    for name, value in headers:
-        if name == "Content-Length" or name.lower() == "content-length":
-            if not value.isdigit():
-                raise WireError(f"{what}: non-numeric Content-Length {value!r}")
-            declared = int(value)
-            break
-    if declared is None:
+    body = data[sep + 4:]
+    if length is None:
         if body:
             raise WireError(f"{what}: missing Content-Length with non-empty body")
-        return b""
-    if len(body) < declared:
-        raise WireError(f"{what}: body truncated ({len(body)} < {declared})")
-    if len(body) > declared:
+    elif not length.isdigit():
+        raise WireError(f"{what}: non-numeric Content-Length {length!r}")
+    elif len(body) != (declared := int(length)):
+        if len(body) < declared:
+            raise WireError(f"{what}: body truncated ({len(body)} < {declared})")
         raise WireError(f"{what}: unparsed trailing bytes after body")
-    return body
-
-
-def _parse_message(data: bytes, cls, what: str, version: str, label: str,
-                   check_headers=None):
-    """Parse one complete HTTP or SIP message into cls: start line, headers, body."""
-    lines, body = _split_head(data, what)
-    start = lines[0]
-    headers = _parse_headers(lines[1:])
-    body = _check_body_length(headers, body, what)
     if check_headers is not None:
         check_headers(headers)
 
+    start = lines[0]
     if start.startswith(version + " "):
         parts = start.split(" ", 2)
         if len(parts) < 3 or not parts[1].isdigit() or len(parts[1]) != 3:
@@ -164,7 +164,8 @@ def _parse_message(data: bytes, cls, what: str, version: str, label: str,
                    headers=headers, body=body)
 
     parts = start.split(" ")
-    if len(parts) != 3 or parts[2] != version or not _TOKEN_RE.match(parts[0]):
+    if len(parts) != 3 or parts[2] != version or not (
+            parts[0].isalpha() or _TOKEN_RE.match(parts[0])):
         raise WireError(f"malformed {label}request line: {start!r}")
     # method, then the request target: an HTTP path or a SIP request-URI
     return cls("request", parts[0], parts[1], headers=headers, body=body)
@@ -178,30 +179,28 @@ def http_parse(data: bytes) -> HttpMessage:
     return msg
 
 
-def _serialize_headers(headers: list[tuple[str, str]]) -> str:
-    out = []
-    for name, value in headers:
-        if "\r" in name or "\n" in name or "\r" in value or "\n" in value:
-            raise WireError(f"CR/LF in header {name!r}")
-        if not _TOKEN_RE.match(name):
-            raise WireError(f"bad header name: {name!r}")
-        out.append(f"{name}: {value}\r\n")
-    return "".join(out)
-
-
 def _serialize_message(msg, version: str, target: str | None,
                        check_headers=None) -> bytes:
     if msg.kind == "request":
-        start = f"{msg.method} {target} {version}"
+        start = f"{msg.method} {target} {version}\r\n"
     elif msg.kind == "response":
-        start = f"{version} {msg.status} {msg.reason or ''}"
+        start = f"{version} {msg.status} {msg.reason or ''}\r\n"
     else:
         raise WireError(f"unknown message kind {msg.kind!r}")
     msg.set_header("Content-Length", str(len(msg.body)))
     if check_headers is not None:
         check_headers(msg.headers)
-    head = start + "\r\n" + _serialize_headers(msg.headers) + "\r\n"
-    return head.encode("ascii") + msg.body
+    out = [start]
+    for name, value in msg.headers:
+        if "\r" in name or "\n" in name or "\r" in value or "\n" in value:
+            raise WireError(f"CR/LF in header {name!r}")
+        # as on parsing, but the name may hold letters isalnum takes beyond ASCII
+        if not (name.replace("-", "").isalnum() and name.isascii()) \
+                and not _TOKEN_RE.match(name):
+            raise WireError(f"bad header name: {name!r}")
+        out.append(f"{name}: {value}\r\n")
+    out.append("\r\n")
+    return "".join(out).encode("ascii") + msg.body
 
 
 def http_serialize(msg: HttpMessage) -> bytes:
@@ -233,9 +232,20 @@ def _envelope_body(env: OobeEnvelope) -> bytes:
 
 
 def _json_object(data: bytes, what: str) -> dict:
-    """Parse data as one JSON object in UTF-8; a WireError names it as what."""
+    """Parse data as one JSON object in UTF-8; a WireError names it as what.
+
+    A body that is one JSON value from its first character to its last is
+    read by one call of the scanner json.loads runs; any other body goes
+    through json.loads itself, so it reads or fails just as it would there.
+    """
     try:
-        obj = json.loads(data.decode("utf-8"))
+        text = data.decode("utf-8")
+        try:
+            obj, end = _scan_once(text, 0)
+        except Exception:   # StopIteration: no value at 0; else json.loads fails too
+            end = None
+        if end != len(text):
+            obj = json.loads(text)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise WireError(f"{what} is not JSON: {exc}") from exc
     if not isinstance(obj, dict):

@@ -992,7 +992,7 @@ def _reader_before_the_fast_path(lines):
             raise ValueError(f"line {lineno}: nested too deeply") from None
         try:
             ok = (type(ev["seq"]) is type(ev["t_ms"]) is int
-                  and type(ev["secured"]) is bool and ev["layer"] in netsim._LAYERS
+                  and type(ev["secured"]) is bool and ev["layer"] in netsim.TRACE_LAYERS
                   and type(ev["src"]) is type(ev["dst"]) is str
                   and type(ev["lan"]) is type(ev["summary"]) is str
                   and (len(ev) == 8 or len(ev) == 9 and type(ev.get("payload")) is dict))

@@ -16,7 +16,7 @@ from echo_testbed.cloud import CloudServices, LINK_CODE_TTL_MS
 from echo_testbed.device import DEVICE_TYPE
 from echo_testbed.netsim import NetError, Network
 
-from trace_reader import trace_events
+from trace_reader import check_invariants, trace_events
 
 SERIAL = "EK-TEST-0001"
 
@@ -816,3 +816,37 @@ def test_a_crossing_hangup_passes_on_both_answers_and_closes_once():
     assert sum(e["summary"].startswith("call:closed:") for e in events) == 1
     assert all(call.state == "closed" for dev in result.world.devices.values()
                for call in dev.comms.calls.values())
+
+
+def test_a_forked_call_answered_by_both_legs_at_once_keeps_one():
+    # both callees answer in the same ms: the first 200 wins, and the proxy
+    # confirms and then ends the other leg's dialog (RFC 3261 13.2.2.4, 16.7),
+    # whose callee may not take the caller's place at the relay
+    scn = load_scenario("call_cross_lan_fork")
+    del scn["assertions"]
+    for dev in scn["topology"]["devices"]:
+        if dev["serial"] != "EK-KITCH-0001":
+            dev["answer_delay_ms"] = 300
+    result = run_scenario(scn)
+    assert (result.exit_code, result.error) == (0, None)
+    check_invariants(result)
+    call_id = "call-EK-KITCH-0001-1"
+    calls = {serial: dev.comms.calls[call_id] for serial, dev in result.world.devices.items()}
+    frames = calls["EK-KITCH-0001"].media.frame_count
+    assert calls["EK-KITCH-0001"].media.sent == frames
+    events = trace_events(result.world.network)
+    hangup = [e["t_ms"] for e in events if e["src"] == "kitchen" and e["summary"] == "BYE"]
+    assert len(hangup) == 1
+    # the caller's BYE ends the one callee still in the call; the proxy's
+    # ACK and BYE, before it, end the other
+    byes = {e["dst"]: e["t_ms"] for e in events if e["src"] == "sip" and e["summary"] == "BYE"}
+    acks = {e["dst"] for e in events if e["src"] == "sip" and e["summary"] == "ACK"}
+    assert sorted(byes) == ["den-fast", "loft-slow"] and acks == set(byes)
+    kept = [host for host, t in byes.items() if t > hangup[0]]
+    assert len(kept) == 1
+    winner = next(s for s, dev in result.world.devices.items() if dev.host.name == kept[0])
+    loser = next(s for s in calls if s not in (winner, "EK-KITCH-0001"))
+    assert len(calls[winner].media.received) == len(calls["EK-KITCH-0001"].media.received) == frames
+    assert calls[loser].media.received == []
+    assert sum(e["summary"] == "relay-forward" for e in events) == 2 * frames
+    assert all(call.state == "closed" for call in calls.values())

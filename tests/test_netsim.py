@@ -464,7 +464,7 @@ class TestTrace:
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(texts=st.lists(_JSON_TEXT, min_size=4, max_size=4),
-           layer=st.sampled_from(TRACE_LAYERS),
+           layer=st.sampled_from(tuple(TRACE_LAYERS)),
            seq=st.integers(min_value=0, max_value=3),
            t_ms=st.integers(min_value=0, max_value=2 ** 63),
            secured=st.booleans(),

@@ -195,6 +195,15 @@ def _outcome(f, *args):
         return ("WireError", str(exc))
 
 
+def _framing(headers, body):
+    """sip_parse's verdict on a request with these headers and body: the
+    body it framed, or its error."""
+    raw = (b"OPTIONS sip:x SIP/2.0\r\n"
+           + b"".join(f"{k}: {v}\r\n".encode() for k, v in headers) + b"\r\n" + body)
+    out = _outcome(sip_parse, raw)
+    return out if isinstance(out, tuple) else out.body
+
+
 HEADER_NAMES = st.sampled_from(["Via", "VIA", "From", "from", "To", "Call-ID", "call-id",
                                 "CSeq", "cseq", "CSEQ", "Content-Length", "content-length",
                                 "CONTENT-LENGTH", "X-Tag"])
@@ -214,10 +223,10 @@ class TestSip:
     def test_header_handling_matches_a_case_folding_scan(self, headers, name, body):
         assert (_outcome(wire._check_sip_headers, headers)
                 == _outcome(_two_pass_check, headers))
-        # with every name folded, only the case-insensitive compare can match
+        # with every name folded, only the case-insensitive compare can find
+        # Content-Length, and it frames the body alike
         folded = [(k.lower(), v) for k, v in headers]
-        assert (_outcome(wire._check_body_length, headers, body, "sip")
-                == _outcome(wire._check_body_length, folded, body, "sip"))
+        assert _framing(headers, body) == _framing(folded, body)
         msg = SipMessage(kind="request", headers=list(headers))
         first = next((i for i, (k, _) in enumerate(headers) if k.lower() == name.lower()),
                      None)
@@ -376,3 +385,245 @@ class TestControl:
         req.body = body
         with pytest.raises(WireError, match=f"^OOBE body {problem}"):
             oobe_decode(req)
+
+
+# ---------------------------------------------------------------------------
+# The codec against its earlier form
+#
+# The message codec as it was when each step scanned the header lines again:
+# split, then framing, then the SIP checks, each folding names on its own.
+# The one-pass codec must give an equal message, the same bytes, or the same
+# error, in the same order, for any input.
+
+_REF_TOKEN_RE = re.compile(r"^[!#$%&'*+\-.^_`|~0-9A-Za-z]+$")
+_REF_CSEQ_RE = re.compile(r"^\d+ [A-Z]+$")
+
+
+def _ref_parse_headers(lines):
+    headers = []
+    for line in lines:
+        if ":" not in line:
+            raise WireError(f"malformed header line: {line!r}")
+        name, value = line.split(":", 1)
+        name = name.strip()
+        if not name or not _REF_TOKEN_RE.match(name):
+            raise WireError(f"bad header name: {name!r}")
+        headers.append((name, value.strip()))
+    return headers
+
+
+def _ref_split_head(data, what):
+    sep = data.find(b"\r\n\r\n")
+    if sep < 0:
+        raise WireError(f"{what}: no end of headers")
+    try:
+        head = data[:sep].decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise WireError(f"{what}: non-ASCII header block") from exc
+    lines = head.split("\r\n")
+    if head.count("\r") != len(lines) - 1 or head.count("\n") != len(lines) - 1:
+        raise WireError(f"{what}: lone CR or LF in the header block")
+    return lines, data[sep + 4:]
+
+
+def _ref_check_body_length(headers, body, what):
+    declared = None
+    for name, value in headers:
+        if name == "Content-Length" or name.lower() == "content-length":
+            if not value.isdigit():
+                raise WireError(f"{what}: non-numeric Content-Length {value!r}")
+            declared = int(value)
+            break
+    if declared is None:
+        if body:
+            raise WireError(f"{what}: missing Content-Length with non-empty body")
+        return b""
+    if len(body) < declared:
+        raise WireError(f"{what}: body truncated ({len(body)} < {declared})")
+    if len(body) > declared:
+        raise WireError(f"{what}: unparsed trailing bytes after body")
+    return body
+
+
+def _ref_parse_message(data, cls, what, version, label, check_headers=None):
+    lines, body = _ref_split_head(data, what)
+    start = lines[0]
+    headers = _ref_parse_headers(lines[1:])
+    body = _ref_check_body_length(headers, body, what)
+    if check_headers is not None:
+        check_headers(headers)
+    if start.startswith(version + " "):
+        parts = start.split(" ", 2)
+        if len(parts) < 3 or not parts[1].isdigit() or len(parts[1]) != 3:
+            raise WireError(f"malformed {label}status line: {start!r}")
+        return cls(kind="response", status=int(parts[1]), reason=parts[2],
+                   headers=headers, body=body)
+    parts = start.split(" ")
+    if len(parts) != 3 or parts[2] != version or not _REF_TOKEN_RE.match(parts[0]):
+        raise WireError(f"malformed {label}request line: {start!r}")
+    return cls("request", parts[0], parts[1], headers=headers, body=body)
+
+
+def _ref_serialize_headers(headers):
+    out = []
+    for name, value in headers:
+        if "\r" in name or "\n" in name or "\r" in value or "\n" in value:
+            raise WireError(f"CR/LF in header {name!r}")
+        if not _REF_TOKEN_RE.match(name):
+            raise WireError(f"bad header name: {name!r}")
+        out.append(f"{name}: {value}\r\n")
+    return "".join(out)
+
+
+def _ref_serialize_message(msg, version, target, check_headers=None):
+    if msg.kind == "request":
+        start = f"{msg.method} {target} {version}"
+    elif msg.kind == "response":
+        start = f"{version} {msg.status} {msg.reason or ''}"
+    else:
+        raise WireError(f"unknown message kind {msg.kind!r}")
+    msg.set_header("Content-Length", str(len(msg.body)))
+    if check_headers is not None:
+        check_headers(msg.headers)
+    head = start + "\r\n" + _ref_serialize_headers(msg.headers) + "\r\n"
+    return head.encode("ascii") + msg.body
+
+
+def _ref_check_sip_headers(headers):
+    present = set()
+    bad_cseq = None
+    for key, value in headers:
+        lower = key.lower()
+        present.add(lower)
+        if lower == "cseq" and bad_cseq is None and not _REF_CSEQ_RE.match(value):
+            bad_cseq = value
+    for lower, name in wire.DIALOG_HEADERS.items():
+        if lower not in present:
+            raise WireError(f"missing mandatory header {name}")
+    if bad_cseq is not None:
+        raise WireError(f"bad CSeq: {bad_cseq!r}")
+
+
+def _ref_json_object(data, what):
+    try:
+        obj = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise WireError(f"{what} is not JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise WireError(f"{what} must be a JSON object")
+    return obj
+
+
+def _verdict(f, *args):
+    """What f returns, or the type and text of what it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:   # any error must match the reference's
+        return (type(exc).__name__, str(exc))
+
+
+_START_LINES = ["INVITE sip:b@x SIP/2.0", "SIP/2.0 200 OK", "SIP/2.0 180 Ringing",
+                "POST /OOBE HTTP/1.1", "HTTP/1.1 200 OK", "HTTP/1.1 400 Refused",
+                "SIP/2.0 20 OK", "SIP/2.0 200", "HTTP/1.1 2x0 OK", "GET  HTTP/1.1",
+                "IN VITE sip:b SIP/2.0", "B@D sip:b SIP/2.0", "x-y / HTTP/1.1", "", "junk"]
+_NAMES = ["Content-Type", "X-authtoken", "X-Tag", "cseq", "CSEQ", "call-id", "Via",
+          "", "Bad Name", "b@d", "x.y", "-", "a_b", "~!", "\x7f"]
+_VALUES = ["1 INVITE", "one INVITE", "1 invite", "0", "3", "x", "", "12abc", " 3 ", "a:b"]
+_SEPARATORS = [": "] * 12 + [":", " : ", "\t:\t", "::", ""]
+_BODIES = [b"", b"abc", b'{"a":1}', b"\r\n\r\n", b"\xff\x00"]
+
+
+@st.composite
+def _headers(draw, extra_names, values):
+    """(name, value) pairs: the five dialog headers, now and then without
+    one, and a few others, in any order and with names in any case."""
+    missing = draw(st.sampled_from((None,) * 10 + MANDATORY_SIP_HEADERS))
+    headers = [(name, draw(st.sampled_from(["1 INVITE"] * 3 + values)) if name == "CSeq"
+                else "x") for name in MANDATORY_SIP_HEADERS if name != missing]
+    headers += draw(st.lists(st.tuples(st.sampled_from(extra_names),
+                                       st.sampled_from(values)), max_size=3))
+    return [(name.swapcase() if draw(st.integers(0, 5)) == 0 else name, value)
+            for name, value in draw(st.permutations(headers))]
+
+
+@st.composite
+def _header_blocks(draw):
+    """Raw message bytes: a start line, header lines of drawn names,
+    spellings, separators and values, Content-Length that may or may not
+    match the body, and now and then a lone CR or LF or a non-ASCII byte."""
+    lines = [draw(st.sampled_from(_START_LINES))]
+    lines += [name + draw(st.sampled_from(_SEPARATORS)) + value
+              for name, value in draw(_headers(_NAMES, _VALUES))]
+    body = draw(st.sampled_from(_BODIES))
+    for _ in range(draw(st.integers(0, 2))):   # a Content-Length, right or wrong
+        length = draw(st.sampled_from([len(body), len(body), len(body) + 1,
+                                       max(len(body) - 1, 0), "x"]))
+        lines.insert(draw(st.integers(1, len(lines))),
+                     draw(st.sampled_from(["Content-Length", "content-length"]))
+                     + f": {length}")
+    head = "\r\n".join(lines).encode("latin-1")
+    spoil = draw(st.sampled_from([None] * 8 + [b"\r", b"\n", b"\xe9", b"\x80"]))
+    if spoil is not None:
+        at = draw(st.integers(0, len(head)))
+        head = head[:at] + spoil + head[at:]
+    return head + b"\r\n\r\n" + body
+
+
+def _messages():
+    return st.builds(
+        lambda cls, kind, method, status, reason, headers, body: cls(
+            kind=kind, method=method, status=status, reason=reason,
+            headers=headers, body=body),
+        st.sampled_from([HttpMessage, SipMessage]),
+        st.sampled_from(["request", "response", "request", "response", "other"]),
+        st.sampled_from(["INVITE", "POST", None]), st.sampled_from([200, 487, None]),
+        st.sampled_from(["OK", "", None]),
+        _headers(_NAMES + ["Content-Length", "X\r\nInjected", "Ünï", "naïve"],
+                 _VALUES + ["a\nb", "a\rb", "é"]),
+        st.sampled_from(_BODIES))
+
+
+_JSON_BODIES = st.one_of(
+    st.sampled_from([b'{"method":"ping","args":{}}', b'{"a":[1,2.5,null,true]}', b"{}",
+                     b"\xef\xbb\xbf{}", b" {}", b"{} ", b"\n{}\n", b"{}x", b"{} {}",
+                     b"[1]", b"1", b'"s"', b"null", b"", b" ", b"{", b'{"a":}',
+                     b"\xff", b"[" * 3000 + b"]" * 3000, b'{"\\ud800":1}']),
+    st.builds(lambda pre, obj, post: pre + json.dumps(obj).encode() + post,
+              st.sampled_from([b"", b" ", b"\t", b"\xef\xbb\xbf"]),
+              st.dictionaries(st.text(max_size=3), st.integers() | st.text(max_size=3),
+                              max_size=3) | st.lists(st.integers(), max_size=2),
+              st.sampled_from([b"", b" ", b"\r\n", b",", b"}"])))
+
+
+class TestAgainstReferenceCodec:
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(data=_header_blocks())
+    @example(data=b"INVITE sip:b@x SIP/2.0\r\nVia: v\r\nFrom: f\r\nTo: t\r\nCall-ID: c\r\n"
+                  b"CSeq: 1 INVITE\r\ncseq: one INVITE\r\nContent-Length: 0\r\n\r\n")
+    @example(data=b"INVITE sip:b@x SIP/2.0\r\nVia: v\r\nFrom: f\r\nTo: t\r\nCall-ID: c\r\n"
+                  b"CSEQ: one INVITE\r\nCSeq: 1 INVITE\r\nContent-Length: 0\r\n\r\n")
+    def test_parse_matches(self, data):
+        for args, check, ref_check in (
+                ((HttpMessage, "http", "HTTP/1.1", ""), None, None),
+                ((SipMessage, "sip", "SIP/2.0", "SIP "), wire._check_sip_headers,
+                 _ref_check_sip_headers)):
+            assert (_verdict(wire._parse_message, data, *args, check)
+                    == _verdict(_ref_parse_message, data, *args, ref_check))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(msg=_messages())
+    def test_serialize_matches(self, msg):
+        for version, check, ref_check in (("HTTP/1.1", None, None),
+                                          ("SIP/2.0", wire._check_sip_headers,
+                                           _ref_check_sip_headers)):
+            mine, ref = [type(msg)(**{k: (list(v) if k == "headers" else v)
+                                      for k, v in vars(msg).items()}) for _ in range(2)]
+            assert (_verdict(wire._serialize_message, mine, version, "sip:b@x", check)
+                    == _verdict(_ref_serialize_message, ref, version, "sip:b@x", ref_check))
+            assert mine == ref   # both set Content-Length alike
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(body=_JSON_BODIES)
+    def test_json_object_matches(self, body):
+        assert (_verdict(wire._json_object, body, "OOBE body")
+                == _verdict(_ref_json_object, body, "OOBE body"))

@@ -25,7 +25,8 @@ def check_invariants(result) -> None:
     """Assert what every run's trace keeps, whatever its scenario: events in
     seq and time order, no payload on a secured event, each call closed and
     each gateway call hung up at most once, and, unless the run stopped on
-    an error (exit 2), each pairing dialogue a phone started ended once."""
+    an error (exit 2), each pairing dialogue a phone started ended once and
+    no relay or gateway port still listens for a call that has closed."""
     events = trace_events(result.world.network)
     assert [ev["seq"] for ev in events] == list(range(len(events)))
     assert all(a["t_ms"] <= b["t_ms"] for a, b in zip(events, events[1:]))
@@ -40,3 +41,9 @@ def check_invariants(result) -> None:
             ended = sum(ev["src"] == phone and ev["summary"].startswith("phone:done:")
                         for ev in events)
             assert ended == started, (phone, started, ended)
+        cloud = result.world.cloud
+        live = {(call.gateway, call.media_port) for call in cloud.calls.values()
+                if not call.closed}
+        for host, gateway in (("relay", False), ("gateway", True)):
+            for port in cloud.hosts[host].listeners:
+                assert (gateway, port) in live, (host, port)
