@@ -130,7 +130,9 @@ class TraceLog:
             f'"src":{_str(src)},"summary":{_str(summary)},"t_ms":{t_ms:d}}}'))
 
     def jsonl(self) -> str:
-        return "\n".join([ev.to_json() for ev in self.events]) + ("\n" if self.events else "")
+        lines = [ev.to_json() for ev in self.events]
+        lines.append("")   # the last line's "\n", without copying the joined trace
+        return "\n".join(lines)
 
     def write(self, out) -> None:
         """Write what jsonl() returns to the text file out, one line at a time."""

@@ -29,6 +29,7 @@ from __future__ import annotations
 import base64
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 
 
@@ -48,6 +49,16 @@ _scan_once = json.JSONDecoder().scan_once   # the C scanner under json.loads
 
 class WireError(Exception):
     """Malformed or out-of-contract wire data."""
+
+
+def _digits(text: str, name: str) -> int:
+    """The value of text, a string of ASCII digits; a WireError naming
+    name when it is longer than int() reads."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise WireError(f"{name} of {len(text)} digits is past the limit of "
+                        f"{sys.get_int_max_str_digits()}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +159,7 @@ def _parse_message(data: bytes, cls, what: str, version: str, label: str,
             raise WireError(f"{what}: missing Content-Length with non-empty body")
     elif not length.isdigit():
         raise WireError(f"{what}: non-numeric Content-Length {length!r}")
-    elif len(body) != (declared := int(length)):
+    elif len(body) != (declared := _digits(length, f"{what}: Content-Length")):
         if len(body) < declared:
             raise WireError(f"{what}: body truncated ({len(body)} < {declared})")
         raise WireError(f"{what}: unparsed trailing bytes after body")
@@ -246,7 +257,9 @@ def _json_object(data: bytes, what: str) -> dict:
             end = None
         if end != len(text):
             obj = json.loads(text)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    # ValueError holds UnicodeDecodeError, json.JSONDecodeError and an
+    # integer longer than int() reads
+    except (ValueError, RecursionError) as exc:
         raise WireError(f"{what} is not JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise WireError(f"{what} must be a JSON object")
@@ -456,12 +469,13 @@ def sdp_decode(data: bytes) -> SdpBody:
             parts = line[2:].split(" ")
             if len(parts) < 2 or not parts[1].isdigit():
                 raise WireError(f"malformed m= line: {line!r}")
-            media_port = int(parts[1])
+            media_port = _digits(parts[1], "m= port")
         elif line.startswith("a=candidate:"):
             parts = line.split(" ")
             if len(parts) != 4 or not parts[3].isdigit():
                 raise WireError(f"malformed candidate line: {line!r}")
-            candidates.append(Candidate(kind=parts[1], address=parts[2], port=int(parts[3])))
+            candidates.append(Candidate(kind=parts[1], address=parts[2],
+                                        port=_digits(parts[3], "candidate port")))
         elif line.startswith("a=crypto:"):
             if crypto is not None:
                 raise WireError("more than one crypto line")

@@ -19,7 +19,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.hashes import SHA256
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from echo_testbed import crypto
 from echo_testbed.client import WifiCredential
@@ -734,6 +734,104 @@ class TestSrtp:
         with pytest.raises(CryptoError, match="auth"):
             srtp_unprotect(rx, srtp_protect(tx, bytes(range(160))))
         assert rx.auth_failures == 1
+
+
+def _ref_srtp_unprotect(ctx, packet):
+    """srtp_unprotect as it was before the record: every packet gets the full
+    tag check and is decrypted at the index the receiver recovers."""
+    if len(packet) < crypto._RTP_HEADER.size + 1 + SRTP_TAG_LEN:
+        ctx.auth_failures += 1
+        raise CryptoError("auth: packet too short")
+    seq32, _, ssrc = crypto._RTP_HEADER.unpack_from(packet)
+    if ssrc != ctx.ssrc:
+        ctx.auth_failures += 1
+        raise CryptoError(f"unknown ssrc {ssrc:#x}")
+    if not hmac.compare_digest(packet[-SRTP_TAG_LEN:],
+                               crypto._tag(ctx, packet[:-SRTP_TAG_LEN])):
+        ctx.auth_failures += 1
+        raise CryptoError("auth: bad tag")
+    index = crypto._recover_index(ctx, seq32)
+    delta = index - ctx.recv_highest
+    if ctx.recv_highest >= 0:
+        if delta <= 0:
+            if -delta >= crypto.REPLAY_WINDOW or (ctx.recv_window >> -delta) & 1:
+                ctx.replay_drops += 1
+                raise CryptoError(f"replay: index {index}")
+    payload = crypto._ctr_crypt(ctx, index, packet[crypto._RTP_HEADER.size:-SRTP_TAG_LEN])
+    if delta > 0 or ctx.recv_highest < 0:
+        shift = delta if ctx.recv_highest >= 0 else 1
+        ctx.recv_window = ((ctx.recv_window << shift) | 1) & (2 ** crypto.REPLAY_WINDOW - 1)
+        ctx.recv_highest = index
+        ctx.recv_roc = index >> 32
+    else:
+        ctx.recv_window |= 1 << -delta
+    return payload
+
+
+def _unprotect_verdict(unprotect, ctx, packet):
+    """What unprotect returns or the text of the CryptoError it raises, and
+    the receiver's counters and window after it."""
+    try:
+        outcome = unprotect(ctx, packet)
+    except CryptoError as exc:
+        outcome = ("CryptoError", str(exc))
+    return outcome, (ctx.auth_failures, ctx.replay_drops, ctx.recv_highest, ctx.recv_roc,
+                     ctx.recv_window)
+
+
+_SRTP_STEPS = st.lists(st.tuples(
+    st.sampled_from(["protect"] * 3 + ["deliver"] * 3 + ["resend", "tamper", "skip"]),
+    st.integers(0, 2 ** 16)), max_size=40)
+
+
+class TestSrtpAgainstReference:
+    # one sender and two receivers of one key set: the receiver under test
+    # answers the sender's packets from the record, the other takes the full
+    # path every time; both must give the same answer and end in the same state
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(offset=st.sampled_from([0, 1, 2**32 - 3, 2**32, 2**32 + 3, 2**33])
+           | st.integers(0, crypto.SRTP_MAX_INDEX - 2**34),
+           primed=st.booleans(), steps=_SRTP_STEPS)
+    @example(offset=2**32, primed=False, steps=[("protect", 0), ("deliver", 0)])
+    @example(offset=2**32 - 2, primed=True,
+             steps=[("protect", 0)] * 4 + [("deliver", 3), ("deliver", 0), ("resend", 3),
+                                            ("tamper", 100), ("deliver", 0), ("deliver", 0)])
+    def test_unprotect_matches_the_full_path(self, offset, primed, steps):
+        key, salt = bytes(range(32)), bytes(range(14))
+        tx, rx, ref = (srtp_derive(key, salt) for _ in range(3))
+        assert tx._record is rx._record is ref._record
+        sent, pending = [], []
+
+        def deliver(packet):
+            assert (_unprotect_verdict(srtp_unprotect, rx, packet)
+                    == _unprotect_verdict(_ref_srtp_unprotect, ref, packet))
+
+        tx.send_index = offset
+        if primed and offset:   # the receivers have tracked the stream up to here
+            tx.send_index = offset - 1
+            deliver(srtp_protect(tx, b"primer"))
+        for step, n in steps:
+            if step == "protect" and tx.send_index < crypto.SRTP_MAX_INDEX:
+                sent.append(srtp_protect(tx, bytes([n % 256]) * (1 + n % 200)))
+                pending.append(sent[-1])
+            elif step == "deliver" and pending:   # in any order
+                deliver(pending.pop(n % len(pending)))
+            elif step == "resend" and sent:
+                deliver(sent[n % len(sent)])
+            elif step == "tamper" and sent:
+                packet = sent[n % len(sent)]
+                deliver(_flip(packet, n % (8 * len(packet))))
+            elif step == "skip":   # up to 2^32 indexes that never reach the receivers
+                tx.send_index = min(tx.send_index + n * 2 ** 16, crypto.SRTP_MAX_INDEX)
+
+    def test_a_tampered_packet_misses_the_record(self):
+        tx, rx = TestSrtp().contexts()
+        packet = srtp_protect(tx, bytes(160))
+        with pytest.raises(CryptoError, match="auth: bad tag"):
+            srtp_unprotect(rx, _flip(packet, 8 * 20))
+        assert rx.auth_failures == 1 and packet in rx._record
+        assert srtp_unprotect(rx, packet) == bytes(160)
+        assert packet not in rx._record
 
 
 def _reference_ctr(ctx, index, data):

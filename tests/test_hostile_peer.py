@@ -9,6 +9,9 @@ an endpoint that trusted what it decoded.
 A peer may also send a message again, unchanged and late: each SIP message
 of a call built-in is sent a second time, long after the first. A dialog
 that has ended gets 481 and ends no second time, and no call is left up.
+
+A media frame altered on the wire fails its receiver's tag check, even
+though the sender's context recorded the frame it protected.
 """
 
 import json
@@ -48,6 +51,8 @@ def _sends(name: str, layer: str | None = None) -> int:
 
 SENDS = {name: _sends(name) for name in SCENARIOS}
 SIP_SENDS = {name: _sends(name, "sip") for name in CALL_SCENARIOS}
+MEDIA_SCENARIOS = ("intercom_same_lan", "call_cross_lan_fork")
+MEDIA_SENDS = {name: _sends(name, "media") for name in MEDIA_SCENARIOS}
 
 
 def _split(data: bytes) -> tuple[bytes | None, bytes]:
@@ -185,3 +190,39 @@ def test_a_sip_message_sent_again_late_ends_no_dialog_twice(name, k):
                for call in dev.comms.calls.values()
                if call.state in ("inviting", "ringing", "established")]
     assert not left_up
+
+
+def _auth_failures(result) -> int:
+    """SRTP packets that failed authentication, over every receiver of the run."""
+    return sum(call.media.rx.auth_failures for dev in result.world.devices.values()
+               for call in dev.comms.calls.values() if call.media is not None)
+
+
+def tampered_media_run(name: str, k: int | None):
+    """Run name with its assertions dropped and one byte of the k-th media
+    send inverted; the byte moves with k through header, ciphertext and tag."""
+    scn = load_scenario(name)
+    scn["assertions"] = []
+    calls = 0
+    send = netsim.Channel.send_from
+
+    def tampering(chan, src, data, layer, *args):
+        nonlocal calls
+        if layer == "media":
+            if calls == k:
+                out = bytearray(data)
+                out[k * 23 % len(out)] ^= 0xFF
+                data = bytes(out)
+            calls += 1
+        return send(chan, src, data, layer, *args)
+    with mock.patch.object(netsim.Channel, "send_from", tampering):
+        return run_scenario(scn)
+
+
+@pytest.mark.parametrize("name, k", [(name, k) for name in MEDIA_SCENARIOS
+                                     for k in range(MEDIA_SENDS[name])])
+def test_a_tampered_media_frame_fails_its_tag_check(name, k):
+    result = tampered_media_run(name, k)
+    assert result.exit_code in (0, 1, 2)
+    check_invariants(result)
+    assert _auth_failures(result) == _auth_failures(tampered_media_run(name, None)) + 1

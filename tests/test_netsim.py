@@ -453,6 +453,13 @@ class TestTrace:
         assert "payload" not in second  # secured events never carry payloads
         assert [e["seq"] for e in (first, second)] == [0, 1]
 
+    @pytest.mark.parametrize("count", [0, 1, 50])
+    def test_jsonl_ends_every_line_with_a_newline(self, count):
+        log = TraceLog()
+        for i in range(count):
+            log.record(i, "a", "b", "home", False, "sys", f"e{i}", {"i": i})
+        assert log.jsonl() == "".join(ev.to_json() + "\n" for ev in log.events)
+
     @pytest.mark.parametrize("count", [0, 1, 3])
     def test_write_puts_out_what_jsonl_returns(self, count):
         log = TraceLog()

@@ -92,3 +92,49 @@ def test_keypairs_leave_the_registries_with_their_run():
     gc.collect()
     assert len(crypto._SIGNERS) == 0 and len(crypto._RECIPIENTS) == 0
     assert _digest(run_scenario(load_scenario("call_cross_lan_fork"))) == digest
+
+
+CALL_BUILTINS = ("intercom_same_lan", "call_cross_lan_fork", "token_reuse")   # media both ways
+
+
+@pytest.mark.parametrize("name", CALL_BUILTINS)
+def test_call_builtin_decrypts_only_what_its_own_contexts_protected(name, monkeypatch):
+    # every media frame a call built-in receives was protected in the same
+    # run and arrives once, so no receiver reaches the tag or the keystream
+    receiving, received = [], 0
+    srtp_unprotect = crypto.srtp_unprotect
+
+    def recording_unprotect(*args):
+        nonlocal received
+        received += 1
+        receiving.append(True)
+        try:
+            return srtp_unprotect(*args)
+        finally:
+            receiving.pop()
+
+    def send_side_only(f):
+        def checked(*args):
+            if receiving:
+                pytest.fail(f"a built-in's receiver reached {f.__name__}")
+            return f(*args)
+        return checked
+
+    monkeypatch.setattr(crypto, "srtp_unprotect", recording_unprotect)
+    monkeypatch.setattr(crypto, "_tag", send_side_only(crypto._tag))
+    monkeypatch.setattr(crypto, "_ctr_crypt", send_side_only(crypto._ctr_crypt))
+    assert _digest(run_scenario(load_scenario(name))) == PINNED["builtins"][name]
+    assert received
+
+
+def test_srtp_records_leave_the_registry_with_their_run():
+    # other tests may hold contexts of their own, but none of this run's keys
+    gc.collect()
+    before = set(crypto._SRTP_RECORDS.keys())
+    result = run_scenario(load_scenario("call_cross_lan_fork"))
+    digest = _digest(result)
+    assert set(crypto._SRTP_RECORDS.keys()) - before
+    del result
+    gc.collect()
+    assert set(crypto._SRTP_RECORDS.keys()) <= before
+    assert _digest(run_scenario(load_scenario("call_cross_lan_fork"))) == digest

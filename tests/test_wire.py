@@ -80,6 +80,11 @@ class TestHttp:
         with pytest.raises(WireError):
             http_parse(b"GET / HTTP/1.1\r\nHost: x\r\n")
 
+    def test_content_length_past_the_int_digit_limit_rejected(self):
+        raw = b"HTTP/1.1 200 OK\r\nContent-Length: " + b"1" * 5000 + b"\r\n\r\n"
+        with pytest.raises(WireError, match="^http: Content-Length of 5000 digits is past"):
+            http_parse(raw)
+
     def test_header_injection_rejected(self):
         msg = HttpMessage(kind="request", method="GET", path="/",
                           headers=[("X-Evil", "a\r\nInjected: b")], body=b"")
@@ -336,6 +341,15 @@ class TestSdp:
         with pytest.raises(WireError):
             sdp_decode(raw + crypto_line + b"\r\n")
 
+    @pytest.mark.parametrize("line, name", [(b"m=audio 20000", "m= port"),
+                                            (b"a=candidate:1 host 10.0.0.2 20000",
+                                             "candidate port")])
+    def test_port_past_the_int_digit_limit_rejected(self, line, name):
+        raw = sdp_encode(self.make_body())
+        assert line in raw
+        with pytest.raises(WireError, match=f"^{name} of 5000 digits is past"):
+            sdp_decode(raw.replace(line, line[:-5] + b"2" * 5000))
+
 
 # ---------------------------------------------------------------------------
 # Control messages
@@ -376,8 +390,9 @@ class TestControl:
     @pytest.mark.parametrize("body, problem", [
         (b"\xff\xfe", "is not JSON"), (b"not json", "is not JSON"),
         (b"[" * 5000, "is not JSON"),   # nested past the parser's recursion limit
+        (b'{"a":' + b"1" * 5000 + b"}", "is not JSON"),   # past int()'s digit limit
         (b"[1]", "must be a JSON object"), (b"null", "must be a JSON object")],
-        ids=["not-utf8", "not-json", "nested-too-deeply", "array", "null"])
+        ids=["not-utf8", "not-json", "nested-too-deeply", "long-integer", "array", "null"])
     def test_both_envelopes_refuse_what_is_not_one_json_object(self, body, problem):
         with pytest.raises(WireError, match=f"^control message {problem}"):
             control_decode(body)
