@@ -29,6 +29,8 @@ This module also owns the send and receive path of every signalling
 message: send_sip and send_control, and for the pairing and device-API
 envelope that device, cloud and client share, send_request and read_reply
 on the calling side and serve_request/send_reply on the answering side.
+send_sip, send_control and send_reply drop a message for a channel that
+has closed: an answer may still be on its way when its peer hangs up.
 A receiving endpoint keeps only handler tables: serve_control, serve_sip and
 serve_request decode each message and refuse a malformed one before any
 handler runs.
@@ -86,14 +88,16 @@ def sip_summary(msg: wire.SipMessage) -> str:
 # so their trace events carry a summary and no payload.
 
 def send_sip(chan: Endpoint, msg: wire.SipMessage, summary: str | None = None) -> None:
-    """Put one SIP message on chan, traced by its summary."""
-    chan.send(wire.sip_serialize(msg), layer="sip", summary=summary or sip_summary(msg))
+    """Put one SIP message on chan, unless it has closed; traced by its summary."""
+    if not chan.closed:
+        chan.send(wire.sip_serialize(msg), layer="sip", summary=summary or sip_summary(msg))
 
 
 def send_control(chan: Endpoint, interface: str, name: str, payload) -> None:
-    """Put one control message on chan, traced by its qualified name."""
-    msg = wire.ControlMessage(interface=interface, name=name, payload=payload)
-    chan.send(wire.control_encode(msg), layer="control", summary=msg.qualified)
+    """Put one control message on chan, unless it has closed; traced by its name."""
+    if not chan.closed:
+        msg = wire.ControlMessage(interface=interface, name=name, payload=payload)
+        chan.send(wire.control_encode(msg), layer="control", summary=msg.qualified)
 
 
 def _envelope_layer(chan: Endpoint) -> str:
@@ -185,7 +189,7 @@ def serve_sip(chan: Endpoint, data: bytes, requests: dict, on_response, owner) -
         on_response(owner, chan, msg)
     elif msg.method in requests:
         requests[msg.method](owner, chan, msg)
-    elif not chan.closed:
+    else:
         send_sip(chan, make_sip_response(msg, 501))
 
 
@@ -273,9 +277,8 @@ class Call:
     call_id: str
     role: str                    # "caller" | "callee"
     peer_uri: str
-    call_type: str
-    state: str = "init"          # init|inviting|ringing|established|closing|closed
-    invite: wire.SipMessage | None = None
+    state: str   # inviting (a caller) or ringing (a callee); then established|closing|closed
+    invite: wire.SipMessage | None = None   # a callee's: the INVITE it answers
     local_sdp: wire.SdpBody | None = None
     remote_sdp: wire.SdpBody | None = None
     media: MediaSession | None = None
@@ -320,7 +323,7 @@ class CommsEndpoint:
         self._send_control("ConfigureCommsRequest", {"serial": self.serial})
 
     def _send_control(self, name: str, payload: dict) -> None:
-        if self.control is not None and not self.control.closed:
+        if self.control is not None:
             send_control(self.control, "SipClient", name, payload)
 
     def _on_comms_config(self, registrar_addr: str) -> None:
@@ -347,7 +350,7 @@ class CommsEndpoint:
         return self.host.interfaces.get(self.network.uplink(self.host), "0.0.0.0")
 
     def _send_sip(self, msg: wire.SipMessage) -> None:
-        if self.sip is not None and not self.sip.closed:
+        if self.sip is not None:
             send_sip(self.sip, msg)
 
     # -- outbound calls ----------------------------------------------------
@@ -359,7 +362,7 @@ class CommsEndpoint:
         if any(c.state not in ("closed",) for c in self.calls.values()):
             self.network.note(self.host, "sys", "call-refused:busy")
             return ""
-        call = self._new_call(callee, call_type)
+        call = self._new_call(callee)
         call.local_sdp = self._build_sdp(call)
         invite = make_sip_request(
             "INVITE", callee, from_uri=self.uri, to_uri=callee, call_id=call.call_id,
@@ -368,7 +371,6 @@ class CommsEndpoint:
                      ("X-calltype", call_type),
                      ("Content-Type", "application/sdp")],
             body=wire.sdp_encode(call.local_sdp))
-        call.invite = invite
         self.last_invite = invite
         self._send_sip(invite)
         self._send_control("OutboundCallRequested",
@@ -383,7 +385,7 @@ class CommsEndpoint:
         """
         if self.last_invite is None:
             return
-        call = self._new_call(self.last_invite.request_uri, "replay")
+        call = self._new_call(self.last_invite.request_uri)
         replay = wire.SipMessage(kind="request", method="INVITE",
                                  request_uri=self.last_invite.request_uri,
                                  headers=list(self.last_invite.headers),
@@ -392,12 +394,12 @@ class CommsEndpoint:
         call.local_sdp = wire.sdp_decode(self.last_invite.body)
         self._send_sip(replay)
 
-    def _new_call(self, peer_uri: str, call_type: str) -> Call:
+    def _new_call(self, peer_uri: str) -> Call:
         """Number, open and register the next call this endpoint places."""
         self._call_seq += 1
         call_id = f"call-{self.serial}-{self._call_seq}"
         call = self.calls[call_id] = Call(call_id=call_id, role="caller", peer_uri=peer_uri,
-                                          call_type=call_type, state="inviting")
+                                          state="inviting")
         return call
 
     def end_call(self) -> None:
@@ -510,17 +512,14 @@ class CommsEndpoint:
             self._send_sip(make_sip_response(msg, 404))
             return
         caller = (msg.header("From") or "").strip("<>")
-        call = Call(call_id=call_id, role="callee", peer_uri=caller,
-                    call_type=msg.header("X-calltype") or "regular")
-        call.invite = msg
-        call.remote_sdp = offer
+        call = Call(call_id=call_id, role="callee", peer_uri=caller, state="ringing",
+                    invite=msg, remote_sdp=offer)
         self.calls[call_id] = call
         if msg.header("X-intercom") == "yes" and self.intercom:
             self.network.note(self.host, "sys", "auto-answer",
                               payload={"call_id": call_id})
             self._answer(call)
         else:
-            call.state = "ringing"
             self._send_sip(make_sip_response(msg, 180))
             self.network.scheduler.at(self.answer_delay_ms, self._answer_if_ringing, call)
 
@@ -538,13 +537,13 @@ class CommsEndpoint:
         self._establish_media(call)
 
     def _on_cancel(self, _chan: Endpoint, msg: wire.SipMessage) -> None:
+        # only an INVITE this endpoint was sent can be cancelled (RFC 3261 9.2)
         call = self.calls.get(msg.header("Call-ID") or "")
-        self._send_sip(make_sip_response(msg, 481 if call is None else 200))   # RFC 3261 9.2
-        if call is not None and call.state == "ringing":
+        invited = call is not None and call.role == "callee"
+        self._send_sip(make_sip_response(msg, 200 if invited else 481))
+        if invited and call.state == "ringing":
             self._send_sip(make_sip_response(call.invite, 487))
             call.state = "closed"
-            if call.media_port is not None:
-                self.host.unlisten(call.media_port)
 
     def _on_sip_response(self, chan: Endpoint, msg: wire.SipMessage) -> None:
         call_id = msg.header("Call-ID") or ""
@@ -561,10 +560,9 @@ class CommsEndpoint:
                 self._send_control("WarmUp", {})
             return
         method = msg.cseq_method
-        if method == "INVITE":
-            if msg.status == 180:
-                call.state = "ringing" if call.state == "inviting" else call.state
-            elif msg.status == 200 and call.state in ("inviting", "ringing"):
+        # only a caller still inviting takes a final answer; a 1xx changes nothing
+        if method == "INVITE" and call.state == "inviting":
+            if msg.status == 200:
                 call.remote_sdp = read_sdp(msg.body)
                 if call.remote_sdp is None:
                     # an answer we cannot read ends the call like a refusal
@@ -579,7 +577,7 @@ class CommsEndpoint:
                 self._send_sip(ack)
                 self._send_control("OutboundCallAccepted", {"call_id": call_id})
                 self._establish_media(call)
-            elif msg.status in (403, 404, 486, 487) and call.state in ("inviting", "ringing"):
+            elif msg.status in (403, 404, 486, 487):
                 self.network.note(self.host, "sys",
                                   f"call-failed:{msg.status}",
                                   payload={"call_id": call_id})

@@ -85,21 +85,15 @@ class Binding:
 
 
 @dataclass
-class ProxyLeg:
-    binding: Binding
-    state: str = "trying"  # trying|ringing|won|cancelled|failed
-
-
-@dataclass
 class ProxyCall:
     call_id: str
     caller: Binding
     from_uri: str
     to_uri: str
-    call_type: str
     invite: wire.SipMessage
-    legs: list[ProxyLeg] = field(default_factory=list)
-    winner: ProxyLeg | None = None   # a gateway call never has one
+    legs: list[Binding] = field(default_factory=list)      # in fork order
+    pending: list[Binding] = field(default_factory=list)   # legs with no final answer
+    winner: Binding | None = None   # a gateway call never has one
     gateway: bool = False
     # the relay's port for this call, or the gateway's for a gateway call;
     # _call_close stops its listener and closes the relay's ends
@@ -429,7 +423,7 @@ class CloudServices:
             send_sip(chan, make_sip_response(msg, 404))
             return
         call = ProxyCall(call_id=call_id, caller=caller, from_uri=from_uri,
-                         to_uri=to_uri, call_type=token.call_type, invite=msg)
+                         to_uri=to_uri, invite=msg)
         self.recorded_keys[call_id] = {"offer": offer.key_salt}
         self.network.note(SIP_HOST, "sys", f"keys:recorded:offer:{call_id}")
 
@@ -450,13 +444,12 @@ class CloudServices:
             send_sip(chan, make_sip_response(msg, 404))
             return
         self.calls[call_id] = call
+        call.legs, call.pending = targets, list(targets)
         send_sip(chan, make_sip_response(msg, 100))
         self._relay_allocate(call)
         fwd_offer = self._with_relay(offer, call.media_port)
         intercom = token.call_type == "intercom"
         for target in targets:
-            leg = ProxyLeg(binding=target)
-            call.legs.append(leg)
             fwd = make_sip_request(
                 "INVITE", target.uri, from_uri=from_uri, to_uri=to_uri,
                 call_id=call_id, cseq=1,
@@ -541,8 +534,8 @@ class CloudServices:
         if host is call.caller.chan.peer.host:
             return True
         if call.winner is not None:
-            return host is call.winner.binding.chan.peer.host
-        return any(leg.binding.chan.peer.host is host for leg in call.legs)
+            return host is call.winner.chan.peer.host
+        return any(leg.chan.peer.host is host for leg in call.legs)
 
     def _relay_forward(self, call: ProxyCall, src: Endpoint, data: bytes) -> None:
         # a frame in flight when the call closed, or when its leg lost, still
@@ -564,7 +557,7 @@ class CloudServices:
         method = msg.cseq_method
         if call is None or call.closed and method != "BYE":
             return
-        leg = next((l for l in call.legs if l.binding.chan is chan), None)
+        leg = next((b for b in call.legs if b.chan is chan), None)
         if method == "INVITE" and leg is not None:
             self._leg_invite_response(call, leg, msg)
         elif method == "BYE" and leg is not None and leg is not call.winner:
@@ -579,29 +572,26 @@ class CloudServices:
         elif method == "CANCEL":
             pass  # 200 for our CANCEL; the 487 settles the leg
 
-    def _leg_invite_response(self, call: ProxyCall, leg: ProxyLeg,
+    def _leg_invite_response(self, call: ProxyCall, leg: Binding,
                              msg: wire.SipMessage) -> None:
-        # the first answer wins the call, unless its SDP is unreadable
-        answer = read_sdp(msg.body) if msg.status == 200 and call.winner is None else None
-        if msg.status == 180:
-            leg.state = "ringing"
+        # a pending leg's 200 wins the call, unless its SDP is unreadable
+        answer = read_sdp(msg.body) if msg.status == 200 and leg in call.pending else None
+        if msg.status == 180:   # passed on; a 1xx settles no leg (RFC 3261 17.1.1.2)
             send_sip(call.caller.chan, msg)
         elif answer is not None:
             call.winner = leg
-            leg.state = "won"
             for end in [e for e in call.media_ends if not self._media_party(call, e.peer.host)]:
                 call.media_ends.remove(end)   # a leg that answered too and lost
                 end.close()
             self.recorded_keys[call.call_id]["answer"] = answer.key_salt
             self.network.note(SIP_HOST, "sys", f"keys:recorded:answer:{call.call_id}")
-            for other in call.legs:
-                if other is not leg and other.state in ("trying", "ringing"):
-                    other.state = "cancelled"
-                    cancel = make_sip_request(
-                        "CANCEL", other.binding.uri, from_uri=call.from_uri,
+            for other in call.pending:
+                if other is not leg:
+                    send_sip(other.chan, make_sip_request(
+                        "CANCEL", other.uri, from_uri=call.from_uri,
                         to_uri=call.to_uri, call_id=call.call_id, cseq=1,
-                        via=self.hosts[SIP_HOST].addr(CLOUD_LAN))
-                    send_sip(other.binding.chan, cancel)
+                        via=self.hosts[SIP_HOST].addr(CLOUD_LAN)))
+            call.pending.clear()
             fwd_answer = self._with_relay(answer, call.media_port)
             fwd = make_sip_response(call.invite, 200,
                                     headers=[("Content-Type", "application/sdp")],
@@ -611,27 +601,26 @@ class CloudServices:
             # a late 200, or one whose SDP is unreadable, fails its leg too;
             # its callee holds a dialog, which the proxy confirms and then
             # ends (RFC 3261 13.2.2.4, 16.7)
-            leg.state = "cancelled" if msg.status == 487 else "failed"
+            call.pending = [b for b in call.pending if b is not leg]
             if msg.status == 200:
                 for method, cseq in (("ACK", 1), ("BYE", 2)):
-                    send_sip(leg.binding.chan, make_sip_request(
-                        method, leg.binding.uri, from_uri=call.from_uri,
+                    send_sip(leg.chan, make_sip_request(
+                        method, leg.uri, from_uri=call.from_uri,
                         to_uri=call.to_uri, call_id=call.call_id, cseq=cseq,
                         via=self.hosts[SIP_HOST].addr(CLOUD_LAN)))
-            active = [l for l in call.legs if l.state in ("trying", "ringing")]
-            if call.winner is None and not active:
+            if call.winner is None and not call.pending:
                 send_sip(call.caller.chan, make_sip_response(call.invite, 486))
                 self._call_close(call)
 
     def _other_chan(self, call: ProxyCall, chan: Endpoint) -> Endpoint | None:
         if call.caller.chan is chan:
-            return call.winner.binding.chan if call.winner else None
+            return call.winner.chan if call.winner else None
         return call.caller.chan
 
     def _sip_ack(self, chan: Endpoint, msg: wire.SipMessage) -> None:
         call = self.calls.get(msg.header("Call-ID") or "")
         if call is not None and not call.closed and call.winner is not None:
-            send_sip(call.winner.binding.chan, msg)
+            send_sip(call.winner.chan, msg)
 
     def _sip_bye(self, chan: Endpoint, msg: wire.SipMessage) -> None:
         call = self.calls.get(msg.header("Call-ID") or "")
@@ -648,8 +637,10 @@ class CloudServices:
             send_sip(other, msg)
 
     def _sip_cancel_from_client(self, chan: Endpoint, msg: wire.SipMessage) -> None:
-        # endpoints in this testbed never cancel their own INVITEs
-        send_sip(chan, make_sip_response(msg, 200))
+        # endpoints in this testbed never cancel their own INVITEs; a CANCEL
+        # for no live call matches no transaction (RFC 3261 9.2)
+        call = self.calls.get(msg.header("Call-ID") or "")
+        send_sip(chan, make_sip_response(msg, 481 if call is None or call.closed else 200))
 
     def _call_close(self, call: ProxyCall) -> None:
         if call.closed:

@@ -302,10 +302,10 @@ def test_unreadable_answer_ends_the_call_like_a_refusal():
                                                          {"call_id": call_id})
 
 
-@pytest.mark.parametrize("method, status", [("BYE", 481), ("CANCEL", 481), ("OPTIONS", 501)])
-def test_a_request_the_device_cannot_serve_gets_481_or_501(method, status):
-    # a registrar that binds the device, then sends it a request for no
-    # call it holds, or a method it does not implement
+def _solo_on_fake_registrar(on_sip, **comms_extra):
+    """A lone endpoint registered with a fake registrar that runs on_sip(end,
+    msg) on each message it gets; returns the network, the endpoint and the
+    fake's end of the SIP channel."""
     net = Network()
     net.add_lan("lan", "10.0.0")
     host = net.add_host("solo")
@@ -314,57 +314,77 @@ def test_a_request_the_device_cannot_serve_gets_481_or_501(method, status):
     addr = net.attach(fake, "lan")
     ends = []
 
-    def on_sip(end, data):
-        msg = wire.sip_parse(data)
-        if msg.kind == "request":
-            send_sip(end, make_sip_response(msg, 200))
-    fake.listen(wire.TLS_PORT, lambda chan: ends.append(chan) or setattr(chan, "handler", on_sip))
-    comms = CommsEndpoint(net, host, "EK-SOLO-0001", random.Random("x"))
+    def accept(chan):
+        ends.append(chan)
+        chan.handler = lambda end, data: on_sip(end, wire.sip_parse(data))
+    fake.listen(wire.TLS_PORT, accept)
+    comms = CommsEndpoint(net, host, "EK-SOLO-0001", random.Random("x"), **comms_extra)
     comms._on_comms_config(addr)
     net.run()
     assert comms.registered
+    return net, comms, ends[0]
+
+
+@pytest.mark.parametrize("method, status", [("BYE", 481), ("CANCEL", 481), ("OPTIONS", 501)])
+def test_a_request_the_device_cannot_serve_gets_481_or_501(method, status):
+    # a registrar that binds the device, then sends it a request for no
+    # call it holds, or a method it does not implement
+    def on_sip(end, msg):
+        if msg.kind == "request":
+            send_sip(end, make_sip_response(msg, 200))
+    net, comms, end = _solo_on_fake_registrar(on_sip)
     bye = make_sip_request("BYE", comms.uri, from_uri=device_uri("EK-PEER-0002"),
-                           to_uri=comms.uri, call_id="no-such-call", cseq=2, via=addr)
+                           to_uri=comms.uri, call_id="no-such-call", cseq=2, via="10.0.0.2")
     # the serializer emits only methods the testbed knows; OPTIONS is not one
-    ends[0].send(wire.sip_serialize(bye).replace(b"BYE", method.encode()),
-                 layer="sip", summary=method)
+    end.send(wire.sip_serialize(bye).replace(b"BYE", method.encode()),
+             layer="sip", summary=method)
     net.run()
     assert [e["summary"] for e in trace_events(net) if e["src"] == "solo"][-1] \
         == f"{status}-{method}"
     assert not comms.calls
 
 
+def test_a_cancel_for_a_call_the_device_placed_gets_481():
+    # only an INVITE the device was sent can be cancelled (RFC 3261 9.2); a
+    # registrar that rings the device's INVITE and then cancels it ends nothing
+    def on_sip(end, msg):
+        if msg.method == "REGISTER":
+            send_sip(end, make_sip_response(msg, 200))
+        elif msg.method == "INVITE":
+            send_sip(end, make_sip_response(msg, 180))
+            send_sip(end, make_sip_request(
+                "CANCEL", msg.request_uri, from_uri=device_uri("EK-PEER-0002"),
+                to_uri=msg.request_uri, call_id=msg.header("Call-ID"), cseq=1,
+                via="10.0.0.2"))
+    net, comms, _end = _solo_on_fake_registrar(on_sip)
+    call_id = comms.begin_call(device_uri("EK-PEER-0002"), "call", "token")
+    net.run()
+    assert [e["summary"] for e in trace_events(net) if e["src"] == "solo"
+            and e["layer"] == "sip"][-1] == "481-CANCEL"
+    assert comms.calls[call_id].state == "inviting"
+
+
 def test_a_481_to_the_devices_bye_ends_its_call():
     # a registrar that answers the INVITE, then the BYE with a 481, as for a
     # dialog that has already ended at its end
-    net = Network()
-    net.add_lan("lan", "10.0.0")
-    host = net.add_host("solo")
-    net.attach(host, "lan")
-    fake = net.add_host("fake-sip")
-    addr = net.attach(fake, "lan")
     answer = wire.SdpBody(session_id="peer", media_port=9,
                           candidates=[wire.Candidate("host", "10.0.0.99", 9)],
                           crypto_suite=wire.SDES_SUITE,
                           key_salt=bytes(wire.SRTP_KEY_LEN + wire.SRTP_SALT_LEN))
 
-    def on_sip(end, data):
-        msg = wire.sip_parse(data)
+    def on_sip(end, msg):
         if msg.method == "INVITE":
             send_sip(end, make_sip_response(msg, 200, body=wire.sdp_encode(answer)))
         elif msg.method in ("REGISTER", "BYE"):
             send_sip(end, make_sip_response(msg, 200 if msg.method == "REGISTER" else 481))
-    fake.listen(wire.TLS_PORT, lambda chan: setattr(chan, "handler", on_sip))
-    comms = CommsEndpoint(net, host, "EK-SOLO-0001", random.Random("x"), frame_count=0)
-    comms._on_comms_config(addr)
-    net.run()
+    net, comms, _end = _solo_on_fake_registrar(on_sip, frame_count=0)
     call_id = comms.begin_call(device_uri("EK-PEER-0002"), "call", "token")
     net.run()
     assert comms.calls[call_id].state == "established"
     comms.end_call()
     net.run()
     assert comms.calls[call_id].state == "closed"
-    assert comms.calls[call_id].media_port not in host.listeners
+    assert comms.calls[call_id].media_port not in comms.host.listeners
 
 
 # ---------------------------------------------------------------------------

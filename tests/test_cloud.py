@@ -8,9 +8,9 @@ from unittest import mock
 
 import pytest
 
-from echo_testbed import crypto, wire
+from echo_testbed import crypto, netsim, wire
 from echo_testbed.calling import (MEDIA_CADENCE_MS, CommsEndpoint, device_uri, make_sip_request,
-                                  make_sip_response)
+                                  make_sip_response, send_sip)
 from echo_testbed.cli import BUILTINS, load_scenario, run_scenario
 from echo_testbed.cloud import CloudServices, LINK_CODE_TTL_MS
 from echo_testbed.device import DEVICE_TYPE
@@ -850,3 +850,34 @@ def test_a_forked_call_answered_by_both_legs_at_once_keeps_one():
     assert calls[loser].media.received == []
     assert sum(e["summary"] == "relay-forward" for e in events) == 2 * frames
     assert all(call.state == "closed" for call in calls.values())
+
+
+def test_the_proxy_answers_a_cancel_for_no_live_call_with_481():
+    # the caller cancels its live call, then its closed call and a call the
+    # proxy never saw: only the first matches a transaction (RFC 3261 9.2)
+    call_id = "call-EK-KITCH-0001-1"
+    sip_ends = []   # the caller's end of its SIP channel
+    send = netsim.Channel.send_from
+
+    def cancel(cid):
+        send_sip(sip_ends[0], make_sip_request(
+            "CANCEL", "sip:user-bob@echo.example", from_uri=device_uri("EK-KITCH-0001"),
+            to_uri="sip:user-bob@echo.example", call_id=cid, cseq=1, via="192.168.50.2"))
+
+    def sending(chan, src, data, layer, summary, *args):
+        send(chan, src, data, layer, summary, *args)
+        if src.host.name == "kitchen" and summary == "ACK":
+            sip_ends.append(src)
+            cancel(call_id)
+        elif src.host.name == "kitchen" and summary == "SipClient.CallDisconnected":
+            cancel(call_id)
+            cancel("no-such-call")
+    scn = load_scenario("call_cross_lan_fork")
+    del scn["assertions"]
+    with mock.patch.object(netsim.Channel, "send_from", sending):
+        result = run_scenario(scn)
+    assert (result.exit_code, result.error) == (0, None)
+    check_invariants(result)
+    assert [e["summary"] for e in trace_events(result.world.network)
+            if e["src"] == "sip" and e["summary"].endswith("-CANCEL")] \
+        == ["200-CANCEL", "481-CANCEL", "481-CANCEL"]

@@ -12,6 +12,10 @@ that has ended gets 481 and ends no second time, and no call is left up.
 
 A media frame altered on the wire fails its receiver's tag check, even
 though the sender's context recorded the frame it protected.
+
+A peer may also send a SIP message that has no place in the dialog: a 180
+after a final answer, a CANCEL to the caller, a 200 to the callee. None of
+them ends a call that is still up, or strands one.
 """
 
 import json
@@ -20,7 +24,8 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from echo_testbed import netsim
+from echo_testbed import netsim, wire
+from echo_testbed.calling import device_uri, make_sip_request, make_sip_response, send_sip
 from echo_testbed.cli import load_scenario, run_scenario
 
 from trace_reader import check_invariants, trace_events
@@ -147,6 +152,12 @@ def test_one_mutated_message_never_escapes_the_run(run):
     check_invariants(result)
 
 
+def _calls_left_up(result) -> list:
+    return [(serial, call.call_id, call.state) for serial, dev in result.world.devices.items()
+            for call in dev.comms.calls.values()
+            if call.state in ("inviting", "ringing", "established")]
+
+
 def late_resend_run(name: str, k: int):
     """Run name with its assertions dropped, sending the k-th SIP message's
     bytes again on its channel LATE_MS later, if the channel is still open."""
@@ -185,11 +196,7 @@ def test_a_sip_message_sent_again_late_ends_no_dialog_twice(name, k):
         assert all(ev["summary"].endswith("-BYE")
                    or ev["summary"] in ("200-REGISTER", "403-INVITE")
                    for ev in events[closed:] if ev["src"] == "sip" and ev["layer"] == "sip")
-    left_up = [(serial, call.call_id, call.state)
-               for serial, dev in result.world.devices.items()
-               for call in dev.comms.calls.values()
-               if call.state in ("inviting", "ringing", "established")]
-    assert not left_up
+    assert not _calls_left_up(result)
 
 
 def _auth_failures(result) -> int:
@@ -226,3 +233,73 @@ def test_a_tampered_media_frame_fails_its_tag_check(name, k):
     assert result.exit_code in (0, 1, 2)
     check_invariants(result)
     assert _auth_failures(result) == _auth_failures(tampered_media_run(name, None)) + 1
+
+
+def injected_run(scn: dict, after: tuple[str, str], inject):
+    """Run scn with its assertions dropped; right after host after[0] first
+    sends a SIP message with summary after[1], call inject(end, msg) with the
+    end it was sent from and the message."""
+    scn["assertions"] = []
+    fired = False
+    send = netsim.Channel.send_from
+
+    def injecting(chan, src, data, layer, summary, *args):
+        nonlocal fired
+        send(chan, src, data, layer, summary, *args)
+        if not fired and (src.host.name, summary) == after:
+            fired = True
+            inject(src, wire.sip_parse(data))
+    with mock.patch.object(netsim.Channel, "send_from", injecting):
+        result = run_scenario(scn)
+    assert fired and result.exit_code == 0, result.error
+    check_invariants(result)
+    return result
+
+
+FORK_CALL = "call-EK-KITCH-0001-1"
+
+
+def test_a_180_after_a_legs_final_answer_leaves_the_leg_settled():
+    # both callees are busy with a call of their own, so both legs answer
+    # 486; a 180 from the first, after its 486, settles nothing, and the
+    # second 486 ends the fork (RFC 3261 17.1.1.2)
+    scn = load_scenario("call_cross_lan_fork")
+    scn["actions"].insert(0, {"at": 100, "op": "start_call", "device": "EK-DEN-0002",
+                              "callee": device_uri("EK-LOFT-0003"), "call_type": "call"})
+    result = injected_run(scn, ("den-fast", "486-INVITE"),
+                          lambda end, msg: send_sip(end, make_sip_response(msg, 180)))
+    events = trace_events(result.world.network)
+    to_caller = [e["summary"] for e in events if e["src"] == "sip" and e["dst"] == "kitchen"
+                 and e["summary"].endswith("-INVITE")]
+    assert to_caller == ["100-INVITE", "180-INVITE", "486-INVITE"]
+    assert [e["summary"] for e in events if e["summary"].startswith("call:closed:")] \
+        == [f"call:closed:{FORK_CALL}", "call:closed:call-EK-DEN-0002-1"]
+    assert not _calls_left_up(result)
+
+
+def test_a_cancel_sent_to_the_caller_gets_481_and_ends_nothing():
+    # the caller holds no INVITE server transaction to cancel (RFC 3261 9.2)
+    def cancel(end, msg):
+        send_sip(end, make_sip_request(
+            "CANCEL", device_uri("EK-KITCH-0001"), from_uri=msg.header("To").strip("<>"),
+            to_uri=device_uri("EK-KITCH-0001"), call_id=FORK_CALL, cseq=1, via="10.0.0.3"))
+    result = injected_run(load_scenario("call_cross_lan_fork"), ("sip", "180-INVITE"), cancel)
+    events = trace_events(result.world.network)
+    assert [e["summary"] for e in events if e["src"] == "kitchen"
+            and e["summary"] in ("200-CANCEL", "481-CANCEL", "487-INVITE")] == ["481-CANCEL"]
+    assert [e["summary"] for e in events if e["src"] == "kitchen"
+            and e["layer"] == "sip"].count("BYE") == 1
+    assert sum(e["summary"] == f"call:closed:{FORK_CALL}" for e in events) == 1
+    assert not _calls_left_up(result)
+
+
+def test_a_200_sent_to_a_ringing_callee_is_ignored():
+    # only a caller's INVITE has responses; the callee rings on and answers
+    result = injected_run(load_scenario("call_cross_lan_fork"), ("den-fast", "180-INVITE"),
+                          lambda end, msg: send_sip(end.peer, make_sip_response(msg, 200)))
+    events = trace_events(result.world.network)
+    assert ("den-fast", "sip:unparseable") not in [(e["src"], e["summary"]) for e in events]
+    assert [e["src"] for e in events if e["summary"] == "200-INVITE"
+            and e["dst"] == "sip"] == ["den-fast"]
+    assert sum(e["summary"] == f"call:closed:{FORK_CALL}" for e in events) == 1
+    assert not _calls_left_up(result)
