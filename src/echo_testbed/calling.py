@@ -257,9 +257,7 @@ class MediaSession:
             return
         frame = canary_payload(self.tag, self.sent)
         packet = crypto.srtp_protect(self.tx, frame)
-        self.chan.send(packet, layer="media",
-                       summary=f"media-frame:{self.tag}:{self.sent}",
-                       payload={"hex": packet.hex()})
+        self.chan.send(packet, layer="media", summary=f"media-frame:{self.tag}:{self.sent}")
         self.sent += 1
         self.network.scheduler.at(MEDIA_CADENCE_MS, self._pump)
 
@@ -577,7 +575,7 @@ class CommsEndpoint:
                 self._send_sip(ack)
                 self._send_control("OutboundCallAccepted", {"call_id": call_id})
                 self._establish_media(call)
-            elif msg.status in (403, 404, 486, 487):
+            elif msg.status >= 300:
                 self.network.note(self.host, "sys",
                                   f"call-failed:{msg.status}",
                                   payload={"call_id": call_id})

@@ -547,8 +547,7 @@ class CloudServices:
         if not others:
             call.media_buffer.append(data)
         elif not others[0].closed:
-            others[0].send(data, layer="media", summary="relay-forward",
-                           payload={"hex": data.hex()})
+            others[0].send(data, layer="media", summary="relay-forward")
 
     # -- proxy responses and mid-call requests
 
@@ -597,10 +596,10 @@ class CloudServices:
                                     headers=[("Content-Type", "application/sdp")],
                                     body=wire.sdp_encode(fwd_answer))
             send_sip(call.caller.chan, fwd)
-        elif msg.status in (200, 403, 404, 486, 487) and leg is not call.winner:
-            # a late 200, or one whose SDP is unreadable, fails its leg too;
-            # its callee holds a dialog, which the proxy confirms and then
-            # ends (RFC 3261 13.2.2.4, 16.7)
+        elif msg.status >= 200 and leg is not call.winner:
+            # any other final answer fails its leg (RFC 3261 16.7); a callee
+            # whose 200 came late, or bore unreadable SDP, holds a dialog,
+            # which the proxy confirms and then ends (RFC 3261 13.2.2.4)
             call.pending = [b for b in call.pending if b is not leg]
             if msg.status == 200:
                 for method, cseq in (("ACK", 1), ("BYE", 2)):

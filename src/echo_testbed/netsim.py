@@ -17,9 +17,11 @@ Topology model:
 
 Every message send appends one TraceEvent. Channels opened secured model
 an encrypted transport: the event carries no payload and a tap observation
-only the length, never the bytes. Taps on a LAN see each delivery before
-the destination handler runs, which is exactly the edge a same-channel
-attacker has over the legitimate party.
+only the length, never the bytes. An unsecured media event's payload is
+{"hex": <the bytes it carries, in lower-case hex>}, which the channel
+writes itself; a media send given a payload is refused. Taps on a LAN see
+each delivery before the destination handler runs, which is exactly the
+edge a same-channel attacker has over the legitimate party.
 """
 
 from __future__ import annotations
@@ -115,15 +117,20 @@ class TraceLog:
         self.events: list[TraceEvent] = []
 
     def record(self, t_ms: int, src: str, dst: str, lan: str, secured: bool,
-               layer: str, summary: str, payload: dict | None = None) -> None:
+               layer: str, summary: str, payload: dict | str | None = None) -> None:
         """Append the line json.dumps(fields, sort_keys=True, separators=(",", ":"))
-        writes, payload left out when secured or None. The key set never
-        changes, so the keys are written in their sorted order directly."""
+        writes, payload left out when secured or None; a str payload is the
+        payload's JSON text, already written so. The key set never changes,
+        so the keys are written in their sorted order directly."""
         quoted_layer = TRACE_LAYERS.get(layer)
         if quoted_layer is None:
             raise ValueError(f"unknown trace layer {layer!r}")
-        payload = "" if secured or payload is None else \
-            f'"payload":{"".join(_payload_chunks(payload, 0))},'
+        if secured or payload is None:
+            payload = ""
+        elif type(payload) is str:
+            payload = f'"payload":{payload},'
+        else:
+            payload = f'"payload":{"".join(_payload_chunks(payload, 0))},'
         self.events.append(TraceEvent(
             f'{{"dst":{_str(dst)},"lan":{_str(lan)},"layer":{quoted_layer},{payload}'
             f'"secured":{"true" if secured else "false"},"seq":{len(self.events):d},'
@@ -292,6 +299,10 @@ class Channel:
             raise NetError(f"send on closed channel cid={self.cid}")
         if not isinstance(data, bytes):
             raise TypeError("channel payloads are bytes")
+        if layer == "media":
+            if payload is not None:
+                raise ValueError("a media event's payload is the hex of the bytes it carries")
+            payload = f'{{"hex":"{data.hex()}"}}'   # record drops it when secured
         dst = src.peer
         net = self.network
         net.trace.record(net.scheduler.now, src.host.name, dst.host.name, dst.lan_name,

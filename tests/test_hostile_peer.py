@@ -15,7 +15,8 @@ though the sender's context recorded the frame it protected.
 
 A peer may also send a SIP message that has no place in the dialog: a 180
 after a final answer, a CANCEL to the caller, a 200 to the callee. None of
-them ends a call that is still up, or strands one.
+them ends a call that is still up, or strands one. Nor does a final answer
+to an INVITE that the testbed's own callees never give, such as 481.
 """
 
 import json
@@ -301,5 +302,40 @@ def test_a_200_sent_to_a_ringing_callee_is_ignored():
     assert ("den-fast", "sip:unparseable") not in [(e["src"], e["summary"]) for e in events]
     assert [e["src"] for e in events if e["summary"] == "200-INVITE"
             and e["dst"] == "sip"] == ["den-fast"]
+    assert sum(e["summary"] == f"call:closed:{FORK_CALL}" for e in events) == 1
+    assert not _calls_left_up(result)
+
+
+@pytest.mark.parametrize("senders, to_caller", [(("den-fast", "loft-slow"), 486),
+                                                 (("den-fast", "loft-slow", "sip"), 481)])
+def test_a_481_to_an_invite_settles_the_leg_and_ends_the_call(senders, to_caller):
+    # any final answer of 300 or more settles a leg (RFC 3261 16.7) and ends
+    # the caller's call, not only the ones the testbed's agents send: both
+    # callees are busy, as in the 180 test, but each sender of a 486 to an
+    # INVITE among senders answers 481 in its place
+    scn = load_scenario("call_cross_lan_fork")
+    scn["actions"].insert(0, {"at": 100, "op": "start_call", "device": "EK-DEN-0002",
+                              "callee": device_uri("EK-LOFT-0003"), "call_type": "call"})
+    scn["assertions"] = []
+    replaced = 0
+    send = netsim.Channel.send_from
+
+    def answering_481(chan, src, data, layer, summary, *args):
+        nonlocal replaced
+        if summary == "486-INVITE" and src.host.name in senders:
+            msg = wire.sip_parse(data)
+            msg.status, msg.reason, summary = 481, wire.SIP_STATUSES[481], "481-INVITE"
+            data = wire.sip_serialize(msg)
+            replaced += 1
+        return send(chan, src, data, layer, summary, *args)
+    with mock.patch.object(netsim.Channel, "send_from", answering_481):
+        result = run_scenario(scn)
+    assert replaced == len(senders) and result.exit_code == 0, result.error
+    check_invariants(result)
+    events = trace_events(result.world.network)
+    assert [e["summary"] for e in events if e["src"] == "sip" and e["dst"] == "kitchen"
+            and e["summary"].endswith("-INVITE")] == ["100-INVITE", f"{to_caller}-INVITE"]
+    assert [e["summary"] for e in events if e["src"] == "kitchen"
+            and e["summary"].startswith("call-failed:")] == [f"call-failed:{to_caller}"]
     assert sum(e["summary"] == f"call:closed:{FORK_CALL}" for e in events) == 1
     assert not _calls_left_up(result)

@@ -276,6 +276,34 @@ class TestChannels:
         assert ev["secured"]
         assert "payload" not in ev
 
+    @pytest.mark.parametrize("data", [b"", b"\x00", b"\x80\xff\x0a\"\\", bytes(range(256))])
+    def test_unsecured_media_event_carries_the_hex_of_its_bytes(self, data):
+        net, dev, api = two_lan_net()
+        api.listen(443, lambda ep: None)
+        end = net.open_channel(dev, api.addr("cloud"), 443)
+        end.send(data, "media", "frame")
+        assert trace_events(net)[-1]["payload"] == {"hex": data.hex()}
+        # the line a dict payload of the same hex gives, byte for byte
+        ref = TraceLog()
+        ref.record(0, "device", "api", "cloud", False, "media", "frame", {"hex": data.hex()})
+        assert net.trace.events[-1].to_json() == ref.events[0].to_json()
+
+    def test_secured_media_event_carries_no_payload(self):
+        net, dev, api = two_lan_net()
+        api.listen(443, lambda ep: None)
+        end = net.open_channel(dev, api.addr("cloud"), 443, secured=True)
+        end.send(b"\x80\x00ciphertext", "media", "frame")
+        assert "payload" not in trace_events(net)[-1]
+
+    @pytest.mark.parametrize("secured", [False, True])
+    def test_media_send_given_a_payload_is_refused(self, secured):
+        net, dev, api = two_lan_net()
+        api.listen(443, lambda ep: None)
+        end = net.open_channel(dev, api.addr("cloud"), 443, secured=secured)
+        with pytest.raises(ValueError, match="hex of the bytes it carries"):
+            end.send(b"\x80\x00", "media", "frame", payload={"hex": "8000"})
+        assert net.trace.events == []
+
     def test_tap_sees_plaintext_only_when_unsecured(self):
         net, dev, api = two_lan_net()
         api.listen(443, lambda ep: None)
