@@ -260,7 +260,7 @@ class Eavesdropper:
         if obs.data is None:
             self.secured_lengths.append(obs.length)
             return
-        self.cleartext.append(obs.data)
+        self.cleartext.append(bytes(obs.data))   # what it saw, not the writer's record
         try:
             msg = wire.http_parse(obs.data)
         except wire.WireError:

@@ -22,6 +22,12 @@ delivers whole messages) and raise WireError on malformed input; they never
 crash on garbage. HTTP and SIP header names are checked once, on the way
 in: one loop over the header lines splits each line, checks its name and
 notes Content-Length, and the serializer checks each name as it writes it.
+
+The HTTP and SIP serializers refuse any field that would not read back as
+written, and return a bytes subtype recording the message it parses to;
+http_parse and sip_parse answer it from the record with a fresh message.
+The record lives as long as its bytes, so every reader of one delivery
+hits; a copy and altered or attacker-made bytes take the full parse.
 """
 
 from __future__ import annotations
@@ -182,9 +188,24 @@ def _parse_message(data: bytes, cls, what: str, version: str, label: str,
     return cls("request", parts[0], parts[1], headers=headers, body=body)
 
 
+class _Written(bytes):
+    """Bytes a serializer wrote, whose record (in the instance dict: a bytes
+    subtype takes no slots) is what they parse to: (version, kind, method,
+    target, status, reason, headers, body)."""
+
+
+def _recorded(data: bytes, cls, version: str):
+    """A fresh cls from the record of bytes written as version; else None."""
+    if type(data) is _Written and data.record[0] == version:
+        _, kind, method, target, status, reason, headers, body = data.record
+        return cls(kind, method, target, status, reason, list(headers), body)
+    return None
+
+
 def http_parse(data: bytes) -> HttpMessage:
     """Parse one complete HTTP message (request or response)."""
-    msg = _parse_message(data, HttpMessage, "http", HTTP_VERSION, "")
+    msg = (_recorded(data, HttpMessage, HTTP_VERSION)
+           or _parse_message(data, HttpMessage, "http", HTTP_VERSION, ""))
     if msg.kind == "request" and not msg.path:
         raise WireError("empty request path")
     return msg
@@ -192,16 +213,25 @@ def http_parse(data: bytes) -> HttpMessage:
 
 def _serialize_message(msg, version: str, target: str | None,
                        check_headers=None) -> bytes:
-    if msg.kind == "request":
-        start = f"{msg.method} {target} {version}\r\n"
-    elif msg.kind == "response":
-        start = f"{version} {msg.status} {msg.reason or ''}\r\n"
+    """Write msg as version, whose parse runs check_headers, recording the
+    message the bytes parse to. Errors come in order: kind, check_headers,
+    each header's CR/LF and name, the first value not to read back, start line."""
+    kind = msg.kind
+    if kind == "request":
+        method, status, reason = msg.method, None, None
+        start = f"{method} {target} {version}\r\n"
+    elif kind == "response":
+        method, target, status = None, None, msg.status
+        reason = "" if msg.reason is None else msg.reason
+        start = f"{version} {status} {reason}\r\n"
     else:
-        raise WireError(f"unknown message kind {msg.kind!r}")
+        raise WireError(f"unknown message kind {kind!r}")
     msg.set_header("Content-Length", str(len(msg.body)))
     if check_headers is not None:
         check_headers(msg.headers)
     out = [start]
+    headers = []
+    loose = None   # the first header whose value the parse would not keep
     for name, value in msg.headers:
         if "\r" in name or "\n" in name or "\r" in value or "\n" in value:
             raise WireError(f"CR/LF in header {name!r}")
@@ -209,9 +239,26 @@ def _serialize_message(msg, version: str, target: str | None,
         if not (name.replace("-", "").isalnum() and name.isascii()) \
                 and not _TOKEN_RE.match(name):
             raise WireError(f"bad header name: {name!r}")
+        if loose is None and not (value.isascii() and value.strip() == value):
+            loose = name
         out.append(f"{name}: {value}\r\n")
+        headers.append((name, value))
+    if loose is not None:
+        raise WireError(f"header {loose!r}: value must be ASCII, without whitespace at an end")
+    if kind == "request":
+        if not (isinstance(method, str) and _TOKEN_RE.fullmatch(method)):
+            raise WireError(f"bad method: {method!r}")
+        if not (isinstance(target, str) and target.isascii() and target.split() == [target]):
+            raise WireError(f"bad request target: {target!r}")
+    elif not (type(status) is int and 100 <= status <= 999):
+        raise WireError(f"status must be 3 digits: {status!r}")
+    elif not (isinstance(reason, str) and reason.isascii()
+              and "\r" not in reason and "\n" not in reason):
+        raise WireError(f"bad reason: {reason!r}")   # CR/LF would inject headers
     out.append("\r\n")
-    return "".join(out).encode("ascii") + msg.body
+    data = _Written("".join(out).encode("ascii") + msg.body)
+    data.record = (version, kind, method, target, status, reason, headers, bytes(msg.body))
+    return data
 
 
 def http_serialize(msg: HttpMessage) -> bytes:
@@ -382,7 +429,8 @@ def _check_sip_headers(headers: list[tuple[str, str]]) -> None:
 
 def sip_parse(data: bytes) -> SipMessage:
     """Parse one complete SIP message, retaining unknown headers verbatim."""
-    return _parse_message(data, SipMessage, "sip", SIP_VERSION, "SIP ", _check_sip_headers)
+    return (_recorded(data, SipMessage, SIP_VERSION)
+            or _parse_message(data, SipMessage, "sip", SIP_VERSION, "SIP ", _check_sip_headers))
 
 
 def sip_serialize(msg: SipMessage) -> bytes:

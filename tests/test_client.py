@@ -135,6 +135,7 @@ def test_eavesdropper_recovers_exactly_the_open_leaks():
     assert blob.ciphertext
     # and the things it never gives away
     all_clear = b"".join(eve.cleartext)
+    assert eve.cleartext and all(type(data) is bytes for data in eve.cleartext)   # no records
     assert PASS.encode() not in all_clear
     assert ACCOUNT_PW.encode() not in all_clear
     # the tunneled registration showed nothing but lengths

@@ -17,9 +17,16 @@ A peer may also send a SIP message that has no place in the dialog: a 180
 after a final answer, a CANCEL to the caller, a 200 to the callee. None of
 them ends a call that is still up, or strands one. Nor does a final answer
 to an INVITE that the testbed's own callees never give, such as 481.
+
+Each HTTP or SIP message the program wrote is read from its writer's
+record, so a run parses none in full. A mutated message is bytes no writer
+made: it takes the full parse, and the run ends as it did before records.
 """
 
 import json
+import sys
+from contextlib import contextmanager
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -30,6 +37,10 @@ from echo_testbed.calling import device_uri, make_sip_request, make_sip_response
 from echo_testbed.cli import load_scenario, run_scenario
 
 from trace_reader import check_invariants, trace_events
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import workloads  # noqa: E402
 
 SCENARIOS = ("pair", "pair_eavesdrop", "hijack_registered", "avs_handshake",
              "call_cross_lan_fork", "call_pstn", "intercom_same_lan")
@@ -151,6 +162,50 @@ def test_one_mutated_message_never_escapes_the_run(run):
     result = mutated_run(*run)
     assert result.exit_code in (0, 1, 2)
     check_invariants(result)
+
+
+@contextmanager
+def parses():
+    """(bytes answered from a writer's record, bytes parsed in full): each
+    HTTP or SIP parse made inside, in order."""
+    recorded, full = [], []
+    answer, parse = wire._recorded, wire._parse_message
+
+    def answering(data, *args):
+        msg = answer(data, *args)
+        if msg is not None:
+            recorded.append(data)
+        return msg
+
+    def parsing(data, *args):
+        full.append(data)
+        return parse(data, *args)
+    with mock.patch.object(wire, "_recorded", answering), \
+            mock.patch.object(wire, "_parse_message", parsing):
+        yield recorded, full
+
+
+@pytest.mark.parametrize("make", [lambda: load_scenario("pair"),
+                                  lambda: load_scenario("call_cross_lan_fork"),
+                                  lambda: workloads.pairing_waves(1)],
+                         ids=["pair", "call_cross_lan_fork", "pairing_waves"])
+def test_a_run_reads_every_message_it_wrote_from_the_record(make):
+    with parses() as (recorded, full):
+        result = run_scenario(make())
+    assert result.exit_code == 0, result.error
+    assert recorded and not full
+
+
+@settings(max_examples=30, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(run=hostile_runs())
+def test_a_mutated_message_takes_the_full_parse_and_gets_the_same_answer(run):
+    with parses() as (_, full):
+        result = mutated_run(*run)
+    assert len(set(full)) <= 1 and all(type(data) is bytes for data in full)
+    with mock.patch.object(wire, "_recorded", lambda *args: None):
+        before = mutated_run(*run)   # every message parsed in full
+    assert (result.exit_code, result.jsonl) == (before.exit_code, before.jsonl)
 
 
 def _calls_left_up(result) -> list:

@@ -3,6 +3,7 @@ malformed-input rejection."""
 
 import json
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -628,13 +629,22 @@ class TestAgainstReferenceCodec:
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(msg=_messages())
     def test_serialize_matches(self, msg):
-        for version, check, ref_check in (("HTTP/1.1", None, None),
-                                          ("SIP/2.0", wire._check_sip_headers,
-                                           _ref_check_sip_headers)):
+        # a message the reference wrote as bytes that do not read back as
+        # it, or could not write (a UnicodeEncodeError), the serializer
+        # refuses with a WireError; all else stays the same
+        for version, what, label, check, ref_check in (
+                ("HTTP/1.1", "http", "", None, None),
+                ("SIP/2.0", "sip", "SIP ", wire._check_sip_headers, _ref_check_sip_headers)):
             mine, ref = [type(msg)(**{k: (list(v) if k == "headers" else v)
                                       for k, v in vars(msg).items()}) for _ in range(2)]
-            assert (_verdict(wire._serialize_message, mine, version, "sip:b@x", check)
-                    == _verdict(_ref_serialize_message, ref, version, "sip:b@x", ref_check))
+            got = _verdict(wire._serialize_message, mine, version, "sip:b@x", check)
+            want = _verdict(_ref_serialize_message, ref, version, "sip:b@x", ref_check)
+            if isinstance(want, bytes) and not isinstance(got, bytes):
+                assert got[0] == "WireError"
+                assert _verdict(_ref_parse_message, want, type(msg), what, version, label,
+                                ref_check) != ref
+            elif want != got:
+                assert (got[0], want[0]) == ("WireError", "UnicodeEncodeError")
             assert mine == ref   # both set Content-Length alike
 
     @settings(max_examples=200, derandomize=True, deadline=None)
@@ -642,3 +652,111 @@ class TestAgainstReferenceCodec:
     def test_json_object_matches(self, body):
         assert (_verdict(wire._json_object, body, "OOBE body")
                 == _verdict(_ref_json_object, body, "OOBE body"))
+
+
+# ---------------------------------------------------------------------------
+# The serializer's record of what it wrote
+#
+# A successful serialize means the bytes parse back to the message, and the
+# parse of those very bytes answers from the serializer's record. A plain
+# copy, bytes(data), takes the full parse: both must give the message.
+
+_DIALOG = [(name, "1 INVITE" if name == "CSeq" else "x") for name in MANDATORY_SIP_HEADERS]
+
+
+def _sample(cls, kind, target="sip:b@x", headers=(), **change):
+    """A message of kind that cls writes, with _DIALOG and headers, then change."""
+    fields = ({"method": "INVITE", "path" if cls is HttpMessage else "request_uri": target}
+              if kind == "request" else {"status": 200, "reason": "OK"})
+    return cls(kind=kind, headers=_DIALOG + list(headers), body=b"hi", **{**fields, **change})
+
+
+@pytest.mark.parametrize("kind, change, named", [
+    ("response", {"reason": "OK\r\nX-Evil: 1"}, "reason"),
+    ("response", {"reason": "OK\n"}, "reason"),
+    ("response", {"reason": "Oké"}, "reason"),
+    ("request", {"target": "sip:b@x y"}, "request target"),
+    ("request", {"target": "sip:b@x\t"}, "request target"),
+    ("request", {"target": "sip:é@x"}, "request target"),
+    ("response", {"status": 200.0}, "status"),
+    ("response", {"status": "200"}, "status"),
+    ("request", {"headers": [("X-Tag", " x")]}, "header 'X-Tag'"),
+    ("request", {"headers": [("X-Tag", "x\t")]}, "header 'X-Tag'"),
+    ("response", {"headers": [("X-Tag", "x\x1f")]}, "header 'X-Tag'"),
+    ("response", {"headers": [("X-Tag", "é")]}, "header 'X-Tag'"),
+])
+@pytest.mark.parametrize("cls, serialize", [(HttpMessage, http_serialize),
+                                            (SipMessage, sip_serialize)])
+def test_serializers_refuse_what_would_not_read_back(cls, serialize, kind, change, named):
+    with pytest.raises(WireError, match=named):
+        serialize(_sample(cls, kind, **change))
+
+
+@pytest.mark.parametrize("change, named", [
+    ({"method": "PO ST"}, "method"), ({"method": "GET\n"}, "method"),
+    ({"status": 20}, "status"), ({"status": 1000}, "status")])
+def test_http_serialize_refuses_a_method_or_status_that_would_not_read_back(change, named):
+    # SIP refuses these already: it writes only its own methods and statuses
+    kind = "request" if "method" in change else "response"
+    with pytest.raises(WireError, match=named):
+        http_serialize(_sample(HttpMessage, kind, **change))
+
+
+_TOKENS = st.text("!#$%&'*+-.^_`|~0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz",
+                  min_size=1, max_size=8)
+_VISIBLE = st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7E), min_size=1, max_size=12)
+_ASCII = st.characters(max_codepoint=0x7F, blacklist_characters="\r\n")
+_HEADER_VALUES = st.text(_ASCII, max_size=10).map(str.strip)
+
+
+@st.composite
+def _writable(draw):
+    """HTTP and SIP messages of every kind; a few the serializer refuses."""
+    cls = draw(st.sampled_from([HttpMessage, SipMessage]))
+    sip = cls is SipMessage
+    headers = [(name, draw(st.sampled_from(["1 INVITE", "27 BYE"])) if name == "CSeq"
+                else draw(_HEADER_VALUES)) for name in MANDATORY_SIP_HEADERS]
+    headers += draw(st.lists(st.tuples(
+        _TOKENS | st.sampled_from(["Content-Length", "content-length"]), _HEADER_VALUES),
+        max_size=3))
+    if draw(st.integers(0, 9)) == 0:
+        headers.append(("X-Tag", draw(st.sampled_from([" x", "é", "x\t"]))))
+    headers = draw(st.permutations(headers))
+    body = draw(st.binary(max_size=40) | st.just(b"\r\n\r\nx"))
+    if draw(st.booleans()):
+        return cls("request", draw(st.sampled_from(wire.SIP_METHODS) if sip else _TOKENS),
+                   draw(_VISIBLE), headers=headers, body=body)
+    return cls(kind="response", headers=headers, body=body,
+               status=draw(st.sampled_from(sorted(SIP_STATUSES)) if sip
+                           else st.integers(100, 999)),
+               reason=draw(st.none() | st.text(_ASCII, max_size=12)))
+
+
+class TestWriterRecord:
+    CODECS = {HttpMessage: (http_serialize, http_parse, sip_parse),
+              SipMessage: (sip_serialize, sip_parse, http_parse)}
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(msg=_writable())
+    def test_parse_of_written_bytes_matches_the_full_parse(self, msg):
+        serialize, parse, other_parse = self.CODECS[type(msg)]
+        try:
+            data = serialize(msg)
+        except WireError:
+            return
+        # what the parse must give: msg with Content-Length set, which
+        # serialize did in place, and a missing reason read as ""
+        want = type(msg)(**{**vars(msg), "headers": list(msg.headers)})
+        if want.kind == "response" and want.reason is None:
+            want.reason = ""
+        full = mock.patch.object(wire, "_parse_message", wraps=wire._parse_message)
+        with full as spy:
+            first = parse(data)
+            assert spy.call_count == 0   # answered from the record
+            assert parse(bytes(data)) == first == want
+            assert spy.call_count == 1
+        first.headers.append(("X-Tag", "y"))
+        first.headers[0] = ("X-Tag", "z")
+        assert parse(data) == want
+        # the record answers for its own codec only
+        assert _verdict(other_parse, data) == _verdict(other_parse, bytes(data))
