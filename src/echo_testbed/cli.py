@@ -469,7 +469,7 @@ class _Count(_Judge):
         super().__init__(rule)
         self.seqs: list[int] = []   # of the first 5 selected events
 
-    def take(self, hits, hays):
+    def take(self, hits, screens, hays):
         if len(self.seqs) < 5:
             self.seqs += [ev["seq"] for ev in hits[:5 - len(self.seqs)]]
 
@@ -490,7 +490,7 @@ class _Subsequence(_Judge):   # its one filter is lan
         self.last_seq = None
         self.done = not self.tests
 
-    def take(self, hits, hays):
+    def take(self, hits, screens, hays):
         tests, found = self.tests, self.found
         for ev in hits:
             layer, match = tests[found]
@@ -511,14 +511,41 @@ class _Subsequence(_Judge):   # its one filter is lan
                        f"step {found + 1}/{len(steps)} {steps[found]} not found after {after}")
 
 
+def _screen(hits: list[dict]) -> tuple[str, str] | None:
+    """The summaries of hits joined by "\n", and their payloads encoded as
+    one list; None if a payload is no dict, or too deep for the list."""
+    payloads = [p for ev in hits if (p := ev.get("payload")) is not None]
+    if not set(map(type, payloads)) <= {dict}:
+        return None
+    try:
+        encoded = "".join(_encode_payload(payloads, 0))
+    except RecursionError:   # the list is a level deeper than each payload
+        return None
+    return "\n".join(map(itemgetter("summary"), hits)), encoded
+
+
 class _Absent(_Judge):
+    """An event's haystack is its summary s, then P = json.dumps(payload,
+    sort_keys=True) if it has a payload. A payload is a dict, so P starts
+    with "{", and a needle without "{" in s + P lies within s or P, so in
+    the _screen texts of its selection. If they lack it, the chunk is
+    settled; else it is sought event by event, since the screen may hold
+    it only across two summaries or two payloads."""
     hit: dict | None = None
 
-    def take(self, hits, hays):
-        # while two absent rules are live, hays holds each event's haystack
-        # by id for the chunk, so no payload is encoded twice; else it is
-        # None, since keeping haystacks costs more than building them once
+    def take(self, hits, screens, hays):
+        # for the chunk, screens holds each selection's _screen by id, with
+        # the selection so that the id names no other; while two absent rules
+        # are live, hays holds each event's haystack by id, so no payload is
+        # encoded twice; else it is None, as keeping them costs more
         needle = self.rule["pattern"]
+        if "{" not in needle and hits:
+            entry = screens.get(id(hits))
+            if entry is None:
+                entry = screens[id(hits)] = hits, _screen(hits)
+            texts = entry[1]
+            if texts is not None and needle not in texts[0] and needle not in texts[1]:
+                return
         for ev in hits:
             hay = None if hays is None else hays.get(id(ev))
             if hay is None:
@@ -548,7 +575,7 @@ class _Locality(_Judge):
         super().__init__(rule)
         self.lans = set(rule["lans"]) if "lans" in rule else None
 
-    def take(self, hits, hays):
+    def take(self, hits, screens, hays):
         if self.lans is not None:
             bad = [ev for ev in hits if ev["lan"] not in self.lans]
         else:
@@ -590,7 +617,9 @@ def _judge_chunk(judges: list[_Judge], chunk: list[dict]) -> bool:
     A rule with a layer filter (never a subsequence) reads that layer's
     slice. Rules on one slice with the same filter keys share one index of
     it, built in one pass, from each value a rule wants to its events; each
-    rule takes its bucket and matches a summary glob on it."""
+    rule takes its bucket and matches a summary glob on it. Absent rules on
+    one selection share its screen: a needle without "{" that neither text
+    holds is in no haystack, whose payload part starts with "{" (_Absent)."""
     by_layer = defaultdict(list)
     for ev in chunk:
         by_layer[ev["layer"]].append(ev)
@@ -607,6 +636,7 @@ def _judge_chunk(judges: list[_Judge], chunk: list[dict]) -> bool:
             bucket = index.get(get(ev))
             if bucket is not None:
                 bucket.append(ev)
+    screens: dict[int, tuple] = {}
     hays = {} if sum(type(judge) is _Absent for judge in live) > 1 else None
     for judge in live:
         if judge.keys:
@@ -616,7 +646,7 @@ def _judge_chunk(judges: list[_Judge], chunk: list[dict]) -> bool:
         if judge.match is not None:
             hits = [ev for ev in hits if judge.match(ev["summary"])]
         judge.selected += len(hits)
-        judge.take(hits, hays)
+        judge.take(hits, screens, hays)
     return bool(chunk)
 
 

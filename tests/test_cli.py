@@ -302,23 +302,46 @@ def _pattern(draw, events):
                    for c in draw(st.sampled_from(events))["summary"])
 
 
+def _slice(draw, text, *, head=False, tail=False):
+    """A slice of text: its head, its tail, or any run of it."""
+    start = 0 if head else draw(st.integers(0, len(text)))
+    return text[start:len(text) if tail else draw(st.integers(start, len(text)))]
+
+
 @st.composite
 def _needle(draw, events):
     """An absent pattern: often a slice of what one event is searched as,
     the summary followed by the payload's json.dumps. A short slice, of an
     escape, a separator or keys in their order, is one that a payload
-    written otherwise than json.dumps writes it would not hold. Summaries
-    and needles may hold "\\n", the character the engine joins haystacks
-    with, and a needle may run from one haystack across "\\n" into the next."""
+    written otherwise than json.dumps writes it would not hold. Others lie
+    where the engine's screen of a selection holds them and no one event
+    does: across the "\\n" it joins two summaries with, or across the ", "
+    between two payloads it encodes as one list; summaries and needles
+    may hold "\\n" too. One that runs from a summary into its payload
+    holds "{", which is how the engine knows it must not trust the screen."""
     if not events or draw(st.integers(0, 3)) == 0:
-        return draw(st.sampled_from(('x{"k', '"k": 1', "x.", "", "\n", "a\nb", "}\n")))
+        return draw(st.sampled_from(('x{"k', '"k": 1', "x.", "", "\n", "a\nb", "}\n",
+                                     "}, ", "}, {", "1}, {}")))
+    summaries = [ev["summary"] for ev in events]
+    payloads = [json.dumps(ev["payload"], sort_keys=True) for ev in events if "payload" in ev]
     hays = [ev["summary"] + (json.dumps(ev["payload"], sort_keys=True) if "payload" in ev
                              else "") for ev in events]
-    if len(events) > 1 and draw(st.integers(0, 3)) == 0:
-        # across the "\n" between two events' haystacks, where no event holds it
+    across = draw(st.sampled_from(("", "hays", "summaries", "payloads", "into payload")))
+    if across == "hays" and len(events) > 1:
         i = draw(st.integers(0, len(events) - 2))
-        return hays[i][draw(st.integers(0, len(hays[i]))):] + "\n" + \
-            hays[i + 1][:draw(st.integers(0, len(hays[i + 1])))]
+        return _slice(draw, hays[i], tail=True) + "\n" + _slice(draw, hays[i + 1], head=True)
+    if across == "summaries" and len(events) > 1:
+        i = draw(st.integers(0, len(events) - 2))
+        return _slice(draw, summaries[i], tail=True) + "\n" + \
+            _slice(draw, summaries[i + 1], head=True)
+    if across == "payloads" and len(payloads) > 1:
+        i = draw(st.integers(0, len(payloads) - 2))
+        return _slice(draw, payloads[i], tail=True) + ", " + \
+            _slice(draw, payloads[i + 1], head=True)
+    if across == "into payload" and payloads:
+        ev = draw(st.sampled_from([ev for ev in events if "payload" in ev]))
+        return _slice(draw, ev["summary"], tail=True) + "{" + \
+            _slice(draw, json.dumps(ev["payload"], sort_keys=True)[1:], head=True)
     i = draw(st.sampled_from([i for i, ev in enumerate(events) if "payload" in ev]
                              or range(len(events))))
     hay = hays[i]
@@ -399,6 +422,13 @@ def test_oracle_cases_the_engine_must_get_right():
         ({"kind": "absent", "pattern": 'x{"k'}, False),        # summary then payload
         ({"kind": "absent", "pattern": '"k": 1'}, False),      # json.dumps spacing
         ({"kind": "absent", "pattern": "e{}"}, False),         # an empty payload counts
+        ({"kind": "absent", "pattern": "A(1"}, False),         # a summary alone
+        ({"kind": "absent", "pattern": '"k"'}, False),         # a payload alone
+        ({"kind": "absent", "pattern": ""}, False),            # in every event
+        ({"kind": "absent", "pattern": "x\na.b"}, True),       # across two summaries
+        ({"kind": "absent", "pattern": "1}, "}, True),         # across two payloads
+        ({"kind": "absent", "pattern": "1}, {}"}, True),
+        ({"kind": "absent", "pattern": "A(1", "layer": "sys"}, True),
         ({"kind": "count", "summary": "a.b", "equals": 1}, True),
         ({"kind": "count", "summary": "a?b", "equals": 1}, True),
         ({"kind": "count", "summary": "a.c", "equals": 0}, True),
@@ -409,7 +439,21 @@ def test_oracle_cases_the_engine_must_get_right():
         ({"kind": "count", "layer": "oobe", "equals": 0}, True),
     ):
         assert _oracle(events, rule).ok is ok
-        assert evaluate_all(events, [rule]) == [_oracle(events, rule)]
+        for chunk in (1, 2, 3, 512):
+            with mock.patch.object(cli, "CHUNK_EVENTS", chunk):
+                assert evaluate_all(events, [rule]) == [_oracle(events, rule)]
+    # two selections made for one rule each, one after the other: the
+    # second must be screened as itself, not as the first
+    rules = [{"kind": "absent", "pattern": "k", "summary": "[ae]*"},
+             {"kind": "absent", "pattern": "k", "summary": "x*"}]
+    assert [v.ok for v in evaluate_all(events, rules)] == [True, False]
+    assert evaluate_all(events, rules) == [_oracle(events, rule) for rule in rules]
+    # a caller that bypasses the reader may pass a payload that is no dict,
+    # whose json.dumps does not start with "{"
+    odd = [_ev(0, "sys", "x", payload="abc"), _ev(1, "sys", "y", payload=[1])]
+    rules = [{"kind": "absent", "pattern": 'x"a'}, {"kind": "absent", "pattern": "y[1"}]
+    assert [v.ok for v in evaluate_all(odd, rules)] == [False, False]
+    assert evaluate_all(odd, rules) == [_oracle(odd, rule) for rule in rules]
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -422,15 +466,17 @@ def test_absent_searches_each_payload_as_json_dumps_writes_it(payload):
         Verdict("absent", True, f"{hay + 'x'!r} absent from 1 events")]
 
 
-def test_absent_encodes_each_selected_payload_once_with_the_prebuilt_encoder(monkeypatch):
+def test_absent_screens_each_selection_once_a_chunk_with_the_prebuilt_encoder(monkeypatch):
     events = [_ev(seq, ("sip", "media", "sys")[seq % 3], f"ev-{seq}", payload=None
                   if seq % 4 == 3 else {"hex": f"{seq:04x}", "n": [seq, 1.5, None], "\u00e9": {}})
               for seq in range(11)]
     rules = [{"kind": "absent", "pattern": "never"},
-             {"kind": "absent", "pattern": "also-never", "layer": "sip"}]
-    encoded, encode = [], cli._encode_payload
-    monkeypatch.setattr(cli, "_encode_payload",
-                        lambda payload, level: encoded.append(payload) or encode(payload, level))
+             {"kind": "absent", "pattern": "also-never", "layer": "sip"},
+             {"kind": "absent", "pattern": "nor-this"},
+             {"kind": "absent", "pattern": "nor-that", "layer": "sip"}]
+    encoded, encode = [], cli._encode_payload   # the ids of each call's payloads
+    monkeypatch.setattr(cli, "_encode_payload", lambda obj, level: encoded.append(
+        [id(p) for p in obj] if type(obj) is list else id(obj)) or encode(obj, level))
 
     def build_encoder(*args, **kwargs):
         raise AssertionError("a JSON encoder was built while judging")
@@ -439,9 +485,23 @@ def test_absent_encodes_each_selected_payload_once_with_the_prebuilt_encoder(mon
     monkeypatch.setattr(cli, "CHUNK_EVENTS", 4)
     assert evaluate_all(events, rules) == [
         Verdict("absent", True, "'never' absent from 11 events"),
-        Verdict("absent", True, "'also-never' absent from 4 events")]
-    # every sip event is also selected by the first rule: one encoding each
-    assert [id(p) for p in encoded] == [id(ev["payload"]) for ev in events if "payload" in ev]
+        Verdict("absent", True, "'also-never' absent from 4 events"),
+        Verdict("absent", True, "'nor-this' absent from 11 events"),
+        Verdict("absent", True, "'nor-that' absent from 4 events")]
+    # one encoding of each selection a chunk, shared by the two rules over
+    # it, and none of a payload on its own, as the screen clears each needle
+    chunks = [events[i:i + 4] for i in range(0, len(events), 4)]
+
+    def ids(evs):
+        return [id(ev["payload"]) for ev in evs if "payload" in ev]
+    assert encoded == [ids(sel) for chunk in chunks
+                       for sel in (chunk, [ev for ev in chunk if ev["layer"] == "sip"])]
+    # a needle the screen may hold is searched for event by event, in that
+    # chunk alone, up to the event that holds it
+    encoded.clear()
+    assert evaluate_all(events, [{"kind": "absent", "pattern": '"hex": "0006"'}]) == [
+        Verdict("absent", False, "'\"hex\": \"0006\"' present at seq=6 (sip ev-6)")]
+    assert encoded == [ids(chunks[0]), ids(chunks[1]), *ids(events[4:7])]
 
 
 # ---------------------------------------------------------------------------
@@ -1134,6 +1194,30 @@ def test_cli_assert_judges_nothing_before_the_last_line_passes(tmp_path, capsys,
     out, err = capsys.readouterr()
     assert out == ""
     assert "line 3: not JSON" in err
+
+
+def test_cli_assert_judges_a_payload_as_deep_as_the_reader_takes(tmp_path, capsys):
+    """A needle with "{" is searched for event by event; one without is
+    first looked for in a screen that encodes the payloads as one list, a
+    level deeper than each. At the deepest payload the first is judged at,
+    found by probing, the second must be judged too, and alike."""
+    path, rules = tmp_path / "t.jsonl", tmp_path / "rules.json"
+
+    def judge(depth, needle):
+        path.write_text('{"dst":"b","lan":"l","layer":"sys","payload":' + '{"k":' * depth
+                        + "{}" + "}" * depth + ',"secured":false,"seq":0,"src":"a",'
+                        '"summary":"s","t_ms":0}\n')
+        rules.write_text(json.dumps([{"kind": "absent", "pattern": needle}]))
+        code = main(["assert", str(path), str(rules)])
+        return code, capsys.readouterr().out
+
+    lo, hi = 0, sys.getrecursionlimit()   # judged at lo, refused at hi
+    assert judge(lo, "{never")[0] == 0 and judge(hi, "{never")[0] == 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if judge(mid, "{never")[0] == 0 else (lo, mid)
+    assert judge(lo, "never") == (0, "PASS absent: 'never' absent from 1 events\n")
+    assert judge(lo, '"k"') == (1, "FAIL absent: '\"k\"' present at seq=0 (sys s)\n")
 
 
 @pytest.mark.parametrize("trace, code, complaint", [
