@@ -52,6 +52,7 @@ from .cloud import CLOUD_HOSTS, CLOUD_LAN, CLOUD_PREFIX, CloudServices
 from .device import EchoDevice, WifiNetwork, host_name
 from .netsim import (
     EVENT_BUDGET,
+    SETUP_LAN_NAMES,
     SETUP_PREFIXES,
     TRACE_LAYERS,
     BudgetExceeded,
@@ -276,6 +277,9 @@ def validate_scenario(scn) -> None:
         hosts[host] = spot
     taken = {CLOUD_PREFIX: "the cloud LAN", **dict.fromkeys(SETUP_PREFIXES, "setup networks")}
     for i, lan in enumerate(topo.get("lans", [])):
+        if lan["name"].startswith(SETUP_LAN_NAMES):
+            raise ScenarioError(f"{where} lans[{i}]: 'name' {lan['name']!r} "
+                                f"is reserved for setup networks")
         if lan["prefix"] in taken:
             raise ScenarioError(f"{where} lans[{i}]: 'prefix' {lan['prefix']!r} "
                                 f"is used by {taken[lan['prefix']]}")
@@ -469,7 +473,7 @@ class _Count(_Judge):
         super().__init__(rule)
         self.seqs: list[int] = []   # of the first 5 selected events
 
-    def take(self, hits, screens, hays):
+    def take(self, hits, screens):
         if len(self.seqs) < 5:
             self.seqs += [ev["seq"] for ev in hits[:5 - len(self.seqs)]]
 
@@ -490,7 +494,7 @@ class _Subsequence(_Judge):   # its one filter is lan
         self.last_seq = None
         self.done = not self.tests
 
-    def take(self, hits, screens, hays):
+    def take(self, hits, screens):
         tests, found = self.tests, self.found
         for ev in hits:
             layer, match = tests[found]
@@ -533,11 +537,9 @@ class _Absent(_Judge):
     it only across two summaries or two payloads."""
     hit: dict | None = None
 
-    def take(self, hits, screens, hays):
+    def take(self, hits, screens):
         # for the chunk, screens holds each selection's _screen by id, with
-        # the selection so that the id names no other; while two absent rules
-        # are live, hays holds each event's haystack by id, so no payload is
-        # encoded twice; else it is None, as keeping them costs more
+        # the selection so that the id names no other
         needle = self.rule["pattern"]
         if "{" not in needle and hits:
             entry = screens.get(id(hits))
@@ -547,13 +549,9 @@ class _Absent(_Judge):
             if texts is not None and needle not in texts[0] and needle not in texts[1]:
                 return
         for ev in hits:
-            hay = None if hays is None else hays.get(id(ev))
-            if hay is None:
-                payload = ev.get("payload")
-                hay = ev["summary"] if payload is None else \
-                    ev["summary"] + "".join(_encode_payload(payload, 0))
-                if hays is not None:
-                    hays[id(ev)] = hay
+            payload = ev.get("payload")
+            hay = ev["summary"] if payload is None else \
+                ev["summary"] + "".join(_encode_payload(payload, 0))
             if needle in hay:
                 self.hit = ev
                 self.done = True
@@ -575,7 +573,7 @@ class _Locality(_Judge):
         super().__init__(rule)
         self.lans = set(rule["lans"]) if "lans" in rule else None
 
-    def take(self, hits, screens, hays):
+    def take(self, hits, screens):
         if self.lans is not None:
             bad = [ev for ev in hits if ev["lan"] not in self.lans]
         else:
@@ -637,7 +635,6 @@ def _judge_chunk(judges: list[_Judge], chunk: list[dict]) -> bool:
             if bucket is not None:
                 bucket.append(ev)
     screens: dict[int, tuple] = {}
-    hays = {} if sum(type(judge) is _Absent for judge in live) > 1 else None
     for judge in live:
         if judge.keys:
             hits = indexes[judge.layer, judge.keys][judge.want]
@@ -646,7 +643,7 @@ def _judge_chunk(judges: list[_Judge], chunk: list[dict]) -> bool:
         if judge.match is not None:
             hits = [ev for ev in hits if judge.match(ev["summary"])]
         judge.selected += len(hits)
-        judge.take(hits, screens, hays)
+        judge.take(hits, screens)
     return bool(chunk)
 
 

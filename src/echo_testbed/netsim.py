@@ -21,7 +21,9 @@ only the length, never the bytes. An unsecured media event's payload is
 {"hex": <the bytes it carries, in lower-case hex>}, which the channel
 writes itself; a media send given a payload is refused. Taps on a LAN see
 each delivery before the destination handler runs, which is exactly the
-edge a same-channel attacker has over the legitimate party.
+edge a same-channel attacker has over the legitimate party. A send hands
+them the very object it was given, so a record a Written carries lives
+exactly as long as its bytes, and every reader of one delivery may use it.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ EVENT_BUDGET = 100_000   # dispatches per run; every built-in quiesces well insi
 HOSTS_PER_LAN = 254     # one /24: .1 to .254
 SETUP_NETWORKS = 20     # concurrent setup-mode networks, 192.168.11-30
 SETUP_PREFIXES = tuple(f"192.168.{n}" for n in range(11, 11 + SETUP_NETWORKS))
+SETUP_LAN_NAMES = "pair:"   # a setup network's LAN is named this plus its SSID
 
 
 class NetError(Exception):
@@ -239,6 +242,12 @@ class Host:
 
     def __repr__(self):
         return f"<Host {self.name} {self.interfaces}>"
+
+
+class Written(bytes):
+    """Bytes with their writer's record of them (in the instance dict: a bytes
+    subtype takes no slots), whose record[0] names the owner: a version
+    string or a key set. A copy is plain bytes and takes the full path."""
 
 
 @dataclass(frozen=True)
@@ -509,7 +518,7 @@ class PairingNetwork:
         self.owner = owner
         self.ssid = ssid
         prefix = network._pairing_prefixes.pop(0)
-        self.lan = network.add_lan(name=f"pair:{ssid}", prefix=prefix, isolated=True)
+        self.lan = network.add_lan(name=f"{SETUP_LAN_NAMES}{ssid}", prefix=prefix, isolated=True)
         owner_addr = network.attach(owner, self.lan.name)
         assert owner_addr.endswith(".1")
         network.note(owner, "sys", f"announce:{ssid}", lan=self.lan.name)

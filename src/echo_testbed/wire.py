@@ -24,10 +24,10 @@ in: one loop over the header lines splits each line, checks its name and
 notes Content-Length, and the serializer checks each name as it writes it.
 
 The HTTP and SIP serializers refuse any field that would not read back as
-written, and return a bytes subtype recording the message it parses to;
+written, and return a netsim.Written recording the message it parses to;
 http_parse and sip_parse answer it from the record with a fresh message.
-The record lives as long as its bytes, so every reader of one delivery
-hits; a copy and altered or attacker-made bytes take the full parse.
+The record lives exactly as long as its bytes, so every reader of one
+delivery hits; a copy and altered or attacker-made bytes take the full parse.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field
+
+from .netsim import Written
 
 
 DOMAIN = "echo.example"
@@ -188,15 +190,10 @@ def _parse_message(data: bytes, cls, what: str, version: str, label: str,
     return cls("request", parts[0], parts[1], headers=headers, body=body)
 
 
-class _Written(bytes):
-    """Bytes a serializer wrote, whose record (in the instance dict: a bytes
-    subtype takes no slots) is what they parse to: (version, kind, method,
-    target, status, reason, headers, body)."""
-
-
 def _recorded(data: bytes, cls, version: str):
-    """A fresh cls from the record of bytes written as version; else None."""
-    if type(data) is _Written and data.record[0] == version:
+    """A fresh cls from the record of bytes written as version, (version,
+    kind, method, target, status, reason, headers, body); else None."""
+    if type(data) is Written and data.record[0] == version:
         _, kind, method, target, status, reason, headers, body = data.record
         return cls(kind, method, target, status, reason, list(headers), body)
     return None
@@ -256,7 +253,7 @@ def _serialize_message(msg, version: str, target: str | None,
               and "\r" not in reason and "\n" not in reason):
         raise WireError(f"bad reason: {reason!r}")   # CR/LF would inject headers
     out.append("\r\n")
-    data = _Written("".join(out).encode("ascii") + msg.body)
+    data = Written("".join(out).encode("ascii") + msg.body)
     data.record = (version, kind, method, target, status, reason, headers, bytes(msg.body))
     return data
 

@@ -324,12 +324,13 @@ def _needle(draw, events):
                                      "}, ", "}, {", "1}, {}")))
     summaries = [ev["summary"] for ev in events]
     payloads = [json.dumps(ev["payload"], sort_keys=True) for ev in events if "payload" in ev]
-    hays = [ev["summary"] + (json.dumps(ev["payload"], sort_keys=True) if "payload" in ev
-                             else "") for ev in events]
-    across = draw(st.sampled_from(("", "hays", "summaries", "payloads", "into payload")))
-    if across == "hays" and len(events) > 1:
+    haystacks = [ev["summary"] + (json.dumps(ev["payload"], sort_keys=True)
+                                  if "payload" in ev else "") for ev in events]
+    across = draw(st.sampled_from(("", "haystacks", "summaries", "payloads", "into payload")))
+    if across == "haystacks" and len(events) > 1:
         i = draw(st.integers(0, len(events) - 2))
-        return _slice(draw, hays[i], tail=True) + "\n" + _slice(draw, hays[i + 1], head=True)
+        return _slice(draw, haystacks[i], tail=True) + "\n" + \
+            _slice(draw, haystacks[i + 1], head=True)
     if across == "summaries" and len(events) > 1:
         i = draw(st.integers(0, len(events) - 2))
         return _slice(draw, summaries[i], tail=True) + "\n" + \
@@ -344,7 +345,7 @@ def _needle(draw, events):
             _slice(draw, json.dumps(ev["payload"], sort_keys=True)[1:], head=True)
     i = draw(st.sampled_from([i for i, ev in enumerate(events) if "payload" in ev]
                              or range(len(events))))
-    hay = hays[i]
+    hay = haystacks[i]
     start = draw(st.integers(0, len(hay)))
     return hay[start:draw(st.integers(start, len(hay)) | st.integers(start, start + 8))]
 
@@ -963,17 +964,20 @@ def test_cli_run_refuses_an_invalid_scenario(tmp_path, capsys, scn):
     assert not (tmp_path / "t.jsonl").exists()
 
 
-@pytest.mark.parametrize("prefix, complaint", [
+@pytest.mark.parametrize("value, complaint", [
     ("192.168.50", "'prefix' '192.168.50' is used by LAN 'home-a'"),
     ("10.0.0", "'prefix' '10.0.0' is used by the cloud LAN"),
     ("192.168.11", "'prefix' '192.168.11' is used by setup networks"),
+    ("pair:Amazon-001", "'name' 'pair:Amazon-001' is reserved for setup networks"),
     ("192.168.300", "'prefix' must be three dot-separated decimal octets 0-255"),
 ])
-def test_cli_run_refuses_a_prefix_two_lans_would_share(tmp_path, capsys, prefix, complaint):
+def test_cli_run_refuses_a_prefix_two_lans_would_share(tmp_path, capsys, value, complaint):
     # two NAT'd homes on one prefix once ran: the callee took the caller's
-    # address for one on its own LAN, so no media frame reached the relay
+    # address for one on its own LAN, so no media frame reached the relay;
+    # a LAN named as a setup network would clash with one when it opened.
+    # The complaint names the field that value is set in.
     scn = load_scenario("call_cross_lan_fork")
-    scn["topology"]["lans"][1]["prefix"] = prefix
+    scn["topology"]["lans"][1][complaint.split("'")[1]] = value
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scn))
     assert main(["run", str(path), "--trace", str(tmp_path / "t.jsonl")]) == 2

@@ -780,14 +780,17 @@ def _unprotect_verdict(unprotect, ctx, packet):
 
 
 _SRTP_STEPS = st.lists(st.tuples(
-    st.sampled_from(["protect"] * 3 + ["deliver"] * 3 + ["resend", "tamper", "skip"]),
+    st.sampled_from(["protect"] * 3 + ["deliver"] * 3
+                    + ["resend", "copy", "tamper", "foreign", "skip"]),
     st.integers(0, 2 ** 16)), max_size=40)
 
 
 class TestSrtpAgainstReference:
     # one sender and two receivers of one key set: the receiver under test
-    # answers the sender's packets from the record, the other takes the full
-    # path every time; both must give the same answer and end in the same state
+    # answers the sender's packets from their record, the other takes the
+    # full path every time; both must give the same answer and end in the
+    # same state, also for a plain copy of a packet and for a packet whose
+    # record names another key set
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(offset=st.sampled_from([0, 1, 2**32 - 3, 2**32, 2**32 + 3, 2**33])
            | st.integers(0, crypto.SRTP_MAX_INDEX - 2**34),
@@ -799,7 +802,6 @@ class TestSrtpAgainstReference:
     def test_unprotect_matches_the_full_path(self, offset, primed, steps):
         key, salt = bytes(range(32)), bytes(range(14))
         tx, rx, ref = (srtp_derive(key, salt) for _ in range(3))
-        assert tx._record is rx._record is ref._record
         sent, pending = [], []
 
         def deliver(packet):
@@ -818,20 +820,34 @@ class TestSrtpAgainstReference:
                 deliver(pending.pop(n % len(pending)))
             elif step == "resend" and sent:
                 deliver(sent[n % len(sent)])
+            elif step == "copy" and sent:
+                deliver(bytes(sent[n % len(sent)]))
             elif step == "tamper" and sent:
                 packet = sent[n % len(sent)]
                 deliver(_flip(packet, n % (8 * len(packet))))
+            elif step == "foreign" and tx.send_index < crypto.SRTP_MAX_INDEX:
+                # the receivers' ssrc and index, but one key of its own
+                other = ("cipher_key", "auth_key", "session_salt")[n % 3]
+                foreign = dataclasses.replace(tx, **{other: bytes(len(getattr(tx, other)))})
+                deliver(srtp_protect(foreign, bytes([n % 256]) * (1 + n % 200)))
             elif step == "skip":   # up to 2^32 indexes that never reach the receivers
                 tx.send_index = min(tx.send_index + n * 2 ** 16, crypto.SRTP_MAX_INDEX)
 
-    def test_a_tampered_packet_misses_the_record(self):
+    def test_a_tampered_packet_misses_the_record(self, monkeypatch):
         tx, rx = TestSrtp().contexts()
         packet = srtp_protect(tx, bytes(160))
         with pytest.raises(CryptoError, match="auth: bad tag"):
             srtp_unprotect(rx, _flip(packet, 8 * 20))
-        assert rx.auth_failures == 1 and packet in rx._record
+        assert rx.auth_failures == 1
         assert srtp_unprotect(rx, packet) == bytes(160)
-        assert packet not in rx._record
+        # a plain copy carries no record: its tag is checked, and it
+        # decrypts to the same payload
+        tags = []
+        tag = crypto._tag
+        monkeypatch.setattr(crypto, "_tag", lambda *args: tags.append(1) or tag(*args))
+        _, fresh = TestSrtp().contexts()
+        assert srtp_unprotect(fresh, bytes(packet)) == bytes(160)
+        assert tags and fresh.auth_failures == 0
 
 
 def _reference_ctr(ctx, index, data):

@@ -16,6 +16,7 @@ import pytest
 
 from echo_testbed import crypto
 from echo_testbed.cli import BUILTINS, load_scenario, run_scenario
+from echo_testbed.netsim import Written
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PINNED = json.loads((PERFBENCH / "pinned.json").read_text(encoding="utf-8"))
@@ -127,14 +128,15 @@ def test_call_builtin_decrypts_only_what_its_own_contexts_protected(name, monkey
     assert received
 
 
-def test_srtp_records_leave_the_registry_with_their_run():
-    # other tests may hold contexts of their own, but none of this run's keys
-    gc.collect()
-    before = set(crypto._SRTP_RECORDS.keys())
-    result = run_scenario(load_scenario("call_cross_lan_fork"))
+def test_a_packet_nobody_reads_keeps_nothing_alive():
+    # the gateway absorbs the caller's frames unread; each carries its own
+    # record, so no packet outlives the run that made it
+    scn = load_scenario("call_pstn")
+    scn["topology"]["devices"][0]["frame_count"] = 200
+    scn["assertions"] = [{"kind": "count", "layer": "media", "dst": "gateway", "equals": 200}]
+    result = run_scenario(scn)
     digest = _digest(result)
-    assert set(crypto._SRTP_RECORDS.keys()) - before
-    del result
     gc.collect()
-    assert set(crypto._SRTP_RECORDS.keys()) <= before
-    assert _digest(run_scenario(load_scenario("call_cross_lan_fork"))) == digest
+    assert not [obj for obj in gc.get_objects()
+                if type(obj) is Written and type(obj.record[0]) is tuple]
+    assert _digest(run_scenario(scn)) == digest
