@@ -439,6 +439,8 @@ _EQUALITY_FILTERS = ("lan", "src", "dst", "secured", "summary")   # layer: see _
 _encode_payload = json.encoder.c_make_encoder(
     None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
     ": ", ", ", True, False, True)
+# the characters json.dumps writes as they are: printable ASCII but " and \
+_PLAIN = bytes(c for c in range(0x20, 0x7f) if c not in b'"\\')
 
 
 def _is_glob(pat: str) -> bool:
@@ -516,32 +518,44 @@ class _Subsequence(_Judge):   # its one filter is lan
 
 
 def _screen(hits: list[dict]) -> tuple[str, str] | None:
-    """The summaries of hits joined by "\n", and their payloads encoded as
-    one list; None if a payload is no dict, or too deep for the list."""
-    payloads = [p for ev in hits if (p := ev.get("payload")) is not None]
-    if not set(map(type, payloads)) <= {dict}:
+    """The summaries of hits joined by "\n", and the quote-free runs of
+    their payloads joined by "\n" (_Absent); None unless each payload is a
+    dict of plain keys, and of values that are plain strings or ints."""
+    runs = [": ", ", ", "}"]
+    for payload in (p for ev in hits if (p := ev.get("payload")) is not None):
+        if type(payload) is not dict:
+            return None
+        runs += payload
+        for value in payload.values():   # type, not isinstance: a bool is written true
+            runs += (f": {value}, ", f": {value}}}") if type(value) is int else (value,)
+    try:   # the join fails on a key or other value that is no str
+        text = "\n".join(runs)
+    except TypeError:
         return None
-    try:
-        encoded = "".join(_encode_payload(payloads, 0))
-    except RecursionError:   # the list is a level deeper than each payload
+    # json.dumps escapes a raw "\n" in a string, so only the joins may remain
+    if not text.isascii() or \
+            text.encode("ascii").translate(None, _PLAIN) != b"\n" * (len(runs) - 1):
         return None
-    return "\n".join(map(itemgetter("summary"), hits)), encoded
+    return "\n".join(map(itemgetter("summary"), hits)), text
 
 
 class _Absent(_Judge):
     """An event's haystack is its summary s, then P = json.dumps(payload,
     sort_keys=True) if it has a payload. A payload is a dict, so P starts
-    with "{", and a needle without "{" in s + P lies within s or P, so in
-    the _screen texts of its selection. If they lack it, the chunk is
-    settled; else it is sought event by event, since the screen may hold
-    it only across two summaries or two payloads."""
+    with "{", and a needle with neither "{" nor '"' in s + P lies in s or in
+    a quote-free run of P, a stretch with no '"'. If each key is plain
+    (printable ASCII but '"' and '\\') and each value plain or an int N,
+    the runs are "{", each key and value, ": ", ", ", "}", ": N, " and
+    ": N}", all in the _screen texts of the selection. If they lack the
+    needle, the chunk is settled; else it is sought event by event, as
+    they may hold it across two runs."""
     hit: dict | None = None
 
     def take(self, hits, screens):
         # for the chunk, screens holds each selection's _screen by id, with
         # the selection so that the id names no other
         needle = self.rule["pattern"]
-        if "{" not in needle and hits:
+        if "{" not in needle and '"' not in needle and hits:
             entry = screens.get(id(hits))
             if entry is None:
                 entry = screens[id(hits)] = hits, _screen(hits)
@@ -616,8 +630,8 @@ def _judge_chunk(judges: list[_Judge], chunk: list[dict]) -> bool:
     slice. Rules on one slice with the same filter keys share one index of
     it, built in one pass, from each value a rule wants to its events; each
     rule takes its bucket and matches a summary glob on it. Absent rules on
-    one selection share its screen: a needle without "{" that neither text
-    holds is in no haystack, whose payload part starts with "{" (_Absent)."""
+    one selection share its screen: a needle without "{" or '"' that neither
+    text holds is in no haystack (_Absent)."""
     by_layer = defaultdict(list)
     for ev in chunk:
         by_layer[ev["layer"]].append(ev)
@@ -766,7 +780,9 @@ def cmd_assert(args) -> int:
     try:
         rules = json.loads(Path(args.assertions).read_text(encoding="utf-8"))
         if isinstance(rules, dict):
-            rules = rules.get("assertions", [])
+            if "assertions" not in rules:
+                raise ScenarioError('assertions file: an object needs an "assertions" list')
+            rules = rules["assertions"]
         if not isinstance(rules, list):
             raise ScenarioError("assertions file: expected a list")
         for i, rule in enumerate(rules):

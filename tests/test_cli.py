@@ -5,6 +5,7 @@ import dataclasses
 import fnmatch
 import io
 import json
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -315,10 +316,10 @@ def _needle(draw, events):
     escape, a separator or keys in their order, is one that a payload
     written otherwise than json.dumps writes it would not hold. Others lie
     where the engine's screen of a selection holds them and no one event
-    does: across the "\\n" it joins two summaries with, or across the ", "
-    between two payloads it encodes as one list; summaries and needles
-    may hold "\\n" too. One that runs from a summary into its payload
-    holds "{", which is how the engine knows it must not trust the screen."""
+    does: across the "\\n" it joins two summaries or two payload runs with,
+    or across two payloads; summaries and needles may hold "\\n" too. One
+    that runs from a summary into its payload holds "{", and one within a
+    payload often '"', which is how the engine knows not to trust the screen."""
     if not events or draw(st.integers(0, 3)) == 0:
         return draw(st.sampled_from(('x{"k', '"k": 1', "x.", "", "\n", "a\nb", "}\n",
                                      "}, ", "}, {", "1}, {}")))
@@ -455,6 +456,80 @@ def test_oracle_cases_the_engine_must_get_right():
     rules = [{"kind": "absent", "pattern": 'x"a'}, {"kind": "absent", "pattern": "y[1"}]
     assert [v.ok for v in evaluate_all(odd, rules)] == [False, False]
     assert evaluate_all(odd, rules) == [_oracle(odd, rule) for rule in rules]
+    # payloads the screen must not misread: a raw "\n" that json.dumps
+    # escapes as \n, an int's runs, a bool it writes as true, the separators
+    flat = [_ev(0, "sys", "v", payload={"v": "x\nCANARY:"}),
+            _ev(1, "sip", "p", payload={"port": 5000}), _ev(2, "sys", "b", payload={"b": True}),
+            _ev(3, "sys", "s", payload={"a": "b", "c": "d"}), _ev(4, "sys", "e", payload={})]
+    for rule, ok in (
+        ({"kind": "absent", "pattern": "nCANARY:"}, False),
+        ({"kind": "absent", "pattern": "0}"}, False),
+        ({"kind": "absent", "pattern": ": 5000"}, False),
+        ({"kind": "absent", "pattern": "5000, "}, True),
+        ({"kind": "absent", "pattern": "true"}, False),
+        ({"kind": "absent", "pattern": '"port"'}, False),
+        ({"kind": "absent", "pattern": "}", "summary": "[se]"}, False),
+        ({"kind": "absent", "pattern": ", ", "summary": "s"}, False),
+        ({"kind": "absent", "pattern": ": ", "summary": "s"}, False),
+        ({"kind": "absent", "pattern": "d}", "summary": "s"}, True),
+        ({"kind": "absent", "pattern": "b, c", "summary": "s"}, True),
+    ):
+        assert _oracle(flat, rule).ok is ok
+        for chunk in (1, 2, 512):
+            with mock.patch.object(cli, "CHUNK_EVENTS", chunk):
+                assert evaluate_all(flat, [rule]) == [_oracle(flat, rule)]
+
+
+# strings that json.dumps writes as they are, and ones with one character
+# it writes otherwise: escaped, or non-ASCII
+PLAIN_TEXT = st.text(alphabet="ab0:, }~-", max_size=4)
+ODD_TEXT = st.builds(lambda head, odd, tail: head + odd + tail, PLAIN_TEXT,
+                     st.sampled_from('"\\\n\x7f\x01\u00e9\U0001f600'), PLAIN_TEXT)
+PLAIN_DICTS = st.dictionaries(PLAIN_TEXT, PLAIN_TEXT | st.integers(-300, 300), max_size=3)
+ODD_SCALARS = ODD_TEXT | st.booleans() | st.none() | st.floats()
+ANY_VALUES = st.recursive(
+    PLAIN_TEXT | st.integers(-300, 300) | ODD_SCALARS,
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(PLAIN_TEXT, inner, max_size=2),
+    max_leaves=3)
+
+
+def _plain(payload) -> bool:
+    """Whether the screen must take payload: a dict of plain keys, and of
+    values that are plain strings or ints but no bool."""
+    def plain(text):
+        return all(" " <= c <= "~" and c not in '"\\' for c in text)
+    return type(payload) is dict and all(
+        plain(k) and (type(v) is int or type(v) is str and plain(v)) for k, v in payload.items())
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_the_screen_holds_every_quote_free_run_of_each_haystack(data):
+    """Every stretch of a haystack with neither "{" nor '"' lies in one of
+    the screen's texts, whenever it gives texts; a selection of plain
+    payloads always gets them. The payloads are plain but for one item, or
+    one payload, at most."""
+    events = data.draw(st.lists(st.builds(
+        lambda summary, payload: _ev(0, "sys", summary, payload=payload),
+        ODD_TEXT | st.just('{"'), st.none() | PLAIN_DICTS), max_size=4))
+    dicts = [ev for ev in events if "payload" in ev]
+    spoil = data.draw(st.sampled_from(("nothing", "item", "payload")))
+    if spoil == "item" and dicts:
+        ev = data.draw(st.sampled_from(dicts))
+        key, value = data.draw(st.tuples(ODD_TEXT, PLAIN_TEXT | st.integers(-300, 300))
+                               | st.tuples(PLAIN_TEXT, ODD_SCALARS | ANY_VALUES))
+        ev["payload"] = {**ev["payload"], key: value}
+    elif spoil == "payload" and events:
+        data.draw(st.sampled_from(events))["payload"] = data.draw(ANY_VALUES.filter(
+            lambda value: value is not None))
+    texts = cli._screen(events)
+    if texts is None:
+        assert not all(_plain(ev["payload"]) for ev in events if "payload" in ev)
+        return
+    for ev in events:
+        hay = ev["summary"] + (json.dumps(ev["payload"], sort_keys=True) if "payload" in ev else "")
+        for run in re.split('[{"]', hay):
+            assert run in texts[0] or run in texts[1], (run, hay, texts)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -467,42 +542,53 @@ def test_absent_searches_each_payload_as_json_dumps_writes_it(payload):
         Verdict("absent", True, f"{hay + 'x'!r} absent from 1 events")]
 
 
-def test_absent_screens_each_selection_once_a_chunk_with_the_prebuilt_encoder(monkeypatch):
-    events = [_ev(seq, ("sip", "media", "sys")[seq % 3], f"ev-{seq}", payload=None
-                  if seq % 4 == 3 else {"hex": f"{seq:04x}", "n": [seq, 1.5, None], "\u00e9": {}})
+def test_absent_screens_plain_payloads_unencoded_and_others_event_by_event(monkeypatch):
+    def payload(seq):   # plain strings and ints but at seq 5
+        if seq == 5:
+            return {"hex": f"{seq:04x}", "n": [seq, 1.5, None], "\u00e9": {}}
+        return None if seq % 4 == 3 else {"hex": f"{seq:04x}", "n": -seq}
+    events = [_ev(seq, ("sip", "media", "sys")[seq % 3], f"ev-{seq}", payload=payload(seq))
               for seq in range(11)]
-    rules = [{"kind": "absent", "pattern": "never"},
-             {"kind": "absent", "pattern": "also-never", "layer": "sip"},
-             {"kind": "absent", "pattern": "nor-this"},
-             {"kind": "absent", "pattern": "nor-that", "layer": "sip"}]
-    encoded, encode = [], cli._encode_payload   # the ids of each call's payloads
-    monkeypatch.setattr(cli, "_encode_payload", lambda obj, level: encoded.append(
-        [id(p) for p in obj] if type(obj) is list else id(obj)) or encode(obj, level))
+    encoded, encode = [], cli._encode_payload   # the id of each payload encoded
+    monkeypatch.setattr(cli, "_encode_payload",
+                        lambda obj, level: encoded.append(id(obj)) or encode(obj, level))
 
     def build_encoder(*args, **kwargs):
         raise AssertionError("a JSON encoder was built while judging")
     monkeypatch.setattr(json.encoder, "c_make_encoder", build_encoder)
     monkeypatch.setattr(json.JSONEncoder, "iterencode", build_encoder)
     monkeypatch.setattr(cli, "CHUNK_EVENTS", 4)
-    assert evaluate_all(events, rules) == [
-        Verdict("absent", True, "'never' absent from 11 events"),
-        Verdict("absent", True, "'also-never' absent from 4 events"),
-        Verdict("absent", True, "'nor-this' absent from 11 events"),
-        Verdict("absent", True, "'nor-that' absent from 4 events")]
-    # one encoding of each selection a chunk, shared by the two rules over
-    # it, and none of a payload on its own, as the screen clears each needle
     chunks = [events[i:i + 4] for i in range(0, len(events), 4)]
 
     def ids(evs):
         return [id(ev["payload"]) for ev in evs if "payload" in ev]
-    assert encoded == [ids(sel) for chunk in chunks
-                       for sel in (chunk, [ev for ev in chunk if ev["layer"] == "sip"])]
-    # a needle the screen may hold is searched for event by event, in that
-    # chunk alone, up to the event that holds it
+    # plain selections, each screened once a chunk for the two rules over it,
+    # settle each needle without an encoding
+    plain = [ev for ev in events if ev["seq"] != 5]
+    assert evaluate_all(plain, [
+        {"kind": "absent", "pattern": "never"},
+        {"kind": "absent", "pattern": "also-never", "layer": "sip"},
+        {"kind": "absent", "pattern": "nor-this"},
+        {"kind": "absent", "pattern": "nor-that", "layer": "sip"}]) == [
+        Verdict("absent", True, "'never' absent from 10 events"),
+        Verdict("absent", True, "'also-never' absent from 4 events"),
+        Verdict("absent", True, "'nor-this' absent from 10 events"),
+        Verdict("absent", True, "'nor-that' absent from 4 events")]
+    assert encoded == []
+    # the chunk with a payload that is not plain is judged event by event,
+    # to the end or up to the event that holds the needle, and that chunk alone
+    assert evaluate_all(events, [{"kind": "absent", "pattern": "never"}]) == [
+        Verdict("absent", True, "'never' absent from 11 events")]
+    assert encoded == ids(chunks[1])
     encoded.clear()
-    assert evaluate_all(events, [{"kind": "absent", "pattern": '"hex": "0006"'}]) == [
-        Verdict("absent", False, "'\"hex\": \"0006\"' present at seq=6 (sip ev-6)")]
-    assert encoded == [ids(chunks[0]), ids(chunks[1]), *ids(events[4:7])]
+    assert evaluate_all(events, [{"kind": "absent", "pattern": "0006"}]) == [
+        Verdict("absent", False, "'0006' present at seq=6 (sip ev-6)")]
+    assert encoded == ids(events[4:7])
+    # a needle with '"' is searched for event by event in every chunk
+    encoded.clear()
+    assert evaluate_all(plain, [{"kind": "absent", "pattern": '"0002"'}]) == [
+        Verdict("absent", False, "'\"0002\"' present at seq=2 (sys ev-2)")]
+    assert encoded == ids(plain[:3])
 
 
 # ---------------------------------------------------------------------------
@@ -916,6 +1002,12 @@ def test_cli_assert_on_saved_trace(tmp_path, capsys):
     assert main(["assert", str(trace), str(rules)]) == 1
     rules.write_text("{broken")
     assert main(["assert", str(trace), str(rules)]) == 2
+    capsys.readouterr()
+    # an object without "assertions" is refused, not judged as no rules
+    rules.write_text(json.dumps({"assertion": [{"kind": "count", "equals": 999}]}))
+    assert main(["assert", str(trace), str(rules)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and '"assertions"' in err
 
 
 def test_cli_seed_env_and_flag_precedence(tmp_path, capsys, monkeypatch):
@@ -1202,9 +1294,9 @@ def test_cli_assert_judges_nothing_before_the_last_line_passes(tmp_path, capsys,
 
 def test_cli_assert_judges_a_payload_as_deep_as_the_reader_takes(tmp_path, capsys):
     """A needle with "{" is searched for event by event; one without is
-    first looked for in a screen that encodes the payloads as one list, a
-    level deeper than each. At the deepest payload the first is judged at,
-    found by probing, the second must be judged too, and alike."""
+    first looked for in a screen, which a nested payload does not get, so
+    it is searched for event by event too. At the deepest payload the first
+    is judged at, found by probing, the others must be judged too, and alike."""
     path, rules = tmp_path / "t.jsonl", tmp_path / "rules.json"
 
     def judge(depth, needle):
