@@ -434,11 +434,6 @@ class Verdict:
 
 
 _EQUALITY_FILTERS = ("lan", "src", "dst", "secured", "summary")   # layer: see _judge_chunk
-# json.dumps(p, sort_keys=True) as one C encoder, made once rather than per
-# call, without the check for cycles a parsed payload never has
-_encode_payload = json.encoder.c_make_encoder(
-    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
-    ": ", ", ", True, False, True)
 # the characters json.dumps writes as they are: printable ASCII but " and \
 _PLAIN = bytes(c for c in range(0x20, 0x7f) if c not in b'"\\')
 
@@ -565,7 +560,7 @@ class _Absent(_Judge):
         for ev in hits:
             payload = ev.get("payload")
             hay = ev["summary"] if payload is None else \
-                ev["summary"] + "".join(_encode_payload(payload, 0))
+                ev["summary"] + json.dumps(payload, sort_keys=True)
             if needle in hay:
                 self.hit = ev
                 self.done = True

@@ -19,7 +19,7 @@ Every message send appends one TraceEvent. Channels opened secured model
 an encrypted transport: the event carries no payload and a tap observation
 only the length, never the bytes. An unsecured media event's payload is
 {"hex": <the bytes it carries, in lower-case hex>}, which the channel
-writes itself; a media send given a payload is refused. Taps on a LAN see
+writes itself; any other send records no payload. Taps on a LAN see
 each delivery before the destination handler runs, which is exactly the
 edge a same-channel attacker has over the legitimate party. A send hands
 them the very object it was given, so a record a Written carries lives
@@ -277,9 +277,8 @@ class Endpoint:
     def closed(self) -> bool:
         return self.channel.closed
 
-    def send(self, data: bytes, layer: str, summary: str,
-             payload: dict | None = None) -> None:
-        self.channel.send_from(self, data, layer, summary, payload)
+    def send(self, data: bytes, layer: str, summary: str) -> None:
+        self.channel.send_from(self, data, layer, summary)
 
     def close(self) -> None:
         self.channel.close(self)
@@ -302,18 +301,14 @@ class Channel:
         self.closed = False
         self.ends = (Endpoint(self, a[0], a[1]), Endpoint(self, b[0], b[1]))
 
-    def send_from(self, src: Endpoint, data: bytes, layer: str, summary: str,
-                  payload: dict | None) -> None:
+    def send_from(self, src: Endpoint, data: bytes, layer: str, summary: str) -> None:
         if self.closed:
             raise NetError(f"send on closed channel cid={self.cid}")
         if not isinstance(data, bytes):
             raise TypeError("channel payloads are bytes")
-        if layer == "media":
-            if payload is not None:
-                raise ValueError("a media event's payload is the hex of the bytes it carries")
-            payload = f'{{"hex":"{data.hex()}"}}'   # record drops it when secured
         dst = src.peer
         net = self.network
+        payload = f'{{"hex":"{data.hex()}"}}' if layer == "media" else None  # kept unless secured
         net.trace.record(net.scheduler.now, src.host.name, dst.host.name, dst.lan_name,
                          self.secured, layer, summary, payload)
         net.scheduler.at(self.latency, self._deliver, dst, data)

@@ -150,14 +150,10 @@ def _parse_message(data: bytes, cls, what: str, version: str, label: str,
         if not colon:
             raise WireError(f"malformed header line: {line!r}")
         name = name.strip()
-        # letters, digits and "-" (every name the testbed writes) need no
-        # regex; the block is ASCII, so isalnum accepts nothing else
-        if not name.replace("-", "").isalnum() and not _TOKEN_RE.match(name):
+        if not _TOKEN_RE.match(name):
             raise WireError(f"bad header name: {name!r}")
         value = value.strip()
-        # folding keeps an ASCII name's length, so only 14 letters can match
-        if length is None and (name == "Content-Length" or len(name) == 14
-                               and name.lower() == "content-length"):
+        if length is None and name.lower() == "content-length":
             length = value
         headers.append((name, value))
 
@@ -183,8 +179,7 @@ def _parse_message(data: bytes, cls, what: str, version: str, label: str,
                    headers=headers, body=body)
 
     parts = start.split(" ")
-    if len(parts) != 3 or parts[2] != version or not (
-            parts[0].isalpha() or _TOKEN_RE.match(parts[0])):
+    if len(parts) != 3 or parts[2] != version or not _TOKEN_RE.match(parts[0]):
         raise WireError(f"malformed {label}request line: {start!r}")
     # method, then the request target: an HTTP path or a SIP request-URI
     return cls("request", parts[0], parts[1], headers=headers, body=body)
@@ -227,19 +222,17 @@ def _serialize_message(msg, version: str, target: str | None,
     if check_headers is not None:
         check_headers(msg.headers)
     out = [start]
-    headers = []
     loose = None   # the first header whose value the parse would not keep
     for name, value in msg.headers:
         if "\r" in name or "\n" in name or "\r" in value or "\n" in value:
             raise WireError(f"CR/LF in header {name!r}")
-        # as on parsing, but the name may hold letters isalnum takes beyond ASCII
+        # ASCII letters, digits and "-" (every name the testbed writes) need no regex
         if not (name.replace("-", "").isalnum() and name.isascii()) \
                 and not _TOKEN_RE.match(name):
             raise WireError(f"bad header name: {name!r}")
         if loose is None and not (value.isascii() and value.strip() == value):
             loose = name
         out.append(f"{name}: {value}\r\n")
-        headers.append((name, value))
     if loose is not None:
         raise WireError(f"header {loose!r}: value must be ASCII, without whitespace at an end")
     if kind == "request":
@@ -254,7 +247,8 @@ def _serialize_message(msg, version: str, target: str | None,
         raise WireError(f"bad reason: {reason!r}")   # CR/LF would inject headers
     out.append("\r\n")
     data = Written("".join(out).encode("ascii") + msg.body)
-    data.record = (version, kind, method, target, status, reason, headers, bytes(msg.body))
+    data.record = (version, kind, method, target, status, reason, tuple(msg.headers),
+                   bytes(msg.body))
     return data
 
 

@@ -36,9 +36,8 @@ def test_each_workload_is_judged_under_its_own_rules_without_encoding_a_payload(
     so evaluate_all encodes no payload: the cost of judging that the
     benchmark's assert_s and report_s measure rests on it."""
     calls = []
-    encode = cli._encode_payload
-    monkeypatch.setattr(cli, "_encode_payload",
-                        lambda obj, level: calls.append(obj) or encode(obj, level))
+    dumps = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda obj, **kw: calls.append(obj) or dumps(obj, **kw))
     sizes = {"fleet_calls": {"homes": 40}, "pairing_waves": {"speakers": 12, "wave": 5},
              "media_stream": {"frames": 40}}
     for name, make in workloads.WORKLOADS.items():

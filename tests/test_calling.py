@@ -344,6 +344,19 @@ def test_a_request_the_device_cannot_serve_gets_481_or_501(method, status):
     assert not comms.calls
 
 
+def test_an_invite_with_unreadable_sdp_gets_404_and_makes_no_call():
+    def on_sip(end, msg):
+        if msg.method == "REGISTER":
+            send_sip(end, make_sip_response(msg, 200))
+    net, comms, end = _solo_on_fake_registrar(on_sip)
+    send_sip(end, make_sip_request("INVITE", comms.uri, from_uri=device_uri("EK-PEER-0002"),
+                                   to_uri=comms.uri, call_id="c-1", cseq=1, via="10.0.0.2",
+                                   body=b"v=0 not sdp"))
+    net.run()
+    assert [e["summary"] for e in trace_events(net) if e["src"] == "solo"][-1] == "404-INVITE"
+    assert not comms.calls
+
+
 def test_a_cancel_for_a_call_the_device_placed_gets_481():
     # only an INVITE the device was sent can be cancelled (RFC 3261 9.2); a
     # registrar that rings the device's INVITE and then cancels it ends nothing

@@ -271,9 +271,9 @@ RULE_LAYERS = EVENT_LAYERS + ("oobe",)   # no event is on oobe
 LANS, HOSTS = ("home-a", "home-b", "cloud"), ("a", "b", "relay")
 SUMMARIES = st.lists(st.sampled_from(("a", "b", "B", "x", "x.", "+", "(", "*", "[", "]",
                                       "-", "!", "{", "\n")), max_size=3).map("".join)
-# what the engine's prebuilt encoder must write as json.dumps(p, sort_keys=True)
-# does: non-ASCII escaped (U+1F600 as a surrogate pair), NaN and infinities
-# allowed, keys sorted at every depth
+# payloads whose json.dumps(p, sort_keys=True) the engine must search: non-ASCII
+# escaped (U+1F600 as a surrogate pair), NaN and infinities allowed, keys
+# sorted at every depth
 PAYLOAD_KEYS = st.sampled_from(("k", "hex", "a", "\u00e9", "\U0001f600"))
 PAYLOAD_DICTS = st.dictionaries(PAYLOAD_KEYS, st.recursive(
     st.none() | st.booleans() | st.integers(0, 2) | st.floats()
@@ -549,14 +549,9 @@ def test_absent_screens_plain_payloads_unencoded_and_others_event_by_event(monke
         return None if seq % 4 == 3 else {"hex": f"{seq:04x}", "n": -seq}
     events = [_ev(seq, ("sip", "media", "sys")[seq % 3], f"ev-{seq}", payload=payload(seq))
               for seq in range(11)]
-    encoded, encode = [], cli._encode_payload   # the id of each payload encoded
-    monkeypatch.setattr(cli, "_encode_payload",
-                        lambda obj, level: encoded.append(id(obj)) or encode(obj, level))
-
-    def build_encoder(*args, **kwargs):
-        raise AssertionError("a JSON encoder was built while judging")
-    monkeypatch.setattr(json.encoder, "c_make_encoder", build_encoder)
-    monkeypatch.setattr(json.JSONEncoder, "iterencode", build_encoder)
+    encoded, dumps = [], json.dumps   # the id of each payload encoded
+    monkeypatch.setattr(json, "dumps",
+                        lambda obj, **kw: encoded.append(id(obj)) or dumps(obj, **kw))
     monkeypatch.setattr(cli, "CHUNK_EVENTS", 4)
     chunks = [events[i:i + 4] for i in range(0, len(events), 4)]
 
@@ -565,15 +560,21 @@ def test_absent_screens_plain_payloads_unencoded_and_others_event_by_event(monke
     # plain selections, each screened once a chunk for the two rules over it,
     # settle each needle without an encoding
     plain = [ev for ev in events if ev["seq"] != 5]
-    assert evaluate_all(plain, [
-        {"kind": "absent", "pattern": "never"},
-        {"kind": "absent", "pattern": "also-never", "layer": "sip"},
-        {"kind": "absent", "pattern": "nor-this"},
-        {"kind": "absent", "pattern": "nor-that", "layer": "sip"}]) == [
-        Verdict("absent", True, "'never' absent from 10 events"),
-        Verdict("absent", True, "'also-never' absent from 4 events"),
-        Verdict("absent", True, "'nor-this' absent from 10 events"),
-        Verdict("absent", True, "'nor-that' absent from 4 events")]
+
+    def build_encoder(*args, **kwargs):
+        raise AssertionError("a JSON encoder was built while judging")
+    with monkeypatch.context() as m:
+        m.setattr(json.encoder, "c_make_encoder", build_encoder)
+        m.setattr(json.JSONEncoder, "iterencode", build_encoder)
+        assert evaluate_all(plain, [
+            {"kind": "absent", "pattern": "never"},
+            {"kind": "absent", "pattern": "also-never", "layer": "sip"},
+            {"kind": "absent", "pattern": "nor-this"},
+            {"kind": "absent", "pattern": "nor-that", "layer": "sip"}]) == [
+            Verdict("absent", True, "'never' absent from 10 events"),
+            Verdict("absent", True, "'also-never' absent from 4 events"),
+            Verdict("absent", True, "'nor-this' absent from 10 events"),
+            Verdict("absent", True, "'nor-that' absent from 4 events")]
     assert encoded == []
     # the chunk with a payload that is not plain is judged event by event,
     # to the end or up to the event that holds the needle, and that chunk alone

@@ -305,6 +305,24 @@ def test_companion_app_refuses_a_certificate_that_is_not_an_object(certificate):
     assert pair_with({"getDeviceDetails": {"certificate": certificate}}) == "bad-certificate"
 
 
+def test_companion_app_refuses_a_forged_certificate_and_seals_nothing():
+    # the subject is changed after signing, so the self-signature fails; the
+    # passphrase is never sealed to the key the certificate carries
+    net = Network()
+    fake = scripted_echo(net, {"ping": {"pong": True},
+                               "getDeviceDetails": {"certificate": {**FAKE_CERT,
+                                                                    "subject": SERIAL}},
+                               "getScanList": {"networks": [{"ssid": SSID}]},
+                               "connectToAP": {}, "getRegistrationState": {}})
+    app = CompanionApp(net, "phone", "alice", ACCOUNT_PW, WifiCredential(SSID, PASS),
+                       random.Random("c:ph"))
+    app.start_pairing(PairingNetwork(net, fake, "Amazon-EVL"))
+    net.run()
+    assert app.outcome == "bad-certificate"
+    assert [e["summary"] for e in trace_events(net) if e["src"] == "phone"
+            and e["layer"] == "oobe"] == ["ping", "getDeviceDetails"]
+
+
 @pytest.mark.parametrize("networks,outcome", [
     ("Wren", "protocol-error"), ([1], "protocol-error"), ({"ssid": SSID}, "protocol-error"),
     ([{"ssid": SSID}, "x"], "protocol-error"), ([{"ssid": [1]}], "home-network-not-visible"),

@@ -12,7 +12,7 @@ from echo_testbed import crypto, netsim, wire
 from echo_testbed.calling import (MEDIA_CADENCE_MS, CommsEndpoint, device_uri, make_sip_request,
                                   make_sip_response, send_sip)
 from echo_testbed.cli import BUILTINS, load_scenario, run_scenario
-from echo_testbed.cloud import CloudServices, LINK_CODE_TTL_MS
+from echo_testbed.cloud import CALL_TOKEN_TTL_MS, CloudServices, LINK_CODE_TTL_MS
 from echo_testbed.device import DEVICE_TYPE
 from echo_testbed.netsim import NetError, Network
 
@@ -639,6 +639,86 @@ def test_invite_without_binding_is_forbidden():
                            call_id="c-1", cseq=1, via="192.168.50.2")
     resp = probe.sip(inv)
     assert resp.status == 403
+
+
+CALLEE = "sip:user-alice@echo.example"
+
+
+def _invite_on(net, cloud, probe, *, from_uri, token, body=b""):
+    """An INVITE to CALLEE, sent on a channel SERIAL has registered; returns
+    the proxy's answer and the trace's notes of the proxy."""
+    chan = _register_on(net, probe, granted(net, cloud))
+    inv = make_sip_request("INVITE", CALLEE, from_uri=from_uri, to_uri=CALLEE,
+                           call_id="c-1", cseq=1, via="192.168.50.2",
+                           headers=[("X-authtoken", token)], body=body)
+    chan.send(wire.sip_serialize(inv), layer="sip", summary="INVITE")
+    net.run()
+    sip_notes = [(e["summary"], e.get("payload")) for e in trace_events(net)
+                 if e["src"] == "sip" and e["layer"] == "sys"]
+    return probe.sip_replies[-1], sip_notes
+
+
+def _call_token(cloud, caller):
+    return crypto.mint_call_token(cloud.keypair, caller=caller, callee=CALLEE,
+                                  call_type="call", ttl=CALL_TOKEN_TTL_MS, now=0,
+                                  rng=random.Random("t"))
+
+
+def test_an_invite_from_another_devices_uri_with_its_token_is_a_spoof():
+    # the token is valid for the From it names, but the channel is SERIAL's
+    net, cloud = make_cloud()
+    token = _call_token(cloud, device_uri("EK-OTHER-0002"))
+    resp, sip_notes = _invite_on(net, cloud, Probe(net), from_uri=device_uri("EK-OTHER-0002"),
+                                 token=token.b64())
+    assert resp.status == 403
+    assert sip_notes[-1] == ("call-token:rejected", {"call_id": "c-1", "reason": "uri-spoof"})
+    assert token.nonce in cloud.nonce_cache   # spent: it cannot be tried again
+    assert "c-1" not in cloud.calls and "c-1" not in cloud.recorded_keys
+
+
+@pytest.mark.parametrize("token", ["%%%", "AAAA", "e30="])   # not base64, not JSON, {}
+def test_an_invite_with_a_malformed_token_is_refused(token):
+    net, cloud = make_cloud()
+    resp, sip_notes = _invite_on(net, cloud, Probe(net), from_uri=device_uri(SERIAL),
+                                 token=token)
+    assert resp.status == 403
+    assert sip_notes[-1] == ("call-token:rejected", {"call_id": "c-1"})
+    assert "c-1" not in cloud.calls
+
+
+def test_the_proxy_answers_an_invite_with_unreadable_sdp_with_404():
+    net, cloud = make_cloud()
+    resp, sip_notes = _invite_on(net, cloud, Probe(net), from_uri=device_uri(SERIAL),
+                                 token=_call_token(cloud, device_uri(SERIAL)).b64(),
+                                 body=b"v=0 not sdp")
+    assert resp.status == 404
+    assert sip_notes[-1] == ("call-token:accepted", {"call_id": "c-1"})
+    assert "c-1" not in cloud.calls and "c-1" not in cloud.recorded_keys
+
+
+def test_the_relay_closes_a_channel_from_a_host_outside_the_call(monkeypatch):
+    # an outsider dials the relay port as soon as it is allocated, before
+    # either party: it is turned away at once, and the call's media flows
+    # as before
+    allocate = CloudServices._relay_allocate
+    closed_at_once, got = [], []
+
+    def allocate_and_intrude(self, call):
+        allocate(self, call)
+        net = self.network
+        net.add_lan("street", "198.51.100")
+        outsider = net.add_host("outsider")
+        net.attach(outsider, "street")
+        end = net.open_channel(outsider, self.hosts["relay"].addr("cloud"), call.media_port)
+        end.handler = lambda e, data: got.append(data)
+        closed_at_once.append(end.closed)
+    monkeypatch.setattr(CloudServices, "_relay_allocate", allocate_and_intrude)
+    result = run_scenario(load_scenario("call_cross_lan_fork"))
+    assert (result.exit_code, result.error) == (0, None), result.verdicts
+    assert closed_at_once == [True]
+    assert got == []
+    events = trace_events(result.world.network)
+    assert not [e for e in events if "outsider" in (e["src"], e["dst"])]
 
 
 # ---------------------------------------------------------------------------

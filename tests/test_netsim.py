@@ -260,21 +260,12 @@ class TestChannels:
         net, dev, api = two_lan_net()
         api.listen(443, lambda ep: None)
         end = net.open_channel(dev, api.addr("cloud"), 443)
-        end.send(b"x", "control", "probe", payload={"n": 1})
+        end.send(b"x", "media", "probe")
         ev = trace_events(net)[-1]
         assert (ev["src"], ev["dst"], ev["lan"]) == ("device", "api", "cloud")
-        assert ev["layer"] == "control"
-        assert ev["payload"] == {"n": 1}
+        assert ev["layer"] == "media"
+        assert ev["payload"] == {"hex": "78"}
         assert ev["summary"] == "probe"
-
-    def test_secured_channel_hides_payload(self):
-        net, dev, api = two_lan_net()
-        api.listen(443, lambda ep: None)
-        end = net.open_channel(dev, api.addr("cloud"), 443, secured=True)
-        end.send(b"secret", "control", "handshake", payload={"leak": "no"})
-        ev = trace_events(net)[-1]
-        assert ev["secured"]
-        assert "payload" not in ev
 
     @pytest.mark.parametrize("data", [b"", b"\x00", b"\x80\xff\x0a\"\\", bytes(range(256))])
     def test_unsecured_media_event_carries_the_hex_of_its_bytes(self, data):
@@ -294,15 +285,6 @@ class TestChannels:
         end = net.open_channel(dev, api.addr("cloud"), 443, secured=True)
         end.send(b"\x80\x00ciphertext", "media", "frame")
         assert "payload" not in trace_events(net)[-1]
-
-    @pytest.mark.parametrize("secured", [False, True])
-    def test_media_send_given_a_payload_is_refused(self, secured):
-        net, dev, api = two_lan_net()
-        api.listen(443, lambda ep: None)
-        end = net.open_channel(dev, api.addr("cloud"), 443, secured=secured)
-        with pytest.raises(ValueError, match="hex of the bytes it carries"):
-            end.send(b"\x80\x00", "media", "frame", payload={"hex": "8000"})
-        assert net.trace.events == []
 
     def test_tap_sees_plaintext_only_when_unsecured(self):
         net, dev, api = two_lan_net()
