@@ -109,6 +109,8 @@ _TYPES = {   # type -> (check, what the message says a value must be)
     "strings": (_is_strings, "a list of strings"),
     "prefix": (lambda v: isinstance(v, str) and _PREFIX.fullmatch(v) is not None,
                "three dot-separated decimal octets 0-255, e.g. '192.168.50'"),
+    "uri-part": (lambda v: isinstance(v, str) and re.fullmatch("[!-~]+", v) is not None,
+                 "a non-empty string of printable ASCII without whitespace"),
     "steps": (lambda v: isinstance(v, list) and all(
         _is_strings(s) and len(s) == 2 and s[0] in ("*", *TRACE_LAYERS) for s in v),
         "a list of [layer, summary-pattern] pairs"),
@@ -131,7 +133,7 @@ _COMMS = {   # the device fields build_world hands to its CommsEndpoint
     "intercom": Field("flag"), "answer_delay_ms": Field("count"),
     "frame_count": Field("count"), "auto_bye": Field("flag"),
 }
-_DEVICE = {"serial": _REQ_STR, "host": _STR, "state": _STR,
+_DEVICE = {"serial": Field("uri-part", True), "host": _STR, "state": _STR,
            "visible_wifi": Field("strings", ref="wifi"), **_COMMS}
 
 
@@ -154,7 +156,7 @@ OPS = {
     "tap_pairing": Op({"attacker": Field("string", True, ref="attackers")},
                       lambda world, dev, act: world.attackers[act["attacker"]].join(
                           dev.setup.pairing), *_IN_SETUP),
-    "start_call": Op({"callee": _REQ_STR,
+    "start_call": Op({"callee": Field("uri-part", True),
                       "call_type": Field("string", values=("call", "intercom"))},
                      lambda world, dev, act: world.cloud.start_call(
                          dev.serial, act["callee"], act.get("call_type", "call")),

@@ -21,6 +21,10 @@ its payload is the decryption of those bytes at that index. Decryption
 still runs when the index the receiver recovers from the sequence number
 differs: it decrypts at the index it guessed, as the full path does. A
 resent packet meets the replay window as on the full path.
+
+A keypair's to_dict() is a WrittenKeys, recording the key objects the
+keypair held; from_dict of that very dict takes each one that was built from
+the same private bytes. A copy is a plain dict. The record holds no keypair.
 """
 
 from __future__ import annotations
@@ -105,6 +109,12 @@ _SIGNERS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _RECIPIENTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
+class WrittenKeys(dict):
+    """A keypair's to_dict(), recording (sign_priv, ed25519, wrap_priv,
+    x25519) as the keypair held them, an object None if not yet built."""
+    __slots__ = ("made",)
+
+
 @dataclass(frozen=True)
 class AsymKeypair:
     sign_priv: bytes
@@ -118,15 +128,19 @@ class AsymKeypair:
     # fields: equality, repr and to_dict see only the bytes above.
     @cached_property
     def ed25519(self) -> Ed25519PrivateKey:
-        key = Ed25519PrivateKey.from_private_bytes(self.sign_priv)
+        key = self._held(0, self.sign_priv) or Ed25519PrivateKey.from_private_bytes(self.sign_priv)
         _SIGNERS[key.public_key().public_bytes_raw()] = self
         return key
 
     @cached_property
     def x25519(self) -> X25519PrivateKey:
-        key = X25519PrivateKey.from_private_bytes(self.wrap_priv)
+        key = self._held(2, self.wrap_priv) or X25519PrivateKey.from_private_bytes(self.wrap_priv)
         _RECIPIENTS[key.public_key().public_bytes_raw()] = self
         return key
+
+    def _held(self, i: int, priv: bytes):
+        made = self.__dict__.get("_made")   # the record from_dict was handed, if any
+        return made[i + 1] if made and made[i] == priv else None
 
     # What this keypair made: signed bytes -> its signature, and a blob
     # wrapped to its derived X25519 half -> the key inside. A signature
@@ -148,9 +162,12 @@ class AsymKeypair:
                          key_id=self.key_id)
 
     def to_dict(self) -> dict:
-        return {"sign_priv": _b64(self.sign_priv), "wrap_priv": _b64(self.wrap_priv),
-                "sign_pub": _b64(self.sign_pub), "wrap_pub": _b64(self.wrap_pub),
-                "key_id": self.key_id}
+        written = WrittenKeys(sign_priv=_b64(self.sign_priv), wrap_priv=_b64(self.wrap_priv),
+                              sign_pub=_b64(self.sign_pub), wrap_pub=_b64(self.wrap_pub),
+                              key_id=self.key_id)
+        held = self.__dict__
+        written.made = (self.sign_priv, held.get("ed25519"), self.wrap_priv, held.get("x25519"))
+        return written
 
     @classmethod
     def from_dict(cls, obj: dict) -> "AsymKeypair":
@@ -163,7 +180,10 @@ class AsymKeypair:
             raise CryptoError(f"not a keypair: {exc!r}") from exc
         if not isinstance(key_id, str) or any(len(key) != 32 for key in keys.values()):
             raise CryptoError("not a keypair: needs four 32-byte keys and a key id")
-        return cls(key_id=key_id, **keys)
+        keypair = cls(key_id=key_id, **keys)
+        if type(obj) is WrittenKeys:   # exactly: a copy is a plain dict
+            keypair.__dict__["_made"] = obj.made
+        return keypair
 
 
 def keygen(rng: Rng) -> AsymKeypair:

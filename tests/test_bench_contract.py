@@ -10,8 +10,9 @@ them, rather than only when the benchmark runs with --trace 1.
 import json
 import sys
 from pathlib import Path
+from unittest import mock
 
-from echo_testbed import cli, netsim
+from echo_testbed import cli, crypto, netsim
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -46,3 +47,21 @@ def test_each_workload_is_judged_under_its_own_rules_without_encoding_a_payload(
         result = cli.run_scenario(scn)
         assert result.exit_code == 0, (name, result.verdicts)
         assert calls == [], name
+
+
+def test_fleet_calls_setup_builds_each_grant_identity_key_once():
+    """A paired speaker signs with the Ed25519 object its grant identity
+    was minted with. So setup builds one per grant identity, one per
+    speaker's own key and the cloud's; the X25519 count also holds the
+    ephemeral key that seals each speaker's auth token."""
+    homes = 40
+    scn = workloads.WORKLOADS["fleet_calls"](1, homes=homes)
+    with mock.patch.object(crypto.Ed25519PrivateKey, "from_private_bytes",
+                           wraps=crypto.Ed25519PrivateKey.from_private_bytes) as ed25519, \
+            mock.patch.object(crypto.X25519PrivateKey, "from_private_bytes",
+                              wraps=crypto.X25519PrivateKey.from_private_bytes) as x25519:
+        cli.validate_scenario(scn)
+        world = cli.build_world(scn, scn["seed"])
+        cli._schedule_actions(world, scn["actions"])
+    assert ed25519.call_count == 2 * homes + 1
+    assert x25519.call_count == 3 * homes + 1

@@ -12,7 +12,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from echo_testbed import cli, netsim
 from echo_testbed.cli import (
@@ -1212,7 +1212,7 @@ def test_reader_agrees_with_the_reader_before_the_fast_path(lines, final_newline
 # no input gives a traceback: random damage to the built-ins and to traces
 
 BUILTIN_SCENARIOS = [load_scenario(name) for name in BUILTINS]
-ODD_VALUES = (5, -1, 2.5, True, None, "", "x", [], [1], {}, {"a": 1})
+ODD_VALUES = (None, 0, -1, 5, 2**70, 1.5, True, "", "x", "a b", "\u00e9", [], [1], {}, {"a": 1})
 
 
 def _slots(node):
@@ -1226,16 +1226,21 @@ def _slots(node):
 
 @st.composite
 def damaged(draw, originals):
-    """A deep copy of one of originals with one to three random faults."""
+    """A deep copy of one of originals with one to three random faults: a
+    key or list item deleted, a value set from ODD_VALUES or copied in from
+    elsewhere in the same copy, or a string renamed."""
     root = copy.deepcopy(draw(st.sampled_from(originals)))
     for _ in range(draw(st.integers(1, 3))):
         slots = list(_slots(root))
         if not slots:
             break
         parent, key = draw(st.sampled_from(slots))
-        how = draw(st.sampled_from(("swap", "delete", "rename")))
-        if how == "swap":
+        how = draw(st.sampled_from(("set", "copy", "delete", "rename")))
+        if how == "set":
             parent[key] = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+        elif how == "copy":
+            other, other_key = draw(st.sampled_from(slots))
+            parent[key] = copy.deepcopy(other[other_key])
         elif how == "delete":
             del parent[key]
         elif isinstance(parent[key], str):
@@ -1244,14 +1249,54 @@ def damaged(draw, originals):
     return root
 
 
-@settings(max_examples=60, derandomize=True, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(scn=damaged(BUILTIN_SCENARIOS))
-def test_cli_run_never_raises_on_damaged_scenarios(tmp_path_factory, scn):
+def _edited(name: str, value, *path):
+    """Built-in name with the value at path set to value."""
+    scn = load_scenario(name)
+    node = scn
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return scn
+
+
+# a callee or serial the SIP writer refuses once escaped as a traceback
+SIP_REFUSED = [
+    pytest.param(_edited("call_cross_lan_fork", value, "actions", 0, "callee"), "'callee'",
+                 id=f"callee-{value!r}") for value in ("", "a b", "\u00e9")] + [
+    pytest.param(json.loads(json.dumps(load_scenario(name)).replace("EK-KITCH-0001", "\u00e9")),
+                 "devices[0]: 'serial'", id=f"{name}-serial-renamed")
+    for name in ("pair", "intercom_same_lan", "avs_handshake")] + [
+    pytest.param(_edited("call_cross_lan_fork", "a b", "topology", "devices", 1, "serial"),
+                 "devices[1]: 'serial'", id="call_cross_lan_fork-serial-a-b")]
+
+
+@pytest.mark.parametrize("scn, field", SIP_REFUSED)
+def test_cli_run_refuses_a_serial_or_callee_no_sip_uri_carries(tmp_path, capsys, scn, field):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scn))
+    assert main(["run", str(path), "--trace", str(tmp_path / "t.jsonl")]) == 2
+    assert (f"{field} must be a non-empty string of printable ASCII without whitespace"
+            in capsys.readouterr().err)
+
+
+def run_never_raises(tmp_path_factory, scn) -> None:
     work = tmp_path_factory.mktemp("run")
     path = work / "scenario.json"
     path.write_text(json.dumps(scn))
     assert main(["run", str(path), "--trace", str(work / "t.jsonl")]) in (0, 1, 2)
+
+
+# about 2 s here; CI also runs it long, in tests/fuzz_scenarios.py
+@settings(max_examples=500, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scn=damaged(BUILTIN_SCENARIOS))
+@example(scn=_edited("call_cross_lan_fork", "", "actions", 0, "callee"))
+@example(scn=_edited("call_cross_lan_fork", "a b", "actions", 0, "callee"))
+@example(scn=_edited("call_cross_lan_fork", "\u00e9", "actions", 0, "callee"))
+@example(scn=_edited("intercom_same_lan", "\u00e9", "topology", "devices", 1, "serial"))
+@example(scn=_edited("call_cross_lan_fork", "a b", "topology", "devices", 1, "serial"))
+def test_cli_run_never_raises_on_damaged_scenarios(tmp_path_factory, scn):
+    run_never_raises(tmp_path_factory, scn)
 
 
 def _trace_line(event_text: str):

@@ -129,6 +129,22 @@ def test_provision_grant_requires_known_account():
         cloud.provision_grant(SERIAL, "nobody")
 
 
+def test_a_grant_keeps_the_key_objects_but_not_the_cloud_keypair_it_was_minted_as():
+    net, cloud = make_cloud()
+    grant = cloud.provision_grant(SERIAL, "alice")
+    written = grant["keypair"]
+    sign_pub, wrap_pub = (crypto._unb64(written[k]) for k in ("sign_pub", "wrap_pub"))
+    # the registries are weak: an entry would mean the cloud's keypair lives on
+    assert sign_pub not in crypto._SIGNERS and wrap_pub not in crypto._RECIPIENTS
+    identity = crypto.AsymKeypair.from_dict(written)
+    assert sign_pub not in crypto._SIGNERS
+    with mock.patch.object(crypto.Ed25519PrivateKey, "from_private_bytes") as build:
+        signature = crypto.sign_detached(identity, b"hello")
+    build.assert_not_called()
+    assert crypto._SIGNERS[sign_pub] is identity
+    crypto.Ed25519PublicKey.from_public_bytes(sign_pub).verify(signature, b"hello")
+
+
 # ---------------------------------------------------------------------------
 # link code API
 

@@ -192,19 +192,21 @@ class TestKeys:
             assert all(isinstance(v, str) for v in k.to_dict().values())
             assert k == kp and hash(k) == hash(kp)
 
-    def test_generated_and_loaded_keypairs_act_alike(self):
+    @pytest.mark.parametrize("carry", [lambda d: d, lambda d: json.loads(json.dumps(d)), dict],
+                             ids=["written", "json", "copy"])
+    def test_generated_and_loaded_keypairs_act_alike(self, carry):
         kp = keygen(rng())
-        loaded = AsymKeypair.from_dict(kp.to_dict())
-        assert loaded.ed25519 is not kp.ed25519
+        loaded = AsymKeypair.from_dict(carry(kp.to_dict()))
         for msg in (b"", b"hello", bytes(range(256))):
-            assert sign_detached(loaded, msg) == sign_detached(kp, msg)
+            signature = sign_detached(loaded, msg)
+            assert signature == sign_detached(kp, msg)
+            Ed25519PublicKey.from_public_bytes(kp.sign_pub).verify(signature, msg)
         key = rng(5).randbytes(32)
         assert unwrap_key(loaded, wrap_key(kp.public, key, rng(6))) == key
         assert unwrap_key(kp, wrap_key(loaded.public, key, rng(7))) == key
 
-    def test_each_key_object_is_built_once(self, monkeypatch):
-        kp = keygen(rng())
-        wrapped = wrap_key(kp.public, bytes(32), rng(6))
+    @staticmethod
+    def _count_builds(monkeypatch) -> list:
         built = []
 
         def counting(real):
@@ -217,14 +219,54 @@ class TestKeys:
 
         for name in ("Ed25519PrivateKey", "X25519PrivateKey"):
             monkeypatch.setattr(crypto, name, counting(getattr(crypto, name)))
-        loaded = AsymKeypair.from_dict(kp.to_dict())
+        return built
+
+    @pytest.mark.parametrize("carry, shared", [
+        (lambda d: d, True), (lambda d: json.loads(json.dumps(d)), False), (dict, False)],
+        ids=["written", "json", "copy"])
+    def test_each_key_object_is_built_once(self, monkeypatch, carry, shared):
+        kp = keygen(rng())
+        wrapped = wrap_key(kp.public, bytes(32), rng(6))
+        built = self._count_builds(monkeypatch)
+        loaded = AsymKeypair.from_dict(carry(kp.to_dict()))
         assert built == []
         for k in (kp, loaded, kp, loaded):
             assert verify_detached(kp.public, b"hello", sign_detached(k, b"hello"))
             assert unwrap_key(k, wrapped) == bytes(32)
-        # keygen hands over the objects it built; a loaded keypair builds
-        # each on first use
-        assert sorted(built) == ["Ed25519PrivateKey", "X25519PrivateKey"]
+        # keygen hands over the objects it built; a keypair loaded from its
+        # writer's own dict takes the writer's, and one loaded from anything
+        # else builds each on first use
+        assert sorted(built) == ([] if shared else ["Ed25519PrivateKey", "X25519PrivateKey"])
+        assert (loaded.ed25519 is kp.ed25519) is shared
+        assert (loaded.x25519 is kp.x25519) is shared
+
+    @pytest.mark.parametrize("field", ["sign_priv", "wrap_priv"])
+    def test_a_written_dict_edited_to_another_key_builds_that_key(self, monkeypatch, field):
+        kp, other = keygen(rng(1)), keygen(rng(2))
+        written = kp.to_dict()
+        written[field] = other.to_dict()[field]
+        built = self._count_builds(monkeypatch)
+        loaded = AsymKeypair.from_dict(written)
+        signature = sign_detached(loaded, b"hello")
+        loaded.x25519
+        # only the edited key is built anew; the other is the writer's
+        if field == "sign_priv":
+            assert built == ["Ed25519PrivateKey"] and loaded.x25519 is kp.x25519
+            Ed25519PublicKey.from_public_bytes(other.sign_pub).verify(signature, b"hello")
+            assert not _full_verify(kp.public, b"hello", signature)
+        else:
+            assert built == ["X25519PrivateKey"] and loaded.ed25519 is kp.ed25519
+            assert _full_verify(kp.public, b"hello", signature)
+        key = rng(5).randbytes(32)
+        assert (_try_unwrap(loaded, wrap_key(other.public, key, rng(6))) == key) \
+            is (field == "wrap_priv")
+
+    def test_a_loaded_keypair_registers_at_its_first_signature(self):
+        kp = keygen(rng())
+        loaded = AsymKeypair.from_dict(kp.to_dict())
+        assert crypto._SIGNERS[kp.sign_pub] is kp
+        sign_detached(loaded, b"hello")
+        assert crypto._SIGNERS[kp.sign_pub] is loaded
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(case=st.sampled_from(["exact", "flip-signature", "flip-data", "flip-public",

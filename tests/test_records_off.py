@@ -2,13 +2,16 @@
 
 The HTTP and SIP serializers, srtp_protect, sign_detached and wrap_key each
 record what they made, so that a read of those very bytes skips its full
-check. This oracle turns every record off at once: wire._recorded answers
-nothing, srtp_protect returns a plain copy of its packet, and the keypair
-registries keep nothing. Each built-in and each workload, at a small size,
-must then give the trace, exit code and verdicts it gives with records on,
-and each parse, verify and unprotect the same answer, while with records
-off every one of them takes its full path. It is also the one test that
-feeds the full parser every message the program writes.
+check, and a keypair's dict carries the key objects that keypair held.
+This oracle turns every record off at once: wire._recorded answers
+nothing, srtp_protect returns a plain copy of its packet, the keypair
+registries keep nothing, and AsymKeypair.to_dict returns a plain dict.
+Each built-in and each workload, at a small size, must then give the
+trace, exit code and verdicts it gives with records on, and each parse,
+verify and unprotect the same answer, while with records off every one of
+them takes its full path, and each paired device builds its signing key
+again. It is also the one test that feeds the full parser every message
+the program writes.
 """
 
 import hashlib
@@ -44,6 +47,8 @@ def _records_off(monkeypatch) -> None:
                         lambda ctx, payload: bytes(srtp_protect(ctx, payload)))
     monkeypatch.setattr(crypto, "_SIGNERS", _Forgetful())
     monkeypatch.setattr(crypto, "_RECIPIENTS", _Forgetful())
+    to_dict = crypto.AsymKeypair.to_dict
+    monkeypatch.setattr(crypto.AsymKeypair, "to_dict", lambda self: dict(to_dict(self)))
 
 
 def _observe(monkeypatch, counts: Counter, answers: list) -> None:
@@ -92,6 +97,14 @@ def _observe(monkeypatch, counts: Counter, answers: list) -> None:
             counts["full verify"] += 1
             return ed25519_public.from_public_bytes(data)
     monkeypatch.setattr(crypto, "Ed25519PublicKey", FullVerify)
+    ed25519_private = crypto.Ed25519PrivateKey
+
+    class FullBuild:
+        @staticmethod
+        def from_private_bytes(data):
+            counts["key build"] += 1
+            return ed25519_private.from_private_bytes(data)
+    monkeypatch.setattr(crypto, "Ed25519PrivateKey", FullBuild)
 
     # an unprotect that computes the packet's tag takes the full path
     answering(crypto, "srtp_unprotect", "unprotect")
@@ -112,14 +125,18 @@ def _observe(monkeypatch, counts: Counter, answers: list) -> None:
     monkeypatch.setattr(crypto, "_tag", tagging)
 
 
+def _scenario(builtin, workload) -> dict:
+    return (load_scenario(builtin) if builtin
+            else workloads.WORKLOADS[workload](1, **SIZES[workload]))
+
+
 def _run(builtin, workload, monkeypatch, off: bool):
     counts, answers = Counter(), []
     with monkeypatch.context() as m:
         if off:
             _records_off(m)
         _observe(m, counts, answers)
-        result = run_scenario(load_scenario(builtin) if builtin
-                              else workloads.WORKLOADS[workload](1, **SIZES[workload]))
+        result = run_scenario(_scenario(builtin, workload))
     seen = (hashlib.sha256(result.jsonl.encode("utf-8")).hexdigest(), result.exit_code,
             result.error, [(v.kind, v.ok, v.detail) for v in result.verdicts])
     return seen, answers, counts
@@ -139,3 +156,8 @@ def test_a_run_reads_the_same_with_every_record_off(builtin, workload, monkeypat
         assert off_counts[full] == off_counts[what], what
         assert on_counts[full] < off_counts[full] or not off_counts[what], what
     assert off_counts["parse"] and off_counts["verify"]
+    # with records off, each paired device builds again the Ed25519 key its
+    # grant identity was minted with, as its grant's dict carries no object
+    devices = _scenario(builtin, workload)["topology"].get("devices", [])
+    assert off_counts["key build"] - on_counts["key build"] == sum(
+        d.get("state") == "paired" for d in devices)
