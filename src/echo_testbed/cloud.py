@@ -60,7 +60,6 @@ CLOUD_HOSTS = (API_HOST, AVS_HOST, SIP_HOST, RELAY_HOST, GATEWAY_HOST)
 
 @dataclass
 class DeviceRecord:
-    serial: str
     account: str
     identity_pub: crypto.PublicKey
     registered: bool = True
@@ -68,7 +67,6 @@ class DeviceRecord:
 
 @dataclass
 class LinkCode:
-    code: str
     serial: str
     created_ms: int
     account: str | None = None
@@ -156,8 +154,7 @@ class CloudServices:
         """
         if account_id not in self.accounts:
             raise ValueError(f"unknown account {account_id}")
-        grant = self._mint_grant(serial, account_id)
-        return grant
+        return self._mint_grant(serial, account_id)
 
     def deregister_device(self, serial: str) -> None:
         """What the owner's account page does when a device is removed."""
@@ -174,11 +171,10 @@ class CloudServices:
         friendly = f"Echo-{serial[-4:]}"
         token = crypto.mint_auth_token(self.keypair, account_id, serial,
                                        now=self.network.scheduler.now, rng=self.rng)
-        self.registry[serial] = DeviceRecord(serial=serial, account=account_id,
-                                             identity_pub=identity.public)
+        self.registry[serial] = DeviceRecord(account=account_id, identity_pub=identity.public)
         self.network.note(API_HOST, "sys", f"grant:issued:{serial}",
                           payload={"account": account_id, "friendly_name": friendly})
-        return {"keypair": identity.to_dict(), "auth_token": token.b64(),
+        return {"keypair": identity.to_dict(), "auth_token": token,
                 "friendly_name": friendly, "account": account_id}
 
     # -- device API ----------------------------------------------------------
@@ -195,8 +191,7 @@ class CloudServices:
         while code is None or code in self.link_codes:
             code = "".join(LINK_CODE_ALPHABET[b % len(LINK_CODE_ALPHABET)]
                            for b in self.rng.randbytes(LINK_CODE_LEN))
-        self.link_codes[code] = LinkCode(code=code, serial=serial,
-                                         created_ms=self.network.scheduler.now)
+        self.link_codes[code] = LinkCode(serial=serial, created_ms=self.network.scheduler.now)
         self.network.note(API_HOST, "sys", f"link-code:created:{serial}")
         return {"code": code}, 200
 
@@ -275,8 +270,7 @@ class CloudServices:
                 reason = "bad-signature"
         if reason is None:
             try:
-                claims = crypto.open_auth_token(
-                    self.keypair, crypto.AuthToken.from_b64(p.get("auth_token", "")))
+                claims = crypto.open_auth_token(self.keypair, p.get("auth_token", ""))
                 if claims["serial"] != serial or claims["account"] != record.account:
                     reason = "token-mismatch"
             except crypto.CryptoError:
@@ -346,10 +340,8 @@ class CloudServices:
             end, data, self._SIP_REQUESTS, CloudServices._sip_response, self)
 
     def _sip_register(self, chan: Endpoint, msg: wire.SipMessage) -> None:
-        token_b64 = msg.header("X-authtoken") or ""
         try:
-            claims = crypto.open_auth_token(self.keypair,
-                                            crypto.AuthToken.from_b64(token_b64))
+            claims = crypto.open_auth_token(self.keypair, msg.header("X-authtoken") or "")
         except crypto.CryptoError:
             self.network.note(SIP_HOST, "sys", "sip:bind-refused:bad-token")
             send_sip(chan, make_sip_response(msg, 403))

@@ -22,9 +22,10 @@ still runs when the index the receiver recovers from the sequence number
 differs: it decrypts at the index it guessed, as the full path does. A
 resent packet meets the replay window as on the full path.
 
-A keypair's to_dict() is a WrittenKeys, recording the key objects the
-keypair held; from_dict of that very dict takes each one that was built from
-the same private bytes. A copy is a plain dict. The record holds no keypair.
+A keypair's to_dict() is a WrittenKeys, recording the Ed25519 object the
+keypair held, and nothing else: a grant's record is the signing key object
+alone. from_dict of that very dict takes it if it was built from the same
+private bytes. A copy is a plain dict. The record holds no keypair.
 """
 
 from __future__ import annotations
@@ -110,8 +111,8 @@ _RECIPIENTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 class WrittenKeys(dict):
-    """A keypair's to_dict(), recording (sign_priv, ed25519, wrap_priv,
-    x25519) as the keypair held them, an object None if not yet built."""
+    """A keypair's to_dict(), recording (sign_priv, ed25519) as the keypair
+    held them, the object None if not yet built."""
     __slots__ = ("made",)
 
 
@@ -128,19 +129,18 @@ class AsymKeypair:
     # fields: equality, repr and to_dict see only the bytes above.
     @cached_property
     def ed25519(self) -> Ed25519PrivateKey:
-        key = self._held(0, self.sign_priv) or Ed25519PrivateKey.from_private_bytes(self.sign_priv)
+        # the record from_dict was handed, if any
+        sign_priv, key = self.__dict__.get("_made", (None, None))
+        if key is None or sign_priv != self.sign_priv:
+            key = Ed25519PrivateKey.from_private_bytes(self.sign_priv)
         _SIGNERS[key.public_key().public_bytes_raw()] = self
         return key
 
     @cached_property
     def x25519(self) -> X25519PrivateKey:
-        key = self._held(2, self.wrap_priv) or X25519PrivateKey.from_private_bytes(self.wrap_priv)
+        key = X25519PrivateKey.from_private_bytes(self.wrap_priv)
         _RECIPIENTS[key.public_key().public_bytes_raw()] = self
         return key
-
-    def _held(self, i: int, priv: bytes):
-        made = self.__dict__.get("_made")   # the record from_dict was handed, if any
-        return made[i + 1] if made and made[i] == priv else None
 
     # What this keypair made: signed bytes -> its signature, and a blob
     # wrapped to its derived X25519 half -> the key inside. A signature
@@ -165,8 +165,7 @@ class AsymKeypair:
         written = WrittenKeys(sign_priv=_b64(self.sign_priv), wrap_priv=_b64(self.wrap_priv),
                               sign_pub=_b64(self.sign_pub), wrap_pub=_b64(self.wrap_pub),
                               key_id=self.key_id)
-        held = self.__dict__
-        written.made = (self.sign_priv, held.get("ed25519"), self.wrap_priv, held.get("x25519"))
+        written.made = (self.sign_priv, self.__dict__.get("ed25519"))
         return written
 
     @classmethod
@@ -422,40 +421,26 @@ def decrypt_credential(blob: EncryptedCredentialBlob, keypair: AsymKeypair):
 # ---------------------------------------------------------------------------
 # Cloud auth token
 
-@dataclass(frozen=True)
-class AuthToken:
-    """Opaque to everyone but the cloud keypair holder.
+def mint_auth_token(cloud_keypair: AsymKeypair, account_id: str, serial: str,
+                    now: int, rng: Rng) -> str:
+    """A base64 token opaque to everyone but the cloud keypair holder.
 
     Internal layout (cloud-side only): nonce ‖ wrapped-key length ‖ wrapped
     key ‖ GCM ciphertext of {account id, device serial, issue time}. The
     real device token is only known to *appear* to carry encrypted data;
     this layout is normative for the testbed alone.
     """
-
-    blob: bytes
-
-    def b64(self) -> str:
-        return _b64(self.blob)
-
-    @classmethod
-    def from_b64(cls, text: str) -> "AuthToken":
-        return cls(blob=_unb64(text))
-
-
-def mint_auth_token(cloud_keypair: AsymKeypair, account_id: str, serial: str,
-                    now: int, rng: Rng) -> AuthToken:
     payload = canonical_json({"account": account_id, "serial": serial, "issued": now})
     key = rng.randbytes(32)
     nonce = rng.randbytes(12)
     ct = AESGCM(key).encrypt(nonce, payload, b"auth-token")
     wrapped = wrap_key(cloud_keypair.public, key, rng)
-    blob = nonce + struct.pack(">H", len(wrapped)) + wrapped + ct
-    return AuthToken(blob=blob)
+    return _b64(nonce + struct.pack(">H", len(wrapped)) + wrapped + ct)
 
 
-def open_auth_token(cloud_keypair: AsymKeypair, token: AuthToken) -> dict:
+def open_auth_token(cloud_keypair: AsymKeypair, token: str) -> dict:
     """Decrypt and return {account, serial, issued}; any tamper fails."""
-    blob = token.blob
+    blob = _unb64(token)
     if len(blob) < 14:
         raise CryptoError("token truncated")
     nonce = blob[:12]
@@ -502,16 +487,13 @@ class CallAuthToken:
     def signed_bytes(self) -> bytes:
         return canonical_json(self._claims())
 
-    def encode(self) -> bytes:
-        return canonical_json({**self._claims(), "signature": _b64(self.signature)})
-
     def b64(self) -> str:
-        return _b64(self.encode())
+        return _b64(canonical_json({**self._claims(), "signature": _b64(self.signature)}))
 
     @classmethod
-    def decode(cls, data: bytes) -> "CallAuthToken":
+    def from_b64(cls, text: str) -> "CallAuthToken":
         try:
-            obj = json.loads(data.decode("utf-8"))
+            obj = json.loads(_unb64(text).decode("utf-8"))
             return cls(caller=obj["caller"], callee=obj["callee"], call_type=obj["type"],
                        issued_at=int(obj["issued_at"]), ttl=int(obj["ttl"]),
                        nonce=_unb64(obj["nonce"]), signature=_unb64(obj["signature"]))
@@ -519,10 +501,6 @@ class CallAuthToken:
             raise
         except Exception as exc:
             raise CryptoError(f"bad call token encoding: {exc}") from exc
-
-    @classmethod
-    def from_b64(cls, text: str) -> "CallAuthToken":
-        return cls.decode(_unb64(text))
 
 
 def mint_call_token(signing_keypair: AsymKeypair, caller: str, callee: str,
@@ -729,7 +707,8 @@ def srtp_unprotect(ctx: SrtpContext, packet: bytes) -> bytes:
     else:   # not recorded, or the index guessed is not the one it was protected under
         payload = _ctr_crypt(ctx, index, packet[_RTP_HEADER.size:-SRTP_TAG_LEN])
     if delta > 0 or ctx.recv_highest < 0:
-        shift = delta if ctx.recv_highest >= 0 else 1
+        # a jump of a whole window or more leaves only the newest bit
+        shift = (delta if delta < REPLAY_WINDOW else REPLAY_WINDOW) if ctx.recv_highest >= 0 else 1
         ctx.recv_window = ((ctx.recv_window << shift) | 1) & (2 ** REPLAY_WINDOW - 1)
         ctx.recv_highest = index
         ctx.recv_roc = index >> 32

@@ -81,8 +81,7 @@ def test_criterion_1_pairing_conformance():
         dev = r.world.devices["EK-KITCH-0001"]
         assert dev.identity is not None
         assert dev.identity.sign_priv and dev.identity.wrap_priv
-        token = crypto.AuthToken.from_b64(dev.grant["auth_token"])
-        claims = crypto.open_auth_token(r.world.cloud.keypair, token)
+        claims = crypto.open_auth_token(r.world.cloud.keypair, dev.grant["auth_token"])
         assert claims["serial"] == "EK-KITCH-0001"
         assert claims["account"] == "alice"
         assert dev.grant["friendly_name"] == "Echo-0001"

@@ -145,6 +145,13 @@ def test_a_grant_keeps_the_key_objects_but_not_the_cloud_keypair_it_was_minted_a
     crypto.Ed25519PublicKey.from_public_bytes(sign_pub).verify(signature, b"hello")
 
 
+def test_a_grant_records_its_signing_key_object_alone():
+    net, cloud = make_cloud()
+    made = cloud.provision_grant(SERIAL, "alice")["keypair"].made
+    assert isinstance(made[1], crypto.Ed25519PrivateKey)
+    assert not any(isinstance(held, crypto.X25519PrivateKey) for held in made)
+
+
 # ---------------------------------------------------------------------------
 # link code API
 
@@ -334,6 +341,17 @@ def test_negotiation_rejects_garbage_token():
     assert reply.payload["reason"] == "bad-token"
 
 
+@pytest.mark.parametrize("auth_token", [7, "!!not base64"], ids=["int", "not-base64"])
+def test_negotiation_notes_a_token_that_is_not_base64_text(auth_token):
+    net, cloud = make_cloud()
+    grant = granted(net, cloud)
+    probe = Probe(net)
+    reply, _ = probe.negotiate(nego_payload(grant, SERIAL, net.scheduler.now,
+                                            auth_token=auth_token))
+    assert reply.payload["reason"] == "bad-token"
+    assert "avs:rejected:bad-token" in notes(net)
+
+
 def test_negotiation_rejects_token_minted_for_another_device():
     net, cloud = make_cloud()
     grant = granted(net, cloud)
@@ -474,6 +492,14 @@ def test_directives_require_a_session():
 # SIP registrar
 
 def test_register_rejects_garbage_token():
+    _register_refused_for_bad_token("AAAA")
+
+
+def test_register_rejects_a_token_that_is_not_base64():
+    _register_refused_for_bad_token("!!not-base64")
+
+
+def _register_refused_for_bad_token(token):
     net, cloud = make_cloud()
     granted(net, cloud)
     probe = Probe(net)
@@ -481,7 +507,7 @@ def test_register_rejects_garbage_token():
                            from_uri=device_uri(SERIAL),
                            to_uri=device_uri(SERIAL), call_id="reg-x", cseq=1,
                            via="192.168.50.2",
-                           headers=[("X-authtoken", "AAAA")])
+                           headers=[("X-authtoken", token)])
     resp = probe.sip(reg)
     assert resp.status == 403
     assert "sip:bind-refused:bad-token" in notes(net)
