@@ -220,10 +220,9 @@ def canary_payload(tag: str, seq: int) -> bytes:
 class MediaSession:
     """One call's protected audio in both directions."""
 
-    def __init__(self, network: Network, host, tag: str, tx_key_salt: bytes,
+    def __init__(self, network: Network, tag: str, tx_key_salt: bytes,
                  rx_key_salt: bytes, frame_count: int, on_done=None):
         self.network = network
-        self.host = host
         self.tag = tag
         self.tx = crypto.srtp_derive(tx_key_salt[:32], tx_key_salt[32:])
         self.rx = crypto.srtp_derive(rx_key_salt[:32], rx_key_salt[32:])
@@ -439,7 +438,7 @@ class CommsEndpoint:
         # offer key, callee with the answer key
         tx, rx = call.local_sdp.key_salt, call.remote_sdp.key_salt
         call.media = MediaSession(
-            self.network, self.host, tag=f"{self.serial}:{call.call_id}",
+            self.network, tag=f"{self.serial}:{call.call_id}",
             tx_key_salt=tx, rx_key_salt=rx, frame_count=self.frame_count,
             on_done=(lambda: self._media_done(call)) if call.role == "caller" else None)
         chan = self._dial_media(call)

@@ -558,8 +558,7 @@ class SrtpContext:
     session_salt: bytes
     ssrc: int
     send_index: int = 0
-    recv_roc: int = 0
-    recv_highest: int = -1
+    recv_highest: int = -1   # the receiver's one position: the highest index taken, -1 before any
     recv_window: int = 0  # bitmask of the last REPLAY_WINDOW indexes
     replay_drops: int = 0
     auth_failures: int = 0
@@ -662,16 +661,15 @@ def srtp_protect(ctx: SrtpContext, payload: bytes) -> bytes:
 
 def _recover_index(ctx: SrtpContext, seq32: int) -> int:
     # 32-bit sequence plus a rollover count, guessed as in RFC 3711 3.3.1:
-    # flows are near-monotonic, so a large backwards jump means the counter
-    # has wrapped, and a large forward jump is a late packet from before
-    # the wrap.
-    roc = ctx.recv_roc
-    if ctx.recv_highest >= 0:
-        last32 = ctx.recv_highest & 0xFFFFFFFF
-        if last32 - seq32 > 0x80000000:
-            roc += 1
-        elif seq32 - last32 > 0x80000000 and roc > 0:
-            roc -= 1
+    # flows are near-monotonic, so a large backwards jump means the counter has
+    # wrapped, and a large forward jump is a late packet from before the wrap.
+    if ctx.recv_highest < 0:   # before the first packet the count is 0
+        return seq32
+    roc, last32 = ctx.recv_highest >> 32, ctx.recv_highest & 0xFFFFFFFF
+    if last32 - seq32 > 0x80000000:
+        roc += 1
+    elif seq32 - last32 > 0x80000000 and roc > 0:
+        roc -= 1
     return (roc << 32) | seq32
 
 
@@ -697,21 +695,18 @@ def srtp_unprotect(ctx: SrtpContext, packet: bytes) -> bytes:
         raise CryptoError("auth: bad tag")
     index = _recover_index(ctx, seq32)
     delta = index - ctx.recv_highest
-    if ctx.recv_highest >= 0:
-        if delta <= 0:
-            if -delta >= REPLAY_WINDOW or (ctx.recv_window >> -delta) & 1:
-                ctx.replay_drops += 1
-                raise CryptoError(f"replay: index {index}")
+    if delta <= 0 and (-delta >= REPLAY_WINDOW or (ctx.recv_window >> -delta) & 1):
+        ctx.replay_drops += 1
+        raise CryptoError(f"replay: index {index}")
     if made is not None and made[1] == index:
         payload = made[2]
     else:   # not recorded, or the index guessed is not the one it was protected under
         payload = _ctr_crypt(ctx, index, packet[_RTP_HEADER.size:-SRTP_TAG_LEN])
-    if delta > 0 or ctx.recv_highest < 0:
+    if delta > 0:
         # a jump of a whole window or more leaves only the newest bit
-        shift = (delta if delta < REPLAY_WINDOW else REPLAY_WINDOW) if ctx.recv_highest >= 0 else 1
+        shift = delta if delta < REPLAY_WINDOW else REPLAY_WINDOW
         ctx.recv_window = ((ctx.recv_window << shift) | 1) & (2 ** REPLAY_WINDOW - 1)
         ctx.recv_highest = index
-        ctx.recv_roc = index >> 32
     else:
         ctx.recv_window |= 1 << -delta
     return payload

@@ -24,8 +24,9 @@ in: one loop over the header lines splits each line, checks its name and
 notes Content-Length, and the serializer checks each name as it writes it.
 
 The HTTP and SIP serializers refuse any field that would not read back as
-written, and return a netsim.Written recording the message it parses to;
-http_parse and sip_parse answer it from the record with a fresh message.
+written, and the parse any request target or status they refuse, so all it
+accepts can be written back. A write returns a netsim.Written recording the
+message it parses to; http_parse and sip_parse answer it with a fresh copy.
 The record lives exactly as long as its bytes, so every reader of one
 delivery hits; a copy and altered or attacker-made bytes take the full parse.
 """
@@ -75,6 +76,11 @@ def _digits(text: str, name: str) -> int:
 HTTP_VERSION = "HTTP/1.1"
 
 _TOKEN_RE = re.compile(r"^[!#$%&'*+\-.^_`|~0-9A-Za-z]+$")
+_STATUS_CODES = range(100, 1000)   # with _is_target, the start-line rules of parse and write
+
+
+def _is_target(target) -> bool:   # non-empty ASCII with no whitespace (RFC 3261 25.1)
+    return isinstance(target, str) and target.isascii() and target.split() == [target]
 
 
 class _HeaderLookup:
@@ -173,13 +179,15 @@ def _parse_message(data: bytes, cls, what: str, version: str, label: str,
     start = lines[0]
     if start.startswith(version + " "):
         parts = start.split(" ", 2)
-        if len(parts) < 3 or not parts[1].isdigit() or len(parts[1]) != 3:
+        if len(parts) < 3 or not parts[1].isdigit() or len(parts[1]) != 3 \
+                or int(parts[1]) not in _STATUS_CODES:
             raise WireError(f"malformed {label}status line: {start!r}")
         return cls(kind="response", status=int(parts[1]), reason=parts[2],
                    headers=headers, body=body)
 
     parts = start.split(" ")
-    if len(parts) != 3 or parts[2] != version or not _TOKEN_RE.match(parts[0]):
+    if len(parts) != 3 or parts[2] != version or not _TOKEN_RE.match(parts[0]) \
+            or not _is_target(parts[1]):
         raise WireError(f"malformed {label}request line: {start!r}")
     # method, then the request target: an HTTP path or a SIP request-URI
     return cls("request", parts[0], parts[1], headers=headers, body=body)
@@ -196,11 +204,8 @@ def _recorded(data: bytes, cls, version: str):
 
 def http_parse(data: bytes) -> HttpMessage:
     """Parse one complete HTTP message (request or response)."""
-    msg = (_recorded(data, HttpMessage, HTTP_VERSION)
-           or _parse_message(data, HttpMessage, "http", HTTP_VERSION, ""))
-    if msg.kind == "request" and not msg.path:
-        raise WireError("empty request path")
-    return msg
+    return (_recorded(data, HttpMessage, HTTP_VERSION)
+            or _parse_message(data, HttpMessage, "http", HTTP_VERSION, ""))
 
 
 def _serialize_message(msg, version: str, target: str | None,
@@ -238,9 +243,9 @@ def _serialize_message(msg, version: str, target: str | None,
     if kind == "request":
         if not (isinstance(method, str) and _TOKEN_RE.fullmatch(method)):
             raise WireError(f"bad method: {method!r}")
-        if not (isinstance(target, str) and target.isascii() and target.split() == [target]):
+        if not _is_target(target):
             raise WireError(f"bad request target: {target!r}")
-    elif not (type(status) is int and 100 <= status <= 999):
+    elif not (type(status) is int and status in _STATUS_CODES):
         raise WireError(f"status must be 3 digits: {status!r}")
     elif not (isinstance(reason, str) and reason.isascii()
               and "\r" not in reason and "\n" not in reason):
@@ -254,10 +259,6 @@ def _serialize_message(msg, version: str, target: str | None,
 
 def http_serialize(msg: HttpMessage) -> bytes:
     """Serialize to bytes that reparse to an equal message."""
-    if msg.kind == "request" and (not msg.method or not msg.path):
-        raise WireError("request needs method and path")
-    if msg.kind == "response" and msg.status is None:
-        raise WireError("response needs a status")
     return _serialize_message(msg, HTTP_VERSION, msg.path)
 
 
@@ -425,12 +426,9 @@ def sip_parse(data: bytes) -> SipMessage:
 
 
 def sip_serialize(msg: SipMessage) -> bytes:
-    if msg.kind == "request":
-        if not msg.method or not msg.request_uri:
-            raise WireError("SIP request needs method and request-URI")
-        if msg.method not in SIP_METHODS:
-            raise WireError(f"testbed agents do not emit {msg.method}")
-    elif msg.kind == "response" and msg.status not in SIP_STATUSES:
+    if msg.kind == "request" and msg.method not in SIP_METHODS:
+        raise WireError(f"testbed agents do not emit {msg.method}")
+    if msg.kind == "response" and msg.status not in SIP_STATUSES:
         raise WireError(f"testbed agents do not emit status {msg.status}")
     return _serialize_message(msg, SIP_VERSION, msg.request_uri, _check_sip_headers)
 
@@ -463,6 +461,8 @@ class SdpBody:
 
 
 def _check_sdp(body: SdpBody) -> None:
+    if body.crypto_suite != SDES_SUITE:   # the one suite keyed here (RFC 4568 7.1.2)
+        raise WireError(f"unsupported crypto suite {body.crypto_suite!r}")
     if len(body.key_salt) != SRTP_KEY_LEN + SRTP_SALT_LEN:
         raise WireError(f"crypto key material must be 46 bytes, got {len(body.key_salt)}")
     if not body.candidates:

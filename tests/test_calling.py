@@ -70,9 +70,9 @@ def media_pair(frame_count=4):
     rng = random.Random("m")
     key_ab = rng.randbytes(46)
     key_ba = rng.randbytes(46)
-    ma = MediaSession(net, a, "a:c1", tx_key_salt=key_ab, rx_key_salt=key_ba,
+    ma = MediaSession(net, "a:c1", tx_key_salt=key_ab, rx_key_salt=key_ba,
                       frame_count=frame_count)
-    mb = MediaSession(net, b, "b:c1", tx_key_salt=key_ba, rx_key_salt=key_ab,
+    mb = MediaSession(net, "b:c1", tx_key_salt=key_ba, rx_key_salt=key_ab,
                       frame_count=frame_count)
     b.listen(20000, mb.attach)
     chan = net.open_channel(a, b.addr("lan"), 20000)

@@ -8,7 +8,7 @@ from unittest import mock
 
 import pytest
 
-from echo_testbed import crypto, netsim, wire
+from echo_testbed import cloud as cloud_module, crypto, netsim, wire
 from echo_testbed.calling import (MEDIA_CADENCE_MS, CommsEndpoint, device_uri, make_sip_request,
                                   make_sip_response, send_sip)
 from echo_testbed.cli import BUILTINS, load_scenario, run_scenario
@@ -736,6 +736,23 @@ def test_the_proxy_answers_an_invite_with_unreadable_sdp_with_404():
     assert resp.status == 404
     assert sip_notes[-1] == ("call-token:accepted", {"call_id": "c-1"})
     assert "c-1" not in cloud.calls and "c-1" not in cloud.recorded_keys
+
+
+def test_the_proxy_answers_an_offer_of_a_suite_it_does_not_implement_with_404():
+    # RFC 4568 7.1.2: the proxy keys each call as SDES_SUITE, so an offer of
+    # any other suite is refused before a call exists
+    offer = wire.sdp_encode(wire.SdpBody(
+        session_id="1", media_port=5004, candidates=[wire.Candidate("host", "192.168.50.2", 5004)],
+        crypto_suite=wire.SDES_SUITE, key_salt=bytes(46)))
+    net, cloud = make_cloud()
+    with mock.patch.object(cloud_module, "ProxyCall", wraps=cloud_module.ProxyCall) as made:
+        resp, sip_notes = _invite_on(
+            net, cloud, Probe(net), from_uri=device_uri(SERIAL),
+            token=_call_token(cloud, device_uri(SERIAL)).b64(),
+            body=offer.replace(wire.SDES_SUITE.encode(), b"AES_CM_128_HMAC_SHA1_80"))
+    assert resp.status == 404
+    assert sip_notes[-1] == ("call-token:accepted", {"call_id": "c-1"})
+    assert made.call_count == 0 and "c-1" not in cloud.recorded_keys
 
 
 def test_the_relay_closes_a_channel_from_a_host_outside_the_call(monkeypatch):

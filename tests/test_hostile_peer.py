@@ -35,6 +35,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from echo_testbed import netsim, wire
 from echo_testbed.calling import device_uri, make_sip_request, make_sip_response, send_sip
 from echo_testbed.cli import load_scenario, run_scenario
+from echo_testbed.cloud import CLOUD_HOSTS
 
 from trace_reader import check_invariants, trace_events
 
@@ -289,6 +290,39 @@ def test_a_tampered_media_frame_fails_its_tag_check(name, k):
     assert result.exit_code in (0, 1, 2)
     check_invariants(result)
     assert _auth_failures(result) == _auth_failures(tampered_media_run(name, None)) + 1
+
+
+def retargeted_run(name: str, method: str, target: str):
+    """Run name with the request target of the first method request a
+    device sends replaced by target, in bytes no writer made."""
+    fired = False
+    send = netsim.Channel.send_from
+
+    def retargeting(chan, src, data, layer, summary, *args):
+        nonlocal fired
+        if not fired and summary == method and src.host.name not in CLOUD_HOSTS:
+            start, rest = data.split(b"\r\n", 1)
+            sent_method, _, version = start.split(b" ")
+            data = b" ".join([sent_method, target.encode(), version]) + b"\r\n" + rest
+            fired = True
+        return send(chan, src, data, layer, summary, *args)
+    with mock.patch.object(netsim.Channel, "send_from", retargeting):
+        result = run_scenario(load_scenario(name))
+    assert fired
+    return result
+
+
+@pytest.mark.parametrize("target", ["", "sip:a\x1cb"])   # empty; whitespace to str.split
+@pytest.mark.parametrize("method", ["ACK", "BYE"])
+@pytest.mark.parametrize("name", MEDIA_SCENARIOS)
+def test_a_request_target_the_serializer_refuses_is_not_parsed(name, method, target):
+    # the proxy would pass the request on with the target it read, and the
+    # serializer refuses to write it: the parse must refuse it first
+    result = retargeted_run(name, method, target)
+    assert result.exit_code in (0, 1, 2), result.error
+    check_invariants(result)
+    assert any(ev["src"] == "sip" and ev["summary"] == "sip:unparseable"
+               for ev in trace_events(result.world.network))
 
 
 def injected_run(scn: dict, after: tuple[str, str], inject):

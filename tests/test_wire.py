@@ -342,6 +342,13 @@ class TestSdp:
         with pytest.raises(WireError):
             sdp_decode(raw + crypto_line + b"\r\n")
 
+    def test_a_suite_other_than_sdes_suite_rejected(self):
+        raw = sdp_encode(self.make_body())
+        with pytest.raises(WireError, match="unsupported crypto suite 'AES_CM_128_HMAC_SHA1_80'"):
+            sdp_decode(raw.replace(SDES_SUITE.encode(), b"AES_CM_128_HMAC_SHA1_80"))
+        with pytest.raises(WireError, match="unsupported crypto suite"):
+            sdp_encode(SdpBody(**{**vars(self.make_body()), "crypto_suite": "NULL"}))
+
     @pytest.mark.parametrize("line, name", [(b"m=audio 20000", "m= port"),
                                             (b"a=candidate:1 host 10.0.0.2 20000",
                                              "candidate port")])
@@ -470,12 +477,14 @@ def _ref_parse_message(data, cls, what, version, label, check_headers=None):
         check_headers(headers)
     if start.startswith(version + " "):
         parts = start.split(" ", 2)
-        if len(parts) < 3 or not parts[1].isdigit() or len(parts[1]) != 3:
+        if len(parts) < 3 or not parts[1].isdigit() or len(parts[1]) != 3 \
+                or parts[1].startswith("0"):   # a status from 100 to 999
             raise WireError(f"malformed {label}status line: {start!r}")
         return cls(kind="response", status=int(parts[1]), reason=parts[2],
                    headers=headers, body=body)
     parts = start.split(" ")
-    if len(parts) != 3 or parts[2] != version or not _REF_TOKEN_RE.match(parts[0]):
+    if len(parts) != 3 or parts[2] != version or not _REF_TOKEN_RE.match(parts[0]) \
+            or not parts[1] or any(c.isspace() for c in parts[1]):   # no whitespace
         raise WireError(f"malformed {label}request line: {start!r}")
     return cls("request", parts[0], parts[1], headers=headers, body=body)
 
@@ -541,7 +550,9 @@ def _verdict(f, *args):
 _START_LINES = ["INVITE sip:b@x SIP/2.0", "SIP/2.0 200 OK", "SIP/2.0 180 Ringing",
                 "POST /OOBE HTTP/1.1", "HTTP/1.1 200 OK", "HTTP/1.1 400 Refused",
                 "SIP/2.0 20 OK", "SIP/2.0 200", "HTTP/1.1 2x0 OK", "GET  HTTP/1.1",
-                "IN VITE sip:b SIP/2.0", "B@D sip:b SIP/2.0", "x-y / HTTP/1.1", "", "junk"]
+                "IN VITE sip:b SIP/2.0", "B@D sip:b SIP/2.0", "x-y / HTTP/1.1", "", "junk",
+                "ACK sip:a\x1cb SIP/2.0", "GET \t HTTP/1.1", "SIP/2.0 000 Zero",
+                "HTTP/1.1 099 Low", "BYE sip:a\x7fb SIP/2.0"]
 _NAMES = ["Content-Type", "X-authtoken", "X-Tag", "cseq", "CSEQ", "call-id", "Via",
           "", "Bad Name", "b@d", "x.y", "-", "a_b", "~!", "\x7f"]
 _VALUES = ["1 INVITE", "one INVITE", "1 invite", "0", "3", "x", "", "12abc", " 3 ", "a:b"]
@@ -760,3 +771,64 @@ class TestWriterRecord:
         assert parse(data) == want
         # the record answers for its own codec only
         assert _verdict(other_parse, data) == _verdict(other_parse, bytes(data))
+
+
+# ---------------------------------------------------------------------------
+# What the parse accepts, the serializer writes back
+#
+# Parse and write share one request-target rule and one status rule, so a
+# start line the parse takes is one the serializer can write; SIP writes
+# only what its own agents emit (SIP_METHODS and SIP_STATUSES).
+
+# a target of these parts: some are whitespace to str.split, some are not
+_TARGET_PARTS = ["", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x01", "\x7f",
+                 "sip:a@b", "/OOBE", "x", "%20"]
+START_LINES = st.one_of(
+    st.builds("{} {} {}".format,
+              st.sampled_from(wire.SIP_METHODS + ("POST", "GET", "x-y")),
+              st.lists(st.sampled_from(_TARGET_PARTS), max_size=3).map("".join),
+              st.sampled_from([wire.SIP_VERSION, wire.HTTP_VERSION])),
+    st.builds("{} {:03d} {}".format,
+              st.sampled_from([wire.SIP_VERSION, wire.HTTP_VERSION]),
+              st.integers(0, 999) | st.sampled_from(sorted(SIP_STATUSES)),
+              st.sampled_from(["OK", "", "Not Found", "a\tb", "x ", "\x1f"])))
+
+
+def written_back(start: str, body: bytes) -> None:
+    """start, the dialog headers and body as bytes: when sip_parse accepts
+    them as a message its agents emit, sip_serialize writes it, and the
+    bytes parse to an equal message; when http_parse accepts them, so does
+    http_serialize."""
+    head = "".join(f"{name}: {value}\r\n" for name, value in
+                   _DIALOG + [("Content-Length", str(len(body)))])
+    data = f"{start}\r\n{head}\r\n".encode("ascii") + body
+    for parse, serialize, emitted in (
+            (sip_parse, sip_serialize,
+             lambda msg: msg.method in wire.SIP_METHODS or msg.status in SIP_STATUSES),
+            (http_parse, http_serialize, lambda msg: True)):
+        try:
+            msg = parse(data)
+        except WireError:
+            continue
+        if emitted(msg):
+            written = serialize(msg)
+            assert parse(bytes(written)) == msg
+
+
+class TestWrittenBack:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(start=START_LINES, body=st.sampled_from([b"", b"hi"]))
+    @example(start="BYE  SIP/2.0", body=b"")
+    @example(start="ACK sip:a\x1cb SIP/2.0", body=b"")
+    @example(start="HTTP/1.1 099 Low", body=b"hi")
+    def test_what_the_parse_accepts_is_written_back(self, start, body):
+        written_back(start, body)
+
+    @pytest.mark.parametrize("start", ["BYE  SIP/2.0", "ACK sip:a\x1cb SIP/2.0",
+                                       "GET \t HTTP/1.1", "SIP/2.0 000 Zero",
+                                       "HTTP/1.1 099 Low"])
+    def test_a_start_line_the_serializer_refuses_is_not_parsed(self, start):
+        data = (f"{start}\r\n" + "".join(f"{n}: {v}\r\n" for n, v in _DIALOG)
+                + "\r\n").encode("ascii")
+        with pytest.raises(WireError, match="malformed .*(request|status) line"):
+            (sip_parse if "SIP" in start else http_parse)(data)
