@@ -231,8 +231,7 @@ class CompanionApp:
             self._finish(d, "register-failed")
 
     def _finish(self, d: Dialogue, outcome: str) -> None:
-        if d is not self.dialogue:
-            return
+        """End d, the current dialogue: each caller has checked that it is."""
         self.dialogue = None
         self.outcome = outcome
         self.network.note(self.host, "sys", f"phone:done:{outcome}")

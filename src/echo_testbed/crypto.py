@@ -276,8 +276,6 @@ def aes256_cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes) -> bytes:
 def aes256_cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes) -> bytes:
     if len(key) != 32 or len(iv) != AES_BLOCK:
         raise CryptoError("AES-256-CBC needs a 32-byte key and 16-byte IV")
-    if not ciphertext or len(ciphertext) % AES_BLOCK:
-        raise CryptoError("ciphertext not block-aligned")
     dec = Cipher(algorithms.AES(key), modes.CBC(iv)).decryptor()
     return dec.update(ciphertext) + dec.finalize()
 
@@ -288,8 +286,6 @@ def _pkcs7_pad(data: bytes) -> bytes:
 
 
 def _pkcs7_unpad(data: bytes) -> bytes:
-    if not data:
-        raise CryptoError("bad padding")
     n = data[-1]
     if not 1 <= n <= AES_BLOCK or data[-n:] != bytes([n]) * n:
         raise CryptoError("bad padding")
@@ -357,8 +353,6 @@ class EncryptedCredentialBlob:
     ciphertext: bytes
 
     def __post_init__(self):
-        if len(self.iv) != AES_BLOCK:
-            raise CryptoError("IV must be 16 bytes")
         if not self.ciphertext or len(self.ciphertext) % AES_BLOCK:
             raise CryptoError("ciphertext must be a positive multiple of 16 bytes")
 
@@ -382,8 +376,6 @@ class EncryptedCredentialBlob:
             raise CryptoError("armor body truncated")
         (wrapped_len,) = struct.unpack(">H", inner[:2])
         wrapped = inner[2:2 + wrapped_len]
-        if len(wrapped) != wrapped_len:
-            raise CryptoError("armor body truncated")
         rest = inner[2 + wrapped_len:]
         if len(rest) < AES_BLOCK + AES_BLOCK:
             raise CryptoError("armor body truncated")
@@ -505,8 +497,6 @@ class CallAuthToken:
 
 def mint_call_token(signing_keypair: AsymKeypair, caller: str, callee: str,
                     call_type: str, ttl: int, now: int, rng: Rng) -> CallAuthToken:
-    if ttl <= 0:
-        raise CryptoError("ttl must be positive")
     token = CallAuthToken(caller=caller, callee=callee, call_type=call_type,
                           issued_at=now, ttl=ttl, nonce=rng.randbytes(16), signature=b"")
     return replace(token, signature=sign_detached(signing_keypair, token.signed_bytes()))
@@ -598,10 +588,6 @@ def _kdf(master_key: bytes, master_salt: bytes, label: int, length: int) -> byte
 def srtp_derive(master_key: bytes, master_salt: bytes) -> SrtpContext:
     """Derive session keys from the master secret; distinct labels keep the
     cipher and auth keys independent."""
-    if len(master_key) != 32:
-        raise CryptoError("master key must be 32 bytes")
-    if len(master_salt) != 14:
-        raise CryptoError("master salt must be 14 bytes")
     cipher_key = _kdf(master_key, master_salt, 0x00, 32)
     auth_key = _kdf(master_key, master_salt, 0x01, 32)
     session_salt = _kdf(master_key, master_salt, 0x02, 14)
@@ -642,8 +628,6 @@ def _tag(ctx: SrtpContext, authenticated: bytes) -> bytes:
 
 def srtp_protect(ctx: SrtpContext, payload: bytes) -> bytes:
     """Protect one frame: 12-byte header ‖ ciphertext ‖ 10-byte tag."""
-    if not payload:
-        raise CryptoError("empty payload")
     if len(payload) > SRTP_MAX_PAYLOAD:   # past it, two packets would share keystream
         raise CryptoError(f"payload of {len(payload)} bytes exceeds the "
                           f"{SRTP_MAX_PAYLOAD}-byte limit of 2^16 AES blocks")

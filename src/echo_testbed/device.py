@@ -3,7 +3,9 @@
 Lifecycle: factory -> setup -> online. A device is in setup while `setup`
 holds a SetupSession, which keeps all that lives for that one stay. Each
 timer, cloud reply and pairing-API channel carries the session that
-started it and does nothing once that session has ended.
+started it and does nothing once that session has ended. A link-code
+check needs no such test: it is only sent while the device holds no
+grant, and a session ends only once it holds one.
 
 In setup mode the device hosts its own temporary Wi-Fi network (SSID
 "Amazon-" + the tail of its serial), serves the pairing HTTP API on 8080,
@@ -217,8 +219,6 @@ class EchoDevice:
                        lambda reply: self._on_link_code_checked(session, reply))
 
     def _on_link_code_checked(self, session: SetupSession, args: dict) -> None:
-        if session is not self.setup:
-            return
         status = args.get("status")
         if status == "registered" and self._adopt_grant(args.get("grant")):
             return

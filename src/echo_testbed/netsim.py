@@ -227,21 +227,13 @@ class Host:
         self.listeners: dict[int, Callable] = {}
 
     def listen(self, port: int, accept: Callable[["Endpoint"], None]) -> None:
-        if port in self.listeners:
-            raise NetError(f"{self.name} already listens on {port}")
         self.listeners[port] = accept
 
     def unlisten(self, port: int) -> None:
         self.listeners.pop(port, None)
 
     def addr(self, lan_name: str) -> str:
-        try:
-            return self.interfaces[lan_name]
-        except KeyError:
-            raise NetError(f"{self.name} has no interface on {lan_name}") from None
-
-    def __repr__(self):
-        return f"<Host {self.name} {self.interfaces}>"
+        return self.interfaces[lan_name]
 
 
 class Written(bytes):
@@ -283,10 +275,6 @@ class Endpoint:
     def close(self) -> None:
         self.channel.close(self)
 
-    def __repr__(self):
-        state = "closed" if self.closed else "open"
-        return f"<Endpoint {self.host.name}@{self.lan_name} cid={self.channel.cid} {state}>"
-
 
 class Channel:
     """Duplex FIFO pipe. Per-message latency is fixed at open time."""
@@ -304,8 +292,6 @@ class Channel:
     def send_from(self, src: Endpoint, data: bytes, layer: str, summary: str) -> None:
         if self.closed:
             raise NetError(f"send on closed channel cid={self.cid}")
-        if not isinstance(data, bytes):
-            raise TypeError("channel payloads are bytes")
         dst = src.peer
         net = self.network
         payload = f'{{"hex":"{data.hex()}"}}' if layer == "media" else None  # kept unless secured
@@ -372,8 +358,6 @@ class Network:
         return lan
 
     def add_host(self, name: str) -> Host:
-        if name in self.hosts:
-            raise NetError(f"duplicate host {name}")
         host = Host(name)
         self.hosts[name] = host
         return host
@@ -381,8 +365,6 @@ class Network:
     def attach(self, host: Host, lan_name: str) -> str:
         """Put an interface on a LAN; lowest free address wins."""
         lan = self.lans[lan_name]
-        if lan_name in host.interfaces:
-            raise NetError(f"{host.name} already on {lan_name}")
         addr = lan.lowest_free()
         lan.assignments[addr] = host.name
         host.interfaces[lan_name] = addr
@@ -391,10 +373,7 @@ class Network:
     def detach(self, host: Host, lan_name: str) -> None:
         """Drop an interface; every channel riding it closes."""
         lan = self.lans[lan_name]
-        addr = host.interfaces.pop(lan_name, None)
-        if addr is None:
-            raise NetError(f"{host.name} not on {lan_name}")
-        del lan.assignments[addr]
+        del lan.assignments[host.interfaces.pop(lan_name)]
         for chan in list(self._open.pop((host, lan_name), {}).values()):
             chan.close(next(end for end in chan.ends
                             if end.host is host and end.lan_name == lan_name))
@@ -445,8 +424,6 @@ class Network:
     # -- observation
 
     def add_tap(self, lan_name: str, observer: Callable[[Observation], None]) -> None:
-        if lan_name not in self.lans:
-            raise NetError(f"no LAN named {lan_name}")
         self.taps.setdefault(lan_name, []).append(observer)
 
     def note(self, host: Host | str, layer: str, summary: str,

@@ -22,6 +22,8 @@ delivers whole messages) and raise WireError on malformed input; they never
 crash on garbage. HTTP and SIP header names are checked once, on the way
 in: one loop over the header lines splits each line, checks its name and
 notes Content-Length, and the serializer checks each name as it writes it.
+Parse and write alike refuse a second Content-Length (RFC 3261 section
+7.3.1, RFC 9112 section 6.3).
 
 The HTTP and SIP serializers refuse any field that would not read back as
 written, and the parse any request target or status they refuse, so all it
@@ -132,9 +134,9 @@ def _parse_message(data: bytes, cls, what: str, version: str, label: str,
     """Parse one complete HTTP or SIP message into cls: start line, headers, body.
 
     One loop over the header lines splits each at its colon, checks its name
-    and notes the first Content-Length. Errors come in a fixed order: the
-    header block, each header line in turn, Content-Length, check_headers,
-    and last the start line.
+    and notes the Content-Length. Errors come in a fixed order: the header
+    block, each header line in turn (a second Content-Length among them),
+    Content-Length, check_headers, and last the start line.
     """
     sep = data.find(b"\r\n\r\n")
     if sep < 0:
@@ -159,7 +161,9 @@ def _parse_message(data: bytes, cls, what: str, version: str, label: str,
         if not _TOKEN_RE.match(name):
             raise WireError(f"bad header name: {name!r}")
         value = value.strip()
-        if length is None and name.lower() == "content-length":
+        if name.lower() == "content-length":
+            if length is not None:
+                raise WireError(f"{what}: more than one Content-Length")
             length = value
         headers.append((name, value))
 
@@ -212,7 +216,8 @@ def _serialize_message(msg, version: str, target: str | None,
                        check_headers=None) -> bytes:
     """Write msg as version, whose parse runs check_headers, recording the
     message the bytes parse to. Errors come in order: kind, check_headers,
-    each header's CR/LF and name, the first value not to read back, start line."""
+    each header's CR/LF and name, a second Content-Length, the first value
+    not to read back, start line."""
     kind = msg.kind
     if kind == "request":
         method, status, reason = msg.method, None, None
@@ -228,6 +233,7 @@ def _serialize_message(msg, version: str, target: str | None,
         check_headers(msg.headers)
     out = [start]
     loose = None   # the first header whose value the parse would not keep
+    lengths = 0
     for name, value in msg.headers:
         if "\r" in name or "\n" in name or "\r" in value or "\n" in value:
             raise WireError(f"CR/LF in header {name!r}")
@@ -237,7 +243,10 @@ def _serialize_message(msg, version: str, target: str | None,
             raise WireError(f"bad header name: {name!r}")
         if loose is None and not (value.isascii() and value.strip() == value):
             loose = name
+        lengths += name.lower() == "content-length"
         out.append(f"{name}: {value}\r\n")
+    if lengths > 1:
+        raise WireError("more than one Content-Length")
     if loose is not None:
         raise WireError(f"header {loose!r}: value must be ASCII, without whitespace at an end")
     if kind == "request":
@@ -317,8 +326,6 @@ def _envelope_from_body(body: bytes) -> OobeEnvelope:
 
 
 def _envelope_encode(env: OobeEnvelope, path: str) -> HttpMessage:
-    if not env.method:
-        raise WireError("empty method name")
     return HttpMessage(kind="request", method="POST", path=path,
                        headers=[("Content-Type", "application/json")],
                        body=_envelope_body(env))
@@ -367,11 +374,10 @@ def oobe_decode_response(msg: HttpMessage) -> OobeEnvelope:
 
 SIP_VERSION = "SIP/2.0"
 
-# Methods and response codes (with their reason phrases) the testbed's own
-# agents emit; 481 answers a request for no live dialog, 501 an unknown method.
-# The parser is more lenient: it accepts any method token so unknown traffic
-# still yields structured messages instead of crashes.
-SIP_METHODS = ("REGISTER", "INVITE", "ACK", "BYE", "CANCEL")
+# Response codes (with their reason phrases) the testbed's own agents emit;
+# 481 answers a request for no live dialog, 501 an unknown method. Any
+# method token parses and writes, so unknown traffic still yields
+# structured messages instead of crashes.
 SIP_STATUSES = {100: "Trying", 180: "Ringing", 200: "OK", 403: "Forbidden",
                 404: "Not Found", 481: "Call/Transaction Does Not Exist",
                 486: "Busy Here", 487: "Request Terminated", 501: "Not Implemented"}
@@ -426,8 +432,6 @@ def sip_parse(data: bytes) -> SipMessage:
 
 
 def sip_serialize(msg: SipMessage) -> bytes:
-    if msg.kind == "request" and msg.method not in SIP_METHODS:
-        raise WireError(f"testbed agents do not emit {msg.method}")
     if msg.kind == "response" and msg.status not in SIP_STATUSES:
         raise WireError(f"testbed agents do not emit status {msg.status}")
     return _serialize_message(msg, SIP_VERSION, msg.request_uri, _check_sip_headers)

@@ -1,6 +1,7 @@
 """SIP endpoint and media plane behavior."""
 
 import random
+from collections import defaultdict
 from unittest import mock
 
 import pytest
@@ -80,12 +81,28 @@ def media_pair(frame_count=4):
     return net, ma, mb, chan
 
 
-def test_media_round_trip_decrypts_to_canaries():
+def decrypting(monkeypatch) -> dict:
+    """Collect each frame srtp_unprotect decrypts, under the id() of the
+    context that decrypted it: a MediaSession counts its frames only."""
+    frames = defaultdict(list)
+    unprotect = crypto.srtp_unprotect
+
+    def collecting(ctx, data):
+        frame = unprotect(ctx, data)
+        frames[id(ctx)].append(frame)
+        return frame
+    monkeypatch.setattr(crypto, "srtp_unprotect", collecting)
+    return frames
+
+
+def test_media_round_trip_decrypts_to_canaries(monkeypatch):
+    frames = decrypting(monkeypatch)
     net, ma, mb, chan = media_pair()
     net.run()
     assert ma.sent == 4 and mb.sent == 4
-    assert ma.received == [canary_payload("b:c1", i) for i in range(4)]
-    assert mb.received == [canary_payload("a:c1", i) for i in range(4)]
+    assert frames[id(ma.rx)] == [canary_payload("b:c1", i) for i in range(4)]
+    assert frames[id(mb.rx)] == [canary_payload("a:c1", i) for i in range(4)]
+    assert ma.received == mb.received == 4
     assert ma.rejected == 0 and mb.rejected == 0
     assert ma.done and mb.done
 
@@ -102,12 +119,25 @@ def test_media_frames_are_ciphertext_on_the_wire():
 def test_garbage_on_the_media_channel_is_rejected_not_crashed():
     net, ma, mb, chan = media_pair(frame_count=2)
     net.run()
-    before = len(mb.received)
+    before = mb.received
     chan.send(b"\x00" * 40, layer="media", summary="junk")
     chan.send(b"", layer="media", summary="junk")
     net.run()
     assert mb.rejected == 2
-    assert len(mb.received) == before
+    assert mb.received == before
+
+
+def test_a_second_dial_to_a_media_port_gets_no_media():
+    # an outsider on the LAN dials b's media port while b's call is under way
+    net, ma, mb, chan = media_pair()
+    outsider = net.add_host("c")
+    net.attach(outsider, "lan")
+    intruder = net.open_channel(outsider, net.hosts["b"].addr("lan"), 20000)
+    heard = []
+    intruder.handler = lambda end, data: heard.append(data)
+    net.run()
+    assert heard == [] and mb.chan is chan.peer
+    assert ma.sent == mb.sent == ma.received == mb.received == 4
 
 
 def test_replayed_media_packet_is_rejected():
@@ -220,7 +250,8 @@ def test_regular_call_rings_for_the_answer_delay():
     assert answer["t_ms"] - ring["t_ms"] == 400
 
 
-def test_same_lan_callee_receives_media_without_dialing_out():
+def test_same_lan_callee_receives_media_without_dialing_out(monkeypatch):
+    frames = decrypting(monkeypatch)
     result = run_scenario(load_scenario("intercom_same_lan"))
     kitchen = result.world.devices["EK-KITCH-0001"].comms
     den = result.world.devices["EK-DEN-0002"].comms
@@ -228,8 +259,8 @@ def test_same_lan_callee_receives_media_without_dialing_out():
     d_call = next(iter(den.calls.values()))
     assert k_call.state == "closed" and d_call.state == "closed"
     # both sides heard full, decrypted audio
-    assert [f[:7] for f in k_call.media.received] == [b"CANARY:"] * 6
-    assert [f[:7] for f in d_call.media.received] == [b"CANARY:"] * 6
+    assert [f[:7] for f in frames[id(k_call.media.rx)]] == [b"CANARY:"] * 6
+    assert [f[:7] for f in frames[id(d_call.media.rx)]] == [b"CANARY:"] * 6
     # the callee never dialed: every media frame runs caller -> callee
     # on the channel the caller opened, so its LAN is the shared one
     for e in trace_events(result.world.network):
@@ -264,7 +295,7 @@ def test_gateway_call_media_goes_nowhere_but_the_gateway():
     kitchen = result.world.devices["EK-KITCH-0001"].comms
     call = next(iter(kitchen.calls.values()))
     # the gateway answers but sends no frames back
-    assert call.media.received == []
+    assert call.media.received == 0
     assert call.media.sent == 6
 
 

@@ -974,6 +974,24 @@ def test_cli_run_unknown_scenario_exits_2(capsys):
     assert "unknown scenario" in capsys.readouterr().err
 
 
+def test_cli_run_refuses_a_scenario_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(b'{"name": "caf\xe9"}')
+    assert main(["run", str(path), "--trace", str(tmp_path / "t.jsonl")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: cannot read (")
+
+
+def test_cli_run_refuses_a_lan_named_as_the_cloud_lan(tmp_path, capsys):
+    # the cloud LAN is no topology entry, so only building the world finds the clash
+    scn = _mini(topology={**_mini()["topology"],
+                          "lans": [{"name": "cloud", "prefix": "192.168.77"}]})
+    scn["topology"]["devices"][0]["lan"] = "cloud"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scn))
+    assert main(["run", str(path), "--trace", str(tmp_path / "t.jsonl")]) == 2
+    assert capsys.readouterr().err == "error: mini: setup failed: duplicate LAN cloud\n"
+
+
 def test_cli_list_names_all_builtins(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
@@ -1009,6 +1027,15 @@ def test_cli_assert_on_saved_trace(tmp_path, capsys):
     assert main(["assert", str(trace), str(rules)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and '"assertions"' in err
+
+
+@pytest.mark.parametrize("rules", ["7", "true", "null"])
+def test_cli_assert_refuses_an_assertions_file_that_is_no_list(tmp_path, capsys, rules):
+    trace, path = tmp_path / "t.jsonl", tmp_path / "rules.json"
+    trace.write_bytes(b"")
+    path.write_text(rules)
+    assert main(["assert", str(trace), str(path)]) == 2
+    assert capsys.readouterr().err == "error: assertions file: expected a list\n"
 
 
 def test_cli_seed_env_and_flag_precedence(tmp_path, capsys, monkeypatch):

@@ -287,9 +287,15 @@ def scripted_echo(net, replies):
     return fake
 
 
-def pair_with(replies):
+def pair_with(replies, tunnel=()):
+    """The outcome of pairing with a fake device that answers each pairing
+    call with replies[method], and what reaches its 443 with tunnel in turn."""
     net = Network()
     fake = scripted_echo(net, {"ping": {"pong": True}, **replies})
+    answers = iter(tunnel)
+    fake.listen(wire.TLS_PORT, lambda chan: setattr(
+        chan, "handler", lambda end, data: end.send(next(answers), layer="http",
+                                                    summary="scripted")))
     app = CompanionApp(net, "phone", "alice", ACCOUNT_PW, WifiCredential(SSID, PASS),
                        random.Random("c:ph"))
     app.start_pairing(PairingNetwork(net, fake, "Amazon-EVL"))
@@ -330,6 +336,25 @@ def test_companion_app_refuses_a_forged_certificate_and_seals_nothing():
 def test_companion_app_ends_on_a_scan_list_that_is_not_objects(networks, outcome):
     assert pair_with({"getDeviceDetails": {"certificate": FAKE_CERT},
                       "getScanList": {"networks": networks}}) == outcome
+
+
+ONLINE = {"getDeviceDetails": {"certificate": FAKE_CERT},
+          "getScanList": {"networks": [{"ssid": SSID}]}, "connectToAP": {"status": "connecting"}}
+
+
+def test_companion_app_gives_up_on_a_device_that_never_comes_online():
+    assert pair_with({**ONLINE, "getRegistrationState": {"network": "connecting"}}) == "timeout"
+
+
+@pytest.mark.parametrize("tunnel", [
+    [b"\x16\x03\x01 not http"],
+    # a request where the answer to registerDevice is due
+    [wire.http_serialize(wire.HttpMessage(kind="response", status=200, reason="OK")),
+     wire.http_serialize(wire.oobe_encode(wire.OobeEnvelope("registerDevice", {})))],
+], ids=["connect-answer", "register-answer"])
+def test_companion_app_ends_on_a_tunnel_answer_it_cannot_read(tunnel):
+    assert pair_with({**ONLINE, "getRegistrationState": {"network": "connected"},
+                      "getLinkCode": {"code": "ABCDE"}}, tunnel) == "tunnel-error"
 
 
 @pytest.mark.parametrize("credential", [7, None, [1]])
@@ -455,11 +480,17 @@ def test_a_device_pairs_enters_setup_and_pairs_again():
     assert len(codes) == 2 and codes[0] != codes[1]
 
 
-def test_a_second_start_pairing_restarts_the_dialogue():
+@pytest.mark.parametrize("first, second", [
+    (24, 61),
+    (20, 21),    # the device answers a ping on the channel the restart closed
+    (20, 22),    # the answer to that ping lands after the restart
+    (20, 442),   # as does the device's answer to the first dialogue's CONNECT
+])
+def test_a_second_start_pairing_restarts_the_dialogue(first, second):
     net, cloud, dev, app = make_world()
     pairing = dev.enter_setup()
-    net.scheduler.at(24, app.start_pairing, pairing)
-    net.scheduler.at(61, app.start_pairing, pairing)
+    net.scheduler.at(first, app.start_pairing, pairing)
+    net.scheduler.at(second, app.start_pairing, pairing)
     net.run()
     assert done_notes(net) == [("phone", "phone:done:restarted"), ("phone", "phone:done:paired")]
     assert app.dialogue is None and dev.setup is None

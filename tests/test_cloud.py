@@ -332,6 +332,27 @@ def test_negotiation_rejects_wrong_signer_before_token_checks():
     assert reply.payload["reason"] == "bad-signature"
 
 
+@pytest.mark.parametrize("signature", ["zz", "abc"], ids=["not-hex", "odd-length"])
+def test_negotiation_judges_a_signature_that_is_not_hex_a_bad_one(signature):
+    net, cloud = make_cloud()
+    hello = nego_payload(granted(net, cloud), SERIAL, net.scheduler.now)
+    hello["signature"] = signature
+    reply, _ = Probe(net).negotiate(hello)
+    assert reply.payload["reason"] == "bad-signature"
+
+
+def test_a_session_whose_device_hangs_up_is_dropped():
+    net, cloud = make_cloud()
+    reply, chan = Probe(net).negotiate(nego_payload(granted(net, cloud), SERIAL,
+                                                    net.scheduler.now))
+    assert reply.name == "NegotiationAccepted"
+    chan.close()
+    net.run()
+    assert SERIAL not in cloud.avs_sessions
+    with pytest.raises(NetError, match="has no voice-service session"):
+        cloud.start_call(SERIAL, CALLEE, "call")
+
+
 def test_negotiation_rejects_garbage_token():
     net, cloud = make_cloud()
     grant = granted(net, cloud)
@@ -686,11 +707,11 @@ def test_invite_without_binding_is_forbidden():
 CALLEE = "sip:user-alice@echo.example"
 
 
-def _invite_on(net, cloud, probe, *, from_uri, token, body=b""):
-    """An INVITE to CALLEE, sent on a channel SERIAL has registered; returns
+def _invite_on(net, cloud, probe, *, from_uri, token, body=b"", callee=CALLEE):
+    """An INVITE to callee, sent on a channel SERIAL has registered; returns
     the proxy's answer and the trace's notes of the proxy."""
     chan = _register_on(net, probe, granted(net, cloud))
-    inv = make_sip_request("INVITE", CALLEE, from_uri=from_uri, to_uri=CALLEE,
+    inv = make_sip_request("INVITE", callee, from_uri=from_uri, to_uri=callee,
                            call_id="c-1", cseq=1, via="192.168.50.2",
                            headers=[("X-authtoken", token)], body=body)
     chan.send(wire.sip_serialize(inv), layer="sip", summary="INVITE")
@@ -700,8 +721,8 @@ def _invite_on(net, cloud, probe, *, from_uri, token, body=b""):
     return probe.sip_replies[-1], sip_notes
 
 
-def _call_token(cloud, caller):
-    return crypto.mint_call_token(cloud.keypair, caller=caller, callee=CALLEE,
+def _call_token(cloud, caller, callee=CALLEE):
+    return crypto.mint_call_token(cloud.keypair, caller=caller, callee=callee,
                                   call_type="call", ttl=CALL_TOKEN_TTL_MS, now=0,
                                   rng=random.Random("t"))
 
@@ -738,21 +759,53 @@ def test_the_proxy_answers_an_invite_with_unreadable_sdp_with_404():
     assert "c-1" not in cloud.calls and "c-1" not in cloud.recorded_keys
 
 
+OFFER = wire.sdp_encode(wire.SdpBody(
+    session_id="1", media_port=5004, candidates=[wire.Candidate("host", "192.168.50.2", 5004)],
+    crypto_suite=wire.SDES_SUITE, key_salt=bytes(46)))
+
+
 def test_the_proxy_answers_an_offer_of_a_suite_it_does_not_implement_with_404():
     # RFC 4568 7.1.2: the proxy keys each call as SDES_SUITE, so an offer of
     # any other suite is refused before a call exists
-    offer = wire.sdp_encode(wire.SdpBody(
-        session_id="1", media_port=5004, candidates=[wire.Candidate("host", "192.168.50.2", 5004)],
-        crypto_suite=wire.SDES_SUITE, key_salt=bytes(46)))
     net, cloud = make_cloud()
     with mock.patch.object(cloud_module, "ProxyCall", wraps=cloud_module.ProxyCall) as made:
         resp, sip_notes = _invite_on(
             net, cloud, Probe(net), from_uri=device_uri(SERIAL),
             token=_call_token(cloud, device_uri(SERIAL)).b64(),
-            body=offer.replace(wire.SDES_SUITE.encode(), b"AES_CM_128_HMAC_SHA1_80"))
+            body=OFFER.replace(wire.SDES_SUITE.encode(), b"AES_CM_128_HMAC_SHA1_80"))
     assert resp.status == 404
     assert sip_notes[-1] == ("call-token:accepted", {"call_id": "c-1"})
     assert made.call_count == 0 and "c-1" not in cloud.recorded_keys
+
+
+def test_the_proxy_answers_an_invite_to_a_uri_it_routes_nowhere_with_404():
+    # neither a device's nor an account's URI, nor a gateway's
+    callee = "sip:carol@elsewhere.example"
+    net, cloud = make_cloud()
+    resp, sip_notes = _invite_on(net, cloud, Probe(net), from_uri=device_uri(SERIAL),
+                                 token=_call_token(cloud, device_uri(SERIAL), callee).b64(),
+                                 body=OFFER, callee=callee)
+    assert resp.status == 404
+    assert sip_notes[-1] == ("keys:recorded:offer:c-1", None)
+    assert "c-1" not in cloud.calls
+
+
+def test_a_bye_before_the_gateway_answers_ends_the_call_unanswered():
+    net, cloud = make_cloud()
+    probe = Probe(net)
+    chan = _register_on(net, probe, granted(net, cloud))
+    tel, caller = "tel:+15551230100", device_uri(SERIAL)
+    token = _call_token(cloud, caller, tel).b64()
+    for method, cseq, extra in (("INVITE", 1, dict(headers=[("X-authtoken", token)], body=OFFER)),
+                                ("BYE", 2, {})):
+        msg = make_sip_request(method, tel, from_uri=caller, to_uri=tel, call_id="c-1",
+                               cseq=cseq, via="192.168.50.2", **extra)
+        chan.send(wire.sip_serialize(msg), layer="sip", summary=method)
+    net.run()
+    assert [(r.status, r.cseq_method) for r in probe.sip_replies[1:]] == [
+        (100, "INVITE"), (200, "BYE")]
+    assert not any(s.startswith("gateway:answered") for s in notes(net))
+    assert not cloud.hosts["gateway"].listeners
 
 
 def test_the_relay_closes_a_channel_from_a_host_outside_the_call(monkeypatch):
@@ -985,8 +1038,8 @@ def test_a_forked_call_answered_by_both_legs_at_once_keeps_one():
     assert len(kept) == 1
     winner = next(s for s, dev in result.world.devices.items() if dev.host.name == kept[0])
     loser = next(s for s in calls if s not in (winner, "EK-KITCH-0001"))
-    assert len(calls[winner].media.received) == len(calls["EK-KITCH-0001"].media.received) == frames
-    assert calls[loser].media.received == []
+    assert calls[winner].media.received == calls["EK-KITCH-0001"].media.received == frames
+    assert calls[loser].media.received == 0
     assert sum(e["summary"] == "relay-forward" for e in events) == 2 * frames
     assert all(call.state == "closed" for call in calls.values())
 

@@ -436,6 +436,41 @@ class TestCredential:
         with pytest.raises(CryptoError):
             EncryptedCredentialBlob.from_armor("not armor at all")
 
+    @pytest.mark.parametrize("body, error", [
+        ("!!!!", "armor body is not base64"),
+        (base64.b64encode(b"\x00").decode(), "armor body truncated"),
+        # the wrapped key runs past the end, so nothing is left for IV and ciphertext
+        (base64.b64encode(b"\x00\x64" + bytes(40)).decode(), "armor body truncated"),
+        (base64.b64encode(b"\x00\x02ab" + bytes(16)).decode(), "armor body truncated"),
+        (base64.b64encode(b"\x00\x02ab" + bytes(16 + 17)).decode(),
+         "ciphertext must be a positive multiple of 16 bytes"),
+    ])
+    def test_a_damaged_armor_body_rejected(self, body, error):
+        armor = "\n".join([crypto._ARMOR_HEAD, body, crypto._ARMOR_TAIL])
+        with pytest.raises(CryptoError, match=f"^{error}$"):
+            EncryptedCredentialBlob.from_armor(armor)
+
+    def test_a_blob_that_wraps_a_16_byte_key_rejected(self):
+        # AES reads a 16-byte key as AES-128: a credential a forger sealed
+        # under one, and wrapped to the device, must still be refused
+        kp = keygen(rng())
+        key, iv = bytes(range(16)), bytes(16)
+        enc = Cipher(algorithms.AES(key), modes.CBC(iv)).encryptor()
+        sealed = enc.update(crypto._pkcs7_pad(CRED.canonical_bytes())) + enc.finalize()
+        blob = EncryptedCredentialBlob(wrapped_key=wrap_key(kp.public, key, rng(6)), iv=iv,
+                                       ciphertext=sealed)
+        with pytest.raises(CryptoError, match="needs a 32-byte key"):
+            decrypt_credential(blob, kp)
+
+    def test_a_well_sealed_blob_of_no_credential_rejected(self):
+        kp = keygen(rng())
+        key, iv = bytes(range(32)), bytes(16)
+        blob = EncryptedCredentialBlob(
+            wrapped_key=wrap_key(kp.public, key, rng(6)), iv=iv,
+            ciphertext=aes256_cbc_encrypt(key, iv, crypto._pkcs7_pad(b'{"ssid": 1}')))
+        with pytest.raises(CryptoError, match="^credential plaintext malformed"):
+            decrypt_credential(blob, kp)
+
     @settings(max_examples=50, deadline=None)
     @given(ssid=st.text(min_size=1, max_size=32).filter(lambda s: s == s.strip() and s),
            passphrase=st.text(min_size=8, max_size=63))

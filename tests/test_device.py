@@ -273,6 +273,14 @@ def test_tunnel_unknown_upstream_is_502():
     assert closed
 
 
+def test_tunnel_closes_on_bytes_that_do_not_parse():
+    net, cloud, dev = make_world()
+    chan, inbox, closed = tunnel_probe(net, dev.enter_setup())
+    chan.send(b"\x16\x03\x01 not http", layer="http", summary="junk")
+    net.run()
+    assert closed and not inbox
+
+
 def test_tunnel_rejects_non_connect_preamble():
     net, cloud, dev = make_world()
     chan, inbox, closed = tunnel_probe(net, dev.enter_setup())
@@ -281,6 +289,48 @@ def test_tunnel_rejects_non_connect_preamble():
     chan.send(wire.http_serialize(req), layer="http", summary="GET")
     net.run()
     assert closed and not inbox
+
+
+def paired_in_setup():
+    """A paired device in setup with its Wi-Fi up, and call(method), which
+    sends a pairing call from a peer on the home LAN: the pairing API
+    listens on every address the device holds. Answers go to replies."""
+    net, cloud, dev = make_world()
+    dev.provision_paired("home", cloud.provision_grant(SERIAL, "alice"))
+    pairing = dev.enter_setup()
+    connect_wifi(net, dev, OobeProbe(net, pairing))
+    peer = net.add_host("peer")
+    net.attach(peer, "home")
+    replies = []
+
+    def call(method):
+        chan = net.open_channel(peer, dev.host.addr("home"), wire.OOBE_PORT)
+        chan.handler = lambda end, data: replies.append(
+            wire.oobe_decode_response(wire.http_parse(data)))
+        chan.send(wire.http_serialize(wire.oobe_encode(wire.OobeEnvelope(method, {}))),
+                  layer="oobe", summary=method)
+    return net, dev, call, replies
+
+
+def test_a_second_setup_complete_leaves_setup_once():
+    net, dev, call, replies = paired_in_setup()
+    call("setupComplete")
+    call("setupComplete")
+    net.run()
+    assert dev.setup is None
+    assert [(r.method, r.args) for r in replies] == [("setupComplete", {"ok": True})] * 2
+    assert [e["summary"] for e in trace_events(net)].count("mode:paired") == 1
+
+
+def test_a_link_code_minted_after_setup_has_ended_is_not_handed_out():
+    # setupComplete ends the stay 5 ms after it lands; a getLinkCode sent
+    # 2 ms after it waits on a cloud round trip that ends later still
+    net, dev, call, replies = paired_in_setup()
+    call("setupComplete")
+    net.scheduler.at(2, call, "getLinkCode")
+    net.run()
+    assert dev.setup is None
+    assert [r.method for r in replies] == ["setupComplete"]
 
 
 def poll_with_code(dev, code):

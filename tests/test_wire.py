@@ -36,6 +36,8 @@ from echo_testbed.wire import (
     sip_serialize,
 )
 
+SIP_METHODS = ("REGISTER", "INVITE", "ACK", "BYE", "CANCEL")   # what the agents send
+
 
 # ---------------------------------------------------------------------------
 # HTTP
@@ -80,6 +82,18 @@ class TestHttp:
     def test_missing_blank_line_rejected(self):
         with pytest.raises(WireError):
             http_parse(b"GET / HTTP/1.1\r\nHost: x\r\n")
+
+    def test_a_second_content_length_rejected(self):
+        # RFC 9112 6.3: two lengths leave the body's end ambiguous
+        raw = b"POST /x HTTP/1.1\r\nContent-Length: 2\r\ncontent-length: 9\r\n\r\nab"
+        with pytest.raises(WireError, match="^http: more than one Content-Length$"):
+            http_parse(raw)
+
+    def test_a_second_content_length_not_written(self):
+        msg = HttpMessage(kind="request", method="POST", path="/x", body=b"ab",
+                          headers=[("Content-Length", "2"), ("content-length", "9")])
+        with pytest.raises(WireError, match="^more than one Content-Length$"):
+            http_serialize(msg)
 
     def test_content_length_past_the_int_digit_limit_rejected(self):
         raw = b"HTTP/1.1 200 OK\r\nContent-Length: " + b"1" * 5000 + b"\r\n\r\n"
@@ -158,6 +172,11 @@ class TestOobe:
                              status=400, reason="Bad Request")
         assert resp.status == 400
         assert oobe_decode_response(resp).args["error"] == "unknown method"
+
+    def test_response_refuses_a_request(self):
+        req = oobe_encode(OobeEnvelope(method="getRegistrationState"))
+        with pytest.raises(WireError, match="expected an HTTP response"):
+            oobe_decode_response(req)
 
     @pytest.mark.parametrize("args", [b"[1]", b'"code"', b"null"])
     def test_response_refuses_non_object_args(self, args):
@@ -274,6 +293,19 @@ class TestSip:
                b"Call-ID: c\r\nCSeq: 1 INVITE\r\nContent-Length: 0\r\n\r\n")
         assert sip_parse(raw).status == 183
 
+    def test_a_second_content_length_rejected(self):
+        # RFC 3261 7.3.1: a header repeats only as a comma-separated list
+        raw = SAMPLE_INVITE.replace(b"INVITE", b"BYE").replace(
+            b"Content-Length: 0\r\n", b"Content-Length: 0\r\nContent-Length: 5\r\n")
+        with pytest.raises(WireError, match="^sip: more than one Content-Length$"):
+            sip_parse(raw + b"hello")
+
+    def test_a_second_content_length_not_written(self):
+        msg = sip_parse(SAMPLE_INVITE.replace(b"INVITE", b"BYE"))
+        msg.headers.append(("Content-Length", "5"))
+        with pytest.raises(WireError, match="^more than one Content-Length$"):
+            sip_serialize(msg)
+
     def test_serialize_restricts_status_set(self):
         msg = SipMessage(kind="response", status=183, reason="Session Progress",
                          headers=[("Via", "v"), ("From", "f"), ("To", "t"),
@@ -349,6 +381,28 @@ class TestSdp:
         with pytest.raises(WireError, match="unsupported crypto suite"):
             sdp_encode(SdpBody(**{**vars(self.make_body()), "crypto_suite": "NULL"}))
 
+    @pytest.mark.parametrize("old, new, error", [
+        (b"s=-", b"s=\xe9", "SDP is not ASCII"),
+        (b"o=- s1 0 IN IP4 0.0.0.0", b"o=-", "malformed o= line"),
+        (b"m=audio 20000 RTP/SAVP 0", b"m=audio x RTP/SAVP 0", "malformed m= line"),
+        (b"host 10.0.0.2 20000", b"host 10.0.0.2", "malformed candidate line"),
+        (b"host 10.0.0.2 20000", b"srflx 10.0.0.2 20000", "unknown candidate type 'srflx'"),
+        (b" inline:", b" inline: ", "malformed crypto line"),
+        (b" inline:", b" inline:*", "crypto line is not valid base64"),
+    ])
+    def test_a_malformed_line_rejected(self, old, new, error):
+        raw = sdp_encode(self.make_body())
+        assert raw.count(old) == 1
+        with pytest.raises(WireError, match=f"^{re.escape(error)}"):
+            sdp_decode(raw.replace(old, new))
+
+    def test_an_offer_without_a_candidate_rejected(self):
+        raw = sdp_encode(self.make_body())
+        bare = b"".join(ln + b"\r\n" for ln in raw.split(b"\r\n")
+                        if ln and not ln.startswith(b"a=candidate"))
+        with pytest.raises(WireError, match="^SDP needs at least one candidate$"):
+            sdp_decode(bare)
+
     @pytest.mark.parametrize("line, name", [(b"m=audio 20000", "m= port"),
                                             (b"a=candidate:1 host 10.0.0.2 20000",
                                              "candidate port")])
@@ -422,7 +476,7 @@ _REF_TOKEN_RE = re.compile(r"^[!#$%&'*+\-.^_`|~0-9A-Za-z]+$")
 _REF_CSEQ_RE = re.compile(r"^\d+ [A-Z]+$")
 
 
-def _ref_parse_headers(lines):
+def _ref_parse_headers(lines, what):
     headers = []
     for line in lines:
         if ":" not in line:
@@ -431,6 +485,10 @@ def _ref_parse_headers(lines):
         name = name.strip()
         if not name or not _REF_TOKEN_RE.match(name):
             raise WireError(f"bad header name: {name!r}")
+        # RFC 9112 6.3, RFC 3261 7.3.1: one length, or the framing is ambiguous
+        if name.casefold() == "content-length" and any(
+                seen.casefold() == "content-length" for seen, _ in headers):
+            raise WireError(f"{what}: more than one Content-Length")
         headers.append((name, value.strip()))
     return headers
 
@@ -471,7 +529,7 @@ def _ref_check_body_length(headers, body, what):
 def _ref_parse_message(data, cls, what, version, label, check_headers=None):
     lines, body = _ref_split_head(data, what)
     start = lines[0]
-    headers = _ref_parse_headers(lines[1:])
+    headers = _ref_parse_headers(lines[1:], what)
     body = _ref_check_body_length(headers, body, what)
     if check_headers is not None:
         check_headers(headers)
@@ -511,6 +569,8 @@ def _ref_serialize_message(msg, version, target, check_headers=None):
     if check_headers is not None:
         check_headers(msg.headers)
     head = start + "\r\n" + _ref_serialize_headers(msg.headers) + "\r\n"
+    if sum(name.casefold() == "content-length" for name, _ in msg.headers) > 1:
+        raise WireError("more than one Content-Length")
     return head.encode("ascii") + msg.body
 
 
@@ -735,7 +795,7 @@ def _writable(draw):
     headers = draw(st.permutations(headers))
     body = draw(st.binary(max_size=40) | st.just(b"\r\n\r\nx"))
     if draw(st.booleans()):
-        return cls("request", draw(st.sampled_from(wire.SIP_METHODS) if sip else _TOKENS),
+        return cls("request", draw(st.sampled_from(SIP_METHODS) if sip else _TOKENS),
                    draw(_VISIBLE), headers=headers, body=body)
     return cls(kind="response", headers=headers, body=body,
                status=draw(st.sampled_from(sorted(SIP_STATUSES)) if sip
@@ -778,14 +838,14 @@ class TestWriterRecord:
 #
 # Parse and write share one request-target rule and one status rule, so a
 # start line the parse takes is one the serializer can write; SIP writes
-# only what its own agents emit (SIP_METHODS and SIP_STATUSES).
+# only the statuses its own agents emit (SIP_STATUSES).
 
 # a target of these parts: some are whitespace to str.split, some are not
 _TARGET_PARTS = ["", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x01", "\x7f",
                  "sip:a@b", "/OOBE", "x", "%20"]
 START_LINES = st.one_of(
     st.builds("{} {} {}".format,
-              st.sampled_from(wire.SIP_METHODS + ("POST", "GET", "x-y")),
+              st.sampled_from(SIP_METHODS + ("POST", "GET", "x-y")),
               st.lists(st.sampled_from(_TARGET_PARTS), max_size=3).map("".join),
               st.sampled_from([wire.SIP_VERSION, wire.HTTP_VERSION])),
     st.builds("{} {:03d} {}".format,
@@ -796,7 +856,8 @@ START_LINES = st.one_of(
 
 def written_back(start: str, body: bytes) -> None:
     """start, the dialog headers and body as bytes: when sip_parse accepts
-    them as a message its agents emit, sip_serialize writes it, and the
+    them as a request, or a response of a status its agents emit,
+    sip_serialize writes it, and the
     bytes parse to an equal message; when http_parse accepts them, so does
     http_serialize."""
     head = "".join(f"{name}: {value}\r\n" for name, value in
@@ -804,7 +865,7 @@ def written_back(start: str, body: bytes) -> None:
     data = f"{start}\r\n{head}\r\n".encode("ascii") + body
     for parse, serialize, emitted in (
             (sip_parse, sip_serialize,
-             lambda msg: msg.method in wire.SIP_METHODS or msg.status in SIP_STATUSES),
+             lambda msg: msg.kind == "request" or msg.status in SIP_STATUSES),
             (http_parse, http_serialize, lambda msg: True)):
         try:
             msg = parse(data)
