@@ -224,8 +224,8 @@ class MediaSession:
                  rx_key_salt: bytes, frame_count: int, on_done=None):
         self.network = network
         self.tag = tag
-        self.tx = crypto.srtp_derive(tx_key_salt[:32], tx_key_salt[32:])
-        self.rx = crypto.srtp_derive(rx_key_salt[:32], rx_key_salt[32:])
+        self.tx = crypto.SrtpSender(tx_key_salt)
+        self.rx = crypto.SrtpReceiver(rx_key_salt)
         self.frame_count = frame_count
         self.on_done = on_done
         self.chan: Endpoint | None = None

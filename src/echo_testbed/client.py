@@ -236,6 +236,8 @@ class CompanionApp:
         self.outcome = outcome
         self.network.note(self.host, "sys", f"phone:done:{outcome}")
         d.oobe.close()
+        if d.tunnel is not None:
+            d.tunnel.close()
 
 
 class Eavesdropper:

@@ -239,7 +239,8 @@ class Host:
 class Written(bytes):
     """Bytes with their writer's record of them (in the instance dict: a bytes
     subtype takes no slots), whose record[0] names the owner: a version
-    string or a key set. A copy is plain bytes and takes the full path."""
+    string, or the 1-tuple of the master key‖salt an SRTP direction was
+    keyed from. A copy is plain bytes and takes the full path."""
 
 
 @dataclass(frozen=True)

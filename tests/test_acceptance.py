@@ -6,7 +6,6 @@ reach into another test module.
 """
 
 import contextlib
-import dataclasses
 import json
 import random
 import string
@@ -282,9 +281,9 @@ def test_criterion_5_fork_and_relay_secrecy(runs):
         for events, master, prefix in (
                 (to_callee, key_pair["offer"], b"CANARY:EK-KITCH-0001:"),
                 (to_caller, key_pair["answer"], b"CANARY:EK-DEN-0002:")):
-            ctx = crypto.srtp_derive(master[:32], master[32:])
+            rx = crypto.SrtpReceiver(master)
             for ev in events:
-                frame = crypto.srtp_unprotect(ctx, bytes.fromhex(ev["payload"]["hex"]))
+                frame = crypto.srtp_unprotect(rx, bytes.fromhex(ev["payload"]["hex"]))
                 assert frame.startswith(prefix)
 
         # without the recorded master key the same packets stay sealed, even
@@ -296,9 +295,10 @@ def test_criterion_5_fork_and_relay_secrecy(runs):
                           (to_caller[0], key_pair["offer"])):
             packet = bytes.fromhex(ev["payload"]["hex"])
             ssrc = struct.unpack(">III", packet[:12])[2]
-            ctx = dataclasses.replace(crypto.srtp_derive(wrong[:32], wrong[32:]), ssrc=ssrc)
-            with pytest.raises(crypto.CryptoError):
-                crypto.srtp_unprotect(ctx, packet)
+            rx = crypto.SrtpReceiver(wrong)
+            rx.keys = crypto.SrtpKeys(*crypto.srtp_derive(wrong[:32], wrong[32:])[:3], ssrc)
+            with pytest.raises(crypto.CryptoError, match="auth: bad tag"):
+                crypto.srtp_unprotect(rx, packet)
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +393,7 @@ def test_criterion_7_crypto_kats_and_round_trips():
             assert (out.ssid, out.passphrase) == (cred.ssid, cred.passphrase)
 
         master = rng.randbytes(46)
-        tx = crypto.srtp_derive(master[:32], master[32:])
-        rx = crypto.srtp_derive(master[:32], master[32:])
+        tx, rx = crypto.SrtpSender(master), crypto.SrtpReceiver(master)
         packets = []
         for i in range(1_000):
             frame = f"frame-{i}:".encode() + rng.randbytes(rng.randint(1, 120))

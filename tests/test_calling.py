@@ -83,13 +83,13 @@ def media_pair(frame_count=4):
 
 def decrypting(monkeypatch) -> dict:
     """Collect each frame srtp_unprotect decrypts, under the id() of the
-    context that decrypted it: a MediaSession counts its frames only."""
+    receiver that decrypted it: a MediaSession counts its frames only."""
     frames = defaultdict(list)
     unprotect = crypto.srtp_unprotect
 
-    def collecting(ctx, data):
-        frame = unprotect(ctx, data)
-        frames[id(ctx)].append(frame)
+    def collecting(rx, data):
+        frame = unprotect(rx, data)
+        frames[id(rx)].append(frame)
         return frame
     monkeypatch.setattr(crypto, "srtp_unprotect", collecting)
     return frames

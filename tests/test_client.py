@@ -496,6 +496,24 @@ def test_a_second_start_pairing_restarts_the_dialogue(first, second):
     assert app.dialogue is None and dev.setup is None
 
 
+def test_a_restart_closes_the_first_dialogues_tunnel():
+    # at 442 ms the first dialogue waits on its 443 tunnel for the answer to
+    # its CONNECT; the restart hangs that tunnel up with its pairing channel
+    net, cloud, dev, app = make_world()
+    pairing = dev.enter_setup()
+    net.scheduler.at(20, app.start_pairing, pairing)
+    closed = []
+
+    def restart():
+        first = app.dialogue
+        app.start_pairing(pairing)
+        closed.append((first.oobe.closed, first.tunnel is not None and first.tunnel.closed))
+    net.scheduler.at(442, restart)
+    net.run()
+    assert closed == [(True, True)]
+    assert done_notes(net) == [("phone", "phone:done:restarted"), ("phone", "phone:done:paired")]
+
+
 @pytest.mark.parametrize("rival_at", [
     2320,   # the rival is polling the device when the setup network goes down
     2059,   # the rival's CONNECT reaches the device after it went down

@@ -31,6 +31,9 @@ from echo_testbed.crypto import (
     CallAuthToken,
     CryptoError,
     EncryptedCredentialBlob,
+    SrtpKeys,
+    SrtpReceiver,
+    SrtpSender,
     aes256_cbc_decrypt,
     aes256_cbc_encrypt,
     canonical_json,
@@ -605,10 +608,13 @@ class TestCallToken:
 # ---------------------------------------------------------------------------
 # Media protection
 
+SRTP_MASTER = bytes(range(32)) + bytes(range(14))
+
+
 class TestSrtp:
     def contexts(self):
-        key, salt = bytes(range(32)), bytes(range(14))
-        return srtp_derive(key, salt), srtp_derive(key, salt)
+        # the receiver's master is equal to the sender's, not the same object
+        return SrtpSender(SRTP_MASTER), SrtpReceiver(bytes(bytearray(SRTP_MASTER)))
 
     def test_round_trip(self):
         tx, rx = self.contexts()
@@ -617,11 +623,10 @@ class TestSrtp:
             assert srtp_unprotect(rx, srtp_protect(tx, payload)) == payload
 
     def test_derivation_deterministic_and_labelled(self):
-        ctx = srtp_derive(bytes(32), bytes(14))
-        again = srtp_derive(bytes(32), bytes(14))
-        assert (ctx.cipher_key, ctx.auth_key, ctx.session_salt) == (
-            again.cipher_key, again.auth_key, again.session_salt)
-        assert ctx.cipher_key != ctx.auth_key
+        cipher_key, auth_key, session_salt, ssrc = srtp_derive(bytes(32), bytes(14))
+        assert srtp_derive(bytes(32), bytes(14)) == (cipher_key, auth_key, session_salt, ssrc)
+        assert cipher_key != auth_key
+        assert (len(cipher_key), len(auth_key), len(session_salt)) == (32, 32, 14)
 
     def test_payload_not_in_clear(self):
         tx, _ = self.contexts()
@@ -699,9 +704,11 @@ class TestSrtp:
         assert tx.send_index == 0
 
     def test_distinct_ssrc_rejected(self):
+        # a receiver of another master: the packet's record names another
+        # owner, so the full path meets another stream's ssrc first
         tx, _ = self.contexts()
-        rx = dataclasses.replace(srtp_derive(bytes(range(32)), bytes(range(14))),
-                                 ssrc=0xDEAD)
+        rx = SrtpReceiver(bytes(46))
+        assert rx.keys.ssrc != tx.ssrc
         with pytest.raises(CryptoError, match="ssrc"):
             srtp_unprotect(rx, srtp_protect(tx, bytes(160)))
         assert rx.auth_failures == 1
@@ -743,7 +750,9 @@ class TestSrtp:
         assert rx.auth_failures == 0
 
     def test_one_cipher_per_context(self, monkeypatch):
-        # the keystream must not build a cipher context per packet
+        # the keystream must not build a cipher context per packet: the
+        # sender keys one at once, and the receiver one at its first plain
+        # copy, which takes the full path
         built = []
 
         def counting_cipher(*args, **kwargs):
@@ -752,15 +761,17 @@ class TestSrtp:
 
         monkeypatch.setattr(crypto, "Cipher", counting_cipher)
         tx, rx = self.contexts()
+        assert len(built) == 1
         for i in range(100):
             payload = bytes([i]) * 160
-            assert srtp_unprotect(rx, srtp_protect(tx, payload)) == payload
-        assert len(built) <= 2
+            assert srtp_unprotect(rx, bytes(srtp_protect(tx, payload))) == payload
+        assert len(built) == 2
 
     def test_keyed_once_per_context(self, monkeypatch):
-        # every packet continues state keyed in __post_init__: no cipher,
-        # HMAC or hash is built for a packet
+        # every packet continues state keyed when each end was: no cipher,
+        # HMAC or hash is built for a packet, on the full path too
         tx, rx = self.contexts()
+        assert rx.keys.ssrc == tx.ssrc   # keys the receiver before counting
         built = []
         for owner, name in ((hmac, "new"), (hmac, "digest"), (hashlib, "sha256"),
                             (crypto, "Cipher")):
@@ -770,11 +781,12 @@ class TestSrtp:
         packets = []
         for i in range(100):
             packets.append(srtp_protect(tx, bytes([i]) * 160))
-            assert srtp_unprotect(rx, packets[-1]) == bytes([i]) * 160
+            assert srtp_unprotect(rx, bytes(packets[-1])) == bytes([i]) * 160
         monkeypatch.undo()
         assert built == []
+        auth_key = srtp_derive(SRTP_MASTER[:32], SRTP_MASTER[32:])[1]
         for pkt in packets:   # still HMAC-SHA256 over header and ciphertext, cut to 80 bits
-            assert pkt[-SRTP_TAG_LEN:] == hmac.new(tx.auth_key, pkt[:-SRTP_TAG_LEN],
+            assert pkt[-SRTP_TAG_LEN:] == hmac.new(auth_key, pkt[:-SRTP_TAG_LEN],
                                                    hashlib.sha256).digest()[:SRTP_TAG_LEN]
 
     @settings(max_examples=200, derandomize=True, deadline=None)
@@ -784,8 +796,8 @@ class TestSrtp:
     def test_tag_is_hmac_sha256_80(self, key, data):
         # the length is drawn first so that keys past the 64-byte block,
         # which RFC 2104 hashes first, come up as often as shorter ones
-        ctx = dataclasses.replace(self.contexts()[0], auth_key=key)
-        assert crypto._tag(ctx, data) == hmac.new(key, data, hashlib.sha256).digest()[:10]
+        keys = SrtpKeys(bytes(32), key, bytes(14), 0)
+        assert crypto._tag(keys, data) == hmac.new(key, data, hashlib.sha256).digest()[:10]
 
     # srtp_protect of FRAME under KAT_KEY and KAT_SALT at four send indexes,
     # recorded from the implementation that keyed an hmac.HMAC per context
@@ -799,9 +811,9 @@ class TestSrtp:
     }
 
     def test_known_answers(self):
-        rx = srtp_derive(self.KAT_KEY, self.KAT_SALT)
+        rx = SrtpReceiver(self.KAT_KEY + self.KAT_SALT)
         for index, packet in self.KAT.items():
-            tx = srtp_derive(self.KAT_KEY, self.KAT_SALT)
+            tx = SrtpSender(self.KAT_KEY + self.KAT_SALT)
             tx.send_index = index
             assert srtp_protect(tx, self.FRAME).hex() == packet
             assert srtp_unprotect(rx, bytes.fromhex(packet)) == self.FRAME
@@ -834,12 +846,12 @@ class TestSrtp:
         assert rx.auth_failures == 1
 
 
-def _ref_recover_index(ctx, seq32):
+def _ref_recover_index(rx, seq32):
     """_recover_index as it was when the receiver kept its rollover count
     apart, the count now read from recv_highest."""
-    roc = ctx.recv_highest >> 32 if ctx.recv_highest >= 0 else 0
-    if ctx.recv_highest >= 0:
-        last32 = ctx.recv_highest & 0xFFFFFFFF
+    roc = rx.recv_highest >> 32 if rx.recv_highest >= 0 else 0
+    if rx.recv_highest >= 0:
+        last32 = rx.recv_highest & 0xFFFFFFFF
         if last32 - seq32 > 0x80000000:
             roc += 1
         elif seq32 - last32 > 0x80000000 and roc > 0:
@@ -847,46 +859,46 @@ def _ref_recover_index(ctx, seq32):
     return (roc << 32) | seq32
 
 
-def _ref_srtp_unprotect(ctx, packet):
+def _ref_srtp_unprotect(rx, packet):
     """srtp_unprotect as it was before the record: every packet gets the full
-    tag check and is decrypted at the index the receiver recovers."""
+    ssrc and tag checks and is decrypted at the index the receiver recovers."""
     if len(packet) < crypto._RTP_HEADER.size + 1 + SRTP_TAG_LEN:
-        ctx.auth_failures += 1
+        rx.auth_failures += 1
         raise CryptoError("auth: packet too short")
     seq32, _, ssrc = crypto._RTP_HEADER.unpack_from(packet)
-    if ssrc != ctx.ssrc:
-        ctx.auth_failures += 1
+    if ssrc != rx.keys.ssrc:
+        rx.auth_failures += 1
         raise CryptoError(f"unknown ssrc {ssrc:#x}")
     if not hmac.compare_digest(packet[-SRTP_TAG_LEN:],
-                               crypto._tag(ctx, packet[:-SRTP_TAG_LEN])):
-        ctx.auth_failures += 1
+                               crypto._tag(rx.keys, packet[:-SRTP_TAG_LEN])):
+        rx.auth_failures += 1
         raise CryptoError("auth: bad tag")
-    index = _ref_recover_index(ctx, seq32)
-    delta = index - ctx.recv_highest
-    if ctx.recv_highest >= 0:
+    index = _ref_recover_index(rx, seq32)
+    delta = index - rx.recv_highest
+    if rx.recv_highest >= 0:
         if delta <= 0:
-            if -delta >= crypto.REPLAY_WINDOW or (ctx.recv_window >> -delta) & 1:
-                ctx.replay_drops += 1
+            if -delta >= crypto.REPLAY_WINDOW or (rx.recv_window >> -delta) & 1:
+                rx.replay_drops += 1
                 raise CryptoError(f"replay: index {index}")
-    payload = crypto._ctr_crypt(ctx, index, packet[crypto._RTP_HEADER.size:-SRTP_TAG_LEN])
-    if delta > 0 or ctx.recv_highest < 0:
+    payload = crypto._ctr_crypt(rx.keys, index, packet[crypto._RTP_HEADER.size:-SRTP_TAG_LEN])
+    if delta > 0 or rx.recv_highest < 0:
         window = crypto.REPLAY_WINDOW
-        shift = (delta if delta < window else window) if ctx.recv_highest >= 0 else 1
-        ctx.recv_window = ((ctx.recv_window << shift) | 1) & (2 ** window - 1)
-        ctx.recv_highest = index
+        shift = (delta if delta < window else window) if rx.recv_highest >= 0 else 1
+        rx.recv_window = ((rx.recv_window << shift) | 1) & (2 ** window - 1)
+        rx.recv_highest = index
     else:
-        ctx.recv_window |= 1 << -delta
+        rx.recv_window |= 1 << -delta
     return payload
 
 
-def _unprotect_verdict(unprotect, ctx, packet):
+def _unprotect_verdict(unprotect, rx, packet):
     """What unprotect returns or the text of the CryptoError it raises, and
     the receiver's counters and window after it."""
     try:
-        outcome = unprotect(ctx, packet)
+        outcome = unprotect(rx, packet)
     except CryptoError as exc:
         outcome = ("CryptoError", str(exc))
-    return outcome, (ctx.auth_failures, ctx.replay_drops, ctx.recv_highest, ctx.recv_window)
+    return outcome, (rx.auth_failures, rx.replay_drops, rx.recv_highest, rx.recv_window)
 
 
 # where the sender starts, and what happens next; tests/fuzz_srtp.py draws
@@ -900,13 +912,14 @@ SRTP_STEPS = st.lists(st.tuples(
 
 
 def unprotect_matches_full_path(offset: int, primed: bool, steps: list) -> None:
-    """One sender and two receivers of one key set: the receiver under test
+    """One sender and two receivers of one master: the receiver under test
     answers the sender's packets from their record, the other takes the
     full path every time; both must give the same answer and end in the
     same state, also for a plain copy of a packet and for a packet whose
-    record names another key set."""
-    key, salt = bytes(range(32)), bytes(range(14))
-    tx, rx, ref = (srtp_derive(key, salt) for _ in range(3))
+    record names another master."""
+    tx, rx = TestSrtp().contexts()
+    ref = SrtpReceiver(SRTP_MASTER)
+    derived = srtp_derive(SRTP_MASTER[:32], SRTP_MASTER[32:])
     sent, pending = [], []
 
     def deliver(packet):
@@ -931,9 +944,12 @@ def unprotect_matches_full_path(offset: int, primed: bool, steps: list) -> None:
             packet = sent[n % len(sent)]
             deliver(_flip(packet, n % (8 * len(packet))))
         elif step == "foreign" and tx.send_index < crypto.SRTP_MAX_INDEX:
-            # the receivers' ssrc and index, but one key of its own
-            other = ("cipher_key", "auth_key", "session_salt")[n % 3]
-            foreign = dataclasses.replace(tx, **{other: bytes(len(getattr(tx, other)))})
+            # the receivers' ssrc and index, but one key of its own: keyed
+            # state no master derives, whose records name another master
+            keys = list(derived)
+            keys[n % 3] = bytes(len(keys[n % 3]))
+            foreign = SrtpKeys(*keys)
+            foreign.owner, foreign.send_index = (bytes(46),), tx.send_index
             deliver(srtp_protect(foreign, bytes([n % 256]) * (1 + n % 200)))
         elif step == "skip":   # up to 2^32 indexes that never reach the receivers
             tx.send_index = min(tx.send_index + n * 2 ** 16, crypto.SRTP_MAX_INDEX)
@@ -966,16 +982,16 @@ class TestSrtpAgainstReference:
         assert tags and fresh.auth_failures == 0
 
 
-def _reference_ctr(ctx, index, data):
+def _reference_ctr(derived, index, data):
     """AES-256-CTR as RFC 3711 lays out the IV, straight from the library."""
-    iv = (int.from_bytes(ctx.session_salt + b"\x00\x00", "big")
-          ^ (ctx.ssrc << 64) ^ (index << 16))
-    enc = Cipher(algorithms.AES(ctx.cipher_key), modes.CTR(iv.to_bytes(16, "big"))).encryptor()
+    cipher_key, _, session_salt, ssrc = derived
+    iv = int.from_bytes(session_salt + b"\x00\x00", "big") ^ (ssrc << 64) ^ (index << 16)
+    enc = Cipher(algorithms.AES(cipher_key), modes.CTR(iv.to_bytes(16, "big"))).encryptor()
     return enc.update(data) + enc.finalize()
 
 
 class TestKeystream:
-    BASE = srtp_derive(bytes(range(32)), bytes(range(14)))
+    BASE = srtp_derive(bytes(range(32)), bytes(range(14)))   # the four derived values
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(length=st.one_of(st.integers(1, 1000),   # and across the 256-block segments
@@ -987,16 +1003,18 @@ class TestKeystream:
            ssrc=st.integers(0, 2**32 - 1),
            seed=st.integers(0, 2**16))
     def test_matches_library_ctr(self, length, index, variant, ssrc, seed):
-        ctx = {"derived": self.BASE,
-               "ssrc": dataclasses.replace(self.BASE, ssrc=ssrc),
-               "salt": dataclasses.replace(self.BASE, session_salt=b"\xff" * 14),
-               "cipher_key": dataclasses.replace(self.BASE, cipher_key=bytes(32))}[variant]
+        cipher_key, auth_key, salt, base_ssrc = self.BASE
+        derived = {"derived": self.BASE,
+                   "ssrc": (cipher_key, auth_key, salt, ssrc),
+                   "salt": (cipher_key, auth_key, b"\xff" * 14, base_ssrc),
+                   "cipher_key": (bytes(32), auth_key, salt, base_ssrc)}[variant]
         data = random.Random(seed).randbytes(length)
-        assert crypto._ctr_crypt(ctx, index, data) == _reference_ctr(ctx, index, data)
+        assert crypto._ctr_crypt(SrtpKeys(*derived), index, data) == _reference_ctr(
+            derived, index, data)
 
     def test_counter_wraps_mod_2_128(self):
         # all-ones salt and a zero ssrc put the IV 2^16 blocks below 2^128:
         # one more block makes the counter wrap, as OpenSSL's CTR does
-        ctx = dataclasses.replace(self.BASE, ssrc=0, session_salt=b"\xff" * 14)
+        derived = (*self.BASE[:2], b"\xff" * 14, 0)
         data = bytes(range(256)) * (2**12 + 1)
-        assert crypto._ctr_crypt(ctx, 0, data) == _reference_ctr(ctx, 0, data)
+        assert crypto._ctr_crypt(SrtpKeys(*derived), 0, data) == _reference_ctr(derived, 0, data)

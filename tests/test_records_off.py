@@ -11,7 +11,8 @@ trace, exit code and verdicts it gives with records on, and each parse,
 verify and unprotect the same answer, while with records off every one of
 them takes its full path, and each paired device builds its signing key
 again. It is also the one test that feeds the full parser every message
-the program writes.
+the program writes. With records on, no SRTP receiver keys itself: each
+packet it takes is answered from its record.
 """
 
 import hashlib
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from echo_testbed import crypto, wire
+from echo_testbed import calling, crypto, wire
 from echo_testbed.cli import BUILTINS, load_scenario, run_scenario
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -161,3 +162,27 @@ def test_a_run_reads_the_same_with_every_record_off(builtin, workload, monkeypat
     devices = _scenario(builtin, workload)["topology"].get("devices", [])
     assert off_counts["key build"] - on_counts["key build"] == sum(
         d.get("state") == "paired" for d in devices)
+
+
+# the seed-1 workloads at full size: each call's MediaSessions key one
+# sender each, and no receiver
+FULL_SIZE_KEYED = {"fleet_calls": 938, "media_stream": 8}
+
+
+@pytest.mark.parametrize("builtin, workload, keyed",
+                         [(b, w, None) for b, w in RUNS]
+                         + [(None, w, n) for w, n in sorted(FULL_SIZE_KEYED.items())])
+def test_no_receiver_keys_itself_with_records_on(builtin, workload, keyed, monkeypatch):
+    # every packet a run's receiver takes was protected in that run by a
+    # sender of its master, so its record answers it: the run derives and
+    # keys one state per MediaSession, its sender's
+    sessions, derived = [], []
+    init, derive = calling.MediaSession.__init__, crypto.srtp_derive
+    monkeypatch.setattr(calling.MediaSession, "__init__",
+                        lambda self, *a, **k: sessions.append(self) or init(self, *a, **k))
+    monkeypatch.setattr(crypto, "srtp_derive", lambda *a: derived.append(a) or derive(*a))
+    scenario = (_scenario(builtin, workload) if keyed is None
+                else workloads.WORKLOADS[workload](1))
+    assert run_scenario(scenario).exit_code == 0
+    assert len(derived) == len(sessions)
+    assert keyed is None or len(derived) == keyed
