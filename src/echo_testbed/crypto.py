@@ -559,10 +559,9 @@ class SrtpKeys:
         # the IV less its index term: salt‖0x0000 XOR ssrc<<64 (RFC 3711 4.1.1)
         self._iv_base = int.from_bytes(session_salt + b"\x00\x00", "big") ^ (ssrc << 64)
         # SHA-256 states that have absorbed K'⊕ipad and K'⊕opad (RFC 2104 2),
-        # K' being the auth key, hashed if longer than the 64-byte block, then
-        # zero-padded to it; each tag continues copies of them
-        key = auth_key if len(auth_key) <= 64 else hashlib.sha256(auth_key).digest()
-        key = key.ljust(64, b"\x00")
+        # K' being the auth key, which srtp_derive makes 32 bytes, zero-padded
+        # to the 64-byte block; each tag continues copies of them
+        key = auth_key.ljust(64, b"\x00")
         self._inner = hashlib.sha256(key.translate(_IPAD))
         self._outer = hashlib.sha256(key.translate(_OPAD))
 

@@ -275,6 +275,8 @@ class EchoDevice:
     # -- registration tunnel (port 443) -----------------------------------------
 
     def _tunnel_open(self, chan: Endpoint, data: bytes) -> None:
+        if chan.closed:   # a CONNECT still in flight when the phone hung up
+            return
         try:
             req = wire.http_parse(data)
         except wire.WireError:

@@ -484,6 +484,7 @@ def test_a_device_pairs_enters_setup_and_pairs_again():
     (24, 61),
     (20, 21),    # the device answers a ping on the channel the restart closed
     (20, 22),    # the answer to that ping lands after the restart
+    (20, 441),   # the first dialogue's CONNECT lands on the tunnel the restart closed
     (20, 442),   # as does the device's answer to the first dialogue's CONNECT
 ])
 def test_a_second_start_pairing_restarts_the_dialogue(first, second):
