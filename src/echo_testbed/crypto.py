@@ -24,6 +24,13 @@ the index the receiver recovers from the sequence number differs: it
 decrypts at the index it guessed, as the full path does. A resent packet
 meets the replay window as on the full path.
 
+A sender makes keystream ahead, since AES-CM keystream depends only on the
+keys, ssrc and index (RFC 3711 4.1.1). When what it holds does not cover a
+packet's index (after an index jump) or length, srtp_protect makes it for
+that index and the next ones in one AES call: 1 index at first, twice as
+many at each refill after, up to 64. A payload past 256 blocks makes its
+own. Receivers still make keystream only on the full path.
+
 A keypair's to_dict() is a WrittenKeys, recording the Ed25519 object the
 keypair held, and nothing else: a grant's record is the signing key object
 alone. from_dict of that very dict takes it if it was built from the same
@@ -568,12 +575,15 @@ class SrtpKeys:
 
 class SrtpSender(SrtpKeys):
     """One media direction's sending end (RFC 3711 3.2.1), keyed from its
-    46-byte master key‖salt at once."""
+    46-byte master key‖salt at once, holding its next indexes' keystream."""
 
     def __init__(self, master: bytes):
         super().__init__(*srtp_derive(master[:32], master[32:]))
         self.owner = (master,)   # what its packets' records name
         self.send_index = 0
+        # _ahead: _width bytes of keystream per index from _ahead_from on;
+        # _refill: how many indexes the next refill makes
+        self._ahead, self._ahead_from, self._width, self._refill = b"", 0, 0, 1
 
 
 class SrtpReceiver:
@@ -596,20 +606,30 @@ _SUFFIXES = [bytes([i]) for i in range(_SEGMENT)]   # objects CPython already ca
 _PREFIX_MASK = (1 << 120) - 1
 
 
-def _ctr_crypt(keys: SrtpKeys, index: int, data: bytes) -> bytes:
+def _counter_blocks(keys: SrtpKeys, index: int, blocks: int, count: int = 1) -> bytes:
     # AES-256-CTR, byte for byte: the keystream is the AES encryption of the
     # counter blocks iv, iv+1, ... (mod 2^128, as OpenSSL's CTR increments).
-    # The IV's low 16 bits are always 0, so block i is (the IV's top 15
-    # bytes + i // 256) mod 2^120, followed by the one byte i mod 256.
-    n = len(data)
-    blocks = -(-n // AES_BLOCK)
-    top = (keys._iv_base ^ (index << 16)) >> 8
+    # The IV's low 16 bits are always 0, so block j is (the IV's top 15
+    # bytes + j // 256) mod 2^120, followed by the one byte j mod 256; here
+    # for count packets from index on, each `blocks` long.
+    runs = [(first // _SEGMENT, _SUFFIXES[:min(blocks - first, _SEGMENT)])
+            for first in range(0, blocks, _SEGMENT)]
     segments = []
-    for first in range(0, blocks, _SEGMENT):
-        prefix = ((top + first // _SEGMENT) & _PREFIX_MASK).to_bytes(AES_BLOCK - 1, "big")
-        segments.append(prefix + prefix.join(_SUFFIXES[:min(blocks - first, _SEGMENT)]))
-    keystream = keys._ecb.update(b"".join(segments))[:n]
-    return (int.from_bytes(data, "big") ^ int.from_bytes(keystream, "big")).to_bytes(n, "big")
+    for i in range(index, index + count):
+        top = (keys._iv_base ^ (i << 16)) >> 8
+        for segment, suffixes in runs:
+            prefix = ((top + segment) & _PREFIX_MASK).to_bytes(AES_BLOCK - 1, "big")
+            segments += (prefix, prefix.join(suffixes))
+    return b"".join(segments)
+
+
+def _xor(data: bytes, keystream: bytes) -> bytes:
+    n = len(data)   # the keystream may run longer
+    return (int.from_bytes(data, "big") ^ int.from_bytes(keystream[:n], "big")).to_bytes(n, "big")
+
+
+def _ctr_crypt(keys: SrtpKeys, index: int, data: bytes) -> bytes:
+    return _xor(data, keys._ecb.update(_counter_blocks(keys, index, -(-len(data) // AES_BLOCK))))
 
 
 def _tag(keys: SrtpKeys, authenticated: bytes) -> bytes:
@@ -623,14 +643,25 @@ def _tag(keys: SrtpKeys, authenticated: bytes) -> bytes:
 
 def srtp_protect(tx: SrtpSender, payload: bytes) -> bytes:
     """Protect one frame: 12-byte header ‖ ciphertext ‖ 10-byte tag."""
-    if len(payload) > SRTP_MAX_PAYLOAD:   # past it, two packets would share keystream
-        raise CryptoError(f"payload of {len(payload)} bytes exceeds the "
+    n = len(payload)
+    if n > SRTP_MAX_PAYLOAD:   # past it, two packets would share keystream
+        raise CryptoError(f"payload of {n} bytes exceeds the "
                           f"{SRTP_MAX_PAYLOAD}-byte limit of 2^16 AES blocks")
     index = tx.send_index
     if index >= SRTP_MAX_INDEX:
         raise CryptoError("sequence wrap at 2^48")
     header = _RTP_HEADER.pack(index & 0xFFFFFFFF, (index * 160) & 0xFFFFFFFF, tx.ssrc)
-    authenticated = header + _ctr_crypt(tx, index, payload)
+    blocks = -(-n // AES_BLOCK)
+    if blocks > _SEGMENT:   # a payload past one segment makes its own keystream
+        authenticated = header + _ctr_crypt(tx, index, payload)
+    else:
+        at = (index - tx._ahead_from) * tx._width
+        if not (0 <= at < len(tx._ahead) and n <= tx._width):
+            # this index and the next ones in one AES call, twice as many each time
+            count, tx._refill = tx._refill, min(2 * tx._refill, 64)
+            tx._ahead = tx._ecb.update(_counter_blocks(tx, index, blocks, count))
+            tx._ahead_from, tx._width, at = index, blocks * AES_BLOCK, 0
+        authenticated = header + _xor(payload, tx._ahead[at:at + n])
     tx.send_index = index + 1
     packet = Written(authenticated + _tag(tx, authenticated))
     # a copy, so a buffer changed later cannot change what was recorded

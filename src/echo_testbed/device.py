@@ -125,8 +125,11 @@ class EchoDevice:
     def _serve_setup(self, chan: Endpoint, serve) -> None:
         """Hand chan's data to serve(end, data) while the setup session that
         accepted chan lasts: a pairing call or CONNECT that lands after it
-        has ended is dropped unanswered."""
+        has ended is dropped unanswered, and one off the setup network closed."""
         session = self.setup
+        if chan.lan_name != session.pairing.lan.name:
+            chan.close()
+            return
 
         def handler(end: Endpoint, data: bytes) -> None:
             if session is self.setup:

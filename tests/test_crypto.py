@@ -11,6 +11,7 @@ import hashlib
 import hmac
 import json
 import random
+import struct
 import tracemalloc
 
 import pytest
@@ -945,10 +946,12 @@ def unprotect_matches_full_path(offset: int, primed: bool, steps: list) -> None:
             deliver(_flip(packet, n % (8 * len(packet))))
         elif step == "foreign" and tx.send_index < crypto.SRTP_MAX_INDEX:
             # the receivers' ssrc and index, but one key of its own: keyed
-            # state no master derives, whose records name another master
+            # state no master derives, whose records name another master; a
+            # sender rekeyed before its first packet, so it holds no keystream
             keys = list(derived)
             keys[n % 3] = bytes(len(keys[n % 3]))
-            foreign = SrtpKeys(*keys)
+            foreign = SrtpSender(SRTP_MASTER)
+            SrtpKeys.__init__(foreign, *keys)
             foreign.owner, foreign.send_index = (bytes(46),), tx.send_index
             deliver(srtp_protect(foreign, bytes([n % 256]) * (1 + n % 200)))
         elif step == "skip":   # up to 2^32 indexes that never reach the receivers
@@ -1018,3 +1021,102 @@ class TestKeystream:
         derived = (*self.BASE[:2], b"\xff" * 14, 0)
         data = bytes(range(256)) * (2**12 + 1)
         assert crypto._ctr_crypt(SrtpKeys(*derived), 0, data) == _reference_ctr(derived, 0, data)
+
+
+def _reference_protect(master: bytes, index: int, payload: bytes) -> bytes:
+    """One protected packet from the library and hmac alone: the 12-byte
+    header, AES-256 in CTR mode from the RFC 3711 IV, and HMAC-SHA256 cut to
+    80 bits, under the four values the master's labels derive."""
+    cipher_key, auth_key, salt, ssrc = (
+        hmac.new(master[:32], master[32:] + bytes([label, 0]), hashlib.sha256).digest()[:size]
+        for label, size in ((0x00, 32), (0x01, 32), (0x02, 14), (0x03, 4)))
+    iv = int.from_bytes(salt + b"\x00\x00", "big") ^ (int.from_bytes(ssrc, "big") << 64)
+    enc = Cipher(algorithms.AES(cipher_key),
+                 modes.CTR((iv ^ (index << 16)).to_bytes(16, "big"))).encryptor()
+    authenticated = (struct.pack(">II", index % 2**32, index * 160 % 2**32) + ssrc
+                     + enc.update(payload) + enc.finalize())
+    return authenticated + hmac.new(auth_key, authenticated, hashlib.sha256).digest()[:10]
+
+
+# what one sender does next: protect a payload, move its index back or
+# forward, or set it, across 2^32 or to within a few indexes of the end;
+# tests/fuzz_srtp.py draws from these too
+_PROTECT = st.tuples(st.just("protect"), st.integers(0, 300).map(  # lengths drawn evenly
+    lambda n: random.Random(n).randbytes(n)))
+SRTP_SEND_STEPS = st.lists(st.one_of(
+    _PROTECT, _PROTECT, _PROTECT,   # three in five steps protect
+    st.tuples(st.just("move"), st.integers(-130, 130)),
+    st.tuples(st.just("seek"), st.integers(-3, 3).map(lambda k: 2**32 + k)
+              | st.integers(-3, 0).map(lambda k: crypto.SRTP_MAX_INDEX + k)
+              | st.integers(0, crypto.SRTP_MAX_INDEX))), max_size=40)
+
+
+def sender_matches_reference(steps: list) -> None:
+    """Every packet one sender protects, with or without keystream held from
+    an earlier packet, is the reference's packet at its index."""
+    tx = SrtpSender(SRTP_MASTER)
+    for step, arg in steps:
+        index = tx.send_index
+        if step == "protect" and index == crypto.SRTP_MAX_INDEX:
+            with pytest.raises(CryptoError, match=r"sequence wrap at 2\^48"):
+                srtp_protect(tx, arg)
+            assert tx.send_index == index
+        elif step == "protect":
+            assert srtp_protect(tx, arg) == _reference_protect(SRTP_MASTER, index, arg)
+            assert tx.send_index == index + 1
+        else:
+            target = index + arg if step == "move" else arg
+            tx.send_index = min(max(target, 0), crypto.SRTP_MAX_INDEX)
+
+
+class TestSrtpSender:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(steps=SRTP_SEND_STEPS)
+    def test_every_packet_matches_the_reference(self, steps):
+        sender_matches_reference(steps)
+
+    def test_an_empty_payload(self):
+        sender_matches_reference([("protect", b""), ("protect", bytes(160)),
+                                  ("protect", b""), ("protect", b"")])
+
+    def test_a_payload_past_one_segment(self):
+        # 257 blocks: it makes its own keystream, and the next packets are
+        # still right
+        payload = bytes(range(256)) * 16 + b"\x01"
+        sender_matches_reference([("protect", bytes(160)), ("protect", payload),
+                                  ("protect", bytes(160)), ("protect", payload[:4096])])
+
+    def test_a_longer_payload_at_the_next_index(self):
+        # the held keystream covers the index but not the length
+        sender_matches_reference([("protect", bytes(100))] * 3 + [("protect", bytes(161)),
+                                                                 ("protect", bytes(300))])
+
+    def test_the_wrap_refusal_while_keystream_is_held(self):
+        tx = SrtpSender(SRTP_MASTER)
+        for _ in range(3):   # refills of 1 and 2 packets; the next makes 4
+            srtp_protect(tx, bytes(160))
+        tx.send_index = crypto.SRTP_MAX_INDEX - 1
+        srtp_protect(tx, bytes(160))
+        assert tx._ahead_from < crypto.SRTP_MAX_INDEX
+        assert len(tx._ahead) > (crypto.SRTP_MAX_INDEX - tx._ahead_from) * tx._width
+        with pytest.raises(CryptoError, match=r"sequence wrap at 2\^48"):
+            srtp_protect(tx, bytes(160))
+        assert tx.send_index == crypto.SRTP_MAX_INDEX
+
+    def test_each_refill_is_one_aes_call_of_twice_as_many_indexes(self):
+        # up to 64: six frames take three calls and make seven frames' keystream
+        tx = SrtpSender(SRTP_MASTER)
+        made, ecb = [], tx._ecb
+
+        class Counting:
+            def update(self, blocks):
+                made.append(len(blocks) // 160)
+                return ecb.update(blocks)
+
+        tx._ecb = Counting()
+        for i in range(6):
+            srtp_protect(tx, bytes([i]) * 160)
+        assert made == [1, 2, 4]
+        for i in range(249):   # to 255 = 1 + 2 + ... + 32 + 3 * 64 frames
+            srtp_protect(tx, bytes([i % 256]) * 160)
+        assert made == [1, 2, 4, 8, 16, 32, 64, 64, 64]

@@ -293,18 +293,18 @@ def test_tunnel_rejects_non_connect_preamble():
 
 def paired_in_setup():
     """A paired device in setup with its Wi-Fi up, and call(method), which
-    sends a pairing call from a peer on the home LAN: the pairing API
-    listens on every address the device holds. Answers go to replies."""
+    sends a pairing call from a peer on the setup network. Answers go to
+    replies."""
     net, cloud, dev = make_world()
     dev.provision_paired("home", cloud.provision_grant(SERIAL, "alice"))
     pairing = dev.enter_setup()
     connect_wifi(net, dev, OobeProbe(net, pairing))
     peer = net.add_host("peer")
-    net.attach(peer, "home")
+    pairing.join(peer)
     replies = []
 
     def call(method):
-        chan = net.open_channel(peer, dev.host.addr("home"), wire.OOBE_PORT)
+        chan = net.open_channel(peer, pairing.owner_addr, wire.OOBE_PORT)
         chan.handler = lambda end, data: replies.append(
             wire.oobe_decode_response(wire.http_parse(data)))
         chan.send(wire.http_serialize(wire.oobe_encode(wire.OobeEnvelope(method, {}))),
@@ -331,6 +331,22 @@ def test_a_link_code_minted_after_setup_has_ended_is_not_handed_out():
     net.run()
     assert dev.setup is None
     assert [r.method for r in replies] == ["setupComplete"]
+
+
+@pytest.mark.parametrize("port", [wire.OOBE_PORT, wire.TLS_PORT])
+def test_the_setup_api_answers_nobody_on_the_home_lan(port):
+    # the listeners take every address the device holds; a dial that lands
+    # on its home LAN address is closed before a byte is read
+    net, dev, call, replies = paired_in_setup()
+    peer = net.add_host("home-peer")
+    net.attach(peer, "home")
+    chan = net.open_channel(peer, dev.host.addr("home"), port)
+    assert chan.closed
+    with pytest.raises(NetError, match="closed channel"):
+        chan.send(wire.http_serialize(wire.oobe_encode(wire.OobeEnvelope("setupComplete", {}))),
+                  layer="oobe", summary="setupComplete")
+    net.run()
+    assert dev.setup is not None and replies == []
 
 
 def poll_with_code(dev, code):

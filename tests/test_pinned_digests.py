@@ -101,7 +101,8 @@ CALL_BUILTINS = ("intercom_same_lan", "call_cross_lan_fork", "token_reuse")   # 
 @pytest.mark.parametrize("name", CALL_BUILTINS)
 def test_call_builtin_decrypts_only_what_its_own_contexts_protected(name, monkeypatch):
     # every media frame a call built-in receives was protected in the same
-    # run and arrives once, so no receiver reaches the tag or the keystream
+    # run and arrives once, so no receiver reaches the tag or the keystream:
+    # neither _ctr_crypt nor the counter blocks that senders make ahead too
     receiving, received = [], 0
     srtp_unprotect = crypto.srtp_unprotect
 
@@ -124,6 +125,7 @@ def test_call_builtin_decrypts_only_what_its_own_contexts_protected(name, monkey
     monkeypatch.setattr(crypto, "srtp_unprotect", recording_unprotect)
     monkeypatch.setattr(crypto, "_tag", send_side_only(crypto._tag))
     monkeypatch.setattr(crypto, "_ctr_crypt", send_side_only(crypto._ctr_crypt))
+    monkeypatch.setattr(crypto, "_counter_blocks", send_side_only(crypto._counter_blocks))
     assert _digest(run_scenario(load_scenario(name))) == PINNED["builtins"][name]
     assert received
 
